@@ -23,7 +23,7 @@ from .frobenius import (FrobData, LiftingZ, NotALifting, NotStrong, bullet,
                         lifting_from_json, ov_split_matrix, phi, phi_basis,
                         phi_center_inv, phi_tilde, phi_tilde_basis,
                         random_strong_lifting, standard_lifting)
-from .simpson import (DModule, HiggsModule, InvariantSpace,
+from .simpson import (DModule, HiggsModule, InvariantSpace, MalformedInput,
                       NotQuasiNilpotent, central_apply, corpus, corpus_json,
                       curvature_of, invariant_rank, pullback, random_higgs,
                       recovered_higgs, round_trip, solve_invariants,
@@ -47,7 +47,8 @@ __all__ = [
     "bullet_matrix", "glue_derivation", "glue_endo", "lifting_from_json",
     "ov_split_matrix", "phi", "phi_basis", "phi_center_inv", "phi_tilde",
     "phi_tilde_basis", "random_strong_lifting", "standard_lifting",
-    "DModule", "HiggsModule", "InvariantSpace", "NotQuasiNilpotent",
+    "DModule", "HiggsModule", "InvariantSpace", "MalformedInput",
+    "NotQuasiNilpotent",
     "central_apply", "corpus", "corpus_json", "curvature_of",
     "invariant_rank", "pullback", "random_higgs", "recovered_higgs",
     "round_trip", "solve_invariants", "solve_invariants_literal",

@@ -24,8 +24,9 @@ from .expr import ExprError, parse, render_matrix, render_op, render_poly
 from .frobenius import (FrobData, NotALifting, bullet, lifting_from_json,
                         phi, phi_tilde)
 from .poly import Poly
-from .simpson import (DModule, HiggsModule, NotQuasiNilpotent, curvature_of,
-                      invariant_rank, pullback, round_trip, solve_invariants)
+from .simpson import (DModule, HiggsModule, MalformedInput, NotQuasiNilpotent,
+                      curvature_of, invariant_rank, pullback, round_trip,
+                      solve_invariants)
 from .suites import SUITES, run_suite
 
 
@@ -393,7 +394,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.handler(args)
-    except (CliError, ExprError) as e:
+    except (CliError, ExprError, MalformedInput) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except KeyError as e:

@@ -89,10 +89,6 @@ class DiffOp:
     def order(self) -> int:
         return max((mi_sum(k) for k in self.terms), default=-1)
 
-    def theta_degree(self) -> int:
-        q = self.ctx.pm1
-        return max((sum(x // q for x in k) for k in self.terms), default=0)
-
     def theta_truncate(self, n: int) -> "DiffOp":
         q = self.ctx.pm1
         return DiffOp(self.ctx, {k: f for k, f in self.terms.items()

@@ -13,25 +13,30 @@ from .poly import Poly
 
 
 def rref_mod(a: np.ndarray, p: int):
-    """Row-reduce in place over GF(p); returns (matrix, pivot columns)."""
-    a = np.array(a, dtype=np.int64) % p
+    """Row-reduce over GF(p); returns (matrix, pivot columns).
+
+    Each pivot column is cleared in every other row by one outer-product
+    update, restricted to the columns where the pivot row is nonzero (left
+    of its pivot it is zero, and entries stay reduced), so the temporaries
+    are as small as the fill-in allows."""
+    a = np.asarray(a, dtype=np.int64) % p      # a new array; the input stays
     rows, cols = a.shape
     pivots = []
     rank = 0
     for c in range(cols):
-        pr = None
-        for r in range(rank, rows):
-            if a[r, c]:
-                pr = r
-                break
-        if pr is None:
+        nz = np.flatnonzero(a[rank:, c])
+        if not nz.size:
             continue
+        pr = rank + int(nz[0])
         if pr != rank:
             a[[rank, pr]] = a[[pr, rank]]
-        a[rank] = a[rank] * pow(int(a[rank, c]), -1, p) % p
-        for r in range(rows):
-            if r != rank and a[r, c]:
-                a[r] = (a[r] - a[r, c] * a[rank]) % p
+        a[rank, c:] = a[rank, c:] * pow(int(a[rank, c]), -1, p) % p
+        hit = np.flatnonzero(a[:, c])
+        hit = hit[hit != rank]
+        if hit.size:
+            on = c + np.flatnonzero(a[rank, c:])
+            block = np.ix_(hit, on)
+            a[block] = (a[block] - np.outer(a[hit, c], a[rank, on])) % p
         pivots.append(c)
         rank += 1
         if rank == rows:
@@ -46,44 +51,19 @@ def rank_mod(a: np.ndarray, p: int) -> int:
 
 
 def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Rows span {x : a @ x = 0 mod p}."""
+    """Rows span {x : a @ x = 0 mod p}: one row per free column, 1 there,
+    0 at the other free columns."""
     rows, cols = a.shape
     if a.size == 0:
         return np.eye(cols, dtype=np.int64)
     r, pivots = rref_mod(a, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for n, fc in enumerate(free):
-        basis[n, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[n, pc] = (-r[i, fc]) % p
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((free.size, cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = -r[:len(pivots)][:, free].T % p
     return basis
-
-
-def solve_mod(a: np.ndarray, b: np.ndarray, p: int):
-    """One solution of a @ x = b mod p, or None."""
-    rows, cols = a.shape
-    aug = np.concatenate([a % p, b.reshape(rows, 1) % p], axis=1)
-    r, pivots = rref_mod(aug, p)
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, cols]
-    return x
-
-
-def refine_kernel(basis: np.ndarray, cons: np.ndarray, p: int) -> np.ndarray:
-    """Intersect the row space of `basis` with the kernel of `cons`.
-
-    Constraints arrive in batches (cheap ones first), so the working
-    space only ever shrinks.
-    """
-    if basis.shape[0] == 0:
-        return basis
-    reduced = cons % p @ basis.T % p
-    small = nullspace_mod(reduced, p)
-    return small @ basis % p
 
 
 def row_space_contains(basis: np.ndarray, v: np.ndarray, p: int) -> bool:
@@ -106,14 +86,6 @@ def pmat_eye(n: int, nvars: int, mod, var="t"):
     for i in range(n):
         out[i][i] = one
     return out
-
-
-def pmat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def pmat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def pmat_scale(a, c):

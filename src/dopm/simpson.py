@@ -21,6 +21,14 @@ many linear conditions indexed by (i, l <= m, b < p^(m+1), |c| <
 nilpotency index): multiplication operators come for free, larger b
 repeat by periodicity of the binomial coefficients, and larger c die on
 the module.
+
+The conditions are O_X'-linear: t' = t^q with q = p^(m+1) is central,
+so the conditions on t'^b t^a e_j are those on t^a e_j with every
+exponent shifted by q b.  The solver evaluates them once on the box
+a < q (componentwise) and builds every unknown of the degree window by
+that shift.  A round trip solves once, at the bound d + q its stability
+check needs, and reads the degree-<= d invariants off that solve as
+V_d = V_(d+q) ∩ span(deg <= d).
 """
 
 from __future__ import annotations
@@ -43,6 +51,10 @@ class NotQuasiNilpotent(ValueError):
     pass
 
 
+class MalformedInput(ValueError):
+    """Module data of the wrong shape or arity (the CLI exits 2)."""
+
+
 # ---------------------------------------------------------------------------
 # Higgs modules
 
@@ -54,12 +66,11 @@ class HiggsModule:
     def __init__(self, ctx: Context, matrices):
         self.ctx = ctx
         self.rank = len(matrices[0]) if matrices else 0
-        assert len(matrices) == ctx.r
+        if len(matrices) != ctx.r:
+            raise MalformedInput(
+                f"{len(matrices)} Higgs matrices for r={ctx.r}")
         for a in matrices:
-            for row in a:
-                for f in row:
-                    assert f.nvars == ctx.r and f.mod == ctx.p \
-                        and f.var == "t'"
+            _check_pmat(a, self.rank, ctx, "t'", "Higgs matrix")
         self.matrices = matrices
 
     def validate(self):
@@ -87,17 +98,59 @@ class HiggsModule:
     def from_json(cls, data, ctx: Context | None = None) -> "HiggsModule":
         if ctx is None:
             ctx = Context(data["p"], data["m"], data["r"])
-        mats = [[[_poly_from_json(e, ctx.r, ctx.p, "t'") for e in row]
-                 for row in a] for a in data["matrices"]]
-        return cls(ctx, mats)
+        mats = data["matrices"]
+        if not isinstance(mats, list):
+            raise MalformedInput("'matrices' is not a list")
+        higgs = cls(ctx, [_pmat_from_json(a, ctx, "t'", "Higgs matrix")
+                          for a in mats])
+        if data.get("rank", higgs.rank) != higgs.rank:
+            raise MalformedInput(f"rank {data['rank']} but "
+                                 f"{higgs.rank}x{higgs.rank} matrices")
+        return higgs
 
 
 def _poly_json(f: Poly):
     return sorted([list(e), c] for e, c in f.coeffs.items())
 
 
-def _poly_from_json(entries, nvars, mod, var):
-    return Poly({tuple(e): c for e, c in entries}, nvars, mod, var)
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _pmat_from_json(mat, ctx, var, what):
+    """A matrix of polynomials in r variables, each entry a list of
+    [exponent, coefficient] pairs; its shape is checked by the module."""
+    if not isinstance(mat, list) or \
+            any(not isinstance(row, list) for row in mat):
+        raise MalformedInput(f"{what} is not a list of rows")
+    out = []
+    for row in mat:
+        polys = []
+        for entries in row:
+            if not isinstance(entries, list) or any(
+                    not isinstance(t, list) or len(t) != 2
+                    or not isinstance(t[0], list) or len(t[0]) != ctx.r
+                    or not all(_is_int(x) and x >= 0 for x in t[0])
+                    or not _is_int(t[1]) for t in entries):
+                raise MalformedInput(
+                    f"{what} entry {entries!r} is not a list of "
+                    f"[exponent of length {ctx.r}, integer] pairs")
+            polys.append(Poly({tuple(e): c for e, c in entries},
+                              ctx.r, ctx.p, var))
+        out.append(polys)
+    return out
+
+
+def _check_pmat(mat, n, ctx, var, what):
+    """Raise MalformedInput unless mat is n x n (n >= 1) over ctx."""
+    if n < 1 or len(mat) != n or any(len(row) != n for row in mat):
+        raise MalformedInput(f"{what} is not a square matrix of size "
+                             f"{max(n, 1)}")
+    for row in mat:
+        for f in row:
+            if (f.nvars, f.mod, f.var) != (ctx.r, ctx.p, var):
+                raise MalformedInput(f"{what} entry is not a polynomial "
+                                     f"in {var}1..{var}{ctx.r} mod {ctx.p}")
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +174,15 @@ class DModule:
         self.rank = rank
         self.gens = {}
         for (i, l), mat in gens.items():
-            assert 0 <= i < ctx.r and 0 <= l <= ctx.m
-            for row in mat:
-                for f in row:
-                    assert f.nvars == ctx.r and f.mod == ctx.p and f.var == "t"
+            if not (0 <= i < ctx.r and 0 <= l <= ctx.m):
+                raise MalformedInput(f"generator ({i},{l}) out of range for "
+                                     f"r={ctx.r}, m={ctx.m}")
+            _check_pmat(mat, rank, ctx, "t", f"generator ({i},{l})")
             self.gens[(i, l)] = mat
         for i in range(ctx.r):
             for l in range(ctx.m + 1):
-                assert (i, l) in self.gens, f"missing generator ({i},{l})"
+                if (i, l) not in self.gens:
+                    raise MalformedInput(f"missing generator ({i},{l})")
         self._b1 = {}
         self._b = {}
         self._theta = None
@@ -150,11 +204,22 @@ class DModule:
     def from_json(cls, data, ctx: Context | None = None) -> "DModule":
         if ctx is None:
             ctx = Context(data["p"], data["m"], data["r"])
+        n = data["rank"]
+        if not _is_int(n) or n < 1:
+            raise MalformedInput(f"rank {n!r} is not a positive integer")
+        if not isinstance(data["generators"], list):
+            raise MalformedInput("'generators' is not a list")
         gens = {}
-        for i, l, mat in data["generators"]:
-            gens[(i, l)] = [[_poly_from_json(e, ctx.r, ctx.p, "t")
-                             for e in row] for row in mat]
-        return cls(ctx, data["rank"], gens)
+        for g in data["generators"]:
+            if not isinstance(g, list) or len(g) != 3 \
+                    or not _is_int(g[0]) or not _is_int(g[1]):
+                raise MalformedInput("a generator is not [i, l, matrix]")
+            i, l, mat = g
+            if (i, l) in gens:
+                raise MalformedInput(f"generator ({i},{l}) given twice")
+            gens[(i, l)] = _pmat_from_json(mat, ctx, "t",
+                                           f"generator ({i},{l})")
+        return cls(ctx, n, gens)
 
     # -- the action ------------------------------------------------------
 
@@ -435,6 +500,27 @@ class InvariantSpace:
         return v is not None and row_space_contains(self.basis, v,
                                                     self.dm.ctx.p)
 
+    def restrict(self, deg_bound: int) -> "InvariantSpace":
+        """V_d = V ∩ span(deg <= d), for d = deg_bound <= self.deg_bound.
+
+        The basis comes in the solver's canonical form (1 at its own free
+        column, 0 at the others), so it equals a direct solve at d."""
+        p = self.dm.ctx.p
+        inside = [k for k, (_, a) in enumerate(self.monomials)
+                  if mi_sum(a) <= deg_bound]
+        outside = [k for k, (_, a) in enumerate(self.monomials)
+                   if mi_sum(a) > deg_bound]
+        basis = self.basis
+        if outside and basis.shape[0]:
+            keep = nullspace_mod(basis[:, outside].T, p)
+            basis = keep @ basis % p
+        basis = basis[:, inside]
+        red, piv = rref_mod(basis[:, ::-1], p)
+        basis = red[len(piv) - 1::-1, ::-1] if piv else red[:0]
+        return InvariantSpace(self.fd, self.dm, deg_bound,
+                              [self.monomials[k] for k in inside],
+                              np.ascontiguousarray(basis))
+
 
 def central_apply(dm: DModule, op: DiffOp, sec):
     """Evaluate a centralizer element sum f_k d^<cq> through the center:
@@ -461,10 +547,6 @@ def _vec_sub(a, b):
     return [x - y for x, y in zip(a, b)]
 
 
-def _vec_scale_poly(vec, f: Poly):
-    return [f * x for x in vec]
-
-
 def _invariance_defects(fd: FrobData, dm: DModule, i: int, l: int, w,
                         n_trunc: int):
     """[central eval of the twisted Frobenius image - honest action] of
@@ -487,10 +569,28 @@ def _invariance_defects(fd: FrobData, dm: DModule, i: int, l: int, w,
     return out
 
 
-def _condition_items(fd: FrobData, dm: DModule, sec, nnil):
+def _defect_weights(ctx: Context):
+    """weights[l][b]: the (s', w) pairs with w = {p^l \\ s'} times the
+    coefficient of d^<s'> t^b, nonzero mod p, for l <= m and b < q."""
+    weights = []
+    for l in range(ctx.m + 1):
+        pl = ctx.p**l
+        weights.append([[(sp, w) for sp in range(min(pl, b) + 1)
+                         if (w := brace(sp, pl - sp, ctx.p, ctx.m) *
+                             dp_monomial_action((sp,), (b,), ctx.p, ctx.m)
+                             % ctx.p)]
+                        for b in range(ctx.pm1)])
+    return weights
+
+
+def _condition_items(fd: FrobData, dm: DModule, sec, nnil, weights):
     """Reduced-invariance condition values on one section, yielded as
     (condition key, vector of polynomials) pairs.  Keys identify the
-    condition across different input sections."""
+    condition across different input sections.
+
+    Condition (c, i, l, b) is sum_s' w t_i^(b - s') times the s'-th
+    invariance defect of d_i^<p^l> on Theta^c sec, over the pairs
+    (s', w) of weights[l][b] (see _defect_weights)."""
     ctx = fd.ctx
     for c in degree_box(nnil - 1, ctx.r):
         w = central_apply(dm, DiffOp.dpartial(ctx, mi_scale(c, ctx.pm1)), sec)
@@ -498,22 +598,17 @@ def _condition_items(fd: FrobData, dm: DModule, sec, nnil):
             continue
         for i in range(ctx.r):
             for l in range(ctx.m + 1):
-                pl = ctx.p**l
                 defects = _invariance_defects(fd, dm, i, l, w, nnil - 1)
-                for b in range(ctx.pm1):
-                    acc = None
-                    for sp in range(min(pl, b) + 1):
-                        dcoef = brace(sp, pl - sp, ctx.p, ctx.m) * \
-                            dp_monomial_action((sp,), (b,), ctx.p, ctx.m) % ctx.p
-                        if not dcoef:
-                            continue
-                        mono = Poly.monomial(mi_scale(mi_unit(ctx.r, i), b - sp),
-                                             dcoef, ctx.r, ctx.p)
-                        term = _vec_scale_poly(defects[sp], mono)
-                        acc = term if acc is None else \
-                            [x + y for x, y in zip(acc, term)]
-                    if acc is not None and any(acc):
-                        yield (c, i, l, b), acc
+                for b, terms in enumerate(weights[l]):
+                    acc = [{} for _ in range(dm.rank)]
+                    for sp, wt in terms:
+                        for out, f in zip(acc, defects[sp]):
+                            for e, cf in f.coeffs.items():
+                                e = e[:i] + (e[i] + b - sp,) + e[i + 1:]
+                                out[e] = out.get(e, 0) + wt * cf
+                    vec = [Poly(d, ctx.r, ctx.p) for d in acc]
+                    if any(vec):
+                        yield (c, i, l, b), vec
 
 
 def _flatten_rows(vec_rows, rank, p):
@@ -559,65 +654,72 @@ def _split_classes_ok(fd: FrobData, dm: DModule) -> bool:
 
 def solve_invariants(fd: FrobData, dm: DModule,
                      deg_bound: int | None = None) -> InvariantSpace:
-    """Compute the invariant sections of total degree <= deg_bound."""
+    """Compute the invariant sections of total degree <= deg_bound.
+
+    t' = t^q (q = p^(m+1)) is central, so the conditions on t'^b t^a e_j
+    are those on t^a e_j with every exponent shifted by q b.  They are
+    evaluated once per box section t^a e_j, a < q componentwise, that
+    the window reaches; every other unknown reuses its box entry.  A
+    smaller window needs no second solve: V_d = V_D ∩ span(deg <= d)
+    for d <= D, which `InvariantSpace.restrict` computes."""
     ctx = fd.ctx
+    q = ctx.pm1
     d = ctx.solve_bound() if deg_bound is None else deg_bound
     nnil = dm.nilpotency_index()
     fd = fd.deepen(nnil - 1)   # tau-room for the twisted images
     monomials = [(j, a) for a in degree_box(d, ctx.r)
                  for j in range(dm.rank)]
+    weights = _defect_weights(ctx)
+    box = {}
+    for j, a in monomials:
+        a0 = tuple(x % q for x in a)
+        if (j, a0) not in box:
+            sec = [Poly.monomial(a0, 1, ctx.r, ctx.p) if jj == j
+                   else Poly.zero(ctx.r, ctx.p) for jj in range(dm.rank)]
+            items = _condition_items(fd, dm, sec, nnil, weights)
+            box[(j, a0)] = [((key, comp), e, cf) for key, vec in items
+                            for comp, f in enumerate(vec)
+                            for e, cf in f.coeffs.items()]
     if _split_classes_ok(fd, dm):
         groups = {}
         for mono in monomials:
-            groups.setdefault(_class_of(mono, ctx.pm1), []).append(mono)
+            groups.setdefault(_class_of(mono, q), []).append(mono)
         blocks = list(groups.values())
     else:
         blocks = [monomials]
-    kept_monos = []
-    kept_bases = []
-    for block in blocks:
-        basis = _solve_block(fd, dm, block, nnil)
-        kept_monos.append(block)
-        kept_bases.append(basis)
-    all_monos = [mono for block in kept_monos for mono in block]
-    width = len(all_monos)
+    all_monos = [mono for block in blocks for mono in block]
     rows = []
     off = 0
-    for block, basis in zip(kept_monos, kept_bases):
-        for row in basis:
-            full = np.zeros(width, dtype=np.int64)
+    for block in blocks:
+        for row in _solve_block(block, box, q, ctx.p):
+            full = np.zeros(len(all_monos), dtype=np.int64)
             full[off:off + len(block)] = row
             rows.append(full)
         off += len(block)
     mat = np.array(rows, dtype=np.int64) if rows else \
-        np.zeros((0, width), dtype=np.int64)
+        np.zeros((0, len(all_monos)), dtype=np.int64)
     return InvariantSpace(fd, dm, d, all_monos, mat)
 
 
-def _solve_block(fd: FrobData, dm: DModule, block, nnil) -> np.ndarray:
-    """One linear solve: every reduced condition, evaluated on the
-    monomial basis of the block, keyed so sparse slots stay aligned."""
-    ctx = fd.ctx
+def _solve_block(block, box, q, p) -> np.ndarray:
+    """One linear solve: the box conditions of every unknown of the block,
+    shifted to its exponent and keyed so sparse slots stay aligned."""
     coords = {}   # (condition key, component, exponent) -> constraint row
     cols = []     # per unknown: {constraint row -> coefficient}
     for j, a in block:
-        sec = [Poly.monomial(a, 1, ctx.r, ctx.p) if jj == j
-               else Poly.zero(ctx.r, ctx.p) for jj in range(dm.rank)]
+        shift = tuple(x - x % q for x in a)
         col = {}
-        for key, vec in _condition_items(fd, dm, sec, nnil):
-            for comp, f in enumerate(vec):
-                for e, cf in f.coeffs.items():
-                    ck = (key, comp, e)
-                    idx = coords.setdefault(ck, len(coords))
-                    col[idx] = cf
+        for ck, e, cf in box[(j, tuple(x % q for x in a))]:
+            e = tuple(x + s for x, s in zip(e, shift))
+            col[coords.setdefault((ck, e), len(coords))] = cf
         cols.append(col)
     if not coords:
         return np.eye(len(block), dtype=np.int64)
     mat = np.zeros((len(coords), len(block)), dtype=np.int64)
     for k, col in enumerate(cols):
         for idx, cf in col.items():
-            mat[idx, k] = cf % ctx.p
-    return nullspace_mod(mat, ctx.p)
+            mat[idx, k] = cf % p
+    return nullspace_mod(mat, p)
 
 
 def solve_invariants_literal(fd: FrobData, dm: DModule, deg_bound: int,
@@ -665,21 +767,10 @@ def invariant_rank(inv: InvariantSpace):
     of the quotient."""
     ctx = inv.dm.ctx
     p, q = ctx.p, ctx.pm1
-    low_cut = inv.deg_bound - q
-    outside = [k for k, (j, a) in enumerate(inv.monomials)
-               if mi_sum(a) > low_cut]
     if inv.dim == 0:
         return 0, []
-    if outside:
-        sel = inv.basis[:, outside]
-        keep = nullspace_mod(sel.T, p)
-        low_basis = keep @ inv.basis % p if keep.size else \
-            np.zeros((0, inv.basis.shape[1]), dtype=np.int64)
-    else:
-        low_basis = inv.basis
     shifted = []
-    for row in low_basis:
-        sec = inv.section(row)
+    for sec in inv.restrict(inv.deg_bound - q).sections():
         for i in range(ctx.r):
             tq = Poly.monomial(mi_scale(mi_unit(ctx.r, i), q), 1, ctx.r, p)
             moved = inv.flatten([tq * f for f in sec])
@@ -729,21 +820,25 @@ def recovered_higgs(fd: FrobData, dm: DModule, n_trunc: int | None = None):
 
 def round_trip(fd: FrobData, higgs: HiggsModule,
                deg_bound: int | None = None, check_stable: bool = True):
-    """pullback -> invariants -> Higgs frame; reports every verdict."""
+    """pullback -> invariants -> Higgs frame; reports every verdict.
+
+    With check_stable, the invariants are solved once at d + q and the
+    window of degree <= d is restricted from that solve."""
     ctx = fd.ctx
     dm = pullback(fd, higgs)
-    inv = solve_invariants(fd, dm, deg_bound)
+    d = ctx.solve_bound() if deg_bound is None else deg_bound
+    if check_stable:
+        # one solve: the window one degree step up, restricted to d
+        wide = solve_invariants(fd, dm, d + ctx.pm1)
+        inv = wide.restrict(d)
+    else:
+        inv = solve_invariants(fd, dm, d)
     rank, _ = invariant_rank(inv)
     n = higgs.rank
     ident = pmat_eye(n, ctx.r, ctx.p)
     members = all(inv.contains([ident[s][j] for s in range(n)])
                   for j in range(n))
-    stable = True
-    if check_stable:
-        d = inv.deg_bound + ctx.pm1
-        inv2 = solve_invariants(fd, dm, d)
-        rank2, _ = invariant_rank(inv2)
-        stable = rank2 == rank
+    stable = not check_stable or invariant_rank(wide)[0] == rank
     rec = recovered_higgs(fd, dm)
     rec_ok = _commuting_nilpotent(rec, n, ctx)
     exact = all(pmat_eq(a, b) for a, b in zip(rec, higgs.matrices))

@@ -200,6 +200,36 @@ def test_malformed_input_exits_2(capsys, argv):
     assert err.startswith("error:")
 
 
+JORDAN_ROW = [[], [[[0], 1]]]
+
+
+@pytest.mark.parametrize("command, module", [
+    # exponent [0, 0] with r = 1
+    ("roundtrip", {"p": 2, "m": 0, "r": 1, "rank": 2,
+                   "matrices": [[[[], [[[0, 0], 1]]], [[], []]]]}),
+    # r = 2 with one matrix
+    ("roundtrip", {"p": 2, "m": 0, "r": 2, "rank": 2,
+                   "matrices": [[JORDAN_ROW, [[], []]]]}),
+    # ragged: the second row is short
+    ("roundtrip", {"p": 2, "m": 0, "r": 1, "rank": 2,
+                   "matrices": [[JORDAN_ROW, [[]]]]}),
+    # rank key disagrees with the matrices
+    ("invariants", {"p": 2, "m": 0, "r": 1, "rank": 3,
+                    "matrices": [[JORDAN_ROW, [[], []]]]}),
+    # D-module at m = 1 without the generator (0, 1)
+    ("invariants", {"p": 2, "m": 1, "r": 1, "rank": 1,
+                    "generators": [[0, 0, [[[]]]]]}),
+], ids=["exponent-arity", "matrix-count", "ragged", "rank-key",
+        "missing-generator"])
+def test_malformed_module_file_exits_2(capsys, tmp_path, command, module):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(module))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_flag_file_disagreement_exits_2(capsys, tmp_path):
     higgs = write_higgs(tmp_path)
     code, _, err = run(capsys, "curvature", "--p", "3", higgs)

@@ -16,6 +16,7 @@ from dopm.context import Context
 from dopm.diffops import DiffOp
 from dopm.frobenius import FrobData, random_strong_lifting
 from dopm.linalg import pmat_eq, pmat_eye, pmat_mul, pmat_zero, rank_mod
+from dopm import simpson
 from dopm.poly import Poly
 from dopm.simpson import (DModule, HiggsModule, NotQuasiNilpotent,
                           central_apply, corpus, corpus_json, curvature_of,
@@ -211,13 +212,40 @@ def test_invariant_sections_really_are_invariant():
         assert lhs == rhs
 
 
-def test_reduced_solver_agrees_with_the_literal_one():
+def _strong(ctx, seed):
+    return FrobData(ctx, random_strong_lifting(ctx, random.Random(seed),
+                                               deg=2))
+
+
+def _t_prime_linear(h):
+    return any(sum(e) for a in h.matrices for row in a for f in row
+               for e in f.coeffs)
+
+
+def _linear(seed):
+    def field(ctx):
+        h = random_higgs(ctx, random.Random(seed), 2, linear=True)
+        assert _t_prime_linear(h)
+        return h
+    return field
+
+
+@pytest.mark.parametrize("ctx, lift_seed, field", [
     # regression: with curvature that does not square to zero the raw
     # Frobenius image differs from the twisted one by the center
     # automorphism; both solvers must agree on such modules
-    ctx = Context(2, 0)
-    fd = FrobData.standard(ctx)
-    dm = pullback(fd, jordan_higgs(ctx, 3))     # N^2 != 0
+    (Context(2, 0), None, lambda ctx: jordan_higgs(ctx, 3)),   # N^2 != 0
+    (Context(3, 0), 5, _linear(11)),
+    (Context(2, 1), None, _linear(7)),
+    (Context(2, 0, r=2), 8, lambda ctx: random_higgs(ctx, random.Random(9),
+                                                     2)),
+], ids=["p2m0-jordan3", "p3m0-lifted-linear", "p2m1-linear",
+        "p2m0r2-lifted"])
+def test_reduced_solver_agrees_with_the_literal_one(ctx, lift_seed, field):
+    fd = FrobData.standard(ctx) if lift_seed is None else _strong(ctx,
+                                                                  lift_seed)
+    dm = pullback(fd, field(ctx))
+    assert dm.nilpotency_index() >= 2
     red = solve_invariants(fd, dm)
     lit = solve_invariants_literal(fd, dm, red.deg_bound, 2 * ctx.pm1)
     assert red.dim == lit.dim
@@ -225,6 +253,60 @@ def test_reduced_solver_agrees_with_the_literal_one():
         assert red.contains(sec)
     for sec in red.sections():
         assert lit.contains(sec)
+
+
+def test_round_trip_window_is_a_direct_solve():
+    # round_trip solves once, one degree step up, and restricts; the
+    # restriction is the direct solve at the lower bound, basis and all
+    for ctx, fd, h in [
+            (Context(3, 0), FrobData.standard(Context(3, 0)),
+             random_higgs(Context(3, 0), random.Random(11), 2, linear=True)),
+            (Context(2, 0, r=2), _strong(Context(2, 0, r=2), 8),
+             random_higgs(Context(2, 0, r=2), random.Random(9), 2))]:
+        rep = round_trip(fd, h)
+        inv = rep["inv"]
+        direct = solve_invariants(fd, rep["dm"], ctx.solve_bound())
+        assert inv.deg_bound == direct.deg_bound
+        assert inv.dim == direct.dim
+        stacked = np.vstack([inv.basis, direct.basis])
+        assert rank_mod(stacked, ctx.p) == rank_mod(direct.basis, ctx.p) \
+            == direct.dim
+        assert inv.monomials == direct.monomials
+        assert np.array_equal(inv.basis, direct.basis)
+
+
+def test_restrict_keeps_exactly_the_low_sections():
+    ctx = Context(2, 0)
+    fd = FrobData.standard(ctx)
+    dm = pullback(fd, jordan_higgs(ctx, 2))
+    wide = solve_invariants(fd, dm, 8)
+    low = wide.restrict(4)
+    assert low.deg_bound == 4
+    assert all(sum(a) <= 4 for _, a in low.monomials)
+    for sec in low.sections():
+        assert wide.contains(sec)
+    assert np.array_equal(low.basis, solve_invariants(fd, dm, 4).basis)
+    assert wide.restrict(-1).dim == 0
+
+
+@pytest.mark.parametrize("ctx, lifted", [
+    (Context(3, 0, r=2), False), (Context(2, 1), False),
+    (Context(2, 0, r=2), True)])
+def test_conditions_are_evaluated_once_per_box_section(monkeypatch, ctx,
+                                                        lifted):
+    # t' = t^q is central: one evaluation per section t^a e_j, a < q
+    fd = _strong(ctx, 8) if lifted else FrobData.standard(ctx)
+    dm = pullback(fd, random_higgs(ctx, random.Random(9), 2))
+    calls = []
+    original = simpson._condition_items
+
+    def counting(fd, dm, sec, *rest):
+        calls.append(sec)
+        return original(fd, dm, sec, *rest)
+
+    monkeypatch.setattr(simpson, "_condition_items", counting)
+    solve_invariants(fd, dm)
+    assert len(calls) == dm.rank * ctx.p ** ((ctx.m + 1) * ctx.r)
 
 
 def test_constants_are_invariant_for_cubes():
@@ -293,3 +375,15 @@ def test_recovered_higgs_direct():
     h = jordan_higgs(ctx, 3)
     rec = recovered_higgs(fd, pullback(fd, h))
     assert all(pmat_eq(a, b) for a, b in zip(rec, h.matrices))
+
+
+@pytest.mark.parametrize("p, m, r, n", [
+    (7, 1, 1, 2), (5, 1, 1, 2), (3, 1, 2, 2), (3, 2, 1, 2), (2, 0, 3, 3)])
+def test_round_trip_at_the_advertised_corners(p, m, r, n):
+    ctx = Context(p, m, r)
+    h = random_higgs(ctx, random.Random(11), n)
+    rep = round_trip(FrobData.standard(ctx), h)
+    assert rep["dm"].nilpotency_index() == n
+    assert rep["rank"] == rep["rank_expected"] == n
+    assert rep["members"] and rep["stable"] and rep["recovered_valid"]
+    assert rep["recovered_exact"]
