@@ -7,10 +7,16 @@ tau^{s}, with the multiplication law
 
 Usual divided powers gamma_k are computed in the *rational model*: lift
 coefficients to Z, identify tau^{s} with  prod tau_i^{s_i} / q_{s_i}!,
-compute w^k/k! exactly over Q, re-express in the brace basis, assert
+compute w^k/k! exactly over Q, re-express in the brace basis, check
 every coefficient is p-integral, reduce.  That model is the single
 source of truth; the closed-form structure constants are cross-checked
 against it in the suites.
+
+w^k/k! has one implementation, the tower gamma_k = gamma_{k-1} * w / k
+(`GammaTower`).  A tower keeps its rational steps, so a caller that needs
+gamma_0..gamma_K of one w (as FrobData does for phi) pays K products, not
+K^2/2; `gamma_dp` builds a fresh tower per call and is the from-scratch
+oracle.
 """
 
 from __future__ import annotations
@@ -25,25 +31,21 @@ from .scalars import (angle_mi_mod, box_le, brace_mi, brace_mi_mod,
 
 
 class DPElem:
-    __slots__ = ("ctx", "level", "coeffs", "mod", "trunc", "truncated")
+    __slots__ = ("ctx", "level", "coeffs", "mod", "trunc")
 
-    def __init__(self, ctx: Context, coeffs, mod, level=None, trunc=None,
-                 truncated=False):
+    def __init__(self, ctx: Context, coeffs, mod, level=None, trunc=None):
         self.ctx = ctx
         self.level = ctx.m if level is None else level
         self.mod = mod
         self.trunc = ctx.tau_trunc if trunc is None else trunc
-        truncd = truncated
         clean = {}
         for s, f in coeffs.items():
             s = tuple(s)
             if self.trunc is not None and mi_sum(s) > self.trunc:
-                truncd = True
                 continue
             if f:
                 clean[s] = f
         self.coeffs = clean
-        self.truncated = truncd
 
     # -- constructors -------------------------------------------------------
 
@@ -84,8 +86,7 @@ class DPElem:
         out = dict(self.coeffs)
         for s, f in other.coeffs.items():
             out[s] = out.get(s, Poly.zero(self.ctx.r, self.mod)) + f
-        return DPElem(self.ctx, out, self.mod, self.level, self.trunc,
-                      self.truncated or other.truncated)
+        return DPElem(self.ctx, out, self.mod, self.level, self.trunc)
 
     def __neg__(self):
         return self.scale(-1)
@@ -98,26 +99,23 @@ class DPElem:
             out = {s: c * f for s, f in self.coeffs.items()}
         else:
             out = {s: f.scale(c) for s, f in self.coeffs.items()}
-        return DPElem(self.ctx, out, self.mod, self.level, self.trunc,
-                      self.truncated)
+        return DPElem(self.ctx, out, self.mod, self.level, self.trunc)
 
     def __mul__(self, other):
         self._check(other)
         p, m = self.ctx.p, self.level
         out = {}
-        truncd = self.truncated or other.truncated
         for a, f in self.coeffs.items():
             for b, g in other.coeffs.items():
                 s = mi_add(a, b)
                 if self.trunc is not None and mi_sum(s) > self.trunc:
-                    truncd = True
                     continue
                 c = brace_mi_mod(a, b, p, m, self.mod) if self.mod is not None \
                     else brace_mi(a, b, p, m)
                 if c:
                     term = (f * g).scale(c)
                     out[s] = out.get(s, Poly.zero(self.ctx.r, self.mod)) + term
-        return DPElem(self.ctx, out, self.mod, self.level, self.trunc, truncd)
+        return DPElem(self.ctx, out, self.mod, self.level, self.trunc)
 
     def __repr__(self):
         if not self.coeffs:
@@ -144,11 +142,9 @@ def taylor(ctx: Context, f: Poly, mod, trunc=None, level=None) -> DPElem:
     lvl = ctx.m if level is None else level
     tr = ctx.tau_trunc if trunc is None else trunc
     out: dict = {}
-    truncd = False
     for h, c in f.coeffs.items():
         for s in box_le(h):
             if tr is not None and mi_sum(s) > tr:
-                truncd = True
                 continue
             a = dp_monomial_action(s, h, ctx.p, lvl) * c
             if mod is not None:
@@ -159,7 +155,7 @@ def taylor(ctx: Context, f: Poly, mod, trunc=None, level=None) -> DPElem:
             cur = out.setdefault(s, {})
             cur[e] = cur.get(e, 0) + a
     polys = {s: Poly(d, ctx.r, mod) for s, d in out.items()}
-    return DPElem(ctx, polys, mod, level=lvl, trunc=tr, truncated=truncd)
+    return DPElem(ctx, polys, mod, level=lvl, trunc=tr)
 
 
 def pair_op(op, w: DPElem) -> Poly:
@@ -240,13 +236,6 @@ class RatDP:
         return RatDP(self.ctx, {k: Fraction(c) * v for k, v in self.terms.items()},
                      self.level, self.trunc)
 
-    def divided_power(self, k: int) -> "RatDP":
-        """w^k / k!, built iteratively as gamma_j = gamma_{j-1} * w / j."""
-        out = RatDP.one(self.ctx, self.level, self.trunc)
-        for j in range(1, k + 1):
-            out = (out * self).scale(Fraction(1, j))
-        return out
-
     def to_dp(self, mod) -> DPElem:
         """Back to the brace basis; asserts p-integrality of every
         coefficient (the loud failure outside the divided-power lattice)."""
@@ -266,13 +255,36 @@ class RatDP:
         return DPElem(self.ctx, polys, mod, level=self.level, trunc=self.trunc)
 
 
+class GammaTower:
+    """The usual divided powers of one element w with zero constant term,
+    by the recurrence gamma_k = gamma_{k-1} * w / k in the rational model.
+
+    Every step is kept, so `rational(k)` multiplies only past the highest
+    k reached so far; callers reduce each value they use through `to_dp`,
+    which checks its p-integrality."""
+
+    __slots__ = ("w", "steps")
+
+    def __init__(self, w: DPElem, lift=None):
+        if w.constant_term():
+            raise ValueError("gamma_k needs a zero constant term")
+        self.w = RatDP.from_dp(w, lift=lift)
+        self.steps = [RatDP.one(w.ctx, w.level, w.trunc)]
+
+    def rational(self, k: int) -> RatDP:
+        """gamma_k(w), exact over Q."""
+        while len(self.steps) <= k:
+            j = len(self.steps)
+            self.steps.append((self.steps[-1] * self.w).scale(Fraction(1, j)))
+        return self.steps[k]
+
+
 def gamma_dp(w: DPElem, k: int, lift=None, mod=0) -> DPElem:
-    """Usual divided power gamma_k on the PD part, via the rational model.
+    """Usual divided power gamma_k on the PD part, via the rational model,
+    from scratch: the oracle for every kept GammaTower.
 
     `mod=0` means "reduce to w's own modulus"; pass None for the exact
     rational answer (used by the compd suite).
     """
-    if w.constant_term():
-        raise ValueError("gamma_k needs a zero constant term")
     target = w.mod if mod == 0 else mod
-    return RatDP.from_dp(w, lift=lift).divided_power(k).to_dp(target)
+    return GammaTower(w, lift=lift).rational(k).to_dp(target)

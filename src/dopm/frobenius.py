@@ -27,8 +27,8 @@ import json
 
 from .context import Context
 from .diffops import DiffOp, theta_power, zo_decompose
-from .dpalg import DPElem, gamma_dp, taylor
-from .poly import Poly
+from .dpalg import DPElem, GammaTower, taylor
+from .poly import MalformedInput, Poly, is_int, poly_from_json
 from .scalars import (box, degree_box, div_p_fact, mi_scale, mi_sum, mi_unit,
                       mi_zero)
 
@@ -93,14 +93,26 @@ def standard_lifting(ctx: Context) -> LiftingZ:
 
 
 def lifting_from_json(data, ctx: Context | None = None) -> LiftingZ:
+    """The lifting written by `LiftingZ.to_json`.  Data of the wrong shape
+    raises MalformedInput; well-formed polynomials that do not lift
+    Frobenius raise NotALifting."""
     if isinstance(data, str):
         data = json.loads(data)
+    if not isinstance(data, dict) or \
+            not all(is_int(data.get(k)) for k in ("p", "m", "r")):
+        raise MalformedInput("a lifting is a JSON object with integer "
+                             "p, m and r")
     if ctx is None:
         ctx = Context(data["p"], data["m"], data["r"])
     if (data["p"], data["m"], data["r"]) != (ctx.p, ctx.m, ctx.r):
         raise NotALifting("lifting parameters disagree with the context")
-    polys = [Poly({tuple(e): c for e, c in entries}, ctx.r, ctx.mod2)
-             for entries in data["lift"]]
+    lift = data["lift"]
+    if not isinstance(lift, list) or len(lift) != ctx.r:
+        raise MalformedInput(f"'lift' is not a list of {ctx.r} "
+                             f"coordinate polynomials")
+    polys = [poly_from_json(entries, ctx.r, ctx.mod2,
+                            what=f"lifting polynomial {j + 1}")
+             for j, entries in enumerate(lift)]
     return LiftingZ(ctx, polys)
 
 
@@ -147,15 +159,19 @@ def divided_frob_tau(ctx: Context, lifting: LiftingZ):
             g = Poly(reduced, ctx.r, ctx.p)
             if g:
                 coeffs[s] = g
-        out.append(DPElem(ctx, coeffs, ctx.p, truncated=w.truncated))
+        out.append(DPElem(ctx, coeffs, ctx.p))
     return out
 
 
 class FrobData:
     """A validated strong lifting together with everything phi needs.
 
-    gamma values and phi images are cached per instance; each instance
-    owns one lifting, so the caches never mix moduli or levels.
+    State is per instance; each instance owns one lifting, so nothing
+    mixes moduli or levels.  Per coordinate j it keeps one GammaTower of
+    w_j, extended as far as phi has asked, and gamma_{c_j}(w_j) reduced
+    mod p for each k asked for; per multi-index c it keeps the product
+    prod_j gamma_{c_j}(w_j) that phi_basis reads; and it caches the phi,
+    phi_center_inv and phi_tilde images of basis operators.
     """
 
     def __init__(self, ctx: Context, lifting: LiftingZ):
@@ -168,7 +184,9 @@ class FrobData:
                    for j, h in enumerate(self.hs)]
         self.ws = divided_frob_tau(ctx, lifting)
         self.is_graded = all(_is_homogeneous(w, ctx.pm1) for w in self.ws)
+        self._towers = [GammaTower(w) for w in self.ws]
         self._gammas: dict = {}
+        self._products: dict = {}
         self._phi: dict = {}
         self._phi_inv: dict = {}
         self._phi_tw: dict = {}
@@ -191,17 +209,21 @@ class FrobData:
         return self.ws[j].coeffs.get(s, Poly.zero(self.ctx.r, self.ctx.p))
 
     def gamma_w(self, j: int, k: int) -> DPElem:
+        """gamma_k(w_j) mod p, read off the coordinate's tower."""
         key = (j, k)
         if key not in self._gammas:
-            self._gammas[key] = gamma_dp(self.ws[j], k) if k else \
-                DPElem.one(self.ctx, self.ctx.p)
+            self._gammas[key] = self._towers[j].rational(k).to_dp(self.ctx.p)
         return self._gammas[key]
 
     def gamma_product(self, c) -> DPElem:
-        out = self.gamma_w(0, c[0])
-        for j in range(1, self.ctx.r):
-            out = out * self.gamma_w(j, c[j])
-        return out
+        """prod_j gamma_{c_j}(w_j), built once per multi-index c."""
+        c = tuple(c)
+        if c not in self._products:
+            out = self.gamma_w(0, c[0])
+            for j in range(1, self.ctx.r):
+                out = out * self.gamma_w(j, c[j])
+            self._products[c] = out
+        return self._products[c]
 
 
 def _pm_divisible(h: Poly, pm: int) -> bool:

@@ -9,6 +9,30 @@ arithmetic asserts it.
 from __future__ import annotations
 
 
+class MalformedInput(ValueError):
+    """Input data of the wrong shape or arity (the CLI exits 2)."""
+
+
+def is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def poly_from_json(entries, nvars: int, mod, var: str = "t",
+                   what: str = "polynomial") -> "Poly":
+    """A polynomial from its JSON form: a list of [exponent, coefficient]
+    pairs, each exponent nvars non-negative integers and each coefficient
+    an integer.  Raises MalformedInput for anything else."""
+    if not isinstance(entries, list) or any(
+            not isinstance(t, list) or len(t) != 2
+            or not isinstance(t[0], list) or len(t[0]) != nvars
+            or not all(is_int(x) and x >= 0 for x in t[0])
+            or not is_int(t[1]) for t in entries):
+        raise MalformedInput(
+            f"{what} {entries!r} is not a list of "
+            f"[exponent of length {nvars}, integer] pairs")
+    return Poly({tuple(e): c for e, c in entries}, nvars, mod, var)
+
+
 class Poly:
     __slots__ = ("coeffs", "nvars", "mod", "var")
 

@@ -41,7 +41,7 @@ from .frobenius import FrobData, phi_center_inv, phi_tilde_basis
 from .linalg import (nullspace_mod, pmat_eq, pmat_eye, pmat_is_zero, pmat_map,
                      pmat_mul, pmat_pow, pmat_scale, pmat_zero, rank_mod,
                      row_space_contains, rref_mod)
-from .poly import Poly
+from .poly import MalformedInput, Poly, is_int, poly_from_json
 from .scalars import (angle_mi_mod, box_le, brace, brace_mi_mod, degree_box,
                       dp_monomial_action, mi_min, mi_scale, mi_sub, mi_sum,
                       mi_unit)
@@ -49,10 +49,6 @@ from .scalars import (angle_mi_mod, box_le, brace, brace_mi_mod, degree_box,
 
 class NotQuasiNilpotent(ValueError):
     pass
-
-
-class MalformedInput(ValueError):
-    """Module data of the wrong shape or arity (the CLI exits 2)."""
 
 
 # ---------------------------------------------------------------------------
@@ -113,32 +109,14 @@ def _poly_json(f: Poly):
     return sorted([list(e), c] for e, c in f.coeffs.items())
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _pmat_from_json(mat, ctx, var, what):
     """A matrix of polynomials in r variables, each entry a list of
     [exponent, coefficient] pairs; its shape is checked by the module."""
     if not isinstance(mat, list) or \
             any(not isinstance(row, list) for row in mat):
         raise MalformedInput(f"{what} is not a list of rows")
-    out = []
-    for row in mat:
-        polys = []
-        for entries in row:
-            if not isinstance(entries, list) or any(
-                    not isinstance(t, list) or len(t) != 2
-                    or not isinstance(t[0], list) or len(t[0]) != ctx.r
-                    or not all(_is_int(x) and x >= 0 for x in t[0])
-                    or not _is_int(t[1]) for t in entries):
-                raise MalformedInput(
-                    f"{what} entry {entries!r} is not a list of "
-                    f"[exponent of length {ctx.r}, integer] pairs")
-            polys.append(Poly({tuple(e): c for e, c in entries},
-                              ctx.r, ctx.p, var))
-        out.append(polys)
-    return out
+    return [[poly_from_json(entries, ctx.r, ctx.p, var, f"{what} entry")
+             for entries in row] for row in mat]
 
 
 def _check_pmat(mat, n, ctx, var, what):
@@ -205,14 +183,14 @@ class DModule:
         if ctx is None:
             ctx = Context(data["p"], data["m"], data["r"])
         n = data["rank"]
-        if not _is_int(n) or n < 1:
+        if not is_int(n) or n < 1:
             raise MalformedInput(f"rank {n!r} is not a positive integer")
         if not isinstance(data["generators"], list):
             raise MalformedInput("'generators' is not a list")
         gens = {}
         for g in data["generators"]:
             if not isinstance(g, list) or len(g) != 3 \
-                    or not _is_int(g[0]) or not _is_int(g[1]):
+                    or not is_int(g[0]) or not is_int(g[1]):
                 raise MalformedInput("a generator is not [i, l, matrix]")
             i, l, mat = g
             if (i, l) in gens:
@@ -763,8 +741,9 @@ def solve_invariants_literal(fd: FrobData, dm: DModule, deg_bound: int,
 def invariant_rank(inv: InvariantSpace):
     """Minimal generator count over O_X': dim V_D / sum t'_i V_(D-q).
 
-    Returns (rank, generator rows): rows of inv.basis completing a basis
-    of the quotient."""
+    Returns (rank, generator rows): the rows of inv.basis that are not in
+    the span of t'V_(D-q) and the basis rows before them, read off as the
+    pivot columns of one row reduction of [t'V_(D-q); basis]^T."""
     ctx = inv.dm.ctx
     p, q = ctx.p, ctx.pm1
     if inv.dim == 0:
@@ -776,22 +755,10 @@ def invariant_rank(inv: InvariantSpace):
             moved = inv.flatten([tq * f for f in sec])
             assert moved is not None
             shifted.append(moved)
-    span = np.array(shifted, dtype=np.int64) if shifted else \
-        np.zeros((0, inv.basis.shape[1]), dtype=np.int64)
-    span_rank = rank_mod(span, p)
-    rank = inv.dim - span_rank
-    gens = []
-    cur = span
-    cur_rank = span_rank
-    for row in inv.basis:
-        cand = np.vstack([cur, row]) if cur.size else row.reshape(1, -1)
-        rk = rank_mod(cand, p)
-        if rk > cur_rank:
-            gens.append(row)
-            cur, cur_rank = cand, rk
-        if len(gens) == rank:
-            break
-    return rank, gens
+    ns = len(shifted)
+    _, pivots = rref_mod(np.vstack([*shifted, inv.basis]).T, p)
+    gens = [inv.basis[c - ns] for c in pivots if c >= ns]
+    return len(gens), gens
 
 
 def recovered_higgs(fd: FrobData, dm: DModule, n_trunc: int | None = None):

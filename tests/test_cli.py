@@ -282,6 +282,61 @@ def test_custom_lifting_file_works(capsys, tmp_path):
     assert code == 0 and "d1<2>" in out
 
 
+def lifting_commands(tmp_path, lift_path):
+    """phi reads p, m, r from the lifting file; roundtrip from the module."""
+    return [("phi", "--lift", lift_path, "d1"),
+            ("roundtrip", "--lift", lift_path,
+             write_higgs(tmp_path, Context(3, 0)))]
+
+
+@pytest.mark.parametrize("lift", [
+    5,
+    [5],
+    [[[[3, 0], 1]]],
+    [[[[-3], 1]]],
+    [[[[3], "1"]]],
+    [[[[3], 1.0]]],
+    [[[[3], 1, 0]]],
+    [[[[3], 1]], [[[3], 1]]],
+    [],
+], ids=["lift-not-a-list", "poly-not-a-list", "exponent-arity",
+        "negative-exponent", "string-coefficient", "float-coefficient",
+        "not-a-pair", "too-many-polys", "no-polys"])
+def test_malformed_lifting_file_exits_2(capsys, tmp_path, lift):
+    path = tmp_path / "lift.json"
+    path.write_text(json.dumps({"p": 3, "m": 0, "r": 1, "lift": lift}))
+    for argv in lifting_commands(tmp_path, str(path)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("data", [
+    [3, 0, 1],
+    {"p": "3", "m": 0, "r": 1, "lift": [[[[3], 1]]]},
+    {"p": 3, "r": 1, "lift": [[[[3], 1]]]},
+], ids=["not-an-object", "string-p", "no-m"])
+def test_lifting_file_of_the_wrong_kind_exits_2(capsys, tmp_path, data):
+    path = tmp_path / "lift.json"
+    path.write_text(json.dumps(data))
+    for argv in lifting_commands(tmp_path, str(path)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_well_formed_non_lifting_still_exits_3(capsys, tmp_path):
+    # t^2 is not t^3 mod 3: the file has the right shape, the data is wrong
+    path = tmp_path / "lift.json"
+    path.write_text(json.dumps({"p": 3, "m": 0, "r": 1,
+                                "lift": [[[[2], 1]]]}))
+    for argv in lifting_commands(tmp_path, str(path)):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert err.startswith("error:") and "not t1^3" in err
+
+
 # -- entry points -------------------------------------------------------------
 
 # Loads a console-script target and calls it, as the wrapper that pip

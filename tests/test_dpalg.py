@@ -189,9 +189,26 @@ def test_gamma_exact_values_at_p3():
     assert g2.coeffs[(2,)] == Poly.monomial((4,), 1, 1, 3)
 
 
-def test_truncation_is_tracked():
-    ctx = Context(2, 0)     # tau_trunc = 6
-    x = DPElem.basis(ctx, (4,), 2)
-    assert not x.truncated
-    assert (x * x).truncated
-    assert not (x * DPElem.basis(ctx, (2,), 2)).truncated
+def test_terms_above_trunc_are_dropped():
+    # the same product and Taylor expansion with a deeper window, cut at
+    # tau_trunc = 9, is what the default window gives
+    ctx = Context(3, 0)
+    deep = 20
+
+    def elem(trunc=None):
+        # tau^{9} + (t + 1) tau^{1}
+        return DPElem(ctx, {(9,): Poly.one(1, 3),
+                            (1,): Poly({(1,): 1, (0,): 1}, 1, 3)}, 3,
+                      trunc=trunc)
+
+    def cut(x):
+        return {s: f for s, f in x.coeffs.items() if mi_sum(s) <= 9}
+
+    full = elem(deep) * elem(deep)
+    assert max(mi_sum(s) for s in full.coeffs) > 9
+    assert (elem() * elem()).coeffs == cut(full)
+    # over Z, where d^<s>(t^11) survives for every s <= 11
+    f = Poly({(11,): 1, (4,): 2}, 1)
+    full = taylor(ctx, f, None, trunc=deep)
+    assert max(mi_sum(s) for s in full.coeffs) == 11
+    assert taylor(ctx, f, None).coeffs == cut(full)

@@ -6,6 +6,7 @@ Frobenius is C(Q, s) q_s! / p! * t^(Q-s), reduced mod p.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 
@@ -13,15 +14,15 @@ import pytest
 
 from dopm.context import Context
 from dopm.diffops import DiffOp, central_embed, central_unit, theta
-from dopm.dpalg import DPElem
+from dopm.dpalg import DPElem, RatDP, gamma_dp
 from dopm.frobenius import (FrobData, LiftingZ, NotALifting, NotStrong,
                             bullet, bullet_matrix, glue_derivation, glue_endo,
                             lifting_from_json, ov_split_matrix, phi,
                             phi_basis, phi_center_inv, phi_tilde,
                             phi_tilde_basis, random_strong_lifting,
                             standard_lifting)
-from dopm.poly import Poly
-from dopm.scalars import frac_mod, mi_unit
+from dopm.poly import MalformedInput, Poly
+from dopm.scalars import degree_box, frac_mod, mi_scale, mi_unit
 
 
 def std_w_oracle(p, m):
@@ -91,6 +92,14 @@ def test_lifting_json_round_trip():
         lifting_from_json(lift.to_json(), Context(3, 0, r=2))
 
 
+@pytest.mark.parametrize("lift", [
+    5, [[[[9, 0], 1]]], [[[[9], 1]], [[[9], 1]]], [[[[9], True]]],
+], ids=["not-a-list", "exponent-arity", "polynomial-count", "bool"])
+def test_lifting_json_of_the_wrong_shape(lift):
+    with pytest.raises(MalformedInput):
+        lifting_from_json({"p": 3, "m": 1, "r": 1, "lift": lift})
+
+
 def test_c_matrix_formula():
     # c(i, j) = -delta_ij t_i^((p-1) p^m) - (dg_j/dt_i dilated by p^m)
     for p, m in [(2, 0), (3, 0), (2, 1), (3, 1)]:
@@ -105,6 +114,78 @@ def test_c_matrix_formula():
                               for k in range(2))
                     want = want - Poly.monomial(e, 1, 2, p)
                 assert fd.c_matrix(i, j) == want
+
+
+# -- the gamma towers ----------------------------------------------------------
+
+TOWER_PMR = [(7, 1, 1), (5, 0, 1), (3, 0, 3), (2, 3, 1), (3, 1, 2)]
+
+
+def tower_fd(pmr, lifting):
+    """The standard lifting in the default window; a random strong one in
+    the window theta_trunc = 1, since the from-scratch oracle makes K^2/2
+    rational products and a random w has hundreds of terms (the default
+    window at (3, 0, 3) takes minutes)."""
+    if lifting == "std":
+        return FrobData.standard(Context(*pmr))
+    ctx = Context(*pmr, theta_trunc=1)
+    return FrobData(ctx, random_strong_lifting(ctx, random.Random(str(pmr))))
+
+
+@pytest.mark.parametrize("lifting", ["std", "random"])
+@pytest.mark.parametrize("pmr", TOWER_PMR, ids=str)
+def test_gamma_tower_is_the_from_scratch_oracle(pmr, lifting):
+    fd = tower_fd(pmr, lifting)
+    ctx = fd.ctx
+    big_k = ctx.tau_trunc // ctx.pm
+    want = {(j, k): gamma_dp(w, k)
+            for j, w in enumerate(fd.ws) for k in range(big_k + 1)}
+    for (j, k), g in want.items():
+        assert fd.gamma_w(j, k) == g
+    for c in degree_box(big_k, ctx.r):
+        prod = want[0, c[0]]
+        for j in range(1, ctx.r):
+            prod = prod * want[j, c[j]]
+        assert fd.gamma_product(c) == prod
+        assert fd.gamma_product(list(c)) is fd.gamma_product(c)
+
+
+@pytest.mark.parametrize("lifting", ["std", "random"])
+@pytest.mark.parametrize("pmr", TOWER_PMR, ids=str)
+def test_gamma_requests_in_any_order(pmr, lifting):
+    down, up = tower_fd(pmr, lifting), tower_fd(pmr, lifting)
+    big_k = down.ctx.tau_trunc // down.ctx.pm
+    for j in range(down.ctx.r):
+        got = {k: down.gamma_w(j, k) for k in range(big_k, -1, -1)}
+        assert got == {k: up.gamma_w(j, k) for k in range(big_k + 1)}
+
+
+@pytest.mark.parametrize("ctx, lift_seed", [
+    (Context(3, 0), None), (Context(2, 1, r=2), None),
+    (Context(3, 0, r=2), 3), (Context(2, 0, r=3), None),
+], ids=["p3m0", "p2m1r2", "p3m0r2-lifted", "p2m0r3"])
+def test_phi_builds_one_tower_per_coordinate(monkeypatch, ctx, lift_seed):
+    # every rational product is a tower step w_j * gamma_(k-1); phi of an
+    # operator of order 3q needs gamma_k for k <= K = 3q / p^m
+    steps = Counter()
+    mul = RatDP.__mul__
+
+    def counting(self, other):
+        steps[id(other)] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(RatDP, "__mul__", counting)
+    fd = FrobData.standard(ctx) if lift_seed is None else \
+        FrobData(ctx, random_strong_lifting(ctx, random.Random(lift_seed),
+                                            deg=2))
+    q = ctx.pm1
+    op = DiffOp.zero(ctx)
+    for j in range(ctx.r):
+        op = op + DiffOp.dpartial(ctx, mi_scale(mi_unit(ctx.r, j), 3 * q))
+    phi(fd, op)
+    big_k = 3 * q // ctx.pm
+    assert len(steps) == ctx.r
+    assert all(n <= big_k for n in steps.values())
 
 
 # -- phi ------------------------------------------------------------------

@@ -18,10 +18,11 @@ from dopm.frobenius import FrobData, random_strong_lifting
 from dopm.linalg import pmat_eq, pmat_eye, pmat_mul, pmat_zero, rank_mod
 from dopm import simpson
 from dopm.poly import Poly
-from dopm.simpson import (DModule, HiggsModule, NotQuasiNilpotent,
-                          central_apply, corpus, corpus_json, curvature_of,
-                          invariant_rank, pullback, random_higgs,
-                          recovered_higgs, round_trip, solve_invariants,
+from dopm.simpson import (DModule, HiggsModule, InvariantSpace,
+                          NotQuasiNilpotent, central_apply, corpus,
+                          corpus_json, curvature_of, invariant_rank,
+                          pullback, random_higgs, recovered_higgs,
+                          round_trip, solve_invariants,
                           solve_invariants_literal, worked_example)
 
 
@@ -195,6 +196,70 @@ def test_invariants_of_the_worked_example():
     ident = pmat_eye(2, 1, 2)
     for j in range(2):
         assert inv.contains([ident[s][j] for s in range(2)])
+
+
+def invariant_rank_reference(inv):
+    """The greedy generator choice as a loop: one rank_mod per basis row,
+    keeping a row when it raises the rank of t'V_(D-q) plus the rows kept
+    so far."""
+    ctx = inv.dm.ctx
+    p, q = ctx.p, ctx.pm1
+    if inv.dim == 0:
+        return 0, []
+    shifted = []
+    for sec in inv.restrict(inv.deg_bound - q).sections():
+        for i in range(ctx.r):
+            tq = Poly.monomial(tuple(q if k == i else 0 for k in range(ctx.r)),
+                               1, ctx.r, p)
+            shifted.append(inv.flatten([tq * f for f in sec]))
+    span = np.array(shifted, dtype=np.int64) if shifted else \
+        np.zeros((0, inv.basis.shape[1]), dtype=np.int64)
+    span_rank = rank_mod(span, p)
+    rank = inv.dim - span_rank
+    gens = []
+    cur, cur_rank = span, span_rank
+    for row in inv.basis:
+        cand = np.vstack([cur, row]) if cur.size else row.reshape(1, -1)
+        rk = rank_mod(cand, p)
+        if rk > cur_rank:
+            gens.append(row)
+            cur, cur_rank = cand, rk
+        if len(gens) == rank:
+            break
+    return rank, gens
+
+
+@pytest.mark.parametrize("ctx, n, lift_seed, linear", [
+    (Context(2, 0), 1, None, False),
+    (Context(3, 0), 2, None, True),
+    (Context(5, 0), 3, None, False),
+    (Context(2, 1), 2, None, True),
+    (Context(3, 0), 3, 4, True),
+    (Context(2, 0, r=2), 1, None, True),
+    (Context(2, 0, r=2), 2, 6, False),
+    (Context(3, 0, r=2), 2, None, True),
+    (Context(2, 0, r=2), 3, None, True),
+], ids=lambda v: str(v) if not isinstance(v, Context)
+    else f"p{v.p}m{v.m}r{v.r}")
+def test_invariant_rank_picks_the_greedy_generators(ctx, n, lift_seed,
+                                                    linear):
+    fd = FrobData.standard(ctx) if lift_seed is None else _strong(ctx,
+                                                                  lift_seed)
+    higgs = random_higgs(ctx, random.Random(f"{ctx}/{n}"), n, linear=linear)
+    inv = solve_invariants(fd, pullback(fd, higgs))
+    # the rank and the greedy choice hold for any basis; a shuffled one
+    # makes the generators something other than the leading rows
+    order = list(range(inv.dim))
+    random.Random(inv.dim).shuffle(order)
+    shuffled = InvariantSpace(fd, inv.dm, inv.deg_bound, inv.monomials,
+                              inv.basis[order])
+    for window in (inv, inv.restrict(inv.deg_bound - ctx.pm1), shuffled):
+        rank, gens = invariant_rank(window)
+        want_rank, want = invariant_rank_reference(window)
+        assert rank == want_rank == n
+        assert len(gens) == len(want)
+        for got, ref in zip(gens, want):
+            assert np.array_equal(got, ref)
 
 
 def test_invariant_sections_really_are_invariant():
