@@ -21,8 +21,8 @@ import sys
 from .context import Context
 from .diffops import DiffOp, kaneda_matrix
 from .expr import ExprError, parse, render_matrix, render_op, render_poly
-from .frobenius import (FrobData, NotALifting, bullet, lifting_from_json,
-                        phi, phi_tilde)
+from .frobenius import (FrobData, NotALifting, as_split_module, bullet,
+                        lifting_from_json, phi, phi_tilde)
 from .poly import Poly
 from .simpson import (DModule, HiggsModule, MalformedInput, NotQuasiNilpotent,
                       curvature_of, invariant_rank, pullback, round_trip,
@@ -101,12 +101,6 @@ def _as_poly(ctx: Context, op: DiffOp) -> Poly:
     return op.terms.get((0,) * ctx.r, Poly.zero(ctx.r, ctx.p))
 
 
-def _embed(ctx: Context, f: Poly) -> Poly:
-    # O_X -> O_X[theta], theta-degree zero
-    return Poly({e + (0,) * ctx.r: c for e, c in f.coeffs.items()},
-                2 * ctx.r, ctx.p, "t|th")
-
-
 def _render_section(sec) -> str:
     parts = []
     for j, f in enumerate(sec):
@@ -157,7 +151,7 @@ def cmd_phitilde(args) -> int:
 def cmd_bullet(args) -> int:
     ctx, fd = _setup(args)
     op = parse(ctx, args.expr)
-    z = _embed(ctx, _as_poly(ctx, parse(ctx, args.fn)))
+    z = as_split_module(ctx, _as_poly(ctx, parse(ctx, args.fn)))
     out = bullet(fd, op, z)
     return _emit(args, {"poly": render_poly(out)}, render_poly(out))
 
@@ -171,10 +165,18 @@ def cmd_kaneda(args) -> int:
 # ---------------------------------------------------------------------------
 # file commands
 
-def _load_module(args, fd):
+def _module_setup(args):
+    """(context, Frobenius data, file data) for a file command.  The module
+    file is read once; its p/m/r win over the lifting file and flags."""
     data = _read_json(args.file)
-    if not isinstance(data, dict):
-        raise CliError(f"{args.file}: expected a JSON object")
+    try:
+        pmr = (data["p"], data["m"], data["r"])
+    except (KeyError, TypeError):
+        raise CliError(f"{args.file}: missing p/m/r")
+    return (*_setup(args, pmr=pmr), data)
+
+
+def _load_module(args, data, fd):
     if "matrices" in data:
         higgs = HiggsModule.from_json(data, fd.ctx)
         higgs.validate()
@@ -185,17 +187,9 @@ def _load_module(args, fd):
                    "(D-module)")
 
 
-def _module_pmr(args):
-    data = _read_json(args.file)
-    try:
-        return (data["p"], data["m"], data["r"])
-    except (KeyError, TypeError):
-        raise CliError(f"{args.file}: missing p/m/r")
-
-
 def cmd_curvature(args) -> int:
-    ctx, fd = _setup(args, pmr=_module_pmr(args))
-    dm, _ = _load_module(args, fd)
+    ctx, fd, data = _module_setup(args)
+    dm, _ = _load_module(args, data, fd)
     ok, where = dm.validate()
     if not ok:
         raise NotQuasiNilpotent(f"module action law fails at {where}")
@@ -207,8 +201,8 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_pullback(args) -> int:
-    ctx, fd = _setup(args, pmr=_module_pmr(args))
-    dm, higgs = _load_module(args, fd)
+    ctx, fd, data = _module_setup(args)
+    dm, higgs = _load_module(args, data, fd)
     if higgs is None:
         raise CliError(f"{args.file}: pullback needs a Higgs file")
     chunks = []
@@ -218,8 +212,8 @@ def cmd_pullback(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    ctx, fd = _setup(args, pmr=_module_pmr(args))
-    dm, _ = _load_module(args, fd)
+    ctx, fd, data = _module_setup(args)
+    dm, _ = _load_module(args, data, fd)
     inv = solve_invariants(fd, dm)
     rank, _ = invariant_rank(inv)
     secs = [_render_section(inv.section(row)) for row in inv.basis]
@@ -232,8 +226,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    ctx, fd = _setup(args, pmr=_module_pmr(args))
-    data = _read_json(args.file)
+    ctx, fd, data = _module_setup(args)
     if "matrices" not in data:
         raise CliError(f"{args.file}: round trip starts from a Higgs file")
     higgs = HiggsModule.from_json(data, ctx)

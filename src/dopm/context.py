@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .poly import is_int
+
 SUPPORTED_PRIMES = (2, 3, 5, 7)
 MAX_LEVEL = 3
 MAX_COORDS = 3
@@ -26,6 +28,10 @@ class Context:
     deg_bound: int = 0  # 0 = "pick per call"; max total t-degree in linear solves
 
     def __post_init__(self):
+        for name in ("p", "m", "r", "tau_trunc", "theta_trunc", "deg_bound"):
+            value = getattr(self, name)
+            if not (is_int(value) or name == "tau_trunc" and value is None):
+                raise ValueError(f"{name}={value!r} is not an integer")
         if self.p not in SUPPORTED_PRIMES:
             raise ValueError(f"unsupported prime {self.p} (supported: {SUPPORTED_PRIMES})")
         if not 0 <= self.m <= MAX_LEVEL:
@@ -55,10 +61,11 @@ class Context:
     def mod2(self) -> int:
         return self.p * self.p
 
-    def at_level(self, m: int, *, tau_trunc=None) -> "Context":
-        """Same parameters at a different level (used by level/descent maps)."""
-        return Context(self.p, m, self.r, tau_trunc=tau_trunc,
-                       theta_trunc=self.theta_trunc, deg_bound=self.deg_bound)
+    def at_level(self, m: int) -> "Context":
+        """Same parameters at a different level (used by level/descent maps),
+        with the default tau_trunc of that level."""
+        return Context(self.p, m, self.r, theta_trunc=self.theta_trunc,
+                       deg_bound=self.deg_bound)
 
     def solve_bound(self) -> int:
         return self.deg_bound if self.deg_bound else 3 * self.pm1

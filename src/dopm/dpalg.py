@@ -31,48 +31,43 @@ from .scalars import (angle_mi_mod, box_le, brace_mi, brace_mi_mod,
 
 
 class DPElem:
-    __slots__ = ("ctx", "level", "coeffs", "mod", "trunc")
+    """An element at the context's level m, with every term of total
+    tau-degree above ctx.tau_trunc dropped."""
 
-    def __init__(self, ctx: Context, coeffs, mod, level=None, trunc=None):
+    __slots__ = ("ctx", "coeffs", "mod")
+
+    def __init__(self, ctx: Context, coeffs, mod):
         self.ctx = ctx
-        self.level = ctx.m if level is None else level
         self.mod = mod
-        self.trunc = ctx.tau_trunc if trunc is None else trunc
         clean = {}
         for s, f in coeffs.items():
             s = tuple(s)
-            if self.trunc is not None and mi_sum(s) > self.trunc:
-                continue
-            if f:
+            if f and mi_sum(s) <= ctx.tau_trunc:
                 clean[s] = f
         self.coeffs = clean
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, ctx, mod, **kw):
-        return cls(ctx, {}, mod, **kw)
+    def one(cls, ctx, mod):
+        return cls(ctx, {mi_zero(ctx.r): Poly.one(ctx.r, mod)}, mod)
 
     @classmethod
-    def one(cls, ctx, mod, **kw):
-        return cls(ctx, {mi_zero(ctx.r): Poly.one(ctx.r, mod)}, mod, **kw)
-
-    @classmethod
-    def basis(cls, ctx, s, mod, coeff=None, **kw):
+    def basis(cls, ctx, s, mod, coeff=None):
         f = coeff if coeff is not None else Poly.one(ctx.r, mod)
-        return cls(ctx, {tuple(s): f}, mod, **kw)
+        return cls(ctx, {tuple(s): f}, mod)
 
     # -- basics -------------------------------------------------------------
 
     def _check(self, other: "DPElem"):
-        assert (self.ctx, self.level, self.mod, self.trunc) == \
-            (other.ctx, other.level, other.mod, other.trunc), "DPElem mismatch"
+        assert (self.ctx, self.mod) == (other.ctx, other.mod), \
+            "DPElem mismatch"
 
     def __eq__(self, other):
         if not isinstance(other, DPElem):
             return NotImplemented
-        return (self.level, self.mod, self.coeffs) == \
-            (other.level, other.mod, other.coeffs)
+        return (self.ctx.m, self.mod, self.coeffs) == \
+            (other.ctx.m, other.mod, other.coeffs)
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -86,7 +81,7 @@ class DPElem:
         out = dict(self.coeffs)
         for s, f in other.coeffs.items():
             out[s] = out.get(s, Poly.zero(self.ctx.r, self.mod)) + f
-        return DPElem(self.ctx, out, self.mod, self.level, self.trunc)
+        return DPElem(self.ctx, out, self.mod)
 
     def __neg__(self):
         return self.scale(-1)
@@ -99,23 +94,23 @@ class DPElem:
             out = {s: c * f for s, f in self.coeffs.items()}
         else:
             out = {s: f.scale(c) for s, f in self.coeffs.items()}
-        return DPElem(self.ctx, out, self.mod, self.level, self.trunc)
+        return DPElem(self.ctx, out, self.mod)
 
     def __mul__(self, other):
         self._check(other)
-        p, m = self.ctx.p, self.level
+        p, m, trunc = self.ctx.p, self.ctx.m, self.ctx.tau_trunc
         out = {}
         for a, f in self.coeffs.items():
             for b, g in other.coeffs.items():
                 s = mi_add(a, b)
-                if self.trunc is not None and mi_sum(s) > self.trunc:
+                if mi_sum(s) > trunc:
                     continue
                 c = brace_mi_mod(a, b, p, m, self.mod) if self.mod is not None \
                     else brace_mi(a, b, p, m)
                 if c:
                     term = (f * g).scale(c)
                     out[s] = out.get(s, Poly.zero(self.ctx.r, self.mod)) + term
-        return DPElem(self.ctx, out, self.mod, self.level, self.trunc)
+        return DPElem(self.ctx, out, self.mod)
 
     def __repr__(self):
         if not self.coeffs:
@@ -134,19 +129,17 @@ class DPElem:
 # ---------------------------------------------------------------------------
 # Taylor embedding
 
-def taylor(ctx: Context, f: Poly, mod, trunc=None, level=None) -> DPElem:
+def taylor(ctx: Context, f: Poly, mod) -> DPElem:
     """eps(f) = sum_s d^<s>(f) tau^{s}: the image of f under t -> t + tau.
 
     Exact for |s| within the truncation bound; the constant term is f.
     """
-    lvl = ctx.m if level is None else level
-    tr = ctx.tau_trunc if trunc is None else trunc
     out: dict = {}
     for h, c in f.coeffs.items():
         for s in box_le(h):
-            if tr is not None and mi_sum(s) > tr:
+            if mi_sum(s) > ctx.tau_trunc:
                 continue
-            a = dp_monomial_action(s, h, ctx.p, lvl) * c
+            a = dp_monomial_action(s, h, ctx.p, ctx.m) * c
             if mod is not None:
                 a %= mod
             if not a:
@@ -155,7 +148,7 @@ def taylor(ctx: Context, f: Poly, mod, trunc=None, level=None) -> DPElem:
             cur = out.setdefault(s, {})
             cur[e] = cur.get(e, 0) + a
     polys = {s: Poly(d, ctx.r, mod) for s, d in out.items()}
-    return DPElem(ctx, polys, mod, level=lvl, trunc=tr)
+    return DPElem(ctx, polys, mod)
 
 
 def pair_op(op, w: DPElem) -> Poly:
@@ -189,20 +182,18 @@ def comult_basis(ctx: Context, n, mod):
 class RatDP:
     """Plain-basis model over exact rationals: keys are (t-exps, tau-exps),
     values Fractions, with tau^{s} standing for  prod tau_i^{s_i}/q_{s_i}!.
-    Truncation is by total tau-degree (sound: tau-degrees only ever add)."""
+    Truncation is by total tau-degree above ctx.tau_trunc (sound:
+    tau-degrees only ever add)."""
 
-    __slots__ = ("ctx", "level", "terms", "trunc")
+    __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx, terms, level, trunc):
+    def __init__(self, ctx, terms):
         self.ctx = ctx
-        self.level = level
-        self.trunc = trunc
         self.terms = {k: v for k, v in terms.items() if v}
 
     @classmethod
-    def one(cls, ctx, level, trunc):
-        return cls(ctx, {(mi_zero(ctx.r), mi_zero(ctx.r)): Fraction(1)},
-                   level, trunc)
+    def one(cls, ctx):
+        return cls(ctx, {(mi_zero(ctx.r), mi_zero(ctx.r)): Fraction(1)})
 
     @classmethod
     def from_dp(cls, w: DPElem, lift=None):
@@ -215,26 +206,27 @@ class RatDP:
         for s, f in w.coeffs.items():
             den = 1
             for si in s:
-                den *= q_fact(si, p, w.level)
+                den *= q_fact(si, p, w.ctx.m)
             for e, c in f.coeffs.items():
                 ci = lift(s, e, c) if lift else c
                 terms[(e, s)] = Fraction(ci, den)
-        return cls(w.ctx, terms, w.level, w.trunc)
+        return cls(w.ctx, terms)
 
     def __mul__(self, other):
+        trunc = self.ctx.tau_trunc
         out = {}
         for (te1, se1), c1 in self.terms.items():
             for (te2, se2), c2 in other.terms.items():
                 se = mi_add(se1, se2)
-                if self.trunc is not None and mi_sum(se) > self.trunc:
+                if mi_sum(se) > trunc:
                     continue
                 k = (mi_add(te1, te2), se)
                 out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return RatDP(self.ctx, out, self.level, self.trunc)
+        return RatDP(self.ctx, out)
 
     def scale(self, c):
-        return RatDP(self.ctx, {k: Fraction(c) * v for k, v in self.terms.items()},
-                     self.level, self.trunc)
+        return RatDP(self.ctx,
+                     {k: Fraction(c) * v for k, v in self.terms.items()})
 
     def to_dp(self, mod) -> DPElem:
         """Back to the brace basis; asserts p-integrality of every
@@ -244,7 +236,7 @@ class RatDP:
         for (te, se), c in self.terms.items():
             mult = 1
             for si in se:
-                mult *= q_fact(si, p, self.level)
+                mult *= q_fact(si, p, self.ctx.m)
             b = c * mult
             if b.denominator % p == 0:
                 raise ArithmeticError(
@@ -252,7 +244,7 @@ class RatDP:
             cur = slots.setdefault(se, {})
             cur[te] = cur.get(te, 0) + (frac_mod(b, mod) if mod is not None else b)
         polys = {s: Poly(d, self.ctx.r, mod) for s, d in slots.items()}
-        return DPElem(self.ctx, polys, mod, level=self.level, trunc=self.trunc)
+        return DPElem(self.ctx, polys, mod)
 
 
 class GammaTower:
@@ -269,7 +261,7 @@ class GammaTower:
         if w.constant_term():
             raise ValueError("gamma_k needs a zero constant term")
         self.w = RatDP.from_dp(w, lift=lift)
-        self.steps = [RatDP.one(w.ctx, w.level, w.trunc)]
+        self.steps = [RatDP.one(w.ctx)]
 
     def rational(self, k: int) -> RatDP:
         """gamma_k(w), exact over Q."""

@@ -28,7 +28,7 @@ import json
 from .context import Context
 from .diffops import DiffOp, theta_power, zo_decompose
 from .dpalg import DPElem, GammaTower, taylor
-from .poly import MalformedInput, Poly, is_int, poly_from_json
+from .poly import MalformedInput, Poly, is_int, poly_from_json, poly_to_json
 from .scalars import (box, degree_box, div_p_fact, mi_scale, mi_sum, mi_unit,
                       mi_zero)
 
@@ -79,8 +79,7 @@ class LiftingZ:
     def to_json(self) -> dict:
         return {
             "p": self.ctx.p, "m": self.ctx.m, "r": self.ctx.r,
-            "lift": [sorted([list(e), c] for e, c in f.coeffs.items())
-                     for f in self.polys],
+            "lift": [poly_to_json(f) for f in self.polys],
         }
 
 
@@ -326,6 +325,12 @@ def phi_tilde_basis(fd: FrobData, n, n_trunc: int) -> DiffOp:
 
 # ---------------------------------------------------------------------------
 # the split module O_X[theta]
+
+def as_split_module(ctx: Context, f: Poly) -> Poly:
+    """f in O_X as an element of O_X[theta], of theta-degree zero."""
+    return Poly({e + mi_zero(ctx.r): c for e, c in f.coeffs.items()},
+                2 * ctx.r, ctx.p, "t|th")
+
 
 def bullet(fd: FrobData, op: DiffOp, z: Poly) -> Poly:
     """P . (f theta^c) = phi(P f) theta^c on O_X[theta].

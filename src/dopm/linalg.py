@@ -117,6 +117,15 @@ def pmat_pow(a, e: int):
     return out
 
 
+def pmat_add_inplace(a, b):
+    """a += b, entry by entry; returns a."""
+    for ra, rb in zip(a, b):
+        for j, x in enumerate(rb):
+            if x:
+                ra[j] = ra[j] + x
+    return a
+
+
 def pmat_map(a, fn):
     return [[fn(x) for x in ra] for ra in a]
 

@@ -33,6 +33,11 @@ def poly_from_json(entries, nvars: int, mod, var: str = "t",
     return Poly({tuple(e): c for e, c in entries}, nvars, mod, var)
 
 
+def poly_to_json(f: "Poly") -> list:
+    """The JSON form `poly_from_json` reads, in sorted order."""
+    return sorted([list(e), c] for e, c in f.coeffs.items())
+
+
 class Poly:
     __slots__ = ("coeffs", "nvars", "mod", "var")
 
@@ -175,9 +180,6 @@ class Poly:
             assert all(x % s == 0 for x in e), f"exponent {e} not divisible by {s}"
             out[tuple(x // s for x in e)] = c
         return Poly(out, self.nvars, self.mod, var if var is not None else self.var)
-
-    def retag(self, var: str) -> "Poly":
-        return Poly(self.coeffs, self.nvars, self.mod, var)
 
     def reduce(self, mod: int) -> "Poly":
         assert self.mod is None or self.mod % mod == 0

@@ -33,15 +33,17 @@ V_d = V_(d+q) ∩ span(deg <= d).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .context import Context
-from .diffops import DiffOp, central_unit, theta_unit
+from .diffops import DiffOp, apply_dp, central_unit, theta_unit
 from .frobenius import FrobData, phi_center_inv, phi_tilde_basis
-from .linalg import (nullspace_mod, pmat_eq, pmat_eye, pmat_is_zero, pmat_map,
-                     pmat_mul, pmat_pow, pmat_scale, pmat_zero, rank_mod,
-                     row_space_contains, rref_mod)
-from .poly import MalformedInput, Poly, is_int, poly_from_json
+from .linalg import (nullspace_mod, pmat_add_inplace, pmat_eq, pmat_eye,
+                     pmat_is_zero, pmat_map, pmat_mul, pmat_pow, pmat_scale,
+                     pmat_zero, rank_mod, row_space_contains, rref_mod)
+from .poly import MalformedInput, Poly, is_int, poly_from_json, poly_to_json
 from .scalars import (angle_mi_mod, box_le, brace, brace_mi_mod, degree_box,
                       dp_monomial_action, mi_min, mi_scale, mi_sub, mi_sum,
                       mi_unit)
@@ -86,7 +88,7 @@ class HiggsModule:
         return {
             "p": self.ctx.p, "m": self.ctx.m, "r": self.ctx.r,
             "rank": self.rank,
-            "matrices": [[[_poly_json(f) for f in row] for row in a]
+            "matrices": [[[poly_to_json(f) for f in row] for row in a]
                          for a in self.matrices],
         }
 
@@ -103,10 +105,6 @@ class HiggsModule:
             raise MalformedInput(f"rank {data['rank']} but "
                                  f"{higgs.rank}x{higgs.rank} matrices")
         return higgs
-
-
-def _poly_json(f: Poly):
-    return sorted([list(e), c] for e, c in f.coeffs.items())
 
 
 def _pmat_from_json(mat, ctx, var, what):
@@ -138,14 +136,17 @@ class DModule:
     """A D^(m)-module structure on O_X^n, presented by the matrices of
     rho(d_i^<p^l>) on constant sections for l <= m.
 
-    Everything else is forced: rho(d^<s e_i>) for s < p^(m+1) by peeling
-    the largest p^l (the angle coefficients that appear are units),
-    theta_i as the normalized p-th power of rho(d_i^<p^m>), and general
-    indices through the center.
+    Everything else is forced through one Leibniz sum, `act`:
+    rho(d^<k>)(f e_j) = sum_a {k \\ a} d^<a>(f) rho(d^<k-a>)(e_j).
+    `b_matrix(k)`, the matrix of rho(d^<k>) on constant sections, applies
+    `act` column by column: below q = p^(m+1) it peels the largest p^l
+    off s e_i (the angle coefficients that appear are units), above q it
+    splits off theta_i^c through the center, and a multi-index is built
+    one coordinate at a time.  theta_i is the normalized p-th power of
+    rho(d_i^<p^m>).
     """
 
-    __slots__ = ("ctx", "rank", "gens", "_b1", "_b", "_theta", "_tpow",
-                 "_nnil")
+    __slots__ = ("ctx", "rank", "gens", "_b", "_theta", "_tpow", "_nnil")
 
     def __init__(self, ctx: Context, rank: int, gens):
         self.ctx = ctx
@@ -161,7 +162,6 @@ class DModule:
             for l in range(ctx.m + 1):
                 if (i, l) not in self.gens:
                     raise MalformedInput(f"missing generator ({i},{l})")
-        self._b1 = {}
         self._b = {}
         self._theta = None
         self._tpow = {}
@@ -173,7 +173,7 @@ class DModule:
         return {
             "p": self.ctx.p, "m": self.ctx.m, "r": self.ctx.r,
             "rank": self.rank,
-            "generators": [[i, l, [[_poly_json(f) for f in row]
+            "generators": [[i, l, [[poly_to_json(f) for f in row]
                                    for row in mat]]
                            for (i, l), mat in sorted(self.gens.items())],
         }
@@ -201,61 +201,73 @@ class DModule:
 
     # -- the action ------------------------------------------------------
 
-    def _gen_apply(self, i: int, l: int, mat):
-        """rho(d_i^<p^l>) applied to a matrix-valued section, column-wise:
-        sum_a {p^l \\ a} B_((p^l - a) e_i) d^<a e_i>(mat)."""
+    def act(self, k, sec):
+        """rho(d^<k>) on a section, given as a list of n polynomials."""
         ctx = self.ctx
-        pl = ctx.p**l
-        out = pmat_zero(self.rank, ctx.r, ctx.p)
-        for a in range(pl + 1):
-            c = brace(a, pl - a, ctx.p, ctx.m) % ctx.p
+        k = tuple(k)
+        maxe = tuple(map(max, zip(*(f.max_exps() for f in sec))))
+        out = [Poly.zero(ctx.r, ctx.p) for _ in range(self.rank)]
+        for a in box_le(mi_min(k, maxe)):
+            c = brace_mi_mod(a, mi_sub(k, a), ctx.p, ctx.m, ctx.p)
             if not c:
                 continue
-            da = pmat_map(mat, lambda f: _apply_dp_poly(ctx, a, i, f))
-            term = pmat_mul(self.b_single(i, pl - a), da)
-            out = pmat_add_inplace(out, pmat_scale(term, c))
+            da = [apply_dp(ctx, a, f) for f in sec]
+            b = self.b_matrix(mi_sub(k, a))
+            for row in range(self.rank):
+                acc = out[row]
+                for col in range(self.rank):
+                    if b[row][col] and da[col]:
+                        acc = acc + (b[row][col] * da[col]).scale(c)
+                out[row] = acc
         return out
 
-    def b_single(self, i: int, s: int):
-        """Matrix of rho(d^<s e_i>) on constant sections."""
-        key = (i, s)
-        if key in self._b1:
-            return self._b1[key]
+    def b_matrix(self, k):
+        """Matrix of rho(d^<k>) on constant sections, any multi-index."""
+        k = tuple(k)
+        if k in self._b:
+            return self._b[k]
         ctx = self.ctx
-        q = ctx.pm1
-        if s == 0:
-            out = pmat_eye(self.rank, ctx.r, ctx.p)
-        elif s < q:
-            l = 0
-            while ctx.p ** (l + 1) <= s:
+        p, q = ctx.p, ctx.pm1
+        i = next((j for j, x in enumerate(k) if x), None)
+        if i is None:
+            out = pmat_eye(self.rank, ctx.r, p)
+        elif any(k[i + 1:]):        # d^<k> = d^<k_i e_i> d^<rest>
+            out = _on_columns(partial(self.act, _along(ctx, i, k[i])),
+                              self.b_matrix(k[:i] + (0,) + k[i + 1:]))
+        elif k[i] >= q:             # theta_i^c d^<s e_i>, up to a unit
+            c, s = divmod(k[i], q)
+            ce = _along(ctx, i, c)
+            u = central_unit(ctx, ce) * \
+                angle_mi_mod((c * q,), (s,), p, ctx.m, p) % p
+            out = pmat_scale(pmat_mul(self.theta_pow(ce),
+                                      self.b_matrix(_along(ctx, i, s))),
+                             pow(u, -1, p))
+        else:                       # d^<p^l e_i> d^<(s-p^l) e_i>, up to a unit
+            s, l = k[i], 0
+            while p ** (l + 1) <= s:
                 l += 1
-            pl = ctx.p**l
+            pl = p**l
             if s == pl:
                 out = self.gens[(i, l)]
             else:
-                u = angle_mi_mod((pl,), (s - pl,), ctx.p, ctx.m, ctx.p)
-                out = pmat_scale(self._gen_apply(i, l, self.b_single(i, s - pl)),
-                                 pow(u, -1, ctx.p))
-        else:
-            c, t = divmod(s, q)
-            ce = mi_scale(mi_unit(ctx.r, i), c)
-            u = central_unit(ctx, ce) * \
-                angle_mi_mod((c * q,), (t,), ctx.p, ctx.m, ctx.p) % ctx.p
-            out = pmat_scale(pmat_mul(self.theta_pow(ce), self.b_single(i, t)),
-                             pow(u, -1, ctx.p))
-        self._b1[key] = out
+                u = angle_mi_mod((pl,), (s - pl,), p, ctx.m, p)
+                out = pmat_scale(
+                    _on_columns(partial(self.act, _along(ctx, i, pl)),
+                                self.b_matrix(_along(ctx, i, s - pl))),
+                    pow(u, -1, p))
+        self._b[k] = out
         return out
 
     def theta(self, i: int):
         if self._theta is None:
             self._theta = [None] * self.ctx.r
         if self._theta[i] is None:
-            mat = pmat_eye(self.rank, self.ctx.r, self.ctx.p)
-            for _ in range(self.ctx.p):
-                mat = self._gen_apply(i, self.ctx.m, mat)
-            self._theta[i] = pmat_scale(mat,
-                                        pow(theta_unit(self.ctx), -1,
-                                            self.ctx.p))
+            ctx = self.ctx
+            mat = pmat_eye(self.rank, ctx.r, ctx.p)
+            for _ in range(ctx.p):
+                mat = _on_columns(partial(self.act, _along(ctx, i, ctx.pm)),
+                                  mat)
+            self._theta[i] = pmat_scale(mat, pow(theta_unit(ctx), -1, ctx.p))
         return self._theta[i]
 
     def theta_pow(self, c):
@@ -268,60 +280,6 @@ class DModule:
             i = next(j for j, x in enumerate(c) if x)
             out = pmat_mul(self.theta(i), self.theta_pow(mi_sub(c, mi_unit(self.ctx.r, i))))
         self._tpow[c] = out
-        return out
-
-    def b_matrix(self, k):
-        """Matrix of rho(d^<k>) on constant sections, any multi-index."""
-        k = tuple(k)
-        if k in self._b:
-            return self._b[k]
-        i = next((j for j, x in enumerate(k) if x), None)
-        if i is None:
-            out = pmat_eye(self.rank, self.ctx.r, self.ctx.p)
-        else:
-            rest = k[:i] + (0,) + k[i + 1:]
-            out = self._section_apply(i, k[i], self.b_matrix(rest))
-        self._b[k] = out
-        return out
-
-    def _section_apply(self, i: int, s: int, mat):
-        """rho(d^<s e_i>) on a matrix section (columns are sections)."""
-        ctx = self.ctx
-        maxe = max((e[i] for row in mat for f in row for e in f.coeffs),
-                   default=0)
-        out = pmat_zero(self.rank, ctx.r, ctx.p)
-        for a in range(min(s, maxe) + 1):
-            c = brace(a, s - a, ctx.p, ctx.m) % ctx.p
-            if not c:
-                continue
-            da = pmat_map(mat, lambda f: _apply_dp_poly(ctx, a, i, f))
-            out = pmat_add_inplace(out,
-                                   pmat_scale(pmat_mul(self.b_single(i, s - a),
-                                                       da), c))
-        return out
-
-    def act(self, k, sec):
-        """rho(d^<k>) on a section, given as a list of n polynomials."""
-        ctx = self.ctx
-        k = tuple(k)
-        maxe = [0] * ctx.r
-        for f in sec:
-            for e in f.coeffs:
-                for i, x in enumerate(e):
-                    maxe[i] = max(maxe[i], x)
-        out = [Poly.zero(ctx.r, ctx.p) for _ in range(self.rank)]
-        for a in box_le(mi_min(k, tuple(maxe))):
-            c = brace_mi_mod(a, mi_sub(k, a), ctx.p, ctx.m, ctx.p)
-            if not c:
-                continue
-            da = [_apply_dp_mi(ctx, a, f) for f in sec]
-            b = self.b_matrix(mi_sub(k, a))
-            for row in range(self.rank):
-                acc = out[row]
-                for col in range(self.rank):
-                    if b[row][col] and da[col]:
-                        acc = acc + (b[row][col] * da[col]).scale(c)
-                out[row] = acc
         return out
 
     # -- structure -------------------------------------------------------
@@ -365,29 +323,17 @@ class DModule:
         return True, None
 
 
-def pmat_add_inplace(a, b):
-    for i, row in enumerate(b):
-        ra = a[i]
-        for j, x in enumerate(row):
-            if x:
-                ra[j] = ra[j] + x
-    return a
+def _along(ctx: Context, i: int, s: int):
+    """The multi-index s e_i."""
+    return mi_scale(mi_unit(ctx.r, i), s)
 
 
-def _apply_dp_poly(ctx: Context, a: int, i: int, f: Poly) -> Poly:
-    if a == 0:
-        return f
-    return _apply_dp_mi(ctx, mi_scale(mi_unit(ctx.r, i), a), f)
-
-
-def _apply_dp_mi(ctx: Context, a, f: Poly) -> Poly:
-    out = {}
-    for h, c in f.coeffs.items():
-        x = dp_monomial_action(a, h, ctx.p, ctx.m)
-        if x:
-            e = mi_sub(h, a)
-            out[e] = out.get(e, 0) + x * c
-    return Poly(out, ctx.r, ctx.p, f.var)
+def _on_columns(fn, mat):
+    """The square matrix whose columns are fn(column) for the columns of
+    mat, each column a section (a list of polynomials)."""
+    n = len(mat)
+    cols = [fn([row[j] for row in mat]) for j in range(n)]
+    return [[cols[j][s] for j in range(n)] for s in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +486,7 @@ def _invariance_defects(fd: FrobData, dm: DModule, i: int, l: int, w,
     pl = ctx.p**l
     out = []
     for sp in range(pl + 1):
-        e = mi_scale(mi_unit(ctx.r, i), pl - sp)
+        e = _along(ctx, i, pl - sp)
         naive = central_apply(dm, phi_tilde_basis(fd, e, n_trunc), w)
         full = dm.act(e, w)
         out.append(_vec_sub(naive, full))
@@ -589,7 +535,7 @@ def _condition_items(fd: FrobData, dm: DModule, sec, nnil, weights):
                         yield (c, i, l, b), vec
 
 
-def _flatten_rows(vec_rows, rank, p):
+def _flatten_rows(vec_rows, p):
     """Vector-of-polynomials rows -> dense matrix over F_p."""
     monos = {}
     data = []
@@ -729,7 +675,7 @@ def solve_invariants_literal(fd: FrobData, dm: DModule, deg_bound: int,
     for slot in range(nslots):
         # unknowns x output-monomials, transposed into constraint rows
         mats.append(_flatten_rows([cols[k][slot] for k in range(len(cols))],
-                                  dm.rank, ctx.p).T)
+                                  ctx.p).T)
     big = np.concatenate(mats, axis=0)
     basis = nullspace_mod(big, ctx.p)
     return InvariantSpace(fd, dm, deg_bound, monomials, basis)
@@ -751,7 +697,7 @@ def invariant_rank(inv: InvariantSpace):
     shifted = []
     for sec in inv.restrict(inv.deg_bound - q).sections():
         for i in range(ctx.r):
-            tq = Poly.monomial(mi_scale(mi_unit(ctx.r, i), q), 1, ctx.r, p)
+            tq = Poly.monomial(_along(ctx, i, q), 1, ctx.r, p)
             moved = inv.flatten([tq * f for f in sec])
             assert moved is not None
             shifted.append(moved)
@@ -761,51 +707,42 @@ def invariant_rank(inv: InvariantSpace):
     return len(gens), gens
 
 
-def recovered_higgs(fd: FrobData, dm: DModule, n_trunc: int | None = None):
+def recovered_higgs(fd: FrobData, dm: DModule):
     """The Higgs frame on invariants: matrices of the central operators
     phi^{-1}(theta_i) acting on constant sections, pushed down to O_X'.
 
     Exact because theta-degrees >= the nilpotency index act as zero."""
     ctx = fd.ctx
-    n = dm.nilpotency_index() - 1 if n_trunc is None else n_trunc
-    n = max(n, 0)
+    n = dm.nilpotency_index() - 1
     fd = fd.deepen(n)          # phi needs tau-room up to theta-degree n
     out = []
     for i in range(ctx.r):
-        th = DiffOp.dpartial(fd.ctx, mi_scale(mi_unit(ctx.r, i), ctx.pm1))
+        th = DiffOp.dpartial(fd.ctx, _along(ctx, i, ctx.pm1))
         inv_op = phi_center_inv(fd, th, n) if n else DiffOp.zero(fd.ctx)
-        cols = []
-        ident = pmat_eye(dm.rank, ctx.r, ctx.p)
-        for j in range(dm.rank):
-            e_j = [ident[s][j] for s in range(dm.rank)]
-            cols.append(central_apply(dm, inv_op, e_j))
-        mat = [[cols[j][s] for j in range(dm.rank)] for s in range(dm.rank)]
+        mat = _on_columns(partial(central_apply, dm, inv_op),
+                          pmat_eye(dm.rank, ctx.r, ctx.p))
         out.append(pmat_map(mat, lambda f: f.divide_exponents(ctx.pm1,
                                                               var="t'")))
     return out
 
 
-def round_trip(fd: FrobData, higgs: HiggsModule,
-               deg_bound: int | None = None, check_stable: bool = True):
+def round_trip(fd: FrobData, higgs: HiggsModule):
     """pullback -> invariants -> Higgs frame; reports every verdict.
 
-    With check_stable, the invariants are solved once at d + q and the
-    window of degree <= d is restricted from that solve."""
+    The invariants are solved once, at d + q with d = ctx.solve_bound(),
+    where the rank stability check looks; the window of degree <= d is
+    restricted from that solve."""
     ctx = fd.ctx
     dm = pullback(fd, higgs)
-    d = ctx.solve_bound() if deg_bound is None else deg_bound
-    if check_stable:
-        # one solve: the window one degree step up, restricted to d
-        wide = solve_invariants(fd, dm, d + ctx.pm1)
-        inv = wide.restrict(d)
-    else:
-        inv = solve_invariants(fd, dm, d)
+    d = ctx.solve_bound()
+    wide = solve_invariants(fd, dm, d + ctx.pm1)
+    inv = wide.restrict(d)
     rank, _ = invariant_rank(inv)
     n = higgs.rank
     ident = pmat_eye(n, ctx.r, ctx.p)
     members = all(inv.contains([ident[s][j] for s in range(n)])
                   for j in range(n))
-    stable = not check_stable or invariant_rank(wide)[0] == rank
+    stable = invariant_rank(wide)[0] == rank
     rec = recovered_higgs(fd, dm)
     rec_ok = _commuting_nilpotent(rec, n, ctx)
     exact = all(pmat_eq(a, b) for a, b in zip(rec, higgs.matrices))

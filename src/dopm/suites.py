@@ -19,16 +19,16 @@ from .diffops import (DiffOp, frob_descend, frob_raise, kaneda_matrix,
                       quotient_matrix, zo_decompose)
 from .dpalg import DPElem, gamma_dp, pair_op, taylor
 from .expr import render_op
-from .frobenius import (FrobData, bullet, bullet_matrix, glue_derivation,
-                        glue_endo, ov_split_matrix, phi, phi_center_inv,
-                        phi_tilde, random_strong_lifting, standard_lifting)
-from .linalg import pmat_eq, pmat_map, pmat_scale, pmat_zero, rank_mod
+from .frobenius import (FrobData, as_split_module, bullet, bullet_matrix,
+                        glue_derivation, glue_endo, ov_split_matrix, phi,
+                        phi_center_inv, phi_tilde, random_strong_lifting,
+                        standard_lifting)
+from .linalg import (pmat_add_inplace, pmat_eq, pmat_map, pmat_scale,
+                     pmat_zero, rank_mod)
 from .poly import Poly
 from .scalars import (binom_mod_p2, brace, degree_box, dp_power_factor,
                       lucas_closed_form, mi_scale, mi_sum, mi_unit)
 from . import simpson as simp
-
-import numpy as np
 
 
 @dataclass
@@ -367,11 +367,6 @@ def _central_read(fd: FrobData, op: DiffOp) -> Poly:
     return zo.get((0,) * fd.ctx.r, Poly.zero(2 * fd.ctx.r, fd.ctx.p, "t|th"))
 
 
-def _as_module(ctx: Context, f: Poly) -> Poly:
-    return Poly({e + (0,) * ctx.r: c for e, c in f.coeffs.items()},
-                2 * ctx.r, ctx.p, "t|th")
-
-
 def suite_bullet(seed: int = 0, only=None) -> SuiteReport:
     t0 = time.perf_counter()
     cases = []
@@ -409,9 +404,9 @@ def suite_bullet(seed: int = 0, only=None) -> SuiteReport:
                                  coeff=_rand_poly(rng, ctx, 2, nterms=2))
             for _ in range(2):
                 f = _rand_poly(rng, ctx, 3)
-                got = bullet(fd, op, _as_module(ctx, f))
-                want = _as_module(ctx, op.apply(f)) + \
-                    _as_module(ctx, f) * _central_read(fd, phi(fd, op))
+                got = bullet(fd, op, as_split_module(ctx, f))
+                want = as_split_module(ctx, op.apply(f)) + \
+                    as_split_module(ctx, f) * _central_read(fd, phi(fd, op))
                 if got != want:
                     ok = False
         _true(cases, f"low order: P.f = P(f) + f phi(P), lifting {fi} "
@@ -424,9 +419,10 @@ def suite_bullet(seed: int = 0, only=None) -> SuiteReport:
         ok = True
         for k in (1, 2, 3):
             f = Poly.monomial((k,), 1, 1, 2)
-            got = bullet(fd, d ** 3, _as_module(ctx, f))
-            want = _as_module(ctx, d.apply(f)) * _central_read(fd, phi(fd, d ** 2)) \
-                + _as_module(ctx, f) * _central_read(fd, phi(fd, d ** 3))
+            got = bullet(fd, d ** 3, as_split_module(ctx, f))
+            want = as_split_module(ctx, d.apply(f)) * \
+                _central_read(fd, phi(fd, d ** 2)) + \
+                as_split_module(ctx, f) * _central_read(fd, phi(fd, d ** 3))
             if got != want:
                 ok = False
         _true(cases, "d^3 . f = d(f) phi(d^2) + f phi(d^3), p=2 m=0", ok)
@@ -553,26 +549,13 @@ def suite_descent(seed: int = 0, only=None) -> SuiteReport:
             continue
         c0 = Context(p, 0, r=1)
         q = c0.pm1
-        vecs = []
-        monos = {}
+        images = []
         for a in range(q):
             for b in range(q):
                 op = DiffOp.dpartial(
                     c0, (b,), coeff=Poly.monomial((a,), 1, 1, p))
-                mat = quotient_matrix(op)
-                row = {}
-                for i in range(q):
-                    for j in range(q):
-                        for e, cc in mat[i][j].coeffs.items():
-                            key = (i, j, e)
-                            monos.setdefault(key, len(monos))
-                            row[monos[key]] = cc
-                vecs.append(row)
-        arr = np.zeros((len(vecs), len(monos)), dtype=np.int64)
-        for i, row in enumerate(vecs):
-            for jx, cc in row.items():
-                arr[i, jx] = cc
-        rk = rank_mod(arr, p)
+                images.append([f for row in quotient_matrix(op) for f in row])
+        rk = rank_mod(simp._flatten_rows(images, p), p)
         _eq(cases, f"quotient images independent, p={p} m=0 r=1",
             p ** 2, rk)
     return _finish("descent", "p=2 m=0 s=1; quotient dimension at r=1",
@@ -648,7 +631,7 @@ def suite_ov_compare(seed: int = 0, only=None) -> SuiteReport:
                         sig = pmat_map(hg.matrices[j],
                                        lambda f: f.scale_exponents(
                                            ctx.pm1, var="t"))
-                        acc = simp.pmat_add_inplace(
+                        acc = pmat_add_inplace(
                             acc, pmat_scale(sig, z[j][ii]))
                     if not pmat_eq(acc, dm.gens[(ii, 0)]):
                         ok = False

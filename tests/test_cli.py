@@ -219,8 +219,18 @@ JORDAN_ROW = [[], [[[0], 1]]]
     # D-module at m = 1 without the generator (0, 1)
     ("invariants", {"p": 2, "m": 1, "r": 1, "rank": 1,
                     "generators": [[0, 0, [[[]]]]]}),
+    # p, m, r that are not integers, or are bools
+    ("roundtrip", {"p": 2.0, "m": 0, "r": 1, "rank": 2,
+                   "matrices": [[JORDAN_ROW, [[], []]]]}),
+    ("roundtrip", {"p": 2, "m": 0, "r": 1.0, "rank": 2,
+                   "matrices": [[JORDAN_ROW, [[], []]]]}),
+    ("roundtrip", {"p": 2, "m": True, "r": 1, "rank": 2,
+                   "matrices": [[JORDAN_ROW, [[], []]]]}),
+    ("curvature", {"p": 2, "m": 1.0, "r": 1, "rank": 1,
+                   "generators": [[0, 0, [[[]]]], [0, 1, [[[]]]]]}),
 ], ids=["exponent-arity", "matrix-count", "ragged", "rank-key",
-        "missing-generator"])
+        "missing-generator", "float-p", "float-r", "bool-m",
+        "float-m-dmodule"])
 def test_malformed_module_file_exits_2(capsys, tmp_path, command, module):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(module))

@@ -193,22 +193,21 @@ def test_terms_above_trunc_are_dropped():
     # the same product and Taylor expansion with a deeper window, cut at
     # tau_trunc = 9, is what the default window gives
     ctx = Context(3, 0)
-    deep = 20
+    deep = Context(3, 0, tau_trunc=20)
 
-    def elem(trunc=None):
+    def elem(c):
         # tau^{9} + (t + 1) tau^{1}
-        return DPElem(ctx, {(9,): Poly.one(1, 3),
-                            (1,): Poly({(1,): 1, (0,): 1}, 1, 3)}, 3,
-                      trunc=trunc)
+        return DPElem(c, {(9,): Poly.one(1, 3),
+                          (1,): Poly({(1,): 1, (0,): 1}, 1, 3)}, 3)
 
     def cut(x):
         return {s: f for s, f in x.coeffs.items() if mi_sum(s) <= 9}
 
     full = elem(deep) * elem(deep)
     assert max(mi_sum(s) for s in full.coeffs) > 9
-    assert (elem() * elem()).coeffs == cut(full)
+    assert (elem(ctx) * elem(ctx)).coeffs == cut(full)
     # over Z, where d^<s>(t^11) survives for every s <= 11
     f = Poly({(11,): 1, (4,): 2}, 1)
-    full = taylor(ctx, f, None, trunc=deep)
+    full = taylor(deep, f, None)
     assert max(mi_sum(s) for s in full.coeffs) == 11
     assert taylor(ctx, f, None).coeffs == cut(full)

@@ -15,9 +15,13 @@ import pytest
 from dopm.context import Context
 from dopm.diffops import DiffOp
 from dopm.frobenius import FrobData, random_strong_lifting
-from dopm.linalg import pmat_eq, pmat_eye, pmat_mul, pmat_zero, rank_mod
+from dopm.diffops import central_unit, theta_unit
+from dopm.linalg import (pmat_add_inplace, pmat_eq, pmat_eye, pmat_map,
+                         pmat_mul, pmat_scale, pmat_zero, rank_mod)
 from dopm import simpson
 from dopm.poly import Poly
+from dopm.scalars import (angle_mi_mod, brace, degree_box, dp_monomial_action,
+                          mi_scale, mi_sub, mi_unit)
 from dopm.simpson import (DModule, HiggsModule, InvariantSpace,
                           NotQuasiNilpotent, central_apply, corpus,
                           corpus_json, curvature_of, invariant_rank,
@@ -293,6 +297,165 @@ def _linear(seed):
         assert _t_prime_linear(h)
         return h
     return field
+
+
+# -- the action against the recursion it replaced -------------------------
+
+class ReferenceAction:
+    """The per-coordinate recursion that `DModule.act` replaced, kept as
+    the reference for `b_matrix` and `theta`: rho(d^<s e_i>) on constants
+    by peeling the largest p^l (`b_single`), the Leibniz sum on matrix
+    sections spelled out once per generator (`gen_apply`) and once per
+    coordinate (`section_apply`), and a private d^<a e_i> (`apply_dp`)."""
+
+    def __init__(self, dm):
+        self.dm, self.ctx, self.rank = dm, dm.ctx, dm.rank
+        self._b1, self._b, self._theta, self._tpow = {}, {}, {}, {}
+
+    def apply_dp(self, a, i, f):
+        ctx = self.ctx
+        if a == 0:
+            return f
+        s = mi_scale(mi_unit(ctx.r, i), a)
+        out = {}
+        for h, c in f.coeffs.items():
+            x = dp_monomial_action(s, h, ctx.p, ctx.m)
+            if x:
+                e = mi_sub(h, s)
+                out[e] = out.get(e, 0) + x * c
+        return Poly(out, ctx.r, ctx.p, f.var)
+
+    def gen_apply(self, i, l, mat):
+        ctx = self.ctx
+        pl = ctx.p**l
+        out = pmat_zero(self.rank, ctx.r, ctx.p)
+        for a in range(pl + 1):
+            c = brace(a, pl - a, ctx.p, ctx.m) % ctx.p
+            if not c:
+                continue
+            da = pmat_map(mat, lambda f: self.apply_dp(a, i, f))
+            term = pmat_mul(self.b_single(i, pl - a), da)
+            out = pmat_add_inplace(out, pmat_scale(term, c))
+        return out
+
+    def b_single(self, i, s):
+        key = (i, s)
+        if key in self._b1:
+            return self._b1[key]
+        ctx = self.ctx
+        q = ctx.pm1
+        if s == 0:
+            out = pmat_eye(self.rank, ctx.r, ctx.p)
+        elif s < q:
+            l = 0
+            while ctx.p ** (l + 1) <= s:
+                l += 1
+            pl = ctx.p**l
+            if s == pl:
+                out = self.dm.gens[(i, l)]
+            else:
+                u = angle_mi_mod((pl,), (s - pl,), ctx.p, ctx.m, ctx.p)
+                out = pmat_scale(self.gen_apply(i, l, self.b_single(i, s - pl)),
+                                 pow(u, -1, ctx.p))
+        else:
+            c, t = divmod(s, q)
+            ce = mi_scale(mi_unit(ctx.r, i), c)
+            u = central_unit(ctx, ce) * \
+                angle_mi_mod((c * q,), (t,), ctx.p, ctx.m, ctx.p) % ctx.p
+            out = pmat_scale(pmat_mul(self.theta_pow(ce), self.b_single(i, t)),
+                             pow(u, -1, ctx.p))
+        self._b1[key] = out
+        return out
+
+    def theta(self, i):
+        if i not in self._theta:
+            mat = pmat_eye(self.rank, self.ctx.r, self.ctx.p)
+            for _ in range(self.ctx.p):
+                mat = self.gen_apply(i, self.ctx.m, mat)
+            self._theta[i] = pmat_scale(
+                mat, pow(theta_unit(self.ctx), -1, self.ctx.p))
+        return self._theta[i]
+
+    def theta_pow(self, c):
+        c = tuple(c)
+        if c not in self._tpow:
+            if not any(c):
+                out = pmat_eye(self.rank, self.ctx.r, self.ctx.p)
+            else:
+                i = next(j for j, x in enumerate(c) if x)
+                out = pmat_mul(self.theta(i), self.theta_pow(
+                    mi_sub(c, mi_unit(self.ctx.r, i))))
+            self._tpow[c] = out
+        return self._tpow[c]
+
+    def b_matrix(self, k):
+        k = tuple(k)
+        if k not in self._b:
+            i = next((j for j, x in enumerate(k) if x), None)
+            if i is None:
+                out = pmat_eye(self.rank, self.ctx.r, self.ctx.p)
+            else:
+                rest = k[:i] + (0,) + k[i + 1:]
+                out = self.section_apply(i, k[i], self.b_matrix(rest))
+            self._b[k] = out
+        return self._b[k]
+
+    def section_apply(self, i, s, mat):
+        ctx = self.ctx
+        maxe = max((e[i] for row in mat for f in row for e in f.coeffs),
+                   default=0)
+        out = pmat_zero(self.rank, ctx.r, ctx.p)
+        for a in range(min(s, maxe) + 1):
+            c = brace(a, s - a, ctx.p, ctx.m) % ctx.p
+            if not c:
+                continue
+            da = pmat_map(mat, lambda f: self.apply_dp(a, i, f))
+            out = pmat_add_inplace(
+                out, pmat_scale(pmat_mul(self.b_single(i, s - a), da), c))
+        return out
+
+
+def _random_generators(seed, n):
+    # random t-polynomial matrices in every generator slot: not a module,
+    # but b_matrix and theta are formulas in the generators, so they must
+    # agree with the reference all the same, and here few of them vanish
+    def module(ctx, fd):
+        rng = random.Random(seed)
+        gens = {(i, l): [[Poly({tuple(rng.randrange(3) for _ in range(ctx.r)):
+                                rng.randrange(ctx.p)}, ctx.r, ctx.p)
+                          for _ in range(n)] for _ in range(n)]
+                for i in range(ctx.r) for l in range(ctx.m + 1)}
+        return DModule(ctx, n, gens)
+    return module
+
+
+def _pulled_back(field):
+    return lambda ctx, fd: pullback(fd, field(ctx))
+
+
+@pytest.mark.parametrize("ctx, lift_seed, module", [
+    (Context(2, 1, r=2), None,
+     _pulled_back(lambda c: random_higgs(c, random.Random(1), 3))),
+    (Context(3, 0, r=2), None, _pulled_back(_linear(5))),
+    (Context(5, 0, r=1), 3,
+     _pulled_back(lambda c: random_higgs(c, random.Random(2), 2))),
+    (Context(3, 1, r=1), 4, _pulled_back(_linear(7))),
+    (Context(5, 1, r=1), None, _pulled_back(_linear(9))),
+    (Context(2, 1, r=2), None, _random_generators(8, 2)),
+    (Context(3, 1, r=1), None, _random_generators(9, 3)),
+], ids=["p2m1r2", "p3m0r2-linear", "p5m0r1-lifted", "p3m1r1-linear-lifted",
+        "p5m1r1-linear", "p2m1r2-random-generators",
+        "p3m1r1-random-generators"])
+def test_b_matrix_and_theta_equal_the_per_coordinate_recursion(
+        ctx, lift_seed, module):
+    fd = FrobData.standard(ctx) if lift_seed is None else \
+        _strong(ctx, lift_seed)
+    dm = module(ctx, fd)
+    ref = ReferenceAction(dm)
+    for i in range(ctx.r):
+        assert pmat_eq(dm.theta(i), ref.theta(i))
+    for k in degree_box(2 * ctx.pm1, ctx.r):
+        assert pmat_eq(dm.b_matrix(k), ref.b_matrix(k)), k
 
 
 @pytest.mark.parametrize("ctx, lift_seed, field", [
