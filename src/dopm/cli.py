@@ -187,12 +187,16 @@ def _load_module(args, data, fd):
                    "(D-module)")
 
 
-def cmd_curvature(args) -> int:
-    ctx, fd, data = _module_setup(args)
-    dm, _ = _load_module(args, data, fd)
+def _check_module_law(dm):
     ok, where = dm.validate()
     if not ok:
         raise NotQuasiNilpotent(f"module action law fails at {where}")
+
+
+def cmd_curvature(args) -> int:
+    ctx, fd, data = _module_setup(args)
+    dm, _ = _load_module(args, data, fd)
+    _check_module_law(dm)
     dm.nilpotency_index()
     thetas = curvature_of(dm)
     text = "\n\n".join(f"Theta_{i + 1}:\n{render_matrix(mat)}"
@@ -213,7 +217,9 @@ def cmd_pullback(args) -> int:
 
 def cmd_invariants(args) -> int:
     ctx, fd, data = _module_setup(args)
-    dm, _ = _load_module(args, data, fd)
+    dm, higgs = _load_module(args, data, fd)
+    if higgs is None:           # a pullback is a module by construction
+        _check_module_law(dm)
     inv = solve_invariants(fd, dm)
     rank, _ = invariant_rank(inv)
     secs = [_render_section(inv.section(row)) for row in inv.basis]

@@ -177,7 +177,8 @@ class Poly:
     def divide_exponents(self, s: int, var=None) -> "Poly":
         out = {}
         for e, c in self.coeffs.items():
-            assert all(x % s == 0 for x in e), f"exponent {e} not divisible by {s}"
+            if any(x % s for x in e):
+                raise ValueError(f"exponent {e} not divisible by {s}")
             out[tuple(x // s for x in e)] = c
         return Poly(out, self.nvars, self.mod, var if var is not None else self.var)
 

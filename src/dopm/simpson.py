@@ -16,11 +16,10 @@ of its twisted-Frobenius image:
     rho(P)(v) = sum_k  f_k A_c^{-1} Theta^c v,  phi_tilde(P) = sum f_k d^<cq>
 
 (phi alone is off by the center automorphism whenever some Theta^c with
-|c| >= 2 survives on the module).  The solver reduces this to finitely
-many linear conditions indexed by (i, l <= m, b < p^(m+1), |c| <
-nilpotency index): multiplication operators come for free, larger b
-repeat by periodicity of the binomial coefficients, and larger c die on
-the module.
+|c| >= 2 survives on the module).  On a valid module it suffices to
+impose this for P = d_i^<s>, 0 < s <= p^m: Theta^c commutes with both
+sides, as theta_i is central, and the conditions of d_i^<p^m> t_i^b are
+triangular in these (two lemmas, proved at `_condition_items`).
 
 The conditions are O_X'-linear: t' = t^q with q = p^(m+1) is central,
 so the conditions on t'^b t^a e_j are those on t^a e_j with every
@@ -44,9 +43,8 @@ from .linalg import (nullspace_mod, pmat_add_inplace, pmat_eq, pmat_eye,
                      pmat_is_zero, pmat_map, pmat_mul, pmat_pow, pmat_scale,
                      pmat_zero, rank_mod, row_space_contains, rref_mod)
 from .poly import MalformedInput, Poly, is_int, poly_from_json, poly_to_json
-from .scalars import (angle_mi_mod, box_le, brace, brace_mi_mod, degree_box,
-                      dp_monomial_action, mi_min, mi_scale, mi_sub, mi_sum,
-                      mi_unit)
+from .scalars import (angle_mi_mod, box_le, brace_mi_mod, degree_box, mi_min,
+                      mi_scale, mi_sub, mi_sum, mi_unit)
 
 
 class NotQuasiNilpotent(ValueError):
@@ -362,14 +360,17 @@ def pullback(fd: FrobData, higgs: HiggsModule) -> DModule:
 
 
 def curvature_of(dm: DModule):
-    """The curvature frame Theta_1..Theta_r, expressed over O_X' (their
-    entries always live there for a valid module)."""
-    out = []
-    for i in range(dm.ctx.r):
-        out.append(pmat_map(dm.theta(i),
-                            lambda f: f.divide_exponents(dm.ctx.pm1,
-                                                         var="t'")))
-    return out
+    """The curvature frame Theta_1..Theta_r, over O_X' (in t') when every
+    entry descends there, as for every pullback, and over O_X (in t)
+    otherwise: Theta_i is horizontal, not constant, so a gauge change by
+    a non-constant matrix can take it out of O_X'."""
+    thetas = [dm.theta(i) for i in range(dm.ctx.r)]
+    try:
+        return [pmat_map(th, lambda f: f.divide_exponents(dm.ctx.pm1,
+                                                          var="t'"))
+                for th in thetas]
+    except ValueError:
+        return thetas
 
 
 # ---------------------------------------------------------------------------
@@ -471,68 +472,47 @@ def _vec_sub(a, b):
     return [x - y for x, y in zip(a, b)]
 
 
-def _invariance_defects(fd: FrobData, dm: DModule, i: int, l: int, w,
-                        n_trunc: int):
-    """[central eval of the twisted Frobenius image - honest action] of
-    d_i^<p^l - s'> on w, for s' = 0..p^l; the b-indexed conditions are
-    O_X-combinations of these.
+def _condition_items(fd: FrobData, dm: DModule, sec, nnil):
+    """The invariance conditions on one section, yielded as (key, vector
+    of polynomials) pairs; a key names its condition across sections.
 
-    The twist matters: the raw image reads theta^c through the curvature
-    frame, which is off by the center automorphism once the curvature
-    stops squaring to zero.  Truncating at the nilpotency order is exact,
-    since the dropped terms act as zero on the module.
-    """
+    Condition (i, s), i < r and 0 < s <= p^m, is the defect of d_i^<s>:
+    D_s(sec) = central(phi_tilde(d_i^<s>)) sec - rho(d_i^<s>) sec, the
+    image truncated at the nilpotency order (the rest acts as zero).
+
+    A complete family is (c, i, l, b), |c| < nnil, l <= m, b < q: the
+    defect of d_i^<p^l> t_i^b on A_c^{-1} Theta^c sec (multiplication
+    operators come free, larger b repeat by periodicity of the binomials,
+    larger c die on the module).  Both sides of a defect are O_X-linear
+    in the operator and d^<p^l> t^b = sum_s' {p^l \\ s'} d^<s'>(t^b)
+    d^<p^l - s'>, so that defect is sum_s' w(b, s') t_i^(b - s')
+    D_(p^l - s') with w(b, s') = {p^l \\ s'} q_s'! C(b, s').  On a valid
+    module the two families have one kernel:
+
+    1. c > 0 adds nothing.  rho(theta_i) commutes with every rho(d^<k>),
+       as theta_i is central and rho an action, and with t, so it is the
+       O_X-linear matrix Theta_i; the Theta_i commute (checked by
+       `nilpotency_index`).  central_apply is O_X-linear in the section
+       (only `act` is not) and built from Theta powers, so
+       D_s(Theta^c v) = Theta^c D_s(v): the kernel of the D_s is
+       Theta-stable, and there a c > 0 condition is a c = 0 one.
+    2. c = 0 is triangular in the D_s.  Each condition is an
+       O_X-combination of D_(p^l - s'), p^l - s' <= p^m, and D_0 = 0.
+       Conversely (0, i, m, b), b <= p^m, is D_(p^m - b) plus multiples
+       of D_(p^m - s'), s' < b, since w(b, b) = 1 (q_b! = 1 and
+       q_(p^m - b) = 0, or b = p^m); by induction on b each D_s vanishes
+       on the kernel of the family.
+
+    nullspace_mod's basis depends only on the kernel and the column
+    order, so the basis is the one the complete family gives."""
     ctx = fd.ctx
-    pl = ctx.p**l
-    out = []
-    for sp in range(pl + 1):
-        e = _along(ctx, i, pl - sp)
-        naive = central_apply(dm, phi_tilde_basis(fd, e, n_trunc), w)
-        full = dm.act(e, w)
-        out.append(_vec_sub(naive, full))
-    return out
-
-
-def _defect_weights(ctx: Context):
-    """weights[l][b]: the (s', w) pairs with w = {p^l \\ s'} times the
-    coefficient of d^<s'> t^b, nonzero mod p, for l <= m and b < q."""
-    weights = []
-    for l in range(ctx.m + 1):
-        pl = ctx.p**l
-        weights.append([[(sp, w) for sp in range(min(pl, b) + 1)
-                         if (w := brace(sp, pl - sp, ctx.p, ctx.m) *
-                             dp_monomial_action((sp,), (b,), ctx.p, ctx.m)
-                             % ctx.p)]
-                        for b in range(ctx.pm1)])
-    return weights
-
-
-def _condition_items(fd: FrobData, dm: DModule, sec, nnil, weights):
-    """Reduced-invariance condition values on one section, yielded as
-    (condition key, vector of polynomials) pairs.  Keys identify the
-    condition across different input sections.
-
-    Condition (c, i, l, b) is sum_s' w t_i^(b - s') times the s'-th
-    invariance defect of d_i^<p^l> on Theta^c sec, over the pairs
-    (s', w) of weights[l][b] (see _defect_weights)."""
-    ctx = fd.ctx
-    for c in degree_box(nnil - 1, ctx.r):
-        w = central_apply(dm, DiffOp.dpartial(ctx, mi_scale(c, ctx.pm1)), sec)
-        if all(not f for f in w):
-            continue
-        for i in range(ctx.r):
-            for l in range(ctx.m + 1):
-                defects = _invariance_defects(fd, dm, i, l, w, nnil - 1)
-                for b, terms in enumerate(weights[l]):
-                    acc = [{} for _ in range(dm.rank)]
-                    for sp, wt in terms:
-                        for out, f in zip(acc, defects[sp]):
-                            for e, cf in f.coeffs.items():
-                                e = e[:i] + (e[i] + b - sp,) + e[i + 1:]
-                                out[e] = out.get(e, 0) + wt * cf
-                    vec = [Poly(d, ctx.r, ctx.p) for d in acc]
-                    if any(vec):
-                        yield (c, i, l, b), vec
+    for i in range(ctx.r):
+        for s in range(1, ctx.pm + 1):
+            e = _along(ctx, i, s)
+            naive = central_apply(dm, phi_tilde_basis(fd, e, nnil - 1), sec)
+            vec = _vec_sub(naive, dm.act(e, sec))
+            if any(vec):
+                yield (i, s), vec
 
 
 def _flatten_rows(vec_rows, p):
@@ -585,7 +565,9 @@ def solve_invariants(fd: FrobData, dm: DModule,
     evaluated once per box section t^a e_j, a < q componentwise, that
     the window reaches; every other unknown reuses its box entry.  A
     smaller window needs no second solve: V_d = V_D ∩ span(deg <= d)
-    for d <= D, which `InvariantSpace.restrict` computes."""
+    for d <= D, which `InvariantSpace.restrict` computes.  dm must be a
+    valid module (`DModule.validate`): the reduced conditions rely on
+    it."""
     ctx = fd.ctx
     q = ctx.pm1
     d = ctx.solve_bound() if deg_bound is None else deg_bound
@@ -593,14 +575,13 @@ def solve_invariants(fd: FrobData, dm: DModule,
     fd = fd.deepen(nnil - 1)   # tau-room for the twisted images
     monomials = [(j, a) for a in degree_box(d, ctx.r)
                  for j in range(dm.rank)]
-    weights = _defect_weights(ctx)
     box = {}
     for j, a in monomials:
         a0 = tuple(x % q for x in a)
         if (j, a0) not in box:
             sec = [Poly.monomial(a0, 1, ctx.r, ctx.p) if jj == j
                    else Poly.zero(ctx.r, ctx.p) for jj in range(dm.rank)]
-            items = _condition_items(fd, dm, sec, nnil, weights)
+            items = _condition_items(fd, dm, sec, nnil)
             box[(j, a0)] = [((key, comp), e, cf) for key, vec in items
                             for comp, f in enumerate(vec)
                             for e, cf in f.coeffs.items()]

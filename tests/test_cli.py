@@ -270,6 +270,41 @@ def test_non_nilpotent_higgs_exits_3(capsys, tmp_path):
     assert code == 3 and err.startswith("error:")
 
 
+def test_a_file_that_is_not_a_module_exits_3(capsys, tmp_path):
+    # rho(d) = 1 at p = 2, m = 1: d*d = 2 d^<2> = 0, but rho(d)^2 = 1
+    path = tmp_path / "notmodule.json"
+    path.write_text(json.dumps({
+        "p": 2, "m": 1, "r": 1, "rank": 1,
+        "generators": [[0, 0, [[[[[0], 1]]]]], [0, 1, [[[]]]]],
+    }))
+    for command in ("invariants", "curvature"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("error: module action law fails")
+
+
+# the pullback of A = [[1, 1], [1, 1]] at p = 2, m = 0, gauged by
+# S = I + t1 E_12: a valid module whose Theta = S A S^-1 has odd exponents
+GAUGED_PULLBACK = {
+    "p": 2, "m": 0, "r": 1, "rank": 2,
+    "generators": [[0, 0, [[[[[1], 1], [[2], 1]],
+                            [[[0], 1], [[1], 1], [[3], 1]]],
+                           [[[[1], 1]], [[[1], 1], [[2], 1]]]]]],
+}
+
+
+def test_curvature_off_o_x_prime_is_printed_over_t(capsys, tmp_path):
+    path = tmp_path / "gauged.json"
+    path.write_text(json.dumps(GAUGED_PULLBACK))
+    code, out, err = run(capsys, "curvature", str(path))
+    assert (code, err) == (0, "")
+    assert out == "Theta_1:\nt1 + 1\tt1^2 + 1\n1\tt1 + 1\n"
+    code, out, err = run(capsys, "curvature", "--json", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"theta": [[["t1 + 1", "t1^2 + 1"],
+                                          ["1", "t1 + 1"]]]}
+
+
 def test_weak_lifting_exits_3(capsys, tmp_path):
     # F = t^4 + 2t reduces to Frobenius^2 but is not strong at level 1
     path = tmp_path / "lift.json"

@@ -8,6 +8,7 @@ every quantity has a short independent formula.
 """
 
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -458,29 +459,105 @@ def test_b_matrix_and_theta_equal_the_per_coordinate_recursion(
         assert pmat_eq(dm.b_matrix(k), ref.b_matrix(k)), k
 
 
-@pytest.mark.parametrize("ctx, lift_seed, field", [
+def shear(ctx, n, c=1):
+    """I + c t1 E_12: a gauge change that is not constant, so it moves the
+    invariants off the O_X'-span of the frame."""
+    s = pmat_eye(n, ctx.r, ctx.p)
+    s[0][1] = Poly.monomial(mi_unit(ctx.r, 0), c % ctx.p, ctx.r, ctx.p)
+    return s
+
+
+def gauged(dm, s, s_inv):
+    """The module rho'(P) v = S rho(P)(S^-1 v): its generator columns are
+    S * rho(d_i^<p^l>)(column j of S^-1)."""
+    ctx = dm.ctx
+    gens = {}
+    for i, l in dm.gens:
+        act = partial(dm.act, mi_scale(mi_unit(ctx.r, i), ctx.p**l))
+        gens[(i, l)] = pmat_mul(s, simpson._on_columns(act, s_inv))
+    return DModule(ctx, dm.rank, gens)
+
+
+def _gauged_pullback(fd, higgs):
+    n = higgs.rank
+    return gauged(pullback(fd, higgs), shear(fd.ctx, n), shear(fd.ctx, n, -1))
+
+
+@pytest.mark.parametrize("ctx, lift_seed, field, gauge", [
     # regression: with curvature that does not square to zero the raw
     # Frobenius image differs from the twisted one by the center
     # automorphism; both solvers must agree on such modules
-    (Context(2, 0), None, lambda ctx: jordan_higgs(ctx, 3)),   # N^2 != 0
-    (Context(3, 0), 5, _linear(11)),
-    (Context(2, 1), None, _linear(7)),
+    (Context(2, 0), None, lambda ctx: jordan_higgs(ctx, 3), False),  # N^2 != 0
+    (Context(3, 0), 5, _linear(11), False),
+    (Context(2, 1), None, _linear(7), False),
     (Context(2, 0, r=2), 8, lambda ctx: random_higgs(ctx, random.Random(9),
-                                                     2)),
+                                                     2), False),
+    # gauged modules: their invariants are not coordinate vectors, so the
+    # constraint rows mix unknowns and the kernel has non-unit rows
+    (Context(2, 0), None, _linear(0), True),
+    (Context(3, 0), None, _linear(0), True),
+    (Context(2, 1), None, _linear(0), True),
+    (Context(2, 0, r=2), None, _linear(0), True),
+    (Context(2, 2), None, _linear(0), True),
+    (Context(2, 0), None, lambda ctx: jordan_higgs(ctx, 3), True),
 ], ids=["p2m0-jordan3", "p3m0-lifted-linear", "p2m1-linear",
-        "p2m0r2-lifted"])
-def test_reduced_solver_agrees_with_the_literal_one(ctx, lift_seed, field):
+        "p2m0r2-lifted", "p2m0-gauged", "p3m0-gauged", "p2m1-gauged",
+        "p2m0r2-gauged", "p2m2-gauged", "p2m0-jordan3-gauged"])
+def test_reduced_solver_agrees_with_the_literal_one(ctx, lift_seed, field,
+                                                    gauge):
     fd = FrobData.standard(ctx) if lift_seed is None else _strong(ctx,
                                                                   lift_seed)
-    dm = pullback(fd, field(ctx))
+    dm = (_gauged_pullback if gauge else pullback)(fd, field(ctx))
+    assert dm.validate() == (True, None)
     assert dm.nilpotency_index() >= 2
     red = solve_invariants(fd, dm)
+    if gauge:
+        assert max(np.count_nonzero(row) for row in red.basis) >= 2
     lit = solve_invariants_literal(fd, dm, red.deg_bound, 2 * ctx.pm1)
     assert red.dim == lit.dim
     for sec in lit.sections():
         assert red.contains(sec)
     for sec in red.sections():
         assert lit.contains(sec)
+
+
+@pytest.mark.parametrize("ctx, n", [
+    (Context(2, 0), 2), (Context(3, 0), 3), (Context(2, 1), 2),
+    (Context(2, 0, r=2), 2), (Context(3, 1), 2)],
+    ids=["p2m0", "p3m0n3", "p2m1", "p2m0r2", "p3m1"])
+def test_invariants_move_with_the_gauge(ctx, n):
+    # S maps the invariants of rho to those of S rho S^-1; S raises the
+    # degree by at most one, so S V(dm, d - 1) lies in V(gauged, d)
+    fd = FrobData.standard(ctx)
+    dm = pullback(fd, random_higgs(ctx, random.Random(f"gauge/{ctx}"), n,
+                                   linear=True))
+    s = shear(ctx, n)
+    moved = gauged(dm, s, shear(ctx, n, -1))
+    d = ctx.solve_bound()
+    low = solve_invariants(fd, dm, d).restrict(d - 1)
+    high = solve_invariants(fd, moved, d)
+    assert low.dim and high.dim >= low.dim
+    for sec in low.sections():
+        image = [row[0] for row in pmat_mul(s, [[f] for f in sec])]
+        assert high.contains(image)
+    assert any(np.count_nonzero(row) >= 2 for row in high.basis)
+
+
+def test_curvature_of_a_gauged_pullback_leaves_o_x_prime():
+    # Theta is horizontal, not constant: S Theta S^-1 keeps t1 itself
+    ctx = Context(2, 0)
+    fd = FrobData.standard(ctx)
+    one = Poly.one(1, 2, "t'")
+    dm = pullback(fd, HiggsModule(ctx, [[[one, one], [one, one]]]))
+    s, s_inv = shear(ctx, 2), shear(ctx, 2, -1)
+    moved = gauged(dm, s, s_inv)
+    assert moved.validate() == (True, None)
+    theta, = curvature_of(moved)
+    assert all(f.var == "t" for row in theta for f in row)
+    assert pmat_eq(theta, pmat_mul(s, pmat_mul(dm.theta(0), s_inv)))
+    # a pullback's frame still descends
+    down, = curvature_of(dm)
+    assert all(f.var == "t'" for row in down for f in row)
 
 
 def test_round_trip_window_is_a_direct_solve():
