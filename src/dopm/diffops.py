@@ -302,15 +302,23 @@ def zo_reassemble(ctx: Context, zo) -> DiffOp:
     return out
 
 
+KANEDA_MAX_SIZE = 4096
+
+
 def kaneda_matrix(op: DiffOp):
     """Matrix of right multiplication by P on the free left module
     O_X[theta]^(p^(m+1) r): M[u][t] = z-coefficient of d^<u> in d^<t> * P,
     rows/columns indexed by box(p^(m+1))^r in lex order.
 
     Entries are commutative polynomials in "t|th"; the defining relation
-    is M(P*Q) = M(Q) @ M(P).
+    is M(P*Q) = M(Q) @ M(P).  More than KANEDA_MAX_SIZE rows (size^2
+    entries) is refused with ValueError before anything is built.
     """
     ctx = op.ctx
+    size = ctx.pm1 ** ctx.r
+    if size > KANEDA_MAX_SIZE:
+        raise ValueError(f"the Kaneda matrix has p^((m+1)r) = {size} rows; "
+                         f"at most {KANEDA_MAX_SIZE} are supported")
     basis = list(box(ctx.pm1, ctx.r))
     idx = {u: n for n, u in enumerate(basis)}
     zero = Poly.zero(2 * ctx.r, ctx.p, "t|th")

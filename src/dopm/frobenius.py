@@ -182,7 +182,6 @@ class FrobData:
                    else _reject_strong(j, h)
                    for j, h in enumerate(self.hs)]
         self.ws = divided_frob_tau(ctx, lifting)
-        self.is_graded = all(_is_homogeneous(w, ctx.pm1) for w in self.ws)
         self._towers = [GammaTower(w) for w in self.ws]
         self._gammas: dict = {}
         self._products: dict = {}
@@ -231,16 +230,6 @@ def _pm_divisible(h: Poly, pm: int) -> bool:
 
 def _reject_strong(j, h):
     raise NotStrong(f"deviation h_{j+1} = {h!r} has exponents outside p^m Z")
-
-
-def _is_homogeneous(w: DPElem, q: int) -> bool:
-    """Total (t, tau)-degree q in every term: the graded case, where the
-    invariants solver may split unknowns by degree class."""
-    for s, f in w.coeffs.items():
-        for e in f.coeffs:
-            if sum(e) + mi_sum(s) != q:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,3 @@ class Poly:
                 term *= v**x
             acc += term
         return acc % self.mod if self.mod is not None else acc
-
-    def degree_classes(self, q: int):
-        """Set of total degrees mod q present in the support."""
-        return {sum(e) % q for e in self.coeffs}

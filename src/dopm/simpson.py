@@ -25,9 +25,11 @@ The conditions are O_X'-linear: t' = t^q with q = p^(m+1) is central,
 so the conditions on t'^b t^a e_j are those on t^a e_j with every
 exponent shifted by q b.  The solver evaluates them once on the box
 a < q (componentwise) and builds every unknown of the degree window by
-that shift.  A round trip solves once, at the bound d + q its stability
-check needs, and reads the degree-<= d invariants off that solve as
-V_d = V_(d+q) ∩ span(deg <= d).
+that shift.  One sparse solve takes every unknown: a row with one
+nonzero forces its unknown to zero, and only the rows left after
+striking those reach the dense kernel.  A round trip solves once, at
+the bound d + q its stability check needs, and reads the degree-<= d
+invariants off that solve as V_d = V_(d+q) ∩ span(deg <= d).
 """
 
 from __future__ import annotations
@@ -535,27 +537,6 @@ def _flatten_rows(vec_rows, p):
     return mat
 
 
-def _class_of(monomial, q):
-    (_, a) = monomial
-    return mi_sum(a) % q
-
-
-def _split_classes_ok(fd: FrobData, dm: DModule) -> bool:
-    """Degree classes decouple when the lifting data is homogeneous and
-    every generator entry sits in the single compatible class."""
-    if not fd.is_graded:
-        return False
-    q = fd.ctx.pm1
-    for (i, l), mat in dm.gens.items():
-        pl = fd.ctx.p**l
-        for row in mat:
-            for f in row:
-                for e in f.coeffs:
-                    if (sum(e) + pl) % q:
-                        return False
-    return True
-
-
 def solve_invariants(fd: FrobData, dm: DModule,
                      deg_bound: int | None = None) -> InvariantSpace:
     """Compute the invariant sections of total degree <= deg_bound.
@@ -563,11 +544,13 @@ def solve_invariants(fd: FrobData, dm: DModule,
     t' = t^q (q = p^(m+1)) is central, so the conditions on t'^b t^a e_j
     are those on t^a e_j with every exponent shifted by q b.  They are
     evaluated once per box section t^a e_j, a < q componentwise, that
-    the window reaches; every other unknown reuses its box entry.  A
-    smaller window needs no second solve: V_d = V_D ∩ span(deg <= d)
-    for d <= D, which `InvariantSpace.restrict` computes.  dm must be a
-    valid module (`DModule.validate`): the reduced conditions rely on
-    it."""
+    the window reaches; every other unknown reuses its box entry.  The
+    constraint rows, keyed by (condition key, component, shifted
+    exponent), go to one sparse solve over every unknown in
+    `degree_box` order (`_sparse_nullspace`).  A smaller window needs
+    no second solve: V_d = V_D ∩ span(deg <= d) for d <= D, which
+    `InvariantSpace.restrict` computes.  dm must be a valid module
+    (`DModule.validate`): the reduced conditions rely on it."""
     ctx = fd.ctx
     q = ctx.pm1
     d = ctx.solve_bound() if deg_bound is None else deg_bound
@@ -576,7 +559,8 @@ def solve_invariants(fd: FrobData, dm: DModule,
     monomials = [(j, a) for a in degree_box(d, ctx.r)
                  for j in range(dm.rank)]
     box = {}
-    for j, a in monomials:
+    rows = {}   # (condition key, component, exponent) -> {unknown: coeff}
+    for k, (j, a) in enumerate(monomials):
         a0 = tuple(x % q for x in a)
         if (j, a0) not in box:
             sec = [Poly.monomial(a0, 1, ctx.r, ctx.p) if jj == j
@@ -585,46 +569,43 @@ def solve_invariants(fd: FrobData, dm: DModule,
             box[(j, a0)] = [((key, comp), e, cf) for key, vec in items
                             for comp, f in enumerate(vec)
                             for e, cf in f.coeffs.items()]
-    if _split_classes_ok(fd, dm):
-        groups = {}
-        for mono in monomials:
-            groups.setdefault(_class_of(mono, q), []).append(mono)
-        blocks = list(groups.values())
-    else:
-        blocks = [monomials]
-    all_monos = [mono for block in blocks for mono in block]
-    rows = []
-    off = 0
-    for block in blocks:
-        for row in _solve_block(block, box, q, ctx.p):
-            full = np.zeros(len(all_monos), dtype=np.int64)
-            full[off:off + len(block)] = row
-            rows.append(full)
-        off += len(block)
-    mat = np.array(rows, dtype=np.int64) if rows else \
-        np.zeros((0, len(all_monos)), dtype=np.int64)
-    return InvariantSpace(fd, dm, d, all_monos, mat)
-
-
-def _solve_block(block, box, q, p) -> np.ndarray:
-    """One linear solve: the box conditions of every unknown of the block,
-    shifted to its exponent and keyed so sparse slots stay aligned."""
-    coords = {}   # (condition key, component, exponent) -> constraint row
-    cols = []     # per unknown: {constraint row -> coefficient}
-    for j, a in block:
-        shift = tuple(x - x % q for x in a)
-        col = {}
-        for ck, e, cf in box[(j, tuple(x % q for x in a))]:
+        shift = tuple(x - y for x, y in zip(a, a0))
+        for ck, e, cf in box[(j, a0)]:
             e = tuple(x + s for x, s in zip(e, shift))
-            col[coords.setdefault((ck, e), len(coords))] = cf
-        cols.append(col)
-    if not coords:
-        return np.eye(len(block), dtype=np.int64)
-    mat = np.zeros((len(coords), len(block)), dtype=np.int64)
-    for k, col in enumerate(cols):
-        for idx, cf in col.items():
-            mat[idx, k] = cf % p
-    return nullspace_mod(mat, p)
+            rows.setdefault((ck, e), {})[k] = cf
+    basis = _sparse_nullspace(list(rows.values()), len(monomials), ctx.p)
+    return InvariantSpace(fd, dm, d, monomials, basis)
+
+
+def _sparse_nullspace(rows, ncols, p) -> np.ndarray:
+    """nullspace_mod of the matrix with these {column: nonzero} rows.
+
+    A row with one nonzero forces its column to zero; the forced columns
+    are struck from every row, rows left empty are dropped, and this
+    repeats until no row is a singleton.  nullspace_mod then solves the
+    rows left over the unforced columns, and the forced columns stay
+    zero.  The basis is nullspace_mod's on the whole matrix: that basis
+    depends only on the kernel and the column order (a free column is
+    the last nonzero of some kernel vector), and a forced column is zero
+    on the whole kernel, so it is never free."""
+    forced = set()
+    while True:
+        ones = {c for row in rows if len(row) == 1 for c in row}
+        if not ones:
+            break
+        forced |= ones
+        rows = [left for row in rows
+                if (left := {c: v for c, v in row.items() if c not in ones})]
+    keep = [c for c in range(ncols) if c not in forced]
+    at = {c: k for k, c in enumerate(keep)}
+    mat = np.zeros((len(rows), len(keep)), dtype=np.int64)
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            mat[r, at[c]] = v
+    kernel = nullspace_mod(mat, p)
+    basis = np.zeros((kernel.shape[0], ncols), dtype=np.int64)
+    basis[:, keep] = kernel
+    return basis
 
 
 def solve_invariants_literal(fd: FrobData, dm: DModule, deg_bound: int,

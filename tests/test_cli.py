@@ -12,6 +12,7 @@ import jsonschema
 import pytest
 
 import dopm
+from dopm import diffops
 from dopm.cli import main
 from dopm.context import Context
 from dopm.simpson import worked_example
@@ -79,6 +80,22 @@ def test_kaneda_matrix_json(capsys):
     assert len(mat) == 3 and all(len(row) == 3 for row in mat)
     assert mat[1][0] == "1" and mat[2][1] == "1"
     assert mat[0][0] == "0"
+
+
+def test_kaneda_matrix_too_large_exits_3(capsys, monkeypatch):
+    # 3^12 = 531441 rows: refused before the basis is listed, while
+    # 2^12 = 4096 rows, the largest size allowed, gets that far
+    def no_basis(*args):
+        raise AssertionError("the basis was listed")
+
+    monkeypatch.setattr(diffops, "box", no_basis)
+    code, out, err = run(capsys, "kaneda-matrix", "--p", "3", "--m", "3",
+                         "--r", "3", "d1")
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "531441" in err
+    with pytest.raises(AssertionError, match="the basis was listed"):
+        main(["kaneda-matrix", "--p", "2", "--m", "3", "--r", "3", "d1"])
 
 
 # -- module files -------------------------------------------------------------
@@ -270,13 +287,16 @@ def test_non_nilpotent_higgs_exits_3(capsys, tmp_path):
     assert code == 3 and err.startswith("error:")
 
 
+# rho(d) = 1 at p = 2, m = 1: d*d = 2 d^<2> = 0, but rho(d)^2 = 1
+NOT_A_MODULE = {
+    "p": 2, "m": 1, "r": 1, "rank": 1,
+    "generators": [[0, 0, [[[[[0], 1]]]]], [0, 1, [[[]]]]],
+}
+
+
 def test_a_file_that_is_not_a_module_exits_3(capsys, tmp_path):
-    # rho(d) = 1 at p = 2, m = 1: d*d = 2 d^<2> = 0, but rho(d)^2 = 1
     path = tmp_path / "notmodule.json"
-    path.write_text(json.dumps({
-        "p": 2, "m": 1, "r": 1, "rank": 1,
-        "generators": [[0, 0, [[[[[0], 1]]]]], [0, 1, [[[]]]]],
-    }))
+    path.write_text(json.dumps(NOT_A_MODULE))
     for command in ("invariants", "curvature"):
         code, out, err = run(capsys, command, str(path))
         assert code == 3 and out == ""
@@ -416,6 +436,27 @@ def test_module_entry_point():
                          capture_output=True, text=True, env=child_env())
     assert res.returncode == 0
     assert res.stdout == "t1*d1 + 1\n"
+
+
+def test_input_checks_hold_under_python_O(tmp_path):
+    # python -O strips assert statements: a check on a file must not be one
+    module = tmp_path / "module.json"       # r = 2 with one Higgs matrix
+    module.write_text(json.dumps({
+        "p": 2, "m": 0, "r": 2, "rank": 2,
+        "matrices": [[[[], [[[0, 0], 1]]], [[], []]]]}))
+    lift = tmp_path / "lift.json"           # an exponent of length 2 at r = 1
+    lift.write_text(json.dumps({"p": 3, "m": 0, "r": 1,
+                                "lift": [[[[3, 0], 1]]]}))
+    notmodule = tmp_path / "notmodule.json"
+    notmodule.write_text(json.dumps(NOT_A_MODULE))
+    for argv, want in [(["roundtrip", str(module)], 2),
+                       (["phi", "--lift", str(lift), "d1"], 2),
+                       (["invariants", str(notmodule)], 3)]:
+        res = subprocess.run([sys.executable, "-O", "-m", "dopm.cli", *argv],
+                             capture_output=True, text=True, env=child_env())
+        assert (res.returncode, res.stdout) == (want, ""), argv
+        assert res.stderr.startswith("error:"), argv
+        assert res.stderr.count("\n") == 1, argv
 
 
 def test_console_script():

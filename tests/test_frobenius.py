@@ -46,7 +46,6 @@ def test_standard_divided_frobenius(p, m):
     want = {s: f for s, f in std_w_oracle(p, m).items()
             if sum(s) <= ctx.tau_trunc}
     assert fd.ws[0].coeffs == want
-    assert fd.is_graded
 
 
 def test_standard_divided_frobenius_frozen():

@@ -75,9 +75,3 @@ def test_reduce_and_lift():
     assert f.reduce(5) == Poly({(1,): 2, (0,): 2}, 1, 5)
     g = Poly({(2,): 3}, 1, 5)
     assert g.lift().mod is None and g.lift().coeffs == {(2,): 3}
-
-
-def test_degree_classes():
-    f = Poly({(0, 0): 1, (2, 1): 1, (4, 2): 2}, 2, 3)
-    assert f.degree_classes(3) == {0}
-    assert f.degree_classes(2) == {0, 1}

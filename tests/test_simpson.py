@@ -17,8 +17,8 @@ from dopm.context import Context
 from dopm.diffops import DiffOp
 from dopm.frobenius import FrobData, random_strong_lifting
 from dopm.diffops import central_unit, theta_unit
-from dopm.linalg import (pmat_add_inplace, pmat_eq, pmat_eye, pmat_map,
-                         pmat_mul, pmat_scale, pmat_zero, rank_mod)
+from dopm.linalg import (nullspace_mod, pmat_add_inplace, pmat_eq, pmat_eye,
+                         pmat_map, pmat_mul, pmat_scale, pmat_zero, rank_mod)
 from dopm import simpson
 from dopm.poly import Poly
 from dopm.scalars import (angle_mi_mod, brace, degree_box, dp_monomial_action,
@@ -483,7 +483,7 @@ def _gauged_pullback(fd, higgs):
     return gauged(pullback(fd, higgs), shear(fd.ctx, n), shear(fd.ctx, n, -1))
 
 
-@pytest.mark.parametrize("ctx, lift_seed, field, gauge", [
+SOLVER_CASES = [
     # regression: with curvature that does not square to zero the raw
     # Frobenius image differs from the twisted one by the center
     # automorphism; both solvers must agree on such modules
@@ -500,14 +500,23 @@ def _gauged_pullback(fd, higgs):
     (Context(2, 0, r=2), None, _linear(0), True),
     (Context(2, 2), None, _linear(0), True),
     (Context(2, 0), None, lambda ctx: jordan_higgs(ctx, 3), True),
-], ids=["p2m0-jordan3", "p3m0-lifted-linear", "p2m1-linear",
-        "p2m0r2-lifted", "p2m0-gauged", "p3m0-gauged", "p2m1-gauged",
-        "p2m0r2-gauged", "p2m2-gauged", "p2m0-jordan3-gauged"])
-def test_reduced_solver_agrees_with_the_literal_one(ctx, lift_seed, field,
-                                                    gauge):
+]
+SOLVER_IDS = ["p2m0-jordan3", "p3m0-lifted-linear", "p2m1-linear",
+              "p2m0r2-lifted", "p2m0-gauged", "p3m0-gauged", "p2m1-gauged",
+              "p2m0r2-gauged", "p2m2-gauged", "p2m0-jordan3-gauged"]
+
+
+def _solver_case(ctx, lift_seed, field, gauge):
     fd = FrobData.standard(ctx) if lift_seed is None else _strong(ctx,
                                                                   lift_seed)
-    dm = (_gauged_pullback if gauge else pullback)(fd, field(ctx))
+    return fd, (_gauged_pullback if gauge else pullback)(fd, field(ctx))
+
+
+@pytest.mark.parametrize("ctx, lift_seed, field, gauge", SOLVER_CASES,
+                         ids=SOLVER_IDS)
+def test_reduced_solver_agrees_with_the_literal_one(ctx, lift_seed, field,
+                                                    gauge):
+    fd, dm = _solver_case(ctx, lift_seed, field, gauge)
     assert dm.validate() == (True, None)
     assert dm.nilpotency_index() >= 2
     red = solve_invariants(fd, dm)
@@ -519,6 +528,68 @@ def test_reduced_solver_agrees_with_the_literal_one(ctx, lift_seed, field,
         assert red.contains(sec)
     for sec in red.sections():
         assert lit.contains(sec)
+
+
+def dense_solve(fd, dm):
+    """The dense solve that the sparse one replaced, kept as its
+    reference: the box conditions of every unknown, shifted to its
+    exponent, as the columns of one (constraint rows, unknowns) matrix in
+    `degree_box` order, and nullspace_mod on the whole of it."""
+    ctx = fd.ctx
+    q = ctx.pm1
+    nnil = dm.nilpotency_index()
+    fd = fd.deepen(nnil - 1)
+    monomials = [(j, a) for a in degree_box(ctx.solve_bound(), ctx.r)
+                 for j in range(dm.rank)]
+    box = {}
+    coords = {}   # (condition key, component, exponent) -> constraint row
+    cols = []     # per unknown: {constraint row -> coefficient}
+    for j, a in monomials:
+        a0 = tuple(x % q for x in a)
+        if (j, a0) not in box:
+            sec = [Poly.monomial(a0, 1, ctx.r, ctx.p) if jj == j
+                   else Poly.zero(ctx.r, ctx.p) for jj in range(dm.rank)]
+            box[(j, a0)] = list(simpson._condition_items(fd, dm, sec, nnil))
+        col = {}
+        for key, vec in box[(j, a0)]:
+            for comp, f in enumerate(vec):
+                for e, cf in f.coeffs.items():
+                    e = tuple(x + y - z for x, y, z in zip(e, a, a0))
+                    col[coords.setdefault((key, comp, e), len(coords))] = cf
+        cols.append(col)
+    mat = np.zeros((len(coords), len(monomials)), dtype=np.int64)
+    for k, col in enumerate(cols):
+        for idx, cf in col.items():
+            mat[idx, k] = cf % ctx.p
+    return monomials, nullspace_mod(mat, ctx.p)
+
+
+@pytest.mark.parametrize(
+    "ctx, lift_seed, field, gauge",
+    [*SOLVER_CASES,
+     (Context(3, 0, r=2), None,
+      lambda ctx: random_higgs(ctx, random.Random(3), 2), False)],
+    ids=[*SOLVER_IDS, "p3m0r2"])
+def test_sparse_solve_equals_the_dense_one(monkeypatch, ctx, lift_seed,
+                                           field, gauge):
+    fd, dm = _solver_case(ctx, lift_seed, field, gauge)
+    left = []
+
+    def spy(a, p):
+        left.append(a)
+        return nullspace_mod(a, p)
+
+    monkeypatch.setattr(simpson, "nullspace_mod", spy)
+    inv = solve_invariants(fd, dm)
+    monomials, basis = dense_solve(fd, dm)
+    assert inv.monomials == monomials
+    assert np.array_equal(inv.basis, basis)
+    # singleton elimination runs to the end: the dense kernel sees no row
+    # with one nonzero, and on a gauged module rows survive elimination
+    mat, = left
+    assert all(np.count_nonzero(row) >= 2 for row in mat)
+    if gauge:
+        assert mat.shape[0]
 
 
 @pytest.mark.parametrize("ctx, n", [
@@ -683,7 +754,8 @@ def test_recovered_higgs_direct():
 
 
 @pytest.mark.parametrize("p, m, r, n", [
-    (7, 1, 1, 2), (5, 1, 1, 2), (3, 1, 2, 2), (3, 2, 1, 2), (2, 0, 3, 3)])
+    (7, 1, 1, 2), (5, 1, 1, 2), (3, 1, 2, 2), (3, 2, 1, 2), (2, 0, 3, 3),
+    (3, 1, 3, 2), (5, 2, 1, 2)])
 def test_round_trip_at_the_advertised_corners(p, m, r, n):
     ctx = Context(p, m, r)
     h = random_higgs(ctx, random.Random(11), n)
