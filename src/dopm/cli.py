@@ -221,7 +221,7 @@ def cmd_invariants(args) -> int:
     if higgs is None:           # a pullback is a module by construction
         _check_module_law(dm)
     inv = solve_invariants(fd, dm)
-    rank, _ = invariant_rank(inv)
+    rank = invariant_rank(inv, inv.restrict(inv.deg_bound - ctx.pm1))
     secs = [_render_section(inv.section(row)) for row in inv.basis]
     obj = {"deg_bound": inv.deg_bound, "dim": inv.dim, "rank": rank,
            "sections": secs}
@@ -281,6 +281,7 @@ def _report_text(rep) -> list:
 
 
 def cmd_verify(args) -> int:
+    _ctx(args)                  # the flags must name a supported context
     only = None
     if args.p is not None or args.m is not None:
         only = (args.p, args.m)

@@ -66,12 +66,6 @@ def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def row_space_contains(basis: np.ndarray, v: np.ndarray, p: int) -> bool:
-    if basis.shape[0] == 0:
-        return not np.any(v % p)
-    return rank_mod(np.vstack([basis, v]), p) == rank_mod(basis, p)
-
-
 # ---------------------------------------------------------------------------
 # matrices of polynomials (module actions, Higgs fields)
 

@@ -43,10 +43,10 @@ from .diffops import DiffOp, apply_dp, central_unit, theta_unit
 from .frobenius import FrobData, phi_center_inv, phi_tilde_basis
 from .linalg import (nullspace_mod, pmat_add_inplace, pmat_eq, pmat_eye,
                      pmat_is_zero, pmat_map, pmat_mul, pmat_pow, pmat_scale,
-                     pmat_zero, rank_mod, row_space_contains, rref_mod)
+                     pmat_zero, rank_mod, rref_mod)
 from .poly import MalformedInput, Poly, is_int, poly_from_json, poly_to_json
-from .scalars import (angle_mi_mod, box_le, brace_mi_mod, degree_box, mi_min,
-                      mi_scale, mi_sub, mi_sum, mi_unit)
+from .scalars import (angle_mi_mod, box_le, brace_mi_mod, degree_box, mi_add,
+                      mi_min, mi_scale, mi_sub, mi_sum, mi_unit)
 
 
 class NotQuasiNilpotent(ValueError):
@@ -101,8 +101,9 @@ class HiggsModule:
             raise MalformedInput("'matrices' is not a list")
         higgs = cls(ctx, [_pmat_from_json(a, ctx, "t'", "Higgs matrix")
                           for a in mats])
-        if data.get("rank", higgs.rank) != higgs.rank:
-            raise MalformedInput(f"rank {data['rank']} but "
+        rank = data.get("rank", higgs.rank)
+        if not is_int(rank) or rank != higgs.rank:
+            raise MalformedInput(f"rank {rank!r} but "
                                  f"{higgs.rank}x{higgs.rank} matrices")
         return higgs
 
@@ -382,13 +383,14 @@ class InvariantSpace:
     """F_p-basis of the invariant sections of degree <= deg_bound.
 
     `monomials` indexes the unknown coordinates as (component, exponent)
-    pairs; `basis` rows are coefficient vectors in that indexing.
+    pairs; `basis` rows are coefficient vectors in that indexing, in the
+    canonical form `nullspace_mod` gives: each row is 1 at its last
+    nonzero column, its free column, and every other row is 0 there.
     """
 
-    __slots__ = ("fd", "dm", "deg_bound", "monomials", "index", "basis")
+    __slots__ = ("dm", "deg_bound", "monomials", "index", "basis")
 
-    def __init__(self, fd, dm, deg_bound, monomials, basis):
-        self.fd = fd
+    def __init__(self, dm, deg_bound, monomials, basis):
         self.dm = dm
         self.deg_bound = deg_bound
         self.monomials = monomials
@@ -423,9 +425,12 @@ class InvariantSpace:
         return v
 
     def contains(self, sec) -> bool:
+        """v is in the span iff v = sum v[f_k] basis_k over the free
+        columns f_k: only row k is nonzero at f_k, and it is 1 there."""
         v = self.flatten(sec)
-        return v is not None and row_space_contains(self.basis, v,
-                                                    self.dm.ctx.p)
+        free = [np.flatnonzero(row)[-1] for row in self.basis]
+        return v is not None and np.array_equal(
+            v, v[free] @ self.basis % self.dm.ctx.p)
 
     def restrict(self, deg_bound: int) -> "InvariantSpace":
         """V_d = V ∩ span(deg <= d), for d = deg_bound <= self.deg_bound.
@@ -444,7 +449,7 @@ class InvariantSpace:
         basis = basis[:, inside]
         red, piv = rref_mod(basis[:, ::-1], p)
         basis = red[len(piv) - 1::-1, ::-1] if piv else red[:0]
-        return InvariantSpace(self.fd, self.dm, deg_bound,
+        return InvariantSpace(self.dm, deg_bound,
                               [self.monomials[k] for k in inside],
                               np.ascontiguousarray(basis))
 
@@ -574,7 +579,7 @@ def solve_invariants(fd: FrobData, dm: DModule,
             e = tuple(x + s for x, s in zip(e, shift))
             rows.setdefault((ck, e), {})[k] = cf
     basis = _sparse_nullspace(list(rows.values()), len(monomials), ctx.p)
-    return InvariantSpace(fd, dm, d, monomials, basis)
+    return InvariantSpace(dm, d, monomials, basis)
 
 
 def _sparse_nullspace(rows, ncols, p) -> np.ndarray:
@@ -640,33 +645,26 @@ def solve_invariants_literal(fd: FrobData, dm: DModule, deg_bound: int,
                                   ctx.p).T)
     big = np.concatenate(mats, axis=0)
     basis = nullspace_mod(big, ctx.p)
-    return InvariantSpace(fd, dm, deg_bound, monomials, basis)
+    return InvariantSpace(dm, deg_bound, monomials, basis)
 
 
 # ---------------------------------------------------------------------------
-# rank, generators, and the inverse direction
+# rank and the inverse direction
 
-def invariant_rank(inv: InvariantSpace):
-    """Minimal generator count over O_X': dim V_D / sum t'_i V_(D-q).
+def invariant_rank(inv: InvariantSpace, low: InvariantSpace) -> int:
+    """Minimal generator count over O_X': dim V_D / sum t'_i V_(D-q), for
+    inv = V_D and low = V_(D-q).
 
-    Returns (rank, generator rows): the rows of inv.basis that are not in
-    the span of t'V_(D-q) and the basis rows before them, read off as the
-    pivot columns of one row reduction of [t'V_(D-q); basis]^T."""
+    t'_i = t_i^q is central, so it maps the coordinate of t^a e_j to that
+    of t^(a + q e_i) e_j: each t'_i V_(D-q) is low.basis scattered into
+    the columns of inv."""
     ctx = inv.dm.ctx
-    p, q = ctx.p, ctx.pm1
-    if inv.dim == 0:
-        return 0, []
-    shifted = []
-    for sec in inv.restrict(inv.deg_bound - q).sections():
-        for i in range(ctx.r):
-            tq = Poly.monomial(_along(ctx, i, q), 1, ctx.r, p)
-            moved = inv.flatten([tq * f for f in sec])
-            assert moved is not None
-            shifted.append(moved)
-    ns = len(shifted)
-    _, pivots = rref_mod(np.vstack([*shifted, inv.basis]).T, p)
-    gens = [inv.basis[c - ns] for c in pivots if c >= ns]
-    return len(gens), gens
+    shifted = np.zeros((ctx.r * low.dim, len(inv.monomials)), dtype=np.int64)
+    for i in range(ctx.r):
+        tq = _along(ctx, i, ctx.pm1)
+        cols = [inv.index[(j, mi_add(a, tq))] for j, a in low.monomials]
+        shifted[i * low.dim:(i + 1) * low.dim, cols] = low.basis
+    return inv.dim - rank_mod(shifted, ctx.p)
 
 
 def recovered_higgs(fd: FrobData, dm: DModule):
@@ -692,19 +690,20 @@ def round_trip(fd: FrobData, higgs: HiggsModule):
     """pullback -> invariants -> Higgs frame; reports every verdict.
 
     The invariants are solved once, at d + q with d = ctx.solve_bound(),
-    where the rank stability check looks; the window of degree <= d is
-    restricted from that solve."""
+    where the rank stability check looks; the windows of degree <= d and
+    <= d - q are restricted from that solve, and each window serves as
+    the t'-shifted part of the one above it."""
     ctx = fd.ctx
     dm = pullback(fd, higgs)
     d = ctx.solve_bound()
     wide = solve_invariants(fd, dm, d + ctx.pm1)
     inv = wide.restrict(d)
-    rank, _ = invariant_rank(inv)
+    rank = invariant_rank(inv, inv.restrict(d - ctx.pm1))
     n = higgs.rank
     ident = pmat_eye(n, ctx.r, ctx.p)
     members = all(inv.contains([ident[s][j] for s in range(n)])
                   for j in range(n))
-    stable = invariant_rank(wide)[0] == rank
+    stable = invariant_rank(wide, inv) == rank
     rec = recovered_higgs(fd, dm)
     rec_ok = _commuting_nilpotent(rec, n, ctx)
     exact = all(pmat_eq(a, b) for a, b in zip(rec, higgs.matrices))

@@ -1,6 +1,9 @@
 """Command-line behavior: rendered output, JSON determinism and schema,
 exit codes, and the entry points, installed or run from a checkout."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import pathlib
@@ -10,12 +13,15 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import dopm
 from dopm import diffops
 from dopm.cli import main
 from dopm.context import Context
-from dopm.simpson import worked_example
+from dopm.frobenius import FrobData
+from dopm.simpson import pullback, worked_example
 from dopm.suites import SuiteCase, SuiteReport
 
 REPO = pathlib.Path(__file__).parents[1]
@@ -201,6 +207,21 @@ def test_verify_reports_failures_with_exit_1(capsys, monkeypatch):
     assert not rep["ok"] and rep["failed"] == 1
 
 
+@pytest.mark.parametrize("flags", [("--p", "11"), ("--m", "4"), ("--m", "-1"),
+                                   ("--p", "4", "--suite", "lucas")])
+def test_verify_refuses_unsupported_parameters(capsys, flags):
+    code, out, err = run(capsys, "verify", *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_accepts_supported_parameters_off_the_grid(capsys):
+    # lucas runs p in {2, 3, 5}: p = 7 is supported, so no case is an error
+    code, out, err = run(capsys, "verify", "--p", "7", "--suite", "lucas")
+    assert (code, err) == (0, "")
+    assert out.startswith("lucas") and " 0 passed" in out
+
+
 # -- exit codes for bad input -------------------------------------------------
 
 @pytest.mark.parametrize("argv", [
@@ -233,6 +254,11 @@ JORDAN_ROW = [[], [[[0], 1]]]
     # rank key disagrees with the matrices
     ("invariants", {"p": 2, "m": 0, "r": 1, "rank": 3,
                     "matrices": [[JORDAN_ROW, [[], []]]]}),
+    # a bool or float rank, even one equal to the matrix size
+    ("invariants", {"p": 2, "m": 0, "r": 1, "rank": True,
+                    "matrices": [[[[]]]]}),
+    ("roundtrip", {"p": 2, "m": 0, "r": 1, "rank": 2.0,
+                   "matrices": [[JORDAN_ROW, [[], []]]]}),
     # D-module at m = 1 without the generator (0, 1)
     ("invariants", {"p": 2, "m": 1, "r": 1, "rank": 1,
                     "generators": [[0, 0, [[[]]]]]}),
@@ -246,8 +272,8 @@ JORDAN_ROW = [[], [[[0], 1]]]
     ("curvature", {"p": 2, "m": 1.0, "r": 1, "rank": 1,
                    "generators": [[0, 0, [[[]]]], [0, 1, [[[]]]]]}),
 ], ids=["exponent-arity", "matrix-count", "ragged", "rank-key",
-        "missing-generator", "float-p", "float-r", "bool-m",
-        "float-m-dmodule"])
+        "bool-rank", "float-rank", "missing-generator", "float-p", "float-r",
+        "bool-m", "float-m-dmodule"])
 def test_malformed_module_file_exits_2(capsys, tmp_path, command, module):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(module))
@@ -400,6 +426,86 @@ def test_well_formed_non_lifting_still_exits_3(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == "", argv
         assert err.startswith("error:") and "not t1^3" in err
+
+
+# -- mutated files ------------------------------------------------------------
+
+# valid inputs at p = 2, m = 0: a Higgs file (r = 2), a D-module file and
+# a lifting file for the Higgs file's parameters
+FUZZ_HIGGS = {"p": 2, "m": 0, "r": 2, "rank": 2,
+              "matrices": [[[[], [[[0, 0], 1]]], [[], []]],
+                           [[[], [[[1, 0], 1]]], [[], []]]]}
+FUZZ_LIFT = {"p": 2, "m": 0, "r": 2,
+             "lift": [[[[2, 0], 1], [[1, 0], 2]], [[[0, 2], 1]]]}
+JUNK = [None, True, False, -1, 0, 1, 2, 1.5, "1", [], {}, [[]], [0],
+        [[0], 1], [[[0], 1]]]
+
+
+def _paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+@st.composite
+def mutated(draw, doc):
+    """doc with one to three edits: a key or list entry dropped (ragged
+    lists), a value replaced by junk, an int replaced by a bool, or a
+    list entry repeated."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        junk = copy.deepcopy(draw(st.sampled_from(JUNK)))
+        if not path:
+            doc = junk
+            continue
+        holder = doc
+        for key in path[:-1]:
+            holder = holder[key]
+        key, value = path[-1], holder[path[-1]]
+        edit = draw(st.sampled_from(["drop", "junk", "bool", "repeat"]))
+        if edit == "drop":
+            del holder[key]
+        elif edit == "bool" and isinstance(value, int):
+            holder[key] = bool(value)
+        elif edit == "repeat" and isinstance(value, list) and value:
+            value.append(copy.deepcopy(value[-1]))
+        else:
+            holder[key] = junk
+    return doc
+
+
+def _fuzz_dmodule():
+    fd = FrobData.standard(Context(2, 0))
+    return pullback(fd, worked_example(Context(2, 0))).to_json()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), which=st.sampled_from(["higgs", "dmodule", "lift"]))
+def test_mutated_files_exit_cleanly(tmp_path_factory, data, which):
+    # every exit is 0-3, and a refusal is one error line, not a traceback
+    where = tmp_path_factory.mktemp("fuzz")
+    docs = {"higgs": FUZZ_HIGGS, "dmodule": _fuzz_dmodule(),
+            "lift": FUZZ_LIFT}
+    files = {}
+    for name, doc in docs.items():
+        if name == which:
+            doc = data.draw(mutated(doc), label=name)
+        files[name] = where / f"{name}.json"
+        files[name].write_text(json.dumps(doc))
+    module = files["dmodule" if which == "dmodule" else "higgs"]
+    lift = ["--lift", str(files["lift"])] if which == "lift" else []
+    for command in ("invariants", "roundtrip", "curvature"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--deg-bound", "2", *lift, str(module)])
+        assert code in (0, 1, 2, 3)
+        if code >= 2:
+            assert err.getvalue().startswith("error:")
+            assert err.getvalue().count("\n") == 1
 
 
 # -- entry points -------------------------------------------------------------

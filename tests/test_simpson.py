@@ -196,75 +196,10 @@ def test_invariants_of_the_worked_example():
     # n * #{t'-monomials of t-degree <= bound}; bound 3q gives 4 of them
     assert inv.deg_bound == 6
     assert inv.dim == 2 * 4
-    rank, gens = invariant_rank(inv)
-    assert rank == 2 and len(gens) == 2
+    assert invariant_rank(inv, inv.restrict(inv.deg_bound - ctx.pm1)) == 2
     ident = pmat_eye(2, 1, 2)
     for j in range(2):
         assert inv.contains([ident[s][j] for s in range(2)])
-
-
-def invariant_rank_reference(inv):
-    """The greedy generator choice as a loop: one rank_mod per basis row,
-    keeping a row when it raises the rank of t'V_(D-q) plus the rows kept
-    so far."""
-    ctx = inv.dm.ctx
-    p, q = ctx.p, ctx.pm1
-    if inv.dim == 0:
-        return 0, []
-    shifted = []
-    for sec in inv.restrict(inv.deg_bound - q).sections():
-        for i in range(ctx.r):
-            tq = Poly.monomial(tuple(q if k == i else 0 for k in range(ctx.r)),
-                               1, ctx.r, p)
-            shifted.append(inv.flatten([tq * f for f in sec]))
-    span = np.array(shifted, dtype=np.int64) if shifted else \
-        np.zeros((0, inv.basis.shape[1]), dtype=np.int64)
-    span_rank = rank_mod(span, p)
-    rank = inv.dim - span_rank
-    gens = []
-    cur, cur_rank = span, span_rank
-    for row in inv.basis:
-        cand = np.vstack([cur, row]) if cur.size else row.reshape(1, -1)
-        rk = rank_mod(cand, p)
-        if rk > cur_rank:
-            gens.append(row)
-            cur, cur_rank = cand, rk
-        if len(gens) == rank:
-            break
-    return rank, gens
-
-
-@pytest.mark.parametrize("ctx, n, lift_seed, linear", [
-    (Context(2, 0), 1, None, False),
-    (Context(3, 0), 2, None, True),
-    (Context(5, 0), 3, None, False),
-    (Context(2, 1), 2, None, True),
-    (Context(3, 0), 3, 4, True),
-    (Context(2, 0, r=2), 1, None, True),
-    (Context(2, 0, r=2), 2, 6, False),
-    (Context(3, 0, r=2), 2, None, True),
-    (Context(2, 0, r=2), 3, None, True),
-], ids=lambda v: str(v) if not isinstance(v, Context)
-    else f"p{v.p}m{v.m}r{v.r}")
-def test_invariant_rank_picks_the_greedy_generators(ctx, n, lift_seed,
-                                                    linear):
-    fd = FrobData.standard(ctx) if lift_seed is None else _strong(ctx,
-                                                                  lift_seed)
-    higgs = random_higgs(ctx, random.Random(f"{ctx}/{n}"), n, linear=linear)
-    inv = solve_invariants(fd, pullback(fd, higgs))
-    # the rank and the greedy choice hold for any basis; a shuffled one
-    # makes the generators something other than the leading rows
-    order = list(range(inv.dim))
-    random.Random(inv.dim).shuffle(order)
-    shuffled = InvariantSpace(fd, inv.dm, inv.deg_bound, inv.monomials,
-                              inv.basis[order])
-    for window in (inv, inv.restrict(inv.deg_bound - ctx.pm1), shuffled):
-        rank, gens = invariant_rank(window)
-        want_rank, want = invariant_rank_reference(window)
-        assert rank == want_rank == n
-        assert len(gens) == len(want)
-        for got, ref in zip(gens, want):
-            assert np.array_equal(got, ref)
 
 
 def test_invariant_sections_really_are_invariant():
@@ -592,6 +527,150 @@ def test_sparse_solve_equals_the_dense_one(monkeypatch, ctx, lift_seed,
         assert mat.shape[0]
 
 
+def row_space_contains(basis, v, p):
+    """Membership by rank, the check that `InvariantSpace.contains`
+    replaced: v is in the row space iff appending it keeps the rank."""
+    if basis.shape[0] == 0:
+        return not np.any(v % p)
+    return rank_mod(np.vstack([basis, v]), p) == rank_mod(basis, p)
+
+
+@pytest.mark.parametrize("ctx, lift_seed, field, gauge", SOLVER_CASES,
+                         ids=SOLVER_IDS)
+def test_contains_agrees_with_the_rank_test(ctx, lift_seed, field, gauge):
+    fd, dm = _solver_case(ctx, lift_seed, field, gauge)
+    inv = solve_invariants(fd, dm)
+    p = ctx.p
+    free = [np.flatnonzero(row)[-1] for row in inv.basis]
+    others = [c for c in range(len(inv.monomials)) if c not in free]
+    rows = [*inv.basis,
+            *(inv.basis[:-1] + inv.basis[1:]) % p,
+            inv.basis.sum(axis=0) % p,
+            np.zeros(len(inv.monomials), dtype=np.int64)]
+    for v in rows:
+        assert inv.contains(inv.section(v))
+        assert row_space_contains(inv.basis, v, p)
+    # a basis row changed off the free columns leaves the span
+    for k, row in enumerate(inv.basis):
+        c = next((c for c in np.flatnonzero(row) if c != free[k]),
+                 others[k % len(others)])
+        v = row.copy()
+        v[c] = (v[c] + 1) % p
+        assert not inv.contains(inv.section(v))
+        assert not row_space_contains(inv.basis, v, p)
+    # and so does a section of degree above the window
+    top = [Poly.zero(ctx.r, p) for _ in range(dm.rank)]
+    top[0] = Poly.monomial(mi_scale(mi_unit(ctx.r, 0), inv.deg_bound + 1),
+                           1, ctx.r, p)
+    assert inv.flatten(top) is None and not inv.contains(top)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_contains_reads_any_canonical_basis(p):
+    # invariant bases are sparse enough that a row's first nonzero is
+    # often its own too; the kernel of a random matrix shares pivot
+    # columns between rows, so only the last nonzero column will do
+    ctx = Context(p, 0)
+    dm = pullback(FrobData.standard(ctx), jordan_higgs(ctx, 2))
+    monomials = [(j, (e,)) for e in range(6) for j in range(2)]
+    rng = np.random.default_rng(p)
+    basis = nullspace_mod(rng.integers(0, p, (4, len(monomials))), p)
+    inv = InvariantSpace(dm, 5, monomials, basis)
+    for _ in range(50):
+        member = rng.integers(0, p, inv.dim) @ basis % p
+        other = rng.integers(0, p, len(monomials))
+        for v in (member, other):
+            assert inv.contains(inv.section(v)) == \
+                row_space_contains(basis, v, p)
+        assert inv.contains(inv.section(member))
+
+
+def invariant_rank_reference(inv):
+    """The rank through polynomials: every section of V_(D-q) times each
+    t'_i as a Poly, flattened back into inv's coordinates, and dim V_D
+    less the rank of those."""
+    ctx = inv.dm.ctx
+    p, q = ctx.p, ctx.pm1
+    shifted = []
+    for sec in inv.restrict(inv.deg_bound - q).sections():
+        for i in range(ctx.r):
+            tq = Poly.monomial(mi_scale(mi_unit(ctx.r, i), q), 1, ctx.r, p)
+            moved = inv.flatten([tq * f for f in sec])
+            assert moved is not None
+            shifted.append(moved)
+    return inv.dim - rank_mod(np.array(shifted, dtype=np.int64), p)
+
+
+RANK_CASES = [
+    (Context(2, 0), 1, None, False, False),
+    (Context(3, 0), 2, None, True, False),
+    (Context(5, 0), 3, None, False, False),
+    (Context(2, 1), 2, None, True, False),
+    (Context(3, 0), 3, 4, True, False),
+    (Context(2, 0, r=2), 1, None, True, False),
+    (Context(2, 0, r=2), 2, 6, False, False),
+    (Context(3, 0, r=2), 2, None, True, False),
+    (Context(2, 0, r=2), 3, None, True, False),
+    (Context(2, 0), 2, None, True, True),
+    (Context(3, 0), 2, None, True, True),
+    (Context(2, 1), 2, None, True, True),
+    (Context(2, 0, r=2), 2, None, True, True),
+    (Context(2, 0, r=2), 3, 6, False, True),
+]
+
+
+@pytest.mark.parametrize(
+    "ctx, n, lift_seed, linear, gauge", RANK_CASES,
+    ids=[f"p{c.p}m{c.m}r{c.r}-{n}-{seed}-{linear}" + ("-gauged" if g else "")
+         for c, n, seed, linear, g in RANK_CASES])
+def test_invariant_rank_picks_the_greedy_generators(monkeypatch, ctx, n,
+                                                    lift_seed, linear, gauge):
+    # the rank is the number of generators a greedy pick over the basis
+    # keeps: dim V_D less the rank of t'V_(D-q), which invariant_rank
+    # reads off column moves, with no Poly, and the reference off Polys
+    fd = FrobData.standard(ctx) if lift_seed is None else _strong(ctx,
+                                                                  lift_seed)
+    higgs = random_higgs(ctx, random.Random(f"{ctx}/{n}"), n, linear=linear)
+    dm = (_gauged_pullback if gauge else pullback)(fd, higgs)
+    inv = solve_invariants(fd, dm)
+    if gauge:
+        assert max(np.count_nonzero(row) for row in inv.basis) >= 2
+    made = []
+    init = Poly.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    q = ctx.pm1
+    for window in (inv, inv.restrict(inv.deg_bound - q)):
+        low = window.restrict(window.deg_bound - q)
+        monkeypatch.setattr(Poly, "__init__", counting)
+        rank = invariant_rank(window, low)
+        monkeypatch.undo()
+        assert not made
+        assert type(rank) is int
+        assert rank == invariant_rank_reference(window) == n
+
+
+def test_round_trip_restricts_twice(monkeypatch):
+    # the wide solve is restricted to d, and that window to d - q; each
+    # window is the t'-shifted part of the one above it
+    ctx = Context(3, 0)
+    bounds = []
+    restrict = InvariantSpace.restrict
+
+    def spy(self, deg_bound):
+        bounds.append((self.deg_bound, deg_bound))
+        return restrict(self, deg_bound)
+
+    monkeypatch.setattr(InvariantSpace, "restrict", spy)
+    rep = round_trip(FrobData.standard(ctx), jordan_higgs(ctx, 2))
+    d, q = ctx.solve_bound(), ctx.pm1
+    assert bounds == [(d + q, d), (d, d - q)]
+    assert rep["rank"] == 2 and rep["stable"] and rep["members"]
+
+
 @pytest.mark.parametrize("ctx, n", [
     (Context(2, 0), 2), (Context(3, 0), 3), (Context(2, 1), 2),
     (Context(2, 0, r=2), 2), (Context(3, 1), 2)],
@@ -695,8 +774,7 @@ def test_constants_are_invariant_for_cubes():
     ident = pmat_eye(3, 2, 2)
     for j in range(3):
         assert inv.contains([ident[s][j] for s in range(3)])
-    rank, _ = invariant_rank(inv)
-    assert rank == 3
+    assert invariant_rank(inv, inv.restrict(inv.deg_bound - ctx.pm1)) == 3
 
 
 # -- the round trip -----------------------------------------------------------
