@@ -58,13 +58,9 @@ def _ctx(args, pmr=None) -> Context:
             if flag is not None and flag != val:
                 raise CliError(
                     f"--{name} {flag} disagrees with the file ({name}={val})")
-    kw = {}
-    if args.tau_trunc is not None:
-        kw["tau_trunc"] = args.tau_trunc
-    if args.theta_trunc is not None:
-        kw["theta_trunc"] = args.theta_trunc
-    if args.deg_bound is not None:
-        kw["deg_bound"] = args.deg_bound
+    kw = {name: getattr(args, name)
+          for name in ("tau_trunc", "theta_trunc", "deg_bound")
+          if getattr(args, name, None) is not None}     # verify has none
     try:
         return Context(*pmr, **kw)
     except ValueError as e:
@@ -83,11 +79,13 @@ def _setup(args, pmr=None, need_fd=True):
             except (KeyError, TypeError):
                 raise CliError(f"{args.lift}: not a lifting file")
     ctx = _ctx(args, pmr)
+    # a lifting file is checked even where only its p/m/r are used
+    lifting = None if lift_data is None else lifting_from_json(lift_data, ctx)
     if not need_fd:
         return ctx, None
-    if lift_data is None:
+    if lifting is None:
         return ctx, FrobData.standard(ctx)
-    return ctx, FrobData(ctx, lifting_from_json(lift_data, ctx))
+    return ctx, FrobData(ctx, lifting)
 
 
 def _emit(args, obj, text) -> int:
@@ -308,11 +306,23 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_common(sp) -> None:
+class _Parser(argparse.ArgumentParser):
+    """A flag error is malformed input: exit 2 with one `error:` line."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
+def _add_context(sp) -> None:
     sp.add_argument("--p", type=int, default=None, help="prime (default 2)")
     sp.add_argument("--m", type=int, default=None, help="level (default 0)")
     sp.add_argument("--r", type=int, default=None,
                     help="number of coordinates (default 1)")
+    sp.add_argument("--json", action="store_true",
+                    help="machine-readable output")
+
+
+def _add_window(sp) -> None:
     sp.add_argument("--tau-trunc", type=int, default=None, dest="tau_trunc",
                     help="max tau-degree kept in divided-power data")
     sp.add_argument("--theta-trunc", type=int, default=None,
@@ -321,14 +331,10 @@ def _add_common(sp) -> None:
                     help="max t-degree in linear solves")
     sp.add_argument("--lift", default="std", metavar="FILE|std",
                     help="Frobenius lifting: 'std' or a JSON file")
-    sp.add_argument("--json", action="store_true",
-                    help="machine-readable output")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="seed for randomized suites")
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="dopm",
         description="Exact arithmetic differential operators of level m "
                     "in characteristic p: curvature, Frobenius splitting, "
@@ -384,12 +390,17 @@ def main(argv=None) -> int:
     sp.add_argument("file")
     sp.set_defaults(handler=cmd_roundtrip)
 
+    for sp in sub.choices.values():
+        _add_context(sp)
+        _add_window(sp)
+
+    # verify reads only the context flags, its suite and its seed
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--suite", default="all", choices=[*SUITES, "all"])
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed for randomized suites")
+    _add_context(sp)
     sp.set_defaults(handler=cmd_verify)
-
-    for sp in sub.choices.values():
-        _add_common(sp)
 
     args = ap.parse_args(argv)
     try:

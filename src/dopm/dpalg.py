@@ -7,10 +7,11 @@ tau^{s}, with the multiplication law
 
 Usual divided powers gamma_k are computed in the *rational model*: lift
 coefficients to Z, identify tau^{s} with  prod tau_i^{s_i} / q_{s_i}!,
-compute w^k/k! exactly over Q, re-express in the brace basis, check
-every coefficient is p-integral, reduce.  That model is the single
-source of truth; the closed-form structure constants are cross-checked
-against it in the suites.
+compute w^k/k! exactly over Q (integer numerators over one common
+denominator), re-express in the brace basis, check every coefficient is
+p-integral, reduce.  That model is the single source of truth; the
+closed-form structure constants are cross-checked against it in the
+suites.
 
 w^k/k! has one implementation, the tower gamma_k = gamma_{k-1} * w / k
 (`GammaTower`).  A tower keeps its rational steps, so a caller that needs
@@ -22,6 +23,7 @@ oracle.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .context import Context
 from .poly import Poly
@@ -180,37 +182,39 @@ def comult_basis(ctx: Context, n, mod):
 # the rational model and usual divided powers
 
 class RatDP:
-    """Plain-basis model over exact rationals: keys are (t-exps, tau-exps),
-    values Fractions, with tau^{s} standing for  prod tau_i^{s_i}/q_{s_i}!.
-    Truncation is by total tau-degree above ctx.tau_trunc (sound:
-    tau-degrees only ever add)."""
+    """Plain-basis model over Q: keys are (t-exps, tau-exps), with tau^{s}
+    standing for  prod tau_i^{s_i}/q_{s_i}!.  Each value is an integer
+    numerator over the one common denominator `den`, so products multiply
+    integers and no step reduces a fraction; `to_dp` does that once per
+    output term.  Truncation is by total tau-degree above ctx.tau_trunc
+    (sound: tau-degrees only ever add)."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "terms", "den")
 
-    def __init__(self, ctx, terms):
+    def __init__(self, ctx, terms, den=1):
         self.ctx = ctx
         self.terms = {k: v for k, v in terms.items() if v}
+        self.den = den
 
     @classmethod
     def one(cls, ctx):
-        return cls(ctx, {(mi_zero(ctx.r), mi_zero(ctx.r)): Fraction(1)})
+        return cls(ctx, {(mi_zero(ctx.r), mi_zero(ctx.r)): 1})
 
     @classmethod
     def from_dp(cls, w: DPElem, lift=None):
-        """Lift a mod-p element into the model.  `lift(s, e, c)` chooses the
-        integer representative of each coefficient (default: c as stored,
-        i.e. the 0..p-1 representative); the result of any gamma computation
-        is independent of this choice, which tests randomize."""
-        p = w.ctx.p
+        """Lift a mod-p element into the model, over the lcm of its
+        prod q_{s_i}! denominators.  `lift(s, e, c)` chooses the integer
+        representative of each coefficient (default: c as stored, i.e. the
+        0..p-1 representative); the result of any gamma computation is
+        independent of this choice, which tests randomize."""
+        dens = {s: _q_fact_mi(s, w.ctx) for s in w.coeffs}
+        den = lcm(*dens.values())
         terms = {}
         for s, f in w.coeffs.items():
-            den = 1
-            for si in s:
-                den *= q_fact(si, p, w.ctx.m)
             for e, c in f.coeffs.items():
                 ci = lift(s, e, c) if lift else c
-                terms[(e, s)] = Fraction(ci, den)
-        return cls(w.ctx, terms)
+                terms[(e, s)] = ci * (den // dens[s])
+        return cls(w.ctx, terms, den)
 
     def __mul__(self, other):
         trunc = self.ctx.tau_trunc
@@ -221,12 +225,16 @@ class RatDP:
                 if mi_sum(se) > trunc:
                     continue
                 k = (mi_add(te1, te2), se)
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return RatDP(self.ctx, out)
+                out[k] = out.get(k, 0) + c1 * c2
+        return RatDP(self.ctx, out, self.den * other.den)
 
     def scale(self, c):
+        """c * self for a rational c: its numerator goes into every
+        numerator, its denominator into `den`."""
+        c = Fraction(c)
         return RatDP(self.ctx,
-                     {k: Fraction(c) * v for k, v in self.terms.items()})
+                     {k: c.numerator * v for k, v in self.terms.items()},
+                     self.den * c.denominator)
 
     def to_dp(self, mod) -> DPElem:
         """Back to the brace basis; asserts p-integrality of every
@@ -234,10 +242,7 @@ class RatDP:
         p = self.ctx.p
         slots: dict = {}
         for (te, se), c in self.terms.items():
-            mult = 1
-            for si in se:
-                mult *= q_fact(si, p, self.ctx.m)
-            b = c * mult
+            b = Fraction(c * _q_fact_mi(se, self.ctx), self.den)
             if b.denominator % p == 0:
                 raise ArithmeticError(
                     f"gamma output not p-integral at tau^{se}: {b}")
@@ -245,6 +250,14 @@ class RatDP:
             cur[te] = cur.get(te, 0) + (frac_mod(b, mod) if mod is not None else b)
         polys = {s: Poly(d, self.ctx.r, mod) for s, d in slots.items()}
         return DPElem(self.ctx, polys, mod)
+
+
+def _q_fact_mi(s, ctx: Context) -> int:
+    """prod q_{s_i}!, the plain-basis denominator of tau^{s}."""
+    out = 1
+    for si in s:
+        out *= q_fact(si, ctx.p, ctx.m)
+    return out
 
 
 class GammaTower:

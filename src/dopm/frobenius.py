@@ -29,8 +29,8 @@ from .context import Context
 from .diffops import DiffOp, theta_power, zo_decompose
 from .dpalg import DPElem, GammaTower, taylor
 from .poly import MalformedInput, Poly, is_int, poly_from_json, poly_to_json
-from .scalars import (box, degree_box, div_p_fact, mi_scale, mi_sum, mi_unit,
-                      mi_zero)
+from .scalars import (box, brace_mi_mod, degree_box, div_p_fact, mi_add,
+                      mi_le, mi_scale, mi_sum, mi_unit, mi_zero)
 
 
 class NotALifting(ValueError):
@@ -168,9 +168,10 @@ class FrobData:
     State is per instance; each instance owns one lifting, so nothing
     mixes moduli or levels.  Per coordinate j it keeps one GammaTower of
     w_j, extended as far as phi has asked, and gamma_{c_j}(w_j) reduced
-    mod p for each k asked for; per multi-index c it keeps the product
-    prod_j gamma_{c_j}(w_j) that phi_basis reads; and it caches the phi,
-    phi_center_inv and phi_tilde images of basis operators.
+    mod p for each k asked for; `gamma_coeff` reads single coefficients
+    of prod_j gamma_{c_j}(w_j) off those without forming the product; and
+    it caches the phi, phi_center_inv and phi_tilde images of basis
+    operators.
     """
 
     def __init__(self, ctx: Context, lifting: LiftingZ):
@@ -184,7 +185,6 @@ class FrobData:
         self.ws = divided_frob_tau(ctx, lifting)
         self._towers = [GammaTower(w) for w in self.ws]
         self._gammas: dict = {}
-        self._products: dict = {}
         self._phi: dict = {}
         self._phi_inv: dict = {}
         self._phi_tw: dict = {}
@@ -213,15 +213,45 @@ class FrobData:
             self._gammas[key] = self._towers[j].rational(k).to_dp(self.ctx.p)
         return self._gammas[key]
 
-    def gamma_product(self, c) -> DPElem:
-        """prod_j gamma_{c_j}(w_j), built once per multi-index c."""
-        c = tuple(c)
-        if c not in self._products:
-            out = self.gamma_w(0, c[0])
-            for j in range(1, self.ctx.r):
-                out = out * self.gamma_w(j, c[j])
-            self._products[c] = out
-        return self._products[c]
+    def gamma_coeff(self, c, n) -> Poly | None:
+        """[tau^{n}] prod_j gamma_{c_j}(w_j), or None when no term reaches
+        tau^{n}.
+
+        The sum over splits a_1 + ... + a_r = n of
+        prod_j [tau^{a_j}] gamma_{c_j}(w_j), each split weighted by the
+        brace constants {a_1 + .. + a_(j-1) + a_j \\ a_j} that DPElem
+        multiplication applies factor by factor.  Only a_j <= n can take
+        part, and the last a_r is a lookup, so at r = 1 this is one."""
+        ctx = self.ctx
+        p, m, r = ctx.p, ctx.m, ctx.r
+        splits = [(mi_zero(r), 1, ())]      # (a_1 + .. + a_j, weight, factors)
+        for j in range(r - 1):
+            coeffs = self.gamma_w(j, c[j]).coeffs
+            nxt = []
+            for part, wt, fs in splits:
+                for a, f in coeffs.items():
+                    s = mi_add(part, a)
+                    if not mi_le(s, n):
+                        continue
+                    w = wt * brace_mi_mod(part, a, p, m, p) % p
+                    if w:
+                        nxt.append((s, w, fs + (f,)))
+            splits = nxt
+        last = self.gamma_w(r - 1, c[r - 1]).coeffs
+        out = None
+        for part, wt, fs in splits:
+            a = tuple(x - y for x, y in zip(n, part))
+            g = last.get(a)
+            if g is None:
+                continue
+            wt = wt * brace_mi_mod(part, a, p, m, p) % p
+            if not wt:
+                continue
+            for f in fs:
+                g = f * g
+            g = g.scale(wt)
+            out = g if out is None else out + g
+        return out
 
 
 def _pm_divisible(h: Poly, pm: int) -> bool:
@@ -236,7 +266,8 @@ def _reject_strong(j, h):
 # phi and its restriction to the center
 
 def phi_basis(fd: FrobData, n) -> DiffOp:
-    """phi(d^<n>) = sum_c [tau^{n}](prod_j gamma_{c_j}(w_j)) d^<c p^(m+1)>.
+    """phi(d^<n>) = sum_c [tau^{n}](prod_j gamma_{c_j}(w_j)) d^<c p^(m+1)>,
+    each coefficient read by `FrobData.gamma_coeff`.
 
     Finite: gamma_{c_j}(w_j) starts in tau-degree c_j p^m, so only
     |c| <= |n|/p^m contributes.  Exact as long as |n| <= ctx.tau_trunc.
@@ -250,7 +281,7 @@ def phi_basis(fd: FrobData, n) -> DiffOp:
             f"phi(d^<{n}>) needs tau_trunc >= {mi_sum(n)}, have {ctx.tau_trunc}")
     out = DiffOp.zero(ctx)
     for c in degree_box(mi_sum(n) // ctx.pm, ctx.r):
-        g = fd.gamma_product(c).coeffs.get(n)
+        g = fd.gamma_coeff(c, n)
         if g:
             out = out + DiffOp.dpartial(ctx, mi_scale(c, ctx.pm1), coeff=g)
     fd._phi[n] = out

@@ -99,8 +99,19 @@ def brace_mi_mod(k, l, p: int, m: int, mod: int) -> int:
     return out
 
 
+@lru_cache(maxsize=None)
+def angle_mod(k: int, l: int, p: int, m: int, mod: int) -> int:
+    """angle(k, l) reduced mod `mod`."""
+    return frac_mod(angle(k, l, p, m), mod)
+
+
 def angle_mi_mod(k, l, p: int, m: int, mod: int) -> int:
-    return frac_mod(angle_mi(k, l, p, m), mod)
+    """angle_mi(k, l) mod `mod`, as the product of the coordinates'
+    residues; angle_mi is its oracle."""
+    out = 1
+    for a, b in zip(k, l):
+        out = out * angle_mod(a, b, p, m, mod) % mod
+    return out
 
 
 def dp_monomial_action(s, h, p: int, m: int) -> int:

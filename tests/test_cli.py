@@ -215,6 +215,26 @@ def test_verify_refuses_unsupported_parameters(capsys, flags):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "lucas", "--lift", "/no/such/file.json",
+     "--deg-bound", "5"),
+    ("verify", "--lift", "std"),
+    ("verify", "--tau-trunc", "9"),
+    ("verify", "--theta-trunc", "2"),
+    ("mul", "--seed", "3", "d1"),
+    ("verify", "--suite", "nosuch"),
+    ("mul", "--p", "x", "d1"),
+], ids=["verify-lift-deg-bound", "verify-lift", "verify-tau-trunc",
+        "verify-theta-trunc", "mul-seed", "unknown-suite", "non-integer-p"])
+def test_flags_a_command_does_not_read_exit_2(capsys, argv):
+    # each command takes only the flags it reads; a flag error is one line
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_verify_accepts_supported_parameters_off_the_grid(capsys):
     # lucas runs p in {2, 3, 5}: p = 7 is supported, so no case is an error
     code, out, err = run(capsys, "verify", "--p", "7", "--suite", "lucas")
@@ -374,8 +394,10 @@ def test_custom_lifting_file_works(capsys, tmp_path):
 
 
 def lifting_commands(tmp_path, lift_path):
-    """phi reads p, m, r from the lifting file; roundtrip from the module."""
+    """phi and mul read p, m, r from the lifting file; roundtrip from the
+    module.  mul uses no lifting, but checks the file it is given."""
     return [("phi", "--lift", lift_path, "d1"),
+            ("mul", "--lift", lift_path, "d1"),
             ("roundtrip", "--lift", lift_path,
              write_higgs(tmp_path, Context(3, 0)))]
 

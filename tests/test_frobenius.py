@@ -131,6 +131,44 @@ def tower_fd(pmr, lifting):
     return FrobData(ctx, random_strong_lifting(ctx, random.Random(str(pmr))))
 
 
+def fraction_gammas(w, big_k, mod):
+    """gamma_0(w), .., gamma_K(w) as w^k/k!, with none of dpalg's rational
+    model: Fraction values on (t-exponent, tau-exponent) keys, tau^s
+    plain, each value taken back to the brace basis through
+    prod q_{s_i}! and reduced mod `mod` (None keeps the Fractions)."""
+    ctx = w.ctx
+    zero = (0,) * ctx.r
+
+    def q_fact(s):
+        out = 1
+        for x in s:
+            out *= factorial(x // ctx.pm)
+        return out
+
+    plain = {(e, s): Fraction(c, q_fact(s))
+             for s, f in w.coeffs.items() for e, c in f.coeffs.items()}
+    power = {(zero, zero): Fraction(1)}
+    out = []
+    for k in range(big_k + 1):
+        if k:
+            nxt = {}
+            for (e1, s1), v1 in power.items():
+                for (e2, s2), v2 in plain.items():
+                    s = tuple(a + b for a, b in zip(s1, s2))
+                    if sum(s) <= ctx.tau_trunc:
+                        key = (tuple(a + b for a, b in zip(e1, e2)), s)
+                        nxt[key] = nxt.get(key, 0) + v1 * v2
+            power = nxt
+        slots = {}
+        for (e, s), v in power.items():
+            b = v * q_fact(s) / factorial(k)
+            assert b.denominator % ctx.p
+            slots.setdefault(s, {})[e] = b if mod is None else frac_mod(b, mod)
+        out.append(DPElem(ctx, {s: Poly(d, ctx.r, mod)
+                                for s, d in slots.items()}, mod))
+    return out
+
+
 @pytest.mark.parametrize("lifting", ["std", "random"])
 @pytest.mark.parametrize("pmr", TOWER_PMR, ids=str)
 def test_gamma_tower_is_the_from_scratch_oracle(pmr, lifting):
@@ -141,12 +179,34 @@ def test_gamma_tower_is_the_from_scratch_oracle(pmr, lifting):
             for j, w in enumerate(fd.ws) for k in range(big_k + 1)}
     for (j, k), g in want.items():
         assert fd.gamma_w(j, k) == g
+    # gamma_coeff is [tau^{n}] of the full product prod_j gamma_{c_j}(w_j),
+    # at every n of its support and at the n one step off it (no term)
     for c in degree_box(big_k, ctx.r):
         prod = want[0, c[0]]
         for j in range(1, ctx.r):
             prod = prod * want[j, c[j]]
-        assert fd.gamma_product(c) == prod
-        assert fd.gamma_product(list(c)) is fd.gamma_product(c)
+        for n, g in prod.coeffs.items():
+            assert fd.gamma_coeff(c, n) == g
+        off = {tuple(x + (i == j) for j, x in enumerate(n))
+               for n in prod.coeffs for i in range(ctx.r)}
+        for n in off - prod.coeffs.keys():
+            if sum(n) <= ctx.tau_trunc:
+                assert not fd.gamma_coeff(c, n)
+
+
+@pytest.mark.parametrize("lifting", ["std", "random"])
+@pytest.mark.parametrize("pmr", TOWER_PMR, ids=str)
+def test_gamma_is_the_fraction_oracle(pmr, lifting):
+    fd = tower_fd(pmr, lifting)
+    ctx = fd.ctx
+    big_k = ctx.tau_trunc // ctx.pm
+    for j, w in enumerate(fd.ws):
+        exact = fraction_gammas(w, big_k, None)
+        reduced = fraction_gammas(w, big_k, ctx.p)
+        for k in range(big_k + 1):
+            assert gamma_dp(w, k, mod=None) == exact[k]
+            assert gamma_dp(w, k) == reduced[k]
+            assert fd.gamma_w(j, k) == reduced[k]
 
 
 @pytest.mark.parametrize("lifting", ["std", "random"])
@@ -162,18 +222,25 @@ def test_gamma_requests_in_any_order(pmr, lifting):
 @pytest.mark.parametrize("ctx, lift_seed", [
     (Context(3, 0), None), (Context(2, 1, r=2), None),
     (Context(3, 0, r=2), 3), (Context(2, 0, r=3), None),
-], ids=["p3m0", "p2m1r2", "p3m0r2-lifted", "p2m0r3"])
+    (Context(2, 0, r=3), 3),
+], ids=["p3m0", "p2m1r2", "p3m0r2-lifted", "p2m0r3", "p2m0r3-lifted"])
 def test_phi_builds_one_tower_per_coordinate(monkeypatch, ctx, lift_seed):
     # every rational product is a tower step w_j * gamma_(k-1); phi of an
-    # operator of order 3q needs gamma_k for k <= K = 3q / p^m
-    steps = Counter()
-    mul = RatDP.__mul__
+    # operator of order 3q needs gamma_k for k <= K = 3q / p^m, and reads
+    # single coefficients of prod_j gamma_{c_j}(w_j) without a DPElem product
+    steps, dp_products = Counter(), []
+    rat_mul, dp_mul = RatDP.__mul__, DPElem.__mul__
 
     def counting(self, other):
         steps[id(other)] += 1
-        return mul(self, other)
+        return rat_mul(self, other)
+
+    def dp_counting(self, other):
+        dp_products.append(other)
+        return dp_mul(self, other)
 
     monkeypatch.setattr(RatDP, "__mul__", counting)
+    monkeypatch.setattr(DPElem, "__mul__", dp_counting)
     fd = FrobData.standard(ctx) if lift_seed is None else \
         FrobData(ctx, random_strong_lifting(ctx, random.Random(lift_seed),
                                             deg=2))
@@ -181,8 +248,9 @@ def test_phi_builds_one_tower_per_coordinate(monkeypatch, ctx, lift_seed):
     op = DiffOp.zero(ctx)
     for j in range(ctx.r):
         op = op + DiffOp.dpartial(ctx, mi_scale(mi_unit(ctx.r, j), 3 * q))
-    phi(fd, op)
+    assert phi(fd, op)
     big_k = 3 * q // ctx.pm
+    assert not dp_products
     assert len(steps) == ctx.r
     assert all(n <= big_k for n in steps.values())
 

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dopm.scalars import (angle, angle_mi, binom_mod_p2, box, box_le, brace,
-                          brace_mi, degree_box, div_p_fact,
+from dopm.scalars import (angle, angle_mi, angle_mi_mod, binom_mod_p2, box,
+                          box_le, brace, brace_mi, degree_box, div_p_fact,
                           dp_monomial_action, dp_power_factor, frac_mod,
                           lucas_closed_form, mi_add, mi_le, mi_min, mi_scale,
                           mi_sub, mi_sum, mi_unit, mi_zero, q_fact, q_part,
@@ -121,6 +121,21 @@ def test_multi_index_constants_are_products():
             brace(3, 4, p, m) * brace(5, 1, p, m) * brace(2, 7, p, m)
         assert angle_mi(k, l, p, m) == \
             angle(3, 4, p, m) * angle(5, 1, p, m) * angle(2, 7, p, m)
+
+
+@pytest.mark.parametrize("m", range(4))
+@pytest.mark.parametrize("p", PRIMES)
+def test_angle_residues_are_the_rational_product(p, m):
+    # every supported (p, m), at the exponents where q_k = k // p^m
+    # turns: around 0, p^m and p^(m+1), and one value past 2 p^(m+1)
+    g, q = p**m, p ** (m + 1)
+    grain = sorted({0, 1, g - 1, g, g + 1, q - 1, q, 2 * q + 3})
+    pairs = [(a, b) for a in grain for b in grain]
+    for mod in (p, p * p):
+        for k in pairs:
+            for l in pairs:
+                assert angle_mi_mod(k, l, p, m, mod) == \
+                    frac_mod(angle_mi(k, l, p, m), mod), (k, l, mod)
 
 
 # -- the basis action ---------------------------------------------------------
