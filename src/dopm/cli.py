@@ -9,13 +9,14 @@ output with deterministic field order.
 Exit codes are stable: 0 success, 1 failed verification or round trip,
 2 malformed input (flags, expression syntax, file shape), 3 domain
 error (lifting not strong, module not quasi-nilpotent, parameter
-mismatch).
+mismatch), 141 standard output closed before everything was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .context import Context
@@ -28,6 +29,10 @@ from .simpson import (DModule, HiggsModule, MalformedInput, NotQuasiNilpotent,
                       curvature_of, invariant_rank, pullback, round_trip,
                       solve_invariants)
 from .suites import SUITES, run_suite
+
+
+# 128 + SIGPIPE: what a shell reports for `yes | head -1`
+EXIT_BROKEN_PIPE = 141
 
 
 class CliError(Exception):
@@ -404,7 +409,15 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (`dopm ... | head`): exit as a
+        # shell reports a writer stopped by SIGPIPE, and point stdout at
+        # devnull so the flush at shutdown cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (CliError, ExprError, MalformedInput) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

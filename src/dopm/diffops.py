@@ -12,27 +12,75 @@ elements theta_i = d^<p^(m+1) e_i>, which kill O_X because q(p^(m+1)) = p.
 
 from __future__ import annotations
 
+from itertools import product
 from math import factorial
+from operator import sub
 
 from .context import Context
-from .poly import Poly
-from .scalars import (angle, angle_mi_mod, box, box_le, brace_mi_mod,
-                      dp_monomial_action, frac_mod, mi_add, mi_min, mi_scale,
-                      mi_sub, mi_sum, mi_unit, mi_zero)
+from .poly import Poly, mac, reduced
+from .scalars import (angle, angle_mi_mod, box, dp_residues, frac_mod,
+                      leibniz_weights, mi_add, mi_scale, mi_sum, mi_unit,
+                      mi_zero)
+
+
+def dp_coeffs(s, coeffs: dict, p: int, m: int) -> dict:
+    """d^<s> on a coefficient dict mod p: {h - s: c * prod_i q_(s_i)!
+    C(h_i, s_i)}, from the cached `dp_residues` of each coordinate.  The
+    values are reduced and nonzero, and distinct h give distinct keys."""
+    cols = [(i, dp_residues(x, p, m)) for i, x in enumerate(s) if x]
+    if not cols:
+        return dict(coeffs)
+    out = {}
+    for h, c in coeffs.items():
+        for i, row in cols:
+            c = c * row[h[i] % len(row)]
+            if not c:
+                break
+        else:
+            out[tuple(map(sub, h, s))] = c % p
+    return out
 
 
 def apply_dp(ctx: Context, s, f: Poly) -> Poly:
-    """d^<s>(f) for a single basis operator; exact on monomials."""
-    out: dict = {}
-    mod = f.mod
-    for h, c in f.coeffs.items():
-        a = dp_monomial_action(s, h, ctx.p, ctx.m)
-        if not a:
+    """d^<s>(f) for a single basis operator and f mod p."""
+    return Poly._trusted(dp_coeffs(s, f.coeffs, ctx.p, ctx.m), ctx.r, ctx.p,
+                         f.var)
+
+
+def leibniz(ctx: Context, out: dict, k, g: Poly, l, targets) -> None:
+    """Accumulate d^<k> * g * d^<l>
+        = sum_(a + j = k) {k \\ a} <j + l \\ j> d^<a>(g) d^<j + l>,
+    the Leibniz rule followed by the product of basis operators, into the
+    coefficient dicts of `out`.
+
+    `targets(j)` says where the j-term goes: (slot, F, c) triples, each
+    adding c * F * (its weight) * d^<a>(g) to out[slot] for a coefficient
+    dict F; an empty answer skips j before d^<a>(g) is formed.  The
+    weights come coordinate by coordinate from `leibniz_weights`, which
+    leaves out the a with a zero factor and the a beyond g's support,
+    where d^<a>(g) dies.  Nothing is reduced; the caller reduces each
+    slot once (`reduced`)."""
+    p, m = ctx.p, ctx.m
+    rows = []
+    for ki, hi, li in zip(k, g.max_exps(), l):
+        row = leibniz_weights(ki, min(ki, hi), li, p, m)
+        rows.append(zip(row[::2], row[1::2]))
+    for combo in product(*rows):
+        a = tuple([x for x, _ in combo])
+        c = 1
+        for _, w in combo:
+            c *= w
+        dests = targets(tuple(map(sub, k, a)))
+        if not dests:
             continue
-        a = a * c
-        e = mi_sub(h, s)
-        out[e] = out.get(e, 0) + a
-    return Poly(out, ctx.r, mod, f.var)
+        h = dp_coeffs(a, g.coeffs, p, m)
+        if not h:
+            continue
+        for slot, f, w in dests:
+            acc = out.get(slot)
+            if acc is None:
+                acc = out[slot] = {}
+            mac(acc, f, h, c * w)
 
 
 class DiffOp:
@@ -46,6 +94,27 @@ class DiffOp:
                 assert f.nvars == ctx.r and f.mod == ctx.p, "bad coefficient"
                 clean[tuple(k)] = f
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, ctx: Context, terms: dict):
+        """Wrap `terms` as it is: tuple keys and nonzero Poly values over
+        ctx (`from_dicts` builds them)."""
+        self = object.__new__(cls)
+        self.ctx = ctx
+        self.terms = terms
+        return self
+
+    @classmethod
+    def from_dicts(cls, ctx: Context, out: dict):
+        """The operator sum_k out[k] d^<k> of unreduced coefficient dicts,
+        reduced once."""
+        p, r = ctx.p, ctx.r
+        terms = {}
+        for k, acc in out.items():
+            f = reduced(acc, p)
+            if f:
+                terms[k] = Poly._trusted(f, r, p)
+        return cls._trusted(ctx, terms)
 
     # -- constructors -------------------------------------------------------
 
@@ -134,10 +203,12 @@ class DiffOp:
         return DiffOp(self.ctx, {k: g * f for k, f in self.terms.items()})
 
     def apply(self, f: Poly) -> Poly:
-        acc = Poly.zero(self.ctx.r, f.mod, f.var)
+        """P(f) for f mod p."""
+        p, m = self.ctx.p, self.ctx.m
+        acc: dict = {}
         for k, g in self.terms.items():
-            acc = acc + g * apply_dp(self.ctx, k, f)
-        return acc
+            mac(acc, g.coeffs, dp_coeffs(k, f.coeffs, p, m))
+        return Poly._trusted(reduced(acc, p), self.ctx.r, p, f.var)
 
     def __mul__(self, other):
         """Composition P * Q as operators (P after Q)."""
@@ -145,26 +216,15 @@ class DiffOp:
             return self * DiffOp.from_poly(self.ctx, other)
         self._check(other)
         ctx = self.ctx
-        p, m = ctx.p, ctx.m
-        zero = Poly.zero(ctx.r, p)
         out: dict = {}
         for k, f in self.terms.items():
+            fc = f.coeffs
             for l, g in other.terms.items():
-                # d^<i>(g) dies once i exceeds g's support, so cap i there
-                for i in box_le(mi_min(k, g.max_exps())):
-                    ki = mi_sub(k, i)
-                    c = brace_mi_mod(i, ki, p, m, p)
-                    if not c:
-                        continue
-                    c = c * angle_mi_mod(ki, l, p, m, p) % p
-                    if not c:
-                        continue
-                    gi = apply_dp(ctx, i, g)
-                    if not gi:
-                        continue
-                    s = mi_add(ki, l)
-                    out[s] = out.get(s, zero) + (f * gi).scale(c)
-        return DiffOp(ctx, out)
+                def targets(j):
+                    return ((mi_add(j, l), fc, 1),)
+
+                leibniz(ctx, out, k, g, l, targets)
+        return DiffOp.from_dicts(ctx, out)
 
     def __rmul__(self, other):
         if isinstance(other, Poly):
@@ -176,6 +236,19 @@ class DiffOp:
         for _ in range(n):
             out = out * self
         return out
+
+
+def premul_sum(ctx: Context, pairs) -> DiffOp:
+    """sum f * P over the (f, P) pairs, accumulated in one coefficient
+    dict per index and reduced once."""
+    out: dict = {}
+    for f, op in pairs:
+        for k, g in op.terms.items():
+            acc = out.get(k)
+            if acc is None:
+                acc = out[k] = {}
+            mac(acc, f.coeffs, g.coeffs)
+    return DiffOp.from_dicts(ctx, out)
 
 
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:

@@ -5,13 +5,15 @@ tau^{s}, with the multiplication law
 
     tau^{a} * tau^{b} = {a+b \\ a} * tau^{a+b}.
 
-Usual divided powers gamma_k are computed in the *rational model*: lift
-coefficients to Z, identify tau^{s} with  prod tau_i^{s_i} / q_{s_i}!,
-compute w^k/k! exactly over Q (integer numerators over one common
-denominator), re-express in the brace basis, check every coefficient is
-p-integral, reduce.  That model is the single source of truth; the
-closed-form structure constants are cross-checked against it in the
-suites.
+Usual divided powers gamma_k are computed in the *rational model*
+(`RatDP`): lift coefficients to Z, identify tau^{s} with
+prod tau_i^{s_i} / q_{s_i}!, compute w^k/k! exactly over Q (integer
+numerators over one common denominator, each term's exponents packed
+into one integer key, so a product of terms is one integer addition),
+re-express in the brace basis, check every coefficient is p-integral,
+and reduce with integer arithmetic only.  That model is the single
+source of truth; the closed-form structure constants are cross-checked
+against it in the suites.
 
 w^k/k! has one implementation, the tower gamma_k = gamma_{k-1} * w / k
 (`GammaTower`).  A tower keeps its rational steps, so a caller that needs
@@ -28,8 +30,7 @@ from math import lcm
 from .context import Context
 from .poly import Poly
 from .scalars import (angle_mi_mod, box_le, brace_mi, brace_mi_mod,
-                      dp_monomial_action, frac_mod, mi_add, mi_sum, mi_zero,
-                      q_fact)
+                      dp_monomial_action, mi_add, mi_sum, mi_zero, q_fact)
 
 
 class DPElem:
@@ -182,74 +183,134 @@ def comult_basis(ctx: Context, n, mod):
 # the rational model and usual divided powers
 
 class RatDP:
-    """Plain-basis model over Q: keys are (t-exps, tau-exps), with tau^{s}
-    standing for  prod tau_i^{s_i}/q_{s_i}!.  Each value is an integer
-    numerator over the one common denominator `den`, so products multiply
-    integers and no step reduces a fraction; `to_dp` does that once per
-    output term.  Truncation is by total tau-degree above ctx.tau_trunc
-    (sound: tau-degrees only ever add)."""
+    """Plain-basis model over Q of the elements of one tower: t^e tau^{s},
+    with tau^{s} standing for  prod tau_i^{s_i}/q_{s_i}!.  Each value is
+    an integer numerator over the one common denominator `den`, so
+    products multiply integers and no step reduces a fraction; `to_dp`
+    reduces once per output term.  Terms of total tau-degree
+    |s| > ctx.tau_trunc are dropped (sound: tau-degrees only ever add).
 
-    __slots__ = ("ctx", "terms", "den")
+    Keys.  A term's key is one integer, its exponents packed in fields of
+    `width` W bits:
 
-    def __init__(self, ctx, terms, den=1):
+        e_1 + e_2 2^W + .. + e_r 2^((r-1)W)
+            + s_1 2^(rW) + .. + s_r 2^((2r-1)W) + |s| 2^(2rW),
+
+    |s| in the top field, which has no bound.  So the key of a product of
+    terms is the sum of their keys, and a product is dropped by the one
+    compare key >= (tau_trunc + 1) << 2rW.  Keys are unpacked only in
+    `to_dp`.
+
+    Width.  `from_dp(w)` takes the least W with
+    2^W > max(1, tau_trunc) * max(1, largest t-exponent of w), and a
+    tower only ever multiplies gamma_(k-1) by w, starting from `one`.
+    Every term of w has |s| >= 1 (gamma needs a zero constant term), so
+    a term of gamma_k with |s| <= tau_trunc is a product of
+    k <= tau_trunc terms of w: each of its t-exponents is at most
+    tau_trunc times the largest one of w, and each s_i at most
+    |s| <= tau_trunc, both below 2^W.  So no field of a kept term
+    carries, and its key is exact.  The fields of a term with
+    |s| > tau_trunc may carry, but a carry only moves a bit into a higher
+    field: the top field of the sum is at least its true |s|, so
+    the term is still dropped."""
+
+    __slots__ = ("ctx", "terms", "den", "width")
+
+    def __init__(self, ctx, terms, den=1, width=1):
         self.ctx = ctx
         self.terms = {k: v for k, v in terms.items() if v}
         self.den = den
+        self.width = width
 
     @classmethod
-    def one(cls, ctx):
-        return cls(ctx, {(mi_zero(ctx.r), mi_zero(ctx.r)): 1})
+    def one(cls, ctx, width=1):
+        return cls(ctx, {0: 1}, 1, width)
 
     @classmethod
     def from_dp(cls, w: DPElem, lift=None):
         """Lift a mod-p element into the model, over the lcm of its
-        prod q_{s_i}! denominators.  `lift(s, e, c)` chooses the integer
-        representative of each coefficient (default: c as stored, i.e. the
-        0..p-1 representative); the result of any gamma computation is
+        prod q_{s_i}! denominators, with the field width its tower needs.
+        `lift(s, e, c)` chooses the integer representative of each
+        coefficient (default: c as stored, i.e. the 0..p-1
+        representative); the result of any gamma computation is
         independent of this choice, which tests randomize."""
-        dens = {s: _q_fact_mi(s, w.ctx) for s in w.coeffs}
+        ctx = w.ctx
+        top_t = max((x for f in w.coeffs.values() for e in f.coeffs
+                     for x in e), default=0)
+        width = (max(1, ctx.tau_trunc) * max(1, top_t)).bit_length()
+        dens = {s: _q_fact_mi(s, ctx) for s in w.coeffs}
         den = lcm(*dens.values())
         terms = {}
         for s, f in w.coeffs.items():
+            base = _pack(s, width, ctx.r, sum(s))
             for e, c in f.coeffs.items():
                 ci = lift(s, e, c) if lift else c
-                terms[(e, s)] = ci * (den // dens[s])
-        return cls(w.ctx, terms, den)
+                terms[base + _pack(e, width)] = ci * (den // dens[s])
+        return cls(ctx, terms, den, width)
 
     def __mul__(self, other):
-        trunc = self.ctx.tau_trunc
+        """The product of two elements of one tower (the width proof in
+        the class docstring covers gamma_(k-1) * w)."""
+        if self.width != other.width:
+            raise ValueError("RatDP factors of different key widths")
+        room = (self.ctx.tau_trunc + 1) << (2 * self.ctx.r * self.width)
+        right = sorted(other.terms.items())
         out = {}
-        for (te1, se1), c1 in self.terms.items():
-            for (te2, se2), c2 in other.terms.items():
-                se = mi_add(se1, se2)
-                if mi_sum(se) > trunc:
-                    continue
-                k = (mi_add(te1, te2), se)
+        for k1, c1 in self.terms.items():
+            below = room - k1
+            for k2, c2 in right:
+                if k2 >= below:
+                    break
+                k = k1 + k2
                 out[k] = out.get(k, 0) + c1 * c2
-        return RatDP(self.ctx, out, self.den * other.den)
-
-    def scale(self, c):
-        """c * self for a rational c: its numerator goes into every
-        numerator, its denominator into `den`."""
-        c = Fraction(c)
-        return RatDP(self.ctx,
-                     {k: c.numerator * v for k, v in self.terms.items()},
-                     self.den * c.denominator)
+        return RatDP(self.ctx, out, self.den * other.den, self.width)
 
     def to_dp(self, mod) -> DPElem:
-        """Back to the brace basis; asserts p-integrality of every
-        coefficient (the loud failure outside the divided-power lattice)."""
-        p = self.ctx.p
+        """Back to the brace basis, raising ArithmeticError unless every
+        coefficient is p-integral (the loud failure outside the
+        divided-power lattice).
+
+        With an integer `mod` (a power of p) no Fraction is formed:
+        den = p^v u with u prime to p, a term's brace coefficient
+        c q_s! / den is p-integral iff p^v divides c q_s!, and its value
+        is (c q_s! / p^v) u^-1 mod `mod`.  `mod=None` gives Fractions."""
+        ctx = self.ctx
+        p, r, width = ctx.p, ctx.r, self.width
+        mask = (1 << width) - 1
+        e_at = [i * width for i in range(r)]
+        s_at = [i * width for i in range(r, 2 * r)]
+        den, pv = self.den, 1
+        while den % p == 0:
+            den //= p
+            pv *= p
+        inv = pow(den, -1, mod) if mod is not None else None
+        facts: dict = {}
         slots: dict = {}
-        for (te, se), c in self.terms.items():
-            b = Fraction(c * _q_fact_mi(se, self.ctx), self.den)
-            if b.denominator % p == 0:
+        for key, c in self.terms.items():
+            e = tuple([(key >> at) & mask for at in e_at])
+            s = tuple([(key >> at) & mask for at in s_at])
+            qf = facts.get(s)
+            if qf is None:
+                qf = facts[s] = _q_fact_mi(s, ctx)
+            num, rem = divmod(c * qf, pv)
+            if rem:
                 raise ArithmeticError(
-                    f"gamma output not p-integral at tau^{se}: {b}")
-            cur = slots.setdefault(se, {})
-            cur[te] = cur.get(te, 0) + (frac_mod(b, mod) if mod is not None else b)
-        polys = {s: Poly(d, self.ctx.r, mod) for s, d in slots.items()}
-        return DPElem(self.ctx, polys, mod)
+                    f"gamma output not p-integral at tau^{s}: "
+                    f"{Fraction(c * qf, self.den)}")
+            v = Fraction(num, den) if mod is None else num * inv % mod
+            if v:
+                slots.setdefault(s, {})[e] = v
+        polys = {s: Poly._trusted(d, r, mod) for s, d in slots.items()}
+        return DPElem(ctx, polys, mod)
+
+
+def _pack(exps, width: int, offset: int = 0, top: int = 0) -> int:
+    """exps in the fields offset, offset + 1, .. of `width` bits, and
+    `top` in field offset + len(exps): RatDP's key layout."""
+    key = top
+    for x in reversed(exps):
+        key = (key << width) | x
+    return key << (offset * width)
 
 
 def _q_fact_mi(s, ctx: Context) -> int:
@@ -274,13 +335,14 @@ class GammaTower:
         if w.constant_term():
             raise ValueError("gamma_k needs a zero constant term")
         self.w = RatDP.from_dp(w, lift=lift)
-        self.steps = [RatDP.one(w.ctx)]
+        self.steps = [RatDP.one(w.ctx, self.w.width)]
 
     def rational(self, k: int) -> RatDP:
         """gamma_k(w), exact over Q."""
         while len(self.steps) <= k:
-            j = len(self.steps)
-            self.steps.append((self.steps[-1] * self.w).scale(Fraction(1, j)))
+            step = self.steps[-1] * self.w
+            step.den *= len(self.steps)         # the 1/k of w^k/k!
+            self.steps.append(step)
         return self.steps[k]
 
 

@@ -26,11 +26,12 @@ import dataclasses
 import json
 
 from .context import Context
-from .diffops import DiffOp, theta_power, zo_decompose
+from .diffops import DiffOp, premul_sum, theta_power, zo_decompose
 from .dpalg import DPElem, GammaTower, taylor
-from .poly import MalformedInput, Poly, is_int, poly_from_json, poly_to_json
+from .poly import (MalformedInput, Poly, is_int, poly_from_json,
+                   poly_to_json, reduced)
 from .scalars import (box, brace_mi_mod, degree_box, div_p_fact, mi_add,
-                      mi_le, mi_scale, mi_sum, mi_unit, mi_zero)
+                      mi_le, mi_scale, mi_sub, mi_sum, mi_unit, mi_zero)
 
 
 class NotALifting(ValueError):
@@ -168,7 +169,7 @@ class FrobData:
     State is per instance; each instance owns one lifting, so nothing
     mixes moduli or levels.  Per coordinate j it keeps one GammaTower of
     w_j, extended as far as phi has asked, and gamma_{c_j}(w_j) reduced
-    mod p for each k asked for; `gamma_coeff` reads single coefficients
+    mod p for each k asked for; `gamma_coeffs` reads the coefficients
     of prod_j gamma_{c_j}(w_j) off those without forming the product; and
     it caches the phi, phi_center_inv and phi_tilde images of basis
     operators.
@@ -213,44 +214,55 @@ class FrobData:
             self._gammas[key] = self._towers[j].rational(k).to_dp(self.ctx.p)
         return self._gammas[key]
 
-    def gamma_coeff(self, c, n) -> Poly | None:
-        """[tau^{n}] prod_j gamma_{c_j}(w_j), or None when no term reaches
-        tau^{n}.
+    def gamma_coeffs(self, n) -> dict:
+        """{c: [tau^{n}] prod_j gamma_{c_j}(w_j)} over the c with
+        |c| <= |n|/p^m whose product has a nonzero term at tau^{n}.
 
-        The sum over splits a_1 + ... + a_r = n of
+        Each is the sum over splits a_1 + ... + a_r = n of
         prod_j [tau^{a_j}] gamma_{c_j}(w_j), each split weighted by the
         brace constants {a_1 + .. + a_(j-1) + a_j \\ a_j} that DPElem
-        multiplication applies factor by factor.  Only a_j <= n can take
-        part, and the last a_r is a lookup, so at r = 1 this is one."""
+        multiplication applies factor by factor.  Splits grow one factor
+        at a time over every c_j at once, keeping only the a_j that fit
+        in what is left of n; the last a_r is a lookup, so at r = 1 this
+        is one per c."""
         ctx = self.ctx
         p, m, r = ctx.p, ctx.m, ctx.r
-        splits = [(mi_zero(r), 1, ())]      # (a_1 + .. + a_j, weight, factors)
+        budget = mi_sum(n) // ctx.pm
+        # (c_1 .. c_j, a_1 + .. + a_j, weight, factors)
+        splits = [((), mi_zero(r), 1, ())]
         for j in range(r - 1):
-            coeffs = self.gamma_w(j, c[j]).coeffs
             nxt = []
-            for part, wt, fs in splits:
-                for a, f in coeffs.items():
-                    s = mi_add(part, a)
-                    if not mi_le(s, n):
-                        continue
-                    w = wt * brace_mi_mod(part, a, p, m, p) % p
-                    if w:
-                        nxt.append((s, w, fs + (f,)))
+            for cs, part, wt, fs in splits:
+                rest = mi_sub(n, part)
+                for k in range(budget - sum(cs) + 1):
+                    for a, f in self.gamma_w(j, k).coeffs.items():
+                        if not mi_le(a, rest):
+                            continue
+                        w = wt * brace_mi_mod(part, a, p, m, p) % p
+                        if w:
+                            nxt.append((cs + (k,), mi_add(part, a), w,
+                                        fs + (f,)))
             splits = nxt
-        last = self.gamma_w(r - 1, c[r - 1]).coeffs
-        out = None
-        for part, wt, fs in splits:
-            a = tuple(x - y for x, y in zip(n, part))
-            g = last.get(a)
-            if g is None:
-                continue
+        accs: dict = {}
+        for cs, part, wt, fs in splits:
+            a = mi_sub(n, part)
             wt = wt * brace_mi_mod(part, a, p, m, p) % p
             if not wt:
                 continue
-            for f in fs:
-                g = f * g
-            g = g.scale(wt)
-            out = g if out is None else out + g
+            for k in range(budget - sum(cs) + 1):
+                g = self.gamma_w(r - 1, k).coeffs.get(a)
+                if g is None:
+                    continue
+                for f in fs:
+                    g = f * g
+                acc = accs.setdefault(cs + (k,), {})
+                for e, v in g.coeffs.items():
+                    acc[e] = acc.get(e, 0) + wt * v
+        out = {}
+        for c, acc in accs.items():
+            f = reduced(acc, p)
+            if f:
+                out[c] = Poly._trusted(f, r, p)
         return out
 
 
@@ -267,7 +279,7 @@ def _reject_strong(j, h):
 
 def phi_basis(fd: FrobData, n) -> DiffOp:
     """phi(d^<n>) = sum_c [tau^{n}](prod_j gamma_{c_j}(w_j)) d^<c p^(m+1)>,
-    each coefficient read by `FrobData.gamma_coeff`.
+    its coefficients read by `FrobData.gamma_coeffs`.
 
     Finite: gamma_{c_j}(w_j) starts in tau-degree c_j p^m, so only
     |c| <= |n|/p^m contributes.  Exact as long as |n| <= ctx.tau_trunc.
@@ -279,22 +291,17 @@ def phi_basis(fd: FrobData, n) -> DiffOp:
     if mi_sum(n) > ctx.tau_trunc:
         raise ValueError(
             f"phi(d^<{n}>) needs tau_trunc >= {mi_sum(n)}, have {ctx.tau_trunc}")
-    out = DiffOp.zero(ctx)
-    for c in degree_box(mi_sum(n) // ctx.pm, ctx.r):
-        g = fd.gamma_coeff(c, n)
-        if g:
-            out = out + DiffOp.dpartial(ctx, mi_scale(c, ctx.pm1), coeff=g)
-    fd._phi[n] = out
+    terms = {mi_scale(c, ctx.pm1): g
+             for c, g in fd.gamma_coeffs(n).items()}
+    out = fd._phi[n] = DiffOp._trusted(ctx, terms)
     return out
 
 
 def phi(fd: FrobData, op: DiffOp) -> DiffOp:
     """O_X-linear extension of phi_basis; not a ring map on all of D^(m),
     but multiplicative on the center."""
-    out = DiffOp.zero(fd.ctx)
-    for k, f in op.terms.items():
-        out = out + phi_basis(fd, k).premul(f)
-    return out
+    return premul_sum(fd.ctx, ((f, phi_basis(fd, k))
+                              for k, f in op.terms.items()))
 
 
 def phi_center_inv(fd: FrobData, z: DiffOp, n_trunc: int) -> DiffOp:
@@ -327,12 +334,13 @@ def phi_tilde(fd: FrobData, op: DiffOp, n_trunc: int | None = None) -> DiffOp:
     ctx = fd.ctx
     n = ctx.theta_trunc if n_trunc is None else n_trunc
     q = ctx.pm1
-    out = DiffOp.zero(ctx)
-    for k, f in phi(fd, op).terms.items():
+
+    def inverse(k):
         assert all(x % q == 0 for x in k), "phi image escaped the centralizer"
-        c = tuple(x // q for x in k)
-        out = out + _phi_inv_basis(fd, c, n).premul(f)
-    return out
+        return _phi_inv_basis(fd, tuple(x // q for x in k), n)
+
+    return premul_sum(ctx, ((f, inverse(k))
+                            for k, f in phi(fd, op).terms.items()))
 
 
 def phi_tilde_basis(fd: FrobData, n, n_trunc: int) -> DiffOp:

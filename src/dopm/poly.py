@@ -8,6 +8,8 @@ arithmetic asserts it.
 
 from __future__ import annotations
 
+from operator import add
+
 
 class MalformedInput(ValueError):
     """Input data of the wrong shape or arity (the CLI exits 2)."""
@@ -38,6 +40,33 @@ def poly_to_json(f: "Poly") -> list:
     return sorted([list(e), c] for e, c in f.coeffs.items())
 
 
+# -- coefficient dicts ------------------------------------------------------
+#
+# The hot loops work on bare {exponent tuple: coefficient} dicts: they
+# multiply-accumulate without reducing and drop zeros once, at the end.
+
+def mac(acc: dict, f: dict, g: dict, c=1) -> None:
+    """acc += c * f * g on coefficient dicts, unreduced."""
+    for e1, c1 in f.items():
+        c1 *= c
+        for e2, c2 in g.items():
+            e = tuple(map(add, e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+
+
+def reduced(acc: dict, mod) -> dict:
+    """acc with every value reduced mod `mod` (None: left as is) and the
+    zeros dropped: the coefficients `Poly._trusted` expects."""
+    if mod is None:
+        return {e: c for e, c in acc.items() if c}
+    out = {}
+    for e, c in acc.items():
+        c %= mod
+        if c:
+            out[e] = c
+    return out
+
+
 class Poly:
     __slots__ = ("coeffs", "nvars", "mod", "var")
 
@@ -52,6 +81,17 @@ class Poly:
             if c:
                 clean[tuple(e)] = c
         self.coeffs = clean
+
+    @classmethod
+    def _trusted(cls, coeffs: dict, nvars: int, mod, var: str = "t"):
+        """Wrap `coeffs` as it is: its keys must be exponent tuples and
+        its values already reduced and nonzero (see `reduced`)."""
+        self = object.__new__(cls)
+        self.coeffs = coeffs
+        self.nvars = nvars
+        self.mod = mod
+        self.var = var
+        return self
 
     # -- constructors -------------------------------------------------------
 
@@ -112,14 +152,20 @@ class Poly:
 
     def __add__(self, other):
         self._check(other)
+        mod = self.mod
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return Poly(out, self.nvars, self.mod, self.var)
+            c += out.get(e, 0)
+            if mod is not None:
+                c %= mod
+            if c:
+                out[e] = c
+            else:
+                out.pop(e, None)
+        return Poly._trusted(out, self.nvars, mod, self.var)
 
     def __neg__(self):
-        return Poly({e: -c for e, c in self.coeffs.items()},
-                    self.nvars, self.mod, self.var)
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
@@ -128,18 +174,17 @@ class Poly:
         if isinstance(other, Poly):
             self._check(other)
             out = {}
-            for e1, c1 in self.coeffs.items():
-                for e2, c2 in other.coeffs.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    out[e] = out.get(e, 0) + c1 * c2
-            return Poly(out, self.nvars, self.mod, self.var)
+            mac(out, self.coeffs, other.coeffs)
+            return Poly._trusted(reduced(out, self.mod), self.nvars,
+                                 self.mod, self.var)
         return self.scale(other)
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        return Poly({e: c * v for e, v in self.coeffs.items()},
-                    self.nvars, self.mod, self.var)
+        return Poly._trusted(
+            reduced({e: c * v for e, v in self.coeffs.items()}, self.mod),
+            self.nvars, self.mod, self.var)
 
     def __pow__(self, n: int):
         out = Poly.one(self.nvars, self.mod, self.var)

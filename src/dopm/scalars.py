@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial
+from operator import add, le, sub
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +129,37 @@ def dp_monomial_action(s, h, p: int, m: int) -> int:
     return c
 
 
+@lru_cache(maxsize=None)
+def leibniz_weights(k: int, a_max: int, l: int, p: int, m: int) -> tuple:
+    """One coordinate of d^<k> * g * d^<l>, where d^<a>(g) dies past
+    a_max <= k: the weights {k \\ a} <k - a + l \\ k - a> mod p of the
+    a <= a_max with a nonzero one, flat as (a, weight, a', weight', ..).
+    The weight of a multi-index is the product of its coordinates'."""
+    out = []
+    for a in range(a_max + 1):
+        c = brace(a, k - a, p, m) % p
+        if c:
+            c = c * angle_mod(k - a, l, p, m, p) % p
+            if c:
+                out += (a, c)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def dp_residues(s: int, p: int, m: int) -> tuple:
+    """q_s! C(h, s) mod p for h = 0 .. P-1, P the least power of p above
+    s.  By Lucas's theorem C(h, s) = prod_i C(h_i, s_i) mod p over the
+    base-p digits, which depends on h only mod P: entry h % P is the
+    coordinate factor of dp_monomial_action(s, h) mod p for every h >= 0
+    (and 0 for h < s).  Built digit by digit, with no large binomial."""
+    unit = factorial(s // p**m) % p
+    row = [unit]
+    while s:
+        s, d = divmod(s, p)
+        row = [comb(hd, d) * c % p for hd in range(p) for c in row]
+    return tuple(row)
+
+
 # ---------------------------------------------------------------------------
 # the mod-p^2 congruences
 
@@ -216,21 +248,21 @@ def mi_unit(r: int, i: int):
 
 
 def mi_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mi_sub(a, b):
-    out = tuple(x - y for x, y in zip(a, b))
-    assert all(x >= 0 for x in out), (a, b)
+    out = tuple(map(sub, a, b))
+    assert min(out, default=0) >= 0, (a, b)
     return out
 
 
 def mi_le(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mi_min(a, b):
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return tuple(map(min, a, b))
 
 
 def mi_sum(a) -> int:

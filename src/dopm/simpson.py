@@ -39,14 +39,15 @@ from functools import partial
 import numpy as np
 
 from .context import Context
-from .diffops import DiffOp, apply_dp, central_unit, theta_unit
+from .diffops import DiffOp, central_unit, leibniz, theta_unit
 from .frobenius import FrobData, phi_center_inv, phi_tilde_basis
 from .linalg import (nullspace_mod, pmat_add_inplace, pmat_eq, pmat_eye,
                      pmat_is_zero, pmat_map, pmat_mul, pmat_pow, pmat_scale,
                      pmat_zero, rank_mod, rref_mod)
-from .poly import MalformedInput, Poly, is_int, poly_from_json, poly_to_json
-from .scalars import (angle_mi_mod, box_le, brace_mi_mod, degree_box, mi_add,
-                      mi_min, mi_scale, mi_sub, mi_sum, mi_unit)
+from .poly import (MalformedInput, Poly, is_int, poly_from_json,
+                   poly_to_json, reduced)
+from .scalars import (angle_mi_mod, box_le, degree_box, mi_add, mi_scale,
+                      mi_sub, mi_sum, mi_unit)
 
 
 class NotQuasiNilpotent(ValueError):
@@ -147,7 +148,8 @@ class DModule:
     rho(d_i^<p^m>).
     """
 
-    __slots__ = ("ctx", "rank", "gens", "_b", "_theta", "_tpow", "_nnil")
+    __slots__ = ("ctx", "rank", "gens", "_b", "_cols", "_theta", "_tpow",
+                 "_nnil")
 
     def __init__(self, ctx: Context, rank: int, gens):
         self.ctx = ctx
@@ -164,6 +166,7 @@ class DModule:
                 if (i, l) not in self.gens:
                     raise MalformedInput(f"missing generator ({i},{l})")
         self._b = {}
+        self._cols = {}
         self._theta = None
         self._tpow = {}
         self._nnil = None
@@ -203,24 +206,29 @@ class DModule:
     # -- the action ------------------------------------------------------
 
     def act(self, k, sec):
-        """rho(d^<k>) on a section, given as a list of n polynomials."""
+        """rho(d^<k>) on a section, given as a list of n polynomials:
+        the Leibniz kernel with d^<j> read as the matrix b_matrix(j)."""
         ctx = self.ctx
-        k = tuple(k)
-        maxe = tuple(map(max, zip(*(f.max_exps() for f in sec))))
-        out = [Poly.zero(ctx.r, ctx.p) for _ in range(self.rank)]
-        for a in box_le(mi_min(k, maxe)):
-            c = brace_mi_mod(a, mi_sub(k, a), ctx.p, ctx.m, ctx.p)
-            if not c:
-                continue
-            da = [apply_dp(ctx, a, f) for f in sec]
-            b = self.b_matrix(mi_sub(k, a))
-            for row in range(self.rank):
-                acc = out[row]
-                for col in range(self.rank):
-                    if b[row][col] and da[col]:
-                        acc = acc + (b[row][col] * da[col]).scale(c)
-                out[row] = acc
-        return out
+        k, zero = tuple(k), (0,) * ctx.r
+        out: dict = {}
+        for col, g in enumerate(sec):
+            if g:
+                leibniz(ctx, out, k, g, zero,
+                        lambda j, col=col: self._columns(j)[col])
+        p, r = ctx.p, ctx.r
+        return [Poly._trusted(reduced(out.get(row, {}), p), r, p)
+                for row in range(self.rank)]
+
+    def _columns(self, j):
+        """b_matrix(j) column by column, each column as the (row, entry's
+        coefficients, 1) targets of the Leibniz kernel, zeros left out."""
+        cols = self._cols.get(j)
+        if cols is None:
+            b = self.b_matrix(j)
+            cols = self._cols[j] = [
+                [(row, b[row][col].coeffs, 1) for row in range(self.rank)
+                 if b[row][col]] for col in range(self.rank)]
+        return cols
 
     def b_matrix(self, k):
         """Matrix of rho(d^<k>) on constant sections, any multi-index."""

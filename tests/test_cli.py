@@ -3,6 +3,7 @@ exit codes, and the entry points, installed or run from a checkout."""
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -587,6 +588,24 @@ def test_input_checks_hold_under_python_O(tmp_path):
         assert res.stderr.count("\n") == 1, argv
 
 
+# a short output is written by the flush at exit, a long one (more than
+# the 8 KiB buffer) by print itself; both must meet the closed pipe
+BIG_POLY = " + ".join(f"t1^{i}" for i in range(1, 1500))
+
+
+@pytest.mark.parametrize("argv", [["mul", "d1", "t1"], ["mul", BIG_POLY]],
+                         ids=["flushed-at-exit", "written-by-print"])
+def test_closed_stdout_exits_141_quietly(argv):
+    # the reader is gone before dopm writes, as in `dopm ... | head -c 10`
+    proc = subprocess.Popen([sys.executable, "-m", "dopm.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=child_env())
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")
+
+
 def test_console_script():
     args = ["verify", "--suite", "lucas", "--json"]
     exe = shutil.which("dopm")
@@ -599,3 +618,19 @@ def test_console_script():
                              capture_output=True, text=True, env=child_env())
     assert res.returncode == 0
     assert json.loads(res.stdout)["ok"]
+
+
+# -- byte stability -----------------------------------------------------------
+
+# md5 of `dopm verify --suite all --json`.  A change meant to alter these
+# bytes (new suites or cases) updates the pin and says so; a speed-up
+# never does.
+VERIFY_ALL_MD5 = "66bc0e47dc4aadbfce7be7c7df14e8d7"
+
+
+def test_verify_all_json_bytes_are_pinned():
+    res = subprocess.run([sys.executable, "-m", "dopm.cli", "verify",
+                          "--suite", "all", "--json"],
+                         capture_output=True, env=child_env())
+    assert res.returncode == 0
+    assert hashlib.md5(res.stdout).hexdigest() == VERIFY_ALL_MD5

@@ -19,19 +19,21 @@ from dopm.diffops import (DiffOp, apply_dp, central_embed, central_unit,
                           zo_decompose, zo_reassemble)
 from dopm.linalg import pmat_eq, pmat_mul
 from dopm.poly import Poly
-from dopm.scalars import angle_mi_mod, frac_mod, mi_scale, mi_unit
+from dopm.scalars import (angle_mi_mod, box_le, brace_mi_mod,
+                          dp_monomial_action, frac_mod, mi_add, mi_min,
+                          mi_scale, mi_sub, mi_unit)
 
 CTXS = [Context(2, 0), Context(3, 0), Context(2, 1), Context(3, 1),
         Context(2, 0, r=2), Context(3, 1, r=2)]
 
 
 @st.composite
-def ops(draw, ctx, max_index=None, max_terms=3):
+def ops(draw, ctx, max_index=None, max_terms=3, max_exp=3):
     hi = max_index if max_index is not None else ctx.pm1 + 2
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
         k = tuple(draw(st.integers(0, hi)) for _ in range(ctx.r))
-        e = tuple(draw(st.integers(0, 3)) for _ in range(ctx.r))
+        e = tuple(draw(st.integers(0, max_exp)) for _ in range(ctx.r))
         c = draw(st.integers(1, ctx.p - 1)) if ctx.p > 2 else 1
         f = Poly.monomial(e, c, ctx.r, ctx.p)
         terms[k] = terms.get(k, Poly.zero(ctx.r, ctx.p)) + f
@@ -58,6 +60,80 @@ def test_apply_dp_closed_form(ctx):
             want = Poly.monomial((h - s,), c, 1, ctx.p) if c else \
                 Poly.zero(1, ctx.p)
             assert got == want
+
+
+# Wide corners for the oracles of the dict-level kernel: p = 7 at m = 2,
+# r = 3, and exponents past the period of the residue tables.
+ORACLE_CTXS = [Context(2, 0), Context(3, 1), Context(5, 0), Context(7, 0),
+               Context(7, 2), Context(2, 3), Context(2, 1, r=2),
+               Context(3, 0, r=3), Context(2, 0, r=3)]
+ORACLE_IDS = [f"p{c.p}m{c.m}r{c.r}" for c in ORACLE_CTXS]
+
+
+def dp_oracle(ctx, s, f):
+    """d^<s>(f) from the exact structure integers of dp_monomial_action."""
+    out = {}
+    for h, c in f.coeffs.items():
+        a = dp_monomial_action(s, h, ctx.p, ctx.m)
+        if a:
+            e = mi_sub(h, s)
+            out[e] = out.get(e, 0) + a * c
+    return Poly(out, ctx.r, f.mod, f.var)
+
+
+def mul_oracle(a, b):
+    """P * Q as the Poly-per-term sum, the composition law before the
+    dict-level kernel: sum over f d^<k> in P, g d^<l> in Q and i <= k of
+    {k \\ i} <k-i+l \\ k-i> f d^<i>(g) d^<k-i+l>, through brace_mi_mod,
+    angle_mi_mod and apply_dp."""
+    ctx = a.ctx
+    p, m = ctx.p, ctx.m
+    zero = Poly.zero(ctx.r, p)
+    out = {}
+    for k, f in a.terms.items():
+        for l, g in b.terms.items():
+            for i in box_le(mi_min(k, g.max_exps())):
+                ki = mi_sub(k, i)
+                c = brace_mi_mod(i, ki, p, m, p) * \
+                    angle_mi_mod(ki, l, p, m, p) % p
+                gi = apply_dp(ctx, i, g)
+                if c and gi:
+                    s = mi_add(ki, l)
+                    out[s] = out.get(s, zero) + (f * gi).scale(c)
+    return DiffOp(ctx, out)
+
+
+def _wide(ctx):
+    """An index bound past p^(m+1), and an exponent bound past it and
+    past 40, so that exponents run over several periods of the residue
+    tables."""
+    top = 2 * ctx.pm1 + 3 if ctx.r == 1 else ctx.pm1 + 4
+    return top, max(top, 50)
+
+
+@pytest.mark.parametrize("ctx", ORACLE_CTXS, ids=ORACLE_IDS)
+@given(st.data())
+@settings(max_examples=15, deadline=None)
+def test_apply_dp_is_the_exact_structure_integer(ctx, data):
+    index, exp = _wide(ctx)
+    f = data.draw(fns(ctx, max_exp=exp))
+    s = tuple(data.draw(st.integers(0, index)) for _ in range(ctx.r))
+    assert apply_dp(ctx, s, f) == dp_oracle(ctx, s, f)
+    op = data.draw(ops(ctx, max_index=index, max_exp=exp))
+    want = Poly.zero(ctx.r, ctx.p)
+    for k, g in op.terms.items():
+        want = want + g * dp_oracle(ctx, k, f)
+    assert op.apply(f) == want
+
+
+@pytest.mark.parametrize("ctx", ORACLE_CTXS, ids=ORACLE_IDS)
+@given(st.data())
+@settings(max_examples=10, deadline=None)
+def test_mul_is_the_poly_per_term_oracle(ctx, data):
+    index, exp = _wide(ctx)
+    a = data.draw(ops(ctx, max_index=index, max_exp=exp))
+    b = data.draw(ops(ctx, max_index=index, max_exp=exp))
+    assert a * b == mul_oracle(a, b)
 
 
 def test_first_partial_is_the_derivative():

@@ -5,6 +5,10 @@ with fractions; the brace multiplication law and the divided powers both
 get that treatment.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, factorial
 
@@ -12,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dopm
 from dopm.context import Context
 from dopm.dpalg import DPElem, comult_basis, gamma_dp, pair_op, taylor
 from dopm.diffops import DiffOp
@@ -172,6 +177,22 @@ def test_gamma_refuses_the_undilated_part_at_higher_level():
     ctx = Context(2, 1)
     with pytest.raises(ArithmeticError):
         gamma_dp(DPElem.basis(ctx, (1,), 2), 2)
+
+
+def test_gamma_refuses_the_undilated_part_under_python_O():
+    # python -O strips assert statements: the p-integrality check is a raise
+    src = str(pathlib.Path(dopm.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("from dopm.context import Context\n"
+            "from dopm.dpalg import DPElem, gamma_dp\n"
+            "try:\n"
+            "    gamma_dp(DPElem.basis(Context(2, 1), (1,), 2), 2)\n"
+            "except ArithmeticError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env)
+    assert res.returncode == 0
 
 
 def test_gamma_exact_values_at_p3():

@@ -20,7 +20,7 @@ from dopm.frobenius import (FrobData, LiftingZ, NotALifting, NotStrong,
                             lifting_from_json, ov_split_matrix, phi,
                             phi_basis, phi_center_inv, phi_tilde,
                             phi_tilde_basis, random_strong_lifting,
-                            standard_lifting)
+                            standard_lifting, strong_lifting_from_higgs_frame)
 from dopm.poly import MalformedInput, Poly
 from dopm.scalars import degree_box, frac_mod, mi_scale, mi_unit
 
@@ -179,19 +179,20 @@ def test_gamma_tower_is_the_from_scratch_oracle(pmr, lifting):
             for j, w in enumerate(fd.ws) for k in range(big_k + 1)}
     for (j, k), g in want.items():
         assert fd.gamma_w(j, k) == g
-    # gamma_coeff is [tau^{n}] of the full product prod_j gamma_{c_j}(w_j),
-    # at every n of its support and at the n one step off it (no term)
+    # gamma_coeffs(n)[c] is [tau^{n}] of the full product
+    # prod_j gamma_{c_j}(w_j), at every n of its support and at the n one
+    # step off it (no term)
     for c in degree_box(big_k, ctx.r):
         prod = want[0, c[0]]
         for j in range(1, ctx.r):
             prod = prod * want[j, c[j]]
         for n, g in prod.coeffs.items():
-            assert fd.gamma_coeff(c, n) == g
+            assert fd.gamma_coeffs(n)[c] == g
         off = {tuple(x + (i == j) for j, x in enumerate(n))
                for n in prod.coeffs for i in range(ctx.r)}
         for n in off - prod.coeffs.keys():
             if sum(n) <= ctx.tau_trunc:
-                assert not fd.gamma_coeff(c, n)
+                assert not fd.gamma_coeffs(n).get(c)
 
 
 @pytest.mark.parametrize("lifting", ["std", "random"])
@@ -207,6 +208,49 @@ def test_gamma_is_the_fraction_oracle(pmr, lifting):
             assert gamma_dp(w, k, mod=None) == exact[k]
             assert gamma_dp(w, k) == reduced[k]
             assert fd.gamma_w(j, k) == reduced[k]
+
+
+def _high_t_fd(theta_trunc):
+    # w's t-exponents (up to 39) are far above tau_trunc, so the packed
+    # key's t-fields need more bits than its tau-fields
+    ctx = Context(3, 0, r=2, theta_trunc=theta_trunc)
+    gs = [Poly({(40, 0): 1, (0, 37): 1}, 2, 3),
+          Poly({(40, 0): 2, (0, 37): 1}, 2, 3)]
+    return FrobData(ctx, strong_lifting_from_higgs_frame(ctx, gs))
+
+
+@pytest.mark.parametrize("theta_trunc", [3, 5])
+def test_packed_tower_is_the_fraction_oracle_at_high_t_degree(theta_trunc):
+    fd = _high_t_fd(theta_trunc)
+    ctx = fd.ctx
+    big_k = ctx.tau_trunc // ctx.pm
+    for j, w in enumerate(fd.ws):
+        top_t = max(x for f in w.coeffs.values() for e in f.coeffs
+                    for x in e)
+        assert top_t > 2 * ctx.tau_trunc
+        assert fd._towers[j].w.width > ctx.tau_trunc.bit_length()
+        exact = fraction_gammas(w, big_k, None)
+        reduced = fraction_gammas(w, big_k, ctx.p)
+        for k in range(big_k + 1):
+            assert gamma_dp(w, k, mod=None) == exact[k]
+            assert fd.gamma_w(j, k) == reduced[k]
+
+
+def test_a_product_whose_fields_carry_is_dropped():
+    # width 2 (tau_trunc = 3, t-degree 1): every field holds 0..3.  In
+    # tau^{3} * tau^{3} the tau-field carries into |s|, and t * t^3 (a
+    # deeper factor) carries into the tau-field; both have |s| > 3
+    ctx = Context(2, 0, theta_trunc=1, tau_trunc=3)
+    w = DPElem(ctx, {(3,): Poly.monomial((1,), 1, 1, 2)}, 2)
+    x = RatDP.from_dp(w)
+    assert x.width == 2
+    assert not (x * x).terms
+    y = RatDP(ctx, {(1 << 2) + (1 << 4) + 3: 1}, 1, 2)   # t^3 tau^{1}
+    assert (y * x).terms == {}
+    one = RatDP.one(ctx, 2)
+    assert (one * x).terms == x.terms
+    with pytest.raises(ValueError):
+        x * RatDP.one(ctx, 3)
 
 
 @pytest.mark.parametrize("lifting", ["std", "random"])

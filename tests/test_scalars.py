@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from dopm.scalars import (angle, angle_mi, angle_mi_mod, binom_mod_p2, box,
                           box_le, brace, brace_mi, degree_box, div_p_fact,
-                          dp_monomial_action, dp_power_factor, frac_mod,
-                          lucas_closed_form, mi_add, mi_le, mi_min, mi_scale,
-                          mi_sub, mi_sum, mi_unit, mi_zero, q_fact, q_part,
-                          vp, vp_factorial)
+                          dp_monomial_action, dp_power_factor, dp_residues,
+                          frac_mod, leibniz_weights, lucas_closed_form,
+                          mi_add, mi_le, mi_min, mi_scale, mi_sub, mi_sum,
+                          mi_unit, mi_zero, q_fact, q_part, vp, vp_factorial)
 
 PRIMES = (2, 3, 5, 7)
 
@@ -139,6 +139,41 @@ def test_angle_residues_are_the_rational_product(p, m):
 
 
 # -- the basis action ---------------------------------------------------------
+
+@pytest.mark.parametrize("m", range(3))
+@pytest.mark.parametrize("p", PRIMES)
+def test_dp_residues_are_the_structure_integers(p, m):
+    # entry h % P of the table is q_s! C(h, s) mod p for every h, including
+    # h past the period P, for s around 0, p^m and p^(m+1)
+    g, q = p**m, p ** (m + 1)
+    for s in sorted({0, 1, g - 1, g, g + 1, q - 1, q, q + 1, 2 * q + 3}):
+        row = dp_residues(s, p, m)
+        period = 1
+        while period <= s:
+            period *= p
+        assert len(row) == period
+        for h in range(3 * len(row) + 2):
+            assert row[h % len(row)] == \
+                factorial(s // g) * comb(h, s) % p, (s, h)
+
+
+@pytest.mark.parametrize("m", range(3))
+@pytest.mark.parametrize("p", PRIMES)
+def test_leibniz_weights_are_brace_times_angle(p, m):
+    q = p ** (m + 1)
+    for k in sorted({0, 1, p**m, q - 1, q, q + 2}):
+        for l in sorted({0, 1, q - 1, q}):
+            for a_max in sorted({0, k // 2, k}):
+                row = leibniz_weights(k, a_max, l, p, m)
+                want = []
+                for a in range(a_max + 1):
+                    # <j+l \\ j> = C(j+l, l) / {j+l \\ l} with j = k - a
+                    c = frac_mod(Fraction(
+                        ref_brace(a, k - a, p, m) * comb(k - a + l, l),
+                        ref_brace(k - a, l, p, m)), p)
+                    if c:
+                        want += [a, c]
+                assert list(row) == want, (k, l, a_max)
 
 @given(primes, levels, st.integers(0, 30), st.integers(0, 30))
 def test_dp_monomial_action_closed_form(p, m, s, h):

@@ -8,21 +8,24 @@ every quantity has a short independent formula.
 """
 
 import random
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dopm.context import Context
-from dopm.diffops import DiffOp
+from dopm.diffops import DiffOp, apply_dp
 from dopm.frobenius import FrobData, random_strong_lifting
 from dopm.diffops import central_unit, theta_unit
 from dopm.linalg import (nullspace_mod, pmat_add_inplace, pmat_eq, pmat_eye,
                          pmat_map, pmat_mul, pmat_scale, pmat_zero, rank_mod)
 from dopm import simpson
 from dopm.poly import Poly
-from dopm.scalars import (angle_mi_mod, brace, degree_box, dp_monomial_action,
-                          mi_scale, mi_sub, mi_unit)
+from dopm.scalars import (angle_mi_mod, box_le, brace, brace_mi_mod,
+                          degree_box, dp_monomial_action, mi_min, mi_scale,
+                          mi_sub, mi_unit)
 from dopm.simpson import (DModule, HiggsModule, InvariantSpace,
                           NotQuasiNilpotent, central_apply, corpus,
                           corpus_json, curvature_of, invariant_rank,
@@ -392,6 +395,77 @@ def test_b_matrix_and_theta_equal_the_per_coordinate_recursion(
         assert pmat_eq(dm.theta(i), ref.theta(i))
     for k in degree_box(2 * ctx.pm1, ctx.r):
         assert pmat_eq(dm.b_matrix(k), ref.b_matrix(k)), k
+
+
+class PolyPerTermModule(DModule):
+    """DModule with the Poly-per-term Leibniz sum that the dict-level
+    kernel replaced as its action: sum over a <= k of {k \\ a} times
+    b_matrix(k - a) applied to d^<a>(sec), through brace_mi_mod and
+    apply_dp.  b_matrix applies act column by column, so every matrix of
+    this module goes through it too."""
+
+    __slots__ = ()
+
+    def act(self, k, sec):
+        ctx = self.ctx
+        k = tuple(k)
+        maxe = tuple(map(max, zip(*(f.max_exps() for f in sec))))
+        out = [Poly.zero(ctx.r, ctx.p) for _ in range(self.rank)]
+        for a in box_le(mi_min(k, maxe)):
+            c = brace_mi_mod(a, mi_sub(k, a), ctx.p, ctx.m, ctx.p)
+            if not c:
+                continue
+            da = [apply_dp(ctx, a, f) for f in sec]
+            b = self.b_matrix(mi_sub(k, a))
+            for row in range(self.rank):
+                acc = out[row]
+                for col in range(self.rank):
+                    if b[row][col] and da[col]:
+                        acc = acc + (b[row][col] * da[col]).scale(c)
+                out[row] = acc
+        return out
+
+
+# (ctx, lifting seed or None, Higgs field, gauged): p = 7 at m = 2, r = 3,
+# and gauged modules, whose generators have more than one nonzero column
+ACT_CASES = [
+    (Context(7, 2), None, _linear(3), False),
+    (Context(7, 0), 2, _linear(4), True),
+    (Context(3, 1), None, _linear(9), True),
+    (Context(2, 0, r=3), None, lambda c: random_higgs(c, random.Random(6),
+                                                      2), False),
+    (Context(3, 0, r=3), 7, lambda c: random_higgs(c, random.Random(7),
+                                                   2), True),
+    (Context(2, 1, r=2), None, _linear(5), True),
+]
+
+
+@lru_cache(maxsize=None)
+def _act_case(n):
+    fd, dm = _solver_case(*ACT_CASES[n])
+    return dm, PolyPerTermModule(dm.ctx, dm.rank, dm.gens)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_act_is_the_poly_per_term_oracle(data):
+    dm, slow = _act_case(data.draw(st.integers(0, len(ACT_CASES) - 1)))
+    ctx = dm.ctx
+    # large enough to reach theta and lower levels, small enough that the
+    # oracle builds its b-matrices quickly
+    k_max = min(ctx.pm1 + 2, 2 * ctx.pm + 2)
+    k = tuple(data.draw(st.integers(0, k_max)) for _ in range(ctx.r))
+    sec = []
+    for _ in range(dm.rank):
+        coeffs = {}
+        for _ in range(data.draw(st.integers(0, 3))):
+            e = tuple(data.draw(st.integers(0, 2 * ctx.pm1 + 3))
+                      for _ in range(ctx.r))
+            coeffs[e] = data.draw(st.integers(1, ctx.p - 1))
+        sec.append(Poly(coeffs, ctx.r, ctx.p))
+    if not any(sec):
+        sec[0] = Poly.one(ctx.r, ctx.p)
+    assert dm.act(k, sec) == slow.act(k, sec)
 
 
 def shear(ctx, n, c=1):
