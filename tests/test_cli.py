@@ -634,3 +634,19 @@ def test_verify_all_json_bytes_are_pinned():
                          capture_output=True, env=child_env())
     assert res.returncode == 0
     assert hashlib.md5(res.stdout).hexdigest() == VERIFY_ALL_MD5
+
+
+# Narrowing by --p/--m picks configurations out of each suite's grid;
+# the cases that survive, and their random draws, must not move.
+@pytest.mark.parametrize("flags, digest", [
+    (("--p", "3"), "657d5a411aa6d50dc210f228638ae8d0"),
+    (("--m", "1", "--seed", "2"), "ffaa9f17e0f418e9189af89b7923ac00"),
+    (("--p", "2", "--m", "0", "--seed", "5"),
+     "43bd646d640004faefec620395d6c558"),
+])
+def test_narrowed_verify_json_bytes_are_pinned(flags, digest):
+    res = subprocess.run([sys.executable, "-m", "dopm.cli", "verify",
+                          "--suite", "all", "--json", *flags],
+                         capture_output=True, env=child_env())
+    assert res.returncode == 0
+    assert hashlib.md5(res.stdout).hexdigest() == digest
