@@ -140,14 +140,10 @@ def cmd_apply(args) -> int:
 
 
 def cmd_phi(args) -> int:
+    """phi, or phi_tilde for the `phitilde` command."""
     ctx, fd = _setup(args)
-    out = phi(fd, parse(ctx, args.expr))
-    return _emit(args, {"op": render_op(out)}, render_op(out))
-
-
-def cmd_phitilde(args) -> int:
-    ctx, fd = _setup(args)
-    out = phi_tilde(fd, parse(ctx, args.expr))
+    fn = phi_tilde if args.cmd == "phitilde" else phi
+    out = fn(fd, parse(ctx, args.expr))
     return _emit(args, {"op": render_op(out)}, render_op(out))
 
 
@@ -225,7 +221,7 @@ def cmd_invariants(args) -> int:
         _check_module_law(dm)
     inv = solve_invariants(fd, dm)
     rank = invariant_rank(inv, inv.restrict(inv.deg_bound - ctx.pm1))
-    secs = [_render_section(inv.section(row)) for row in inv.basis]
+    secs = [_render_section(sec) for sec in inv.sections()]
     obj = {"deg_bound": inv.deg_bound, "dim": inv.dim, "rank": rank,
            "sections": secs}
     text = f"degree bound {inv.deg_bound}: dim {inv.dim}, rank {rank}"
@@ -362,7 +358,7 @@ def main(argv=None) -> int:
     sp = sub.add_parser("phitilde",
                         help="twisted image (identity on the center)")
     sp.add_argument("expr")
-    sp.set_defaults(handler=cmd_phitilde)
+    sp.set_defaults(handler=cmd_phi)
 
     sp = sub.add_parser("bullet",
                         help="action of an operator on the split module")

@@ -19,8 +19,7 @@ from operator import sub
 from .context import Context
 from .poly import Poly, mac, reduced
 from .scalars import (angle, angle_mi_mod, box, dp_residues, frac_mod,
-                      leibniz_weights, mi_add, mi_scale, mi_sum, mi_unit,
-                      mi_zero)
+                      leibniz_weights, mi_add, mi_scale, mi_unit, mi_zero)
 
 
 def dp_coeffs(s, coeffs: dict, p: int, m: int) -> dict:
@@ -39,12 +38,6 @@ def dp_coeffs(s, coeffs: dict, p: int, m: int) -> dict:
         else:
             out[tuple(map(sub, h, s))] = c % p
     return out
-
-
-def apply_dp(ctx: Context, s, f: Poly) -> Poly:
-    """d^<s>(f) for a single basis operator and f mod p."""
-    return Poly._trusted(dp_coeffs(s, f.coeffs, ctx.p, ctx.m), ctx.r, ctx.p,
-                         f.var)
 
 
 def leibniz(ctx: Context, out: dict, k, g: Poly, l, targets) -> None:
@@ -155,9 +148,6 @@ class DiffOp:
     def coeff(self, k) -> Poly:
         return self.terms.get(tuple(k), Poly.zero(self.ctx.r, self.ctx.p))
 
-    def order(self) -> int:
-        return max((mi_sum(k) for k in self.terms), default=-1)
-
     def theta_truncate(self, n: int) -> "DiffOp":
         q = self.ctx.pm1
         return DiffOp(self.ctx, {k: f for k, f in self.terms.items()
@@ -167,17 +157,8 @@ class DiffOp:
         return DiffOp(self.ctx, {k: fn(f) for k, f in self.terms.items()})
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for k in sorted(self.terms, key=lambda k: (mi_sum(k), k), reverse=True):
-            mono = "*".join(f"d{i+1}<{x}>" for i, x in enumerate(k) if x)
-            f = self.terms[k]
-            fs = repr(f)
-            if mono:
-                fs = f"({fs})*{mono}" if len(f.coeffs) > 1 or fs != "1" else mono
-            bits.append(fs)
-        return " + ".join(bits)
+        from .expr import render_op     # expr imports this module
+        return render_op(self)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -403,6 +384,24 @@ def kaneda_matrix(op: DiffOp):
     return mat
 
 
+def box_matrix(ctx: Context, image, var: str):
+    """The images of the box basis {t^a : a < q = p^(m+1)} of O_X over
+    O_X' = k[t'], t' = t^q, as a matrix: column a holds image(a), its
+    term t^h in row h mod q with t'^(h div q).  Variables of the image
+    past the first r (theta, in O_X[theta]) ride along; the entries are
+    polynomials in `var`."""
+    q, r = ctx.pm1, ctx.r
+    basis = list(box(q, r))
+    idx = {a: n for n, a in enumerate(basis)}
+    mat = [[{} for _ in basis] for _ in basis]
+    for col, a in enumerate(basis):
+        for e, c in image(a).coeffs.items():
+            lo = tuple(x % q for x in e[:r])
+            mat[idx[lo]][col][tuple(x // q for x in e[:r]) + e[r:]] = c
+    nvars = r * len(var.split("|"))
+    return [[Poly(d, nvars, ctx.p, var) for d in row] for row in mat]
+
+
 def quotient_matrix(op: DiffOp):
     """Matrix of P acting on O_X = O_X'{t^a : a < p^(m+1)}, over O_X'.
 
@@ -411,19 +410,8 @@ def quotient_matrix(op: DiffOp):
     in t' = t^(p^(m+1)).
     """
     ctx = op.ctx
-    q = ctx.pm1
-    basis = list(box(q, ctx.r))
-    idx = {u: n for n, u in enumerate(basis)}
-    zero = Poly.zero(ctx.r, ctx.p, "t'")
-    mat = [[zero] * len(basis) for _ in basis]
-    for col, a in enumerate(basis):
-        img = op.apply(Poly.monomial(a, 1, ctx.r, ctx.p))
-        for h, c in img.coeffs.items():
-            lo = tuple(x % q for x in h)
-            hi = tuple(x // q for x in h)
-            mat[idx[lo]][col] = mat[idx[lo]][col] + \
-                Poly.monomial(hi, c, ctx.r, ctx.p, "t'")
-    return mat
+    return box_matrix(
+        ctx, lambda a: op.apply(Poly.monomial(a, 1, ctx.r, ctx.p)), "t'")
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ from math import lcm
 
 from .context import Context
 from .poly import Poly
-from .scalars import (angle_mi_mod, box_le, brace_mi, brace_mi_mod,
-                      dp_monomial_action, mi_add, mi_sum, mi_zero, q_fact)
+from .scalars import (box_le, brace_mi, brace_mi_mod, dp_monomial_action,
+                      mi_add, mi_sum, mi_zero, q_fact)
 
 
 class DPElem:
@@ -166,17 +166,6 @@ def pair_op(op, w: DPElem) -> Poly:
         if g is not None:
             acc = acc + f * g
     return acc
-
-
-def comult_basis(ctx: Context, n, mod):
-    """delta(tau^{n}) = sum_{i+j=n} <n \\ i> tau^{i} (x) tau^{j}."""
-    out = []
-    for i in box_le(n):
-        j = tuple(a - b for a, b in zip(n, i))
-        c = angle_mi_mod(i, j, ctx.p, ctx.m, mod)
-        if c:
-            out.append((i, j, c))
-    return out
 
 
 # ---------------------------------------------------------------------------

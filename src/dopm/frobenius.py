@@ -26,12 +26,13 @@ import dataclasses
 import json
 
 from .context import Context
-from .diffops import DiffOp, premul_sum, theta_power, zo_decompose
+from .diffops import (DiffOp, box_matrix, premul_sum, theta_power,
+                      zo_decompose)
 from .dpalg import DPElem, GammaTower, taylor
 from .poly import (MalformedInput, Poly, is_int, poly_from_json,
                    poly_to_json, reduced)
-from .scalars import (box, brace_mi_mod, degree_box, div_p_fact, mi_add,
-                      mi_le, mi_scale, mi_sub, mi_sum, mi_unit, mi_zero)
+from .scalars import (brace_mi_mod, degree_box, div_p_fact, mi_add, mi_le,
+                      mi_scale, mi_sub, mi_sum, mi_unit, mi_zero)
 
 
 class NotALifting(ValueError):
@@ -384,21 +385,9 @@ def bullet_matrix(fd: FrobData, op: DiffOp):
     """Matrix of P . (-) on the basis {t^a : a < p^(m+1)} of O_X[theta]
     over Z(D^(m)); entries are polynomials in "t'|th"."""
     ctx = fd.ctx
-    q = ctx.pm1
-    basis = list(box(q, ctx.r))
-    idx = {a: n for n, a in enumerate(basis)}
-    zero = Poly.zero(2 * ctx.r, ctx.p, "t'|th")
-    mat = [[zero] * len(basis) for _ in basis]
-    for col, a in enumerate(basis):
-        img = bullet(fd, op, Poly.monomial(a + mi_zero(ctx.r), 1,
-                                           2 * ctx.r, ctx.p, "t|th"))
-        for ec, cf in img.coeffs.items():
-            h, c = ec[:ctx.r], ec[ctx.r:]
-            lo = tuple(x % q for x in h)
-            hi = tuple(x // q for x in h)
-            mat[idx[lo]][col] = mat[idx[lo]][col] + \
-                Poly.monomial(hi + c, cf, 2 * ctx.r, ctx.p, "t'|th")
-    return mat
+    return box_matrix(
+        ctx, lambda a: bullet(fd, op, Poly.monomial(
+            a + mi_zero(ctx.r), 1, 2 * ctx.r, ctx.p, "t|th")), "t'|th")
 
 
 # ---------------------------------------------------------------------------

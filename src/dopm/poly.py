@@ -194,9 +194,6 @@ class Poly:
 
     # -- structure ----------------------------------------------------------
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.coeffs), default=0)
-
     def max_exps(self):
         out = [0] * self.nvars
         for e in self.coeffs:
@@ -234,12 +231,3 @@ class Poly:
     def lift(self) -> "Poly":
         """Representative with integer coefficients (0..mod-1) over Z."""
         return Poly(dict(self.coeffs), self.nvars, None, self.var)
-
-    def evaluate(self, point):
-        acc = 0
-        for e, c in self.coeffs.items():
-            term = c
-            for x, v in zip(e, point):
-                term *= v**x
-            acc += term
-        return acc % self.mod if self.mod is not None else acc

@@ -23,18 +23,6 @@ from operator import add, le, sub
 # ---------------------------------------------------------------------------
 # valuations and factorial parts
 
-def vp(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
-    if n == 0:
-        raise ValueError("vp(0) is infinite")
-    n = abs(n)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def vp_factorial(n: int, p: int) -> int:
     """v_p(n!) by Legendre's sum of floor(n/p^i)."""
     v, q = 0, n
@@ -259,10 +247,6 @@ def mi_sub(a, b):
 
 def mi_le(a, b) -> bool:
     return all(map(le, a, b))
-
-
-def mi_min(a, b):
-    return tuple(map(min, a, b))
 
 
 def mi_sum(a) -> int:

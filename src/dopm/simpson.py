@@ -35,6 +35,7 @@ invariants off that solve as V_d = V_(d+q) ∩ span(deg <= d).
 from __future__ import annotations
 
 from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -312,15 +313,12 @@ class DModule:
         raise NotQuasiNilpotent(
             f"Theta powers do not vanish by total degree {bound}")
 
-    def validate(self, pairs=None):
-        """rho(d^<a>) rho(d^<b>) = <a+b \\ a> rho(d^<a+b>) on constants.
-
-        Default window: all pairs with |a|, |b| <= p^(m+1)."""
+    def validate(self):
+        """rho(d^<a>) rho(d^<b>) = <a+b \\ a> rho(d^<a+b>) on constants,
+        for all pairs with |a|, |b| <= p^(m+1)."""
         ctx = self.ctx
-        if pairs is None:
-            idx = list(degree_box(ctx.pm1, ctx.r))
-            pairs = [(a, b) for a in idx for b in idx]
-        for a, b in pairs:
+        idx = list(degree_box(ctx.pm1, ctx.r))
+        for a, b in product(idx, repeat=2):
             want = pmat_scale(self.b_matrix(tuple(x + y for x, y in zip(a, b))),
                               angle_mi_mod(a, b, ctx.p, ctx.m, ctx.p))
             bb = self.b_matrix(b)

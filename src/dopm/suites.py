@@ -1,10 +1,17 @@
 """Executable verification suites.
 
-Each suite checks one family of identities end to end and returns a
-SuiteReport; `run_suite` dispatches by name.  All arithmetic is exact
-(mod p or mod p^2), so every case is a strict equality — there are no
-tolerances anywhere.  Randomized suites take a seed and are fully
-deterministic for a fixed seed.
+Each suite checks one family of identities end to end.  A suite is a
+generator `suite_x(seed, only)` that yields one SuiteCase per check;
+`SUITES` maps its name to the generator and the context string of its
+report, and `run_suite` times the generator and builds the SuiteReport.
+`only = (p, m)` narrows every grid: a suite walks its configurations
+through `_kept`, which drops the ones with another p or m before they
+run, and each configuration seeds its own random draws, so the cases
+that survive are the same cases as in the full run.
+
+All arithmetic is exact (mod p or mod p^2), so every case is a strict
+equality — there are no tolerances anywhere.  Randomized suites are
+fully deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import product
 from math import comb
 
 from .context import Context
@@ -77,86 +85,69 @@ class SuiteReport:
         }
 
 
-def _eq(cases, name, expected, actual):
+def _eq(name, expected, actual) -> SuiteCase:
     e, a = str(expected), str(actual)
-    cases.append(SuiteCase(name, "pass" if e == a else "fail", e, a))
+    return SuiteCase(name, "pass" if e == a else "fail", e, a)
 
 
-def _true(cases, name, cond, detail=""):
-    cases.append(SuiteCase(name, "pass" if cond else "fail", "true",
-                           "true" if cond else (detail or "false")))
+def _true(name, cond, detail="") -> SuiteCase:
+    return SuiteCase(name, "pass" if cond else "fail", "true",
+                     "true" if cond else (detail or "false"))
 
 
-def _finish(suite, context, cases, t0) -> SuiteReport:
-    rep = SuiteReport(suite, context, cases)
-    rep.wall_ms = int((time.perf_counter() - t0) * 1000)
-    return rep
+def _kept(only, configs) -> list:
+    """The configurations (p, m, ...) of a suite's grid that `only =
+    (p, m)` keeps; either entry of `only`, or `only` itself, may be None
+    for "any"."""
+    po, mo = only or (None, None)
+    return [c for c in configs
+            if po in (None, c[0]) and mo in (None, c[1])]
 
 
-def _keep(only, p, m) -> bool:
-    """Suite grids may be narrowed to one p and/or one m from the CLI;
-    skipped configurations are never run (random draws stay per-config,
-    so the surviving cases are unchanged)."""
-    if only is None:
-        return True
-    po, mo = only
-    return (po is None or po == p) and (mo is None or mo == m)
+_SMALL_PM = [(2, 0), (3, 0), (2, 1), (3, 1)]
 
 
 # ---------------------------------------------------------------------------
 # 1. binomials of p-power order mod p^2
 
-def suite_lucas(seed: int = 0, only=None) -> SuiteReport:
-    t0 = time.perf_counter()
-    cases = []
-    for p in (2, 3, 5):
-        for m in (0, 1, 2):
-            if not _keep(only, p, m):
-                continue
-            q = p ** (m + 1)
-            bad = [i for i in range(q + 1)
-                   if binom_mod_p2(q, i, p) != lucas_closed_form(p, m, i)
-                   or binom_mod_p2(q, i, p) != comb(q, i) % p**2]
-            _true(cases, f"closed form, p={p} m={m}", not bad,
-                  f"mismatch at i={bad[:3]}")
-    return _finish("lucas", "p in {2,3,5}, m in {0,1,2}, all i", cases, t0)
+def suite_lucas(seed: int, only):
+    for p, m in _kept(only, product((2, 3, 5), (0, 1, 2))):
+        q = p ** (m + 1)
+        bad = [i for i in range(q + 1)
+               if binom_mod_p2(q, i, p) != lucas_closed_form(p, m, i)
+               or binom_mod_p2(q, i, p) != comb(q, i) % p**2]
+        yield _true(f"closed form, p={p} m={m}", not bad,
+                    f"mismatch at i={bad[:3]}")
 
 
 # ---------------------------------------------------------------------------
 # 2. divided-power composition scalars
 
-def suite_compd(seed: int = 0, only=None) -> SuiteReport:
-    t0 = time.perf_counter()
-    cases = []
+def suite_compd(seed: int, only):
     kmax = 20
-    for p in (2, 3, 5):
-        for m in (0, 1, 2):
-            if not _keep(only, p, m):
-                continue
-            q = p ** (m + 1)
-            unit = all(dp_power_factor(k, p) % p == 1
-                       for k in range(1, kmax + 1))
-            _true(cases, f"power factor in 1+pZ, p={p} m={m}", unit)
-            braces_ok = all(
-                brace(k * q, t, p, m) == comb(k * p + t // p**m, t // p**m)
-                and brace(k * q, t, p, m) % p == 1
-                for k in range(1, kmax + 1) for t in range(q))
-            _true(cases, f"brace(kq, t) = binom(kp+q_t, q_t), p={p} m={m}",
-                  braces_ok)
-            ctx = Context(p, m, r=1, tau_trunc=(kmax + 1) * q)
-            w = DPElem.basis(ctx, (q,), p)
-            gam_ok = True
-            for k in range(1, kmax + 1):
-                got = gamma_dp(w, k, mod=None)
-                want = DPElem.basis(
-                    ctx, (k * q,), None,
-                    coeff=Poly.const(dp_power_factor(k, p), 1, None))
-                if got != want:
-                    gam_ok = False
-                    break
-            _true(cases, f"gamma_k(tau^(q)) rational model, p={p} m={m}",
-                  gam_ok)
-    return _finish("compd", "p in {2,3,5}, m in {0,1,2}, k <= 20", cases, t0)
+    for p, m in _kept(only, product((2, 3, 5), (0, 1, 2))):
+        q = p ** (m + 1)
+        unit = all(dp_power_factor(k, p) % p == 1
+                   for k in range(1, kmax + 1))
+        yield _true(f"power factor in 1+pZ, p={p} m={m}", unit)
+        braces_ok = all(
+            brace(k * q, t, p, m) == comb(k * p + t // p**m, t // p**m)
+            and brace(k * q, t, p, m) % p == 1
+            for k in range(1, kmax + 1) for t in range(q))
+        yield _true(f"brace(kq, t) = binom(kp+q_t, q_t), p={p} m={m}",
+                    braces_ok)
+        ctx = Context(p, m, r=1, tau_trunc=(kmax + 1) * q)
+        w = DPElem.basis(ctx, (q,), p)
+        gam_ok = True
+        for k in range(1, kmax + 1):
+            got = gamma_dp(w, k, mod=None)
+            want = DPElem.basis(
+                ctx, (k * q,), None,
+                coeff=Poly.const(dp_power_factor(k, p), 1, None))
+            if got != want:
+                gam_ok = False
+                break
+        yield _true(f"gamma_k(tau^(q)) rational model, p={p} m={m}", gam_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +171,9 @@ def _rand_op(rng, ctx, max_ord, deg, nterms=3) -> DiffOp:
     return out
 
 
-def suite_ringlaws(seed: int = 0, only=None) -> SuiteReport:
-    t0 = time.perf_counter()
-    cases = []
+def suite_ringlaws(seed: int, only):
     per_config = 200
-    for p, m in [(2, 0), (3, 0), (2, 1), (3, 1)]:
-        if not _keep(only, p, m):
-            continue
+    for p, m in _kept(only, _SMALL_PM):
         rng = random.Random(seed * 1000 + 31 * p + m)
         q = p ** (m + 1)
         fails = {"assoc": 0, "action": 0, "duality": 0}
@@ -204,21 +191,15 @@ def suite_ringlaws(seed: int = 0, only=None) -> SuiteReport:
             if pair_op(a, taylor(ctx, f, p)) != a.apply(f):
                 fails["duality"] += 1
         for law, n in fails.items():
-            _true(cases, f"{law}, p={p} m={m} ({per_config} triples)", n == 0,
-                  f"{n} failures")
-    return _finish("ringlaws", "200 random triples per (p,m), r <= 2",
-                   cases, t0)
+            yield _true(f"{law}, p={p} m={m} ({per_config} triples)", n == 0,
+                        f"{n} failures")
 
 
 # ---------------------------------------------------------------------------
 # 4. the matrix normal form over the centralizer
 
-def suite_kaneda(seed: int = 0, only=None) -> SuiteReport:
-    t0 = time.perf_counter()
-    cases = []
-    for p in (3, 5):
-        if not _keep(only, p, 0):
-            continue
+def suite_kaneda(seed: int, only):
+    for p, _ in _kept(only, [(3, 0), (5, 0)]):
         ctx = Context(p, 0, r=1)
         th_poly = Poly.monomial((0, 1), 1, 2, p, "t|th")
         for k in range(p):
@@ -227,15 +208,13 @@ def suite_kaneda(seed: int = 0, only=None) -> SuiteReport:
                      Poly.const(1 if (u >= k and t == u - k) else 0,
                                 2, p, "t|th")
                      for t in range(p)] for u in range(p)]
-            _true(cases, f"block form, p={p} k={k}", pmat_eq(got, want))
+            yield _true(f"block form, p={p} k={k}", pmat_eq(got, want))
         got = kaneda_matrix(DiffOp.dpartial(ctx, (p,)))
         want = [[th_poly if u == t else Poly.zero(2, p, "t|th")
                  for t in range(p)] for u in range(p)]
-        _true(cases, f"d^(p) goes to theta x identity, p={p}",
-              pmat_eq(got, want))
-    for p, m in [(2, 0), (3, 0), (2, 1), (3, 1)]:
-        if not _keep(only, p, m):
-            continue
+        yield _true(f"d^(p) goes to theta x identity, p={p}",
+                    pmat_eq(got, want))
+    for p, m in _kept(only, _SMALL_PM):
         rng = random.Random(seed * 1000 + 47 * p + m)
         ctx = Context(p, m, r=1)
         bad = 0
@@ -249,59 +228,44 @@ def suite_kaneda(seed: int = 0, only=None) -> SuiteReport:
                      for j in range(len(ma))] for i in range(len(ma))]
             if not pmat_eq(mab, prod):
                 bad += 1
-        _true(cases, f"anti-morphism on 100 pairs, p={p} m={m}", bad == 0,
-              f"{bad} failures")
-    return _finish("kaneda", "m=0 blocks at p in {3,5}; morphism at r=1",
-                   cases, t0)
+        yield _true(f"anti-morphism on 100 pairs, p={p} m={m}", bad == 0,
+                    f"{bad} failures")
 
 
 # ---------------------------------------------------------------------------
 # 5. phi on the basis
 
-def _lifting_sample(seed: int):
-    """Ten random strong liftings spread over (p,m) x r."""
-    out = []
-    i = 0
-    for p, m in [(2, 0), (3, 0), (2, 1), (3, 1)]:
-        for r in (1, 2):
-            rng = random.Random(seed * 1000 + 7 * p + 3 * m + r)
-            out.append(FrobData(
-                Context(p, m, r=r),
-                random_strong_lifting(Context(p, m, r=r), rng)))
-            i += 1
-            if i == 8:
-                break
-    rng = random.Random(seed * 1000 + 999)
-    for r in (1, 2):
-        ctx = Context(2, 0, r=r)
-        out.append(FrobData(ctx, random_strong_lifting(ctx, rng)))
-    return out
+def _liftings(seed: int, only):
+    """(index, FrobData) for each of ten random strong liftings spread
+    over (p,m) x r whose (p, m) `only` keeps.  The index counts the whole
+    sample, and each lifting draws from its own generator (the last two
+    share one, at the same (p, m)), so narrowing changes neither."""
+    last = random.Random(seed * 1000 + 999)
+    sample = [(p, m, r, random.Random(seed * 1000 + 7 * p + 3 * m + r))
+              for p, m in _SMALL_PM for r in (1, 2)]
+    sample += [(2, 0, r, last) for r in (1, 2)]
+    for fi, (p, m, r, rng) in enumerate(sample):
+        if _kept(only, [(p, m)]):
+            ctx = Context(p, m, r=r)
+            yield fi, FrobData(ctx, random_strong_lifting(ctx, rng))
 
 
-def suite_phi(seed: int = 0, only=None) -> SuiteReport:
-    t0 = time.perf_counter()
-    cases = []
-    for p in (2, 3, 5, 7):
-        if not _keep(only, p, 0):
-            continue
+def suite_phi(seed: int, only):
+    for p, _ in _kept(only, [(2, 0), (3, 0), (5, 0), (7, 0)]):
         ctx = Context(p, 0, r=1)
         fd = FrobData.standard(ctx)
         got = phi(fd, DiffOp.dpartial(ctx, (1,)))
         want = DiffOp.dpartial(ctx, (p,),
                                coeff=Poly.monomial((p - 1,), -1, 1, p))
-        _eq(cases, f"phi(d) standard, p={p} m=0", render_op(want),
-            render_op(got))
-    for p, m in [(2, 1), (3, 1), (2, 2)]:
-        if not _keep(only, p, m):
-            continue
+        yield _eq(f"phi(d) standard, p={p} m=0", render_op(want),
+                  render_op(got))
+    for p, m in _kept(only, [(2, 1), (3, 1), (2, 2)]):
         ctx = Context(p, m, r=1)
         fd = FrobData.standard(ctx)
         window = all(not phi(fd, DiffOp.dpartial(ctx, (n,)))
                      for n in range(1, ctx.pm))
-        _true(cases, f"zero window 0 < n < p^m, p={p} m={m}", window)
-    for fi, fd in enumerate(_lifting_sample(seed)):
-        if not _keep(only, fd.ctx.p, fd.ctx.m):
-            continue
+        yield _true(f"zero window 0 < n < p^m, p={p} m={m}", window)
+    for fi, fd in _liftings(seed, only):
         ctx = fd.ctx
         ok_formula = True
         ok_phi = True
@@ -328,22 +292,16 @@ def suite_phi(seed: int = 0, only=None) -> SuiteReport:
                         ctx, mi_scale(mi_unit(ctx.r, j), ctx.pm1), coeff=cij)
             if lin != want_lin:
                 ok_phi = False
-        _true(cases, f"theta-linear part = divided-Frobenius block, "
-              f"lifting {fi} (p={ctx.p} m={ctx.m} r={ctx.r})",
-              ok_formula and ok_phi)
-    return _finish("phi", "standard m=0; zero window; 10 random strong "
-                   "liftings", cases, t0)
+        yield _true(f"theta-linear part = divided-Frobenius block, "
+                    f"lifting {fi} (p={ctx.p} m={ctx.m} r={ctx.r})",
+                    ok_formula and ok_phi)
 
 
 # ---------------------------------------------------------------------------
 # 6. phi on the curvature frame
 
-def suite_phibar(seed: int = 0, only=None) -> SuiteReport:
-    t0 = time.perf_counter()
-    cases = []
-    for fi, fd in enumerate(_lifting_sample(seed)):
-        if not _keep(only, fd.ctx.p, fd.ctx.m):
-            continue
+def suite_phibar(seed: int, only):
+    for fi, fd in _liftings(seed, only):
         ctx = fd.ctx
         ok = True
         for i in range(ctx.r):
@@ -351,10 +309,8 @@ def suite_phibar(seed: int = 0, only=None) -> SuiteReport:
             pm_i = DiffOp.dpartial(ctx, mi_scale(mi_unit(ctx.r, i), ctx.pm))
             if phi(fd, th_i) != th_i + phi(fd, pm_i) ** ctx.p:
                 ok = False
-        _true(cases, f"phi(theta) = theta + phi(d^(p^m))^p, lifting {fi} "
-              f"(p={ctx.p} m={ctx.m} r={ctx.r})", ok)
-    return _finish("phibar", "same lifting sample as the phi suite",
-                   cases, t0)
+        yield _true(f"phi(theta) = theta + phi(d^(p^m))^p, lifting {fi} "
+                    f"(p={ctx.p} m={ctx.m} r={ctx.r})", ok)
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +323,8 @@ def _central_read(fd: FrobData, op: DiffOp) -> Poly:
     return zo.get((0,) * fd.ctx.r, Poly.zero(2 * fd.ctx.r, fd.ctx.p, "t|th"))
 
 
-def suite_bullet(seed: int = 0, only=None) -> SuiteReport:
-    t0 = time.perf_counter()
-    cases = []
-    for p in (2, 3):
-        if not _keep(only, p, 0):
-            continue
+def suite_bullet(seed: int, only):
+    for p, _ in _kept(only, [(2, 0), (3, 0)]):
         ctx = Context(p, 0, r=1)
         fd = FrobData.standard(ctx)
         d = DiffOp.dpartial(ctx, (1,))
@@ -383,17 +335,15 @@ def suite_bullet(seed: int = 0, only=None) -> SuiteReport:
                         "t|th")
             if got != want:
                 ok = False
-        _true(cases, f"d on t^k, p={p} m=0", ok)
+        yield _true(f"d on t^k, p={p} m=0", ok)
         got = bullet_matrix(fd, d)
         want = pmat_zero(p, 2, p, "t'|th")
         for k in range(1, p):
             want[k - 1][k] = Poly({(0, 0): k, (1, 1): p - 1}, 2, p, "t'|th")
         want[p - 1][0] = Poly.monomial((0, 1), -1, 2, p, "t'|th")
-        _true(cases, f"action matrix of d, p={p} m=0", pmat_eq(got, want))
+        yield _true(f"action matrix of d, p={p} m=0", pmat_eq(got, want))
     # order <= p^m: P . f = P(f) + f phi(P)
-    for fi, fd in enumerate(_lifting_sample(seed)):
-        if not _keep(only, fd.ctx.p, fd.ctx.m):
-            continue
+    for fi, fd in _liftings(seed, only):
         ctx = fd.ctx
         rng = random.Random(seed * 2000 + fi)
         ok = True
@@ -409,10 +359,10 @@ def suite_bullet(seed: int = 0, only=None) -> SuiteReport:
                     as_split_module(ctx, f) * _central_read(fd, phi(fd, op))
                 if got != want:
                     ok = False
-        _true(cases, f"low order: P.f = P(f) + f phi(P), lifting {fi} "
-              f"(p={ctx.p} m={ctx.m} r={ctx.r})", ok)
+        yield _true(f"low order: P.f = P(f) + f phi(P), lifting {fi} "
+                    f"(p={ctx.p} m={ctx.m} r={ctx.r})", ok)
     # p=2 third-order identity
-    if _keep(only, 2, 0):
+    if _kept(only, [(2, 0)]):
         ctx = Context(2, 0, r=1)
         fd = FrobData.standard(ctx)
         d = DiffOp.dpartial(ctx, (1,))
@@ -425,11 +375,9 @@ def suite_bullet(seed: int = 0, only=None) -> SuiteReport:
                 as_split_module(ctx, f) * _central_read(fd, phi(fd, d ** 3))
             if got != want:
                 ok = False
-        _true(cases, "d^3 . f = d(f) phi(d^2) + f phi(d^3), p=2 m=0", ok)
+        yield _true("d^3 . f = d(f) phi(d^2) + f phi(d^3), p=2 m=0", ok)
     # module law
-    for p, m in [(2, 0), (3, 0), (2, 1), (3, 1)]:
-        if not _keep(only, p, m):
-            continue
+    for p, m in _kept(only, _SMALL_PM):
         rng = random.Random(seed * 3000 + 13 * p + m)
         ctx = Context(p, m, r=1)
         fd = FrobData.standard(ctx)
@@ -441,20 +389,14 @@ def suite_bullet(seed: int = 0, only=None) -> SuiteReport:
                       if p > 2 else 1}, 2, p, "t|th")
             if bullet(fd, a * b, z) != bullet(fd, a, bullet(fd, b, z)):
                 ok = False
-        _true(cases, f"module law (PQ).z = P.(Q.z), p={p} m={m}", ok)
-    return _finish("bullet", "m=0 matrices; low-order identity on the "
-                   "lifting sample; module law", cases, t0)
+        yield _true(f"module law (PQ).z = P.(Q.z), p={p} m={m}", ok)
 
 
 # ---------------------------------------------------------------------------
 # 8. the van der Put element
 
-def suite_vanderput(seed: int = 0, only=None) -> SuiteReport:
-    t0 = time.perf_counter()
-    cases = []
-    for p in (2, 3):
-        if not _keep(only, p, 0):
-            continue
+def suite_vanderput(seed: int, only):
+    for p, _ in _kept(only, [(2, 0), (3, 0)]):
         ctx = Context(p, 0, r=1, theta_trunc=p * p)
         fd = FrobData.standard(ctx)
         d = DiffOp.dpartial(ctx, (1,))
@@ -463,8 +405,8 @@ def suite_vanderput(seed: int = 0, only=None) -> SuiteReport:
         for k in (1, 2, 3):
             want = want - DiffOp.dpartial(
                 ctx, (p**k,), coeff=Poly.monomial((p**k - 1,), 1, 1, p))
-        _eq(cases, f"H = three-term series, p={p}", render_op(want),
-            render_op(h))
+        yield _eq(f"H = three-term series, p={p}", render_op(want),
+                  render_op(h))
         th = DiffOp.dpartial(ctx, (p,))
         got_inv = phi_center_inv(fd, th, p * p)
         want_inv = DiffOp.zero(ctx)
@@ -472,28 +414,22 @@ def suite_vanderput(seed: int = 0, only=None) -> SuiteReport:
             want_inv = want_inv + DiffOp.dpartial(
                 ctx, (p**k,),
                 coeff=Poly.monomial((p * (p**(k - 1) - 1),), 1, 1, p))
-        _eq(cases, f"phi inverse of d^(p) series, p={p}",
-            render_op(want_inv), render_op(got_inv))
+        yield _eq(f"phi inverse of d^(p) series, p={p}",
+                  render_op(want_inv), render_op(got_inv))
         lhs = h
         for _ in range(p - 1):
             lhs = lhs.map_coeffs(lambda f: f.derivative(0))
         lhs = lhs + h ** p
-        _eq(cases, f"d^(p-1)(H) + H^p = d^(p) through theta-degree 3, p={p}",
-            render_op(th.theta_truncate(3)),
-            render_op(lhs.theta_truncate(3)))
-    return _finish("vanderput", "m=0, p in {2,3}, standard lifting",
-                   cases, t0)
+        yield _eq(f"d^(p-1)(H) + H^p = d^(p) through theta-degree 3, p={p}",
+                  render_op(th.theta_truncate(3)),
+                  render_op(lhs.theta_truncate(3)))
 
 
 # ---------------------------------------------------------------------------
 # 9. gluing two liftings
 
-def suite_glue(seed: int = 0, only=None) -> SuiteReport:
-    t0 = time.perf_counter()
-    cases = []
-    for p, m in [(2, 0), (3, 0), (2, 1), (3, 1)]:
-        if not _keep(only, p, m):
-            continue
+def suite_glue(seed: int, only):
+    for p, m in _kept(only, _SMALL_PM):
         ctx = Context(p, m, r=1)
         rng = random.Random(seed * 4000 + 17 * p + m)
         lifts = [standard_lifting(ctx),
@@ -502,8 +438,8 @@ def suite_glue(seed: int = 0, only=None) -> SuiteReport:
         u12 = glue_derivation(lifts[0], lifts[1])
         u23 = glue_derivation(lifts[1], lifts[2])
         u13 = glue_derivation(lifts[0], lifts[2])
-        _true(cases, f"cocycle u13 = u12 + u23, p={p} m={m}",
-              all(a + b == c for a, b, c in zip(u12, u23, u13)))
+        yield _true(f"cocycle u13 = u12 + u23, p={p} m={m}",
+                    all(a + b == c for a, b, c in zip(u12, u23, u13)))
         rng2 = random.Random(seed * 4000 + 17 * p + m + 1)
         ok = True
         for _ in range(5):
@@ -514,24 +450,21 @@ def suite_glue(seed: int = 0, only=None) -> SuiteReport:
             direct = glue_endo(ctx, u13, g, 3)
             if via2 != direct:
                 ok = False
-        _true(cases, f"endo composition, p={p} m={m}", ok)
-    return _finish("glue", "three strong liftings per (p,m)", cases, t0)
+        yield _true(f"endo composition, p={p} m={m}", ok)
 
 
 # ---------------------------------------------------------------------------
 # 10. descent between levels
 
-def suite_descent(seed: int = 0, only=None) -> SuiteReport:
-    t0 = time.perf_counter()
-    cases = []
-    if _keep(only, 2, 0):
+def suite_descent(seed: int, only):
+    if _kept(only, [(2, 0)]):
         ctx = Context(2, 0, r=1)
         gens = [DiffOp.from_poly(ctx, Poly.variable(0, 1, 2)),
                 DiffOp.dpartial(ctx, (1,)),
                 DiffOp.dpartial(ctx, (2,), coeff=Poly.monomial((1,), 1, 1, 2))]
         ok = all(frob_descend(frob_raise(g), divide_coeffs=True) == g
                  for g in gens)
-        _true(cases, "descend after raise is the identity (p=2 m=0 s=1)", ok)
+        yield _true("descend after raise is the identity (p=2 m=0 s=1)", ok)
         up = Context(2, 1, r=1)
         fd_up = FrobData.standard(up)
         fd_dn = FrobData.standard(ctx)
@@ -543,10 +476,8 @@ def suite_descent(seed: int = 0, only=None) -> SuiteReport:
                 lambda f: f.scale_exponents(2))
             if lhs != rhs:
                 ok = False
-        _true(cases, "phi commutes with descent on d^<k>, k <= 4", ok)
-    for p in (2, 3):
-        if not _keep(only, p, 0):
-            continue
+        yield _true("phi commutes with descent on d^<k>, k <= 4", ok)
+    for p, _ in _kept(only, [(2, 0), (3, 0)]):
         c0 = Context(p, 0, r=1)
         q = c0.pm1
         images = []
@@ -556,69 +487,52 @@ def suite_descent(seed: int = 0, only=None) -> SuiteReport:
                     c0, (b,), coeff=Poly.monomial((a,), 1, 1, p))
                 images.append([f for row in quotient_matrix(op) for f in row])
         rk = rank_mod(simp._flatten_rows(images, p), p)
-        _eq(cases, f"quotient images independent, p={p} m=0 r=1",
-            p ** 2, rk)
-    return _finish("descent", "p=2 m=0 s=1; quotient dimension at r=1",
-                   cases, t0)
+        yield _eq(f"quotient images independent, p={p} m=0 r=1", p ** 2, rk)
 
 
 # ---------------------------------------------------------------------------
 # 11. the correspondence round trip
 
-def suite_simpson(seed: int = 0, only=None) -> SuiteReport:
-    t0 = time.perf_counter()
-    cases = []
+def suite_simpson(seed: int, only):
     rng = random.Random(seed * 5000 + 11)
+    modules = [(h.ctx.p, h.ctx.m, name, h) for name, h in simp.corpus(rng)]
     fds = {}
-    for name, higgs in simp.corpus(rng):
-        if not _keep(only, higgs.ctx.p, higgs.ctx.m):
-            continue
+    for _, _, name, higgs in _kept(only, modules):
         ctx = higgs.ctx
         if ctx not in fds:
             fds[ctx] = FrobData.standard(ctx)
         fd = fds[ctx]
         dm = simp.pullback(fd, higgs)
         okv, bad = dm.validate()
-        _true(cases, f"{name}: pullback validates", okv, f"at {bad}")
+        yield _true(f"{name}: pullback validates", okv, f"at {bad}")
         rep = simp.round_trip(fd, higgs)
         n = higgs.rank
         constant = not name.startswith("r1lin")
         if constant:
             want_dim = n * len(list(degree_box(3, ctx.r)))
-            _eq(cases, f"{name}: invariants dimension", want_dim,
-                rep["inv"].dim)
-        _true(cases, f"{name}: constants invariant", rep["members"])
-        _eq(cases, f"{name}: rank recovery", n, rep["rank"])
-        _true(cases, f"{name}: rank stable under degree growth",
-              rep["stable"])
+            yield _eq(f"{name}: invariants dimension", want_dim,
+                      rep["inv"].dim)
+        yield _true(f"{name}: constants invariant", rep["members"])
+        yield _eq(f"{name}: rank recovery", n, rep["rank"])
+        yield _true(f"{name}: rank stable under degree growth",
+                    rep["stable"])
         if constant:
-            _true(cases, f"{name}: Higgs frame recovered exactly",
-                  rep["recovered_exact"])
+            yield _true(f"{name}: Higgs frame recovered exactly",
+                        rep["recovered_exact"])
         else:
-            _true(cases, f"{name}: recovered frame commuting nilpotent",
-                  rep["recovered_valid"])
-    return _finish(
-        "simpson",
-        "20 constant + worked example + linear variants, (p,m) in "
-        "{2,3}x{0,1}, standard lifting, degree bound 3p^(m+1)", cases, t0)
+            yield _true(f"{name}: recovered frame commuting nilpotent",
+                        rep["recovered_valid"])
 
 
 # ---------------------------------------------------------------------------
 # 12. comparison with the one-variable splitting matrix
 
-def suite_ov_compare(seed: int = 0, only=None) -> SuiteReport:
-    t0 = time.perf_counter()
-    cases = []
-    i = 0
-    for p in (2, 3, 5):
-        if not _keep(only, p, 0):
-            continue
+def suite_ov_compare(seed: int, only):
+    i = 0                       # numbers the liftings that `only` keeps
+    for p, _ in _kept(only, [(2, 0), (3, 0), (5, 0)]):
         for r in (1, 2):
-            if i >= 10:
-                break
             rng = random.Random(seed * 6000 + 5 * p + r)
-            reps = 2 if p < 5 else 1
-            for _ in range(reps):
+            for _ in range(2 if p < 5 else 1):
                 ctx = Context(p, 0, r=r)
                 fd = FrobData(ctx, random_strong_lifting(ctx, rng))
                 hg = simp.random_higgs(ctx, rng, 2)
@@ -635,27 +549,31 @@ def suite_ov_compare(seed: int = 0, only=None) -> SuiteReport:
                             acc, pmat_scale(sig, z[j][ii]))
                     if not pmat_eq(acc, dm.gens[(ii, 0)]):
                         ok = False
-                _true(cases, f"splitting matrix rebuilds the connection, "
-                      f"lifting {i} (p={p} r={r})", ok)
+                yield _true(f"splitting matrix rebuilds the connection, "
+                            f"lifting {i} (p={p} r={r})", ok)
                 i += 1
-    return _finish("ov-compare", "m=0, 10 random strong liftings", cases, t0)
 
 
 # ---------------------------------------------------------------------------
 
+# name -> (suite, the context line of its report)
 SUITES = {
-    "lucas": suite_lucas,
-    "compd": suite_compd,
-    "ringlaws": suite_ringlaws,
-    "kaneda": suite_kaneda,
-    "phi": suite_phi,
-    "phibar": suite_phibar,
-    "bullet": suite_bullet,
-    "vanderput": suite_vanderput,
-    "glue": suite_glue,
-    "descent": suite_descent,
-    "simpson": suite_simpson,
-    "ov-compare": suite_ov_compare,
+    "lucas": (suite_lucas, "p in {2,3,5}, m in {0,1,2}, all i"),
+    "compd": (suite_compd, "p in {2,3,5}, m in {0,1,2}, k <= 20"),
+    "ringlaws": (suite_ringlaws, "200 random triples per (p,m), r <= 2"),
+    "kaneda": (suite_kaneda, "m=0 blocks at p in {3,5}; morphism at r=1"),
+    "phi": (suite_phi, "standard m=0; zero window; 10 random strong "
+            "liftings"),
+    "phibar": (suite_phibar, "same lifting sample as the phi suite"),
+    "bullet": (suite_bullet, "m=0 matrices; low-order identity on the "
+               "lifting sample; module law"),
+    "vanderput": (suite_vanderput, "m=0, p in {2,3}, standard lifting"),
+    "glue": (suite_glue, "three strong liftings per (p,m)"),
+    "descent": (suite_descent, "p=2 m=0 s=1; quotient dimension at r=1"),
+    "simpson": (suite_simpson, "20 constant + worked example + linear "
+                "variants, (p,m) in {2,3}x{0,1}, standard lifting, "
+                "degree bound 3p^(m+1)"),
+    "ov-compare": (suite_ov_compare, "m=0, 10 random strong liftings"),
 }
 
 
@@ -663,8 +581,12 @@ def run_suite(name: str, seed: int = 0, only=None):
     """One report, or the full list for "all".  `only = (p, m)` narrows
     each suite's grid; either entry may be None for "any"."""
     if name == "all":
-        return [fn(seed, only=only) for fn in SUITES.values()]
+        return [run_suite(n, seed, only) for n in SUITES]
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from "
                        f"{', '.join([*SUITES, 'all'])}")
-    return SUITES[name](seed, only=only)
+    suite, context = SUITES[name]
+    t0 = time.perf_counter()
+    rep = SuiteReport(name, context, list(suite(seed, only)))
+    rep.wall_ms = int((time.perf_counter() - t0) * 1000)
+    return rep

@@ -12,16 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dopm.context import Context
-from dopm.diffops import (DiffOp, apply_dp, central_embed, central_unit,
-                          commutator, frob_descend, frob_raise, is_central,
-                          kaneda_matrix, level_raise, quotient_matrix, theta,
-                          theta_decompose, theta_power, theta_unit,
-                          zo_decompose, zo_reassemble)
+from dopm.diffops import (DiffOp, central_embed, central_unit, commutator,
+                          frob_descend, frob_raise, is_central, kaneda_matrix,
+                          level_raise, quotient_matrix, theta, theta_decompose,
+                          theta_power, theta_unit, zo_decompose, zo_reassemble)
 from dopm.linalg import pmat_eq, pmat_mul
 from dopm.poly import Poly
 from dopm.scalars import (angle_mi_mod, box_le, brace_mi_mod,
-                          dp_monomial_action, frac_mod, mi_add, mi_min,
-                          mi_scale, mi_sub, mi_unit)
+                          dp_monomial_action, frac_mod, mi_add, mi_sub,
+                          mi_unit)
 
 CTXS = [Context(2, 0), Context(3, 0), Context(2, 1), Context(3, 1),
         Context(2, 0, r=2), Context(3, 1, r=2)]
@@ -47,6 +46,11 @@ def fns(draw, ctx, max_exp=5):
         e = tuple(draw(st.integers(0, max_exp)) for _ in range(ctx.r))
         coeffs[e] = draw(st.integers(1, max(ctx.p - 1, 1)))
     return Poly(coeffs, ctx.r, ctx.p)
+
+
+def apply_dp(ctx, s, f):
+    """d^<s>(f): the basis operator d^<s> applied to f."""
+    return DiffOp.dpartial(ctx, s).apply(f)
 
 
 # -- the basis action ---------------------------------------------------------
@@ -92,7 +96,7 @@ def mul_oracle(a, b):
     out = {}
     for k, f in a.terms.items():
         for l, g in b.terms.items():
-            for i in box_le(mi_min(k, g.max_exps())):
+            for i in box_le(tuple(map(min, k, g.max_exps()))):
                 ki = mi_sub(k, i)
                 c = brace_mi_mod(i, ki, p, m, p) * \
                     angle_mi_mod(ki, l, p, m, p) % p

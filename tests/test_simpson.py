@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dopm.context import Context
-from dopm.diffops import DiffOp, apply_dp
+from dopm.diffops import DiffOp
 from dopm.frobenius import FrobData, random_strong_lifting
 from dopm.diffops import central_unit, theta_unit
 from dopm.linalg import (nullspace_mod, pmat_add_inplace, pmat_eq, pmat_eye,
@@ -24,8 +24,8 @@ from dopm.linalg import (nullspace_mod, pmat_add_inplace, pmat_eq, pmat_eye,
 from dopm import simpson
 from dopm.poly import Poly
 from dopm.scalars import (angle_mi_mod, box_le, brace, brace_mi_mod,
-                          degree_box, dp_monomial_action, mi_min, mi_scale,
-                          mi_sub, mi_unit)
+                          degree_box, dp_monomial_action, mi_scale, mi_sub,
+                          mi_unit)
 from dopm.simpson import (DModule, HiggsModule, InvariantSpace,
                           NotQuasiNilpotent, central_apply, corpus,
                           corpus_json, curvature_of, invariant_rank,
@@ -401,8 +401,8 @@ class PolyPerTermModule(DModule):
     """DModule with the Poly-per-term Leibniz sum that the dict-level
     kernel replaced as its action: sum over a <= k of {k \\ a} times
     b_matrix(k - a) applied to d^<a>(sec), through brace_mi_mod and
-    apply_dp.  b_matrix applies act column by column, so every matrix of
-    this module goes through it too."""
+    DiffOp.apply.  b_matrix applies act column by column, so every matrix
+    of this module goes through it too."""
 
     __slots__ = ()
 
@@ -411,11 +411,11 @@ class PolyPerTermModule(DModule):
         k = tuple(k)
         maxe = tuple(map(max, zip(*(f.max_exps() for f in sec))))
         out = [Poly.zero(ctx.r, ctx.p) for _ in range(self.rank)]
-        for a in box_le(mi_min(k, maxe)):
+        for a in box_le(tuple(map(min, k, maxe))):
             c = brace_mi_mod(a, mi_sub(k, a), ctx.p, ctx.m, ctx.p)
             if not c:
                 continue
-            da = [apply_dp(ctx, a, f) for f in sec]
+            da = [DiffOp.dpartial(ctx, a).apply(f) for f in sec]
             b = self.b_matrix(mi_sub(k, a))
             for row in range(self.rank):
                 acc = out[row]
