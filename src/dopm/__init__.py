@@ -9,7 +9,7 @@ module re-verifies the underlying identities end to end.
 
 from .context import Context
 from .poly import Poly
-from .scalars import (angle, angle_mi, angle_mi_mod, binom_mod_p2, box,
+from .scalars import (angle, angle_mi_mod, binom_mod_p2, box,
                       box_le, brace, brace_mi, brace_mi_mod, degree_box,
                       dp_power_factor, lucas_closed_form)
 from .dpalg import DPElem, RatDP, gamma_dp, pair_op, taylor
@@ -27,7 +27,7 @@ from .simpson import (DModule, HiggsModule, InvariantSpace, MalformedInput,
                       NotQuasiNilpotent, central_apply, corpus, corpus_json,
                       curvature_of, invariant_rank, pullback, random_higgs,
                       recovered_higgs, round_trip, solve_invariants,
-                      solve_invariants_literal, worked_example)
+                      worked_example)
 from .expr import ExprError, parse, render_matrix, render_op, render_poly
 from .suites import SUITES, SuiteCase, SuiteReport, run_suite
 
@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Context", "Poly", "DPElem", "RatDP", "DiffOp",
-    "angle", "angle_mi", "angle_mi_mod", "binom_mod_p2", "box", "box_le",
+    "angle", "angle_mi_mod", "binom_mod_p2", "box", "box_le",
     "brace", "brace_mi", "brace_mi_mod", "degree_box", "dp_power_factor",
     "lucas_closed_form",
     "gamma_dp", "pair_op", "taylor",
@@ -51,8 +51,7 @@ __all__ = [
     "NotQuasiNilpotent",
     "central_apply", "corpus", "corpus_json", "curvature_of",
     "invariant_rank", "pullback", "random_higgs", "recovered_higgs",
-    "round_trip", "solve_invariants", "solve_invariants_literal",
-    "worked_example",
+    "round_trip", "solve_invariants", "worked_example",
     "ExprError", "parse", "render_matrix", "render_op", "render_poly",
     "SUITES", "SuiteCase", "SuiteReport", "run_suite",
 ]

@@ -74,13 +74,6 @@ def brace_mi(k, l, p: int, m: int) -> int:
     return out
 
 
-def angle_mi(k, l, p: int, m: int) -> Fraction:
-    out = Fraction(1)
-    for a, b in zip(k, l):
-        out *= angle(a, b, p, m)
-    return out
-
-
 def brace_mi_mod(k, l, p: int, m: int, mod: int) -> int:
     out = 1
     for a, b in zip(k, l):
@@ -95,8 +88,8 @@ def angle_mod(k: int, l: int, p: int, m: int, mod: int) -> int:
 
 
 def angle_mi_mod(k, l, p: int, m: int, mod: int) -> int:
-    """angle_mi(k, l) mod `mod`, as the product of the coordinates'
-    residues; angle_mi is its oracle."""
+    """The multi-index angle <k \\ l> mod `mod`, as the product of the
+    coordinates' residues."""
     out = 1
     for a, b in zip(k, l):
         out = out * angle_mod(a, b, p, m, mod) % mod

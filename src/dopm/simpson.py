@@ -19,15 +19,15 @@ of its twisted-Frobenius image:
 |c| >= 2 survives on the module).  On a valid module it suffices to
 impose this for P = d_i^<s>, 0 < s <= p^m: Theta^c commutes with both
 sides, as theta_i is central, and the conditions of d_i^<p^m> t_i^b are
-triangular in these (two lemmas, proved at `_condition_items`).
+triangular in these (two lemmas, proved at `_box_entries`).
 
 The conditions are O_X'-linear: t' = t^q with q = p^(m+1) is central,
 so the conditions on t'^b t^a e_j are those on t^a e_j with every
-exponent shifted by q b.  The solver evaluates them once on the box
-a < q (componentwise) and builds every unknown of the degree window by
-that shift.  One sparse solve takes every unknown: a row with one
-nonzero forces its unknown to zero, and only the rows left after
-striking those reach the dense kernel.  A round trip solves once, at
+exponent shifted by q b.  The solver builds each condition once,
+evaluates it on the box a < q (componentwise) and builds every unknown
+of the degree window by that shift.  One sparse solve takes every
+unknown: a row with one nonzero forces its unknown to zero, and only
+the rows left after striking those reach the dense kernel.  A round trip solves once, at
 the bound d + q its stability check needs, and reads the degree-<= d
 invariants off that solve as V_d = V_(d+q) ∩ span(deg <= d).
 """
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import product
+from operator import add, sub
 
 import numpy as np
 
@@ -47,8 +48,8 @@ from .linalg import (nullspace_mod, pmat_add_inplace, pmat_eq, pmat_eye,
                      pmat_zero, rank_mod, rref_mod)
 from .poly import (MalformedInput, Poly, is_int, poly_from_json,
                    poly_to_json, reduced)
-from .scalars import (angle_mi_mod, box_le, degree_box, mi_add, mi_scale,
-                      mi_sub, mi_sum, mi_unit)
+from .scalars import (angle_mi_mod, degree_box, dp_residues, leibniz_weights,
+                      mi_add, mi_scale, mi_sub, mi_sum, mi_unit)
 
 
 class NotQuasiNilpotent(ValueError):
@@ -481,17 +482,24 @@ def central_apply(dm: DModule, op: DiffOp, sec):
     return out
 
 
-def _vec_sub(a, b):
-    return [x - y for x, y in zip(a, b)]
-
-
-def _condition_items(fd: FrobData, dm: DModule, sec, nnil):
-    """The invariance conditions on one section, yielded as (key, vector
-    of polynomials) pairs; a key names its condition across sections.
+def _box_entries(fd: FrobData, dm: DModule, nnil, sections) -> dict:
+    """The invariance conditions on the box sections t^a e_j, for each
+    (j, a) in `sections`, as ((key, component), exponent, coefficient)
+    entries, coefficients reduced and nonzero; a key names its condition
+    across sections.
 
     Condition (i, s), i < r and 0 < s <= p^m, is the defect of d_i^<s>:
     D_s(sec) = central(phi_tilde(d_i^<s>)) sec - rho(d_i^<s>) sec, the
     image truncated at the nilpotency order (the rest acts as zero).
+    Each one is built once and evaluated on every section:
+
+    - the central half is O_X-linear in the section, so on t^a e_j it is
+      t^a times its value on e_j, `central_apply` on the unit columns;
+    - the Leibniz sum rho(d^<s e_i>)(t^a e_j) = sum_a' {s \\ a'}
+      d^<a' e_i>(t^a) b((s - a') e_i) e_j, weights from
+      `leibniz_weights`, runs only over the a' whose b((s - a') e_i)
+      column j is nonzero, and d^<a' e_i>(t^a) is t^(a - a' e_i) times
+      the residue of a_i in `dp_residues(a')` (zero when a_i < a').
 
     A complete family is (c, i, l, b), |c| < nnil, l <= m, b < q: the
     defect of d_i^<p^l> t_i^b on A_c^{-1} Theta^c sec (multiplication
@@ -519,13 +527,42 @@ def _condition_items(fd: FrobData, dm: DModule, sec, nnil):
     nullspace_mod's basis depends only on the kernel and the column
     order, so the basis is the one the complete family gives."""
     ctx = fd.ctx
+    p, m, n = ctx.p, ctx.m, dm.rank
+    box = {sec: [] for sec in sections}
     for i in range(ctx.r):
         for s in range(1, ctx.pm + 1):
-            e = _along(ctx, i, s)
-            naive = central_apply(dm, phi_tilde_basis(fd, e, nnil - 1), sec)
-            vec = _vec_sub(naive, dm.act(e, sec))
-            if any(vec):
-                yield (i, s), vec
+            key = (i, s)
+            op = phi_tilde_basis(fd, _along(ctx, i, s), nnil - 1)
+            cmat = _on_columns(partial(central_apply, dm, op),
+                               pmat_eye(n, ctx.r, p))
+            central = [[(row, cmat[row][j].coeffs) for row in range(n)
+                        if cmat[row][j]] for j in range(n)]
+            weights = leibniz_weights(s, s, 0, p, m)
+            terms = []
+            for a, w in zip(weights[::2], weights[1::2]):
+                cols = dm._columns(_along(ctx, i, s - a))
+                if any(cols):
+                    terms.append((_along(ctx, i, a), w,
+                                  dp_residues(a, p, m), cols))
+            for (j, a0), out in box.items():
+                acc = {}
+                for row, f in central[j]:
+                    for e, c in f.items():
+                        k = (row, tuple(map(add, e, a0)))
+                        acc[k] = acc.get(k, 0) + c
+                for da, w, res, cols in terms:
+                    c = w * res[a0[i] % len(res)]
+                    if c and cols[j]:
+                        b = tuple(map(sub, a0, da))
+                        for row, f, _ in cols[j]:
+                            for e, cf in f.items():
+                                k = (row, tuple(map(add, e, b)))
+                                acc[k] = acc.get(k, 0) - c * cf
+                for (row, e), c in acc.items():
+                    c %= p
+                    if c:
+                        out.append(((key, row), e, c))
+    return box
 
 
 def _flatten_rows(vec_rows, p):
@@ -553,15 +590,15 @@ def solve_invariants(fd: FrobData, dm: DModule,
     """Compute the invariant sections of total degree <= deg_bound.
 
     t' = t^q (q = p^(m+1)) is central, so the conditions on t'^b t^a e_j
-    are those on t^a e_j with every exponent shifted by q b.  They are
-    evaluated once per box section t^a e_j, a < q componentwise, that
-    the window reaches; every other unknown reuses its box entry.  The
-    constraint rows, keyed by (condition key, component, shifted
-    exponent), go to one sparse solve over every unknown in
-    `degree_box` order (`_sparse_nullspace`).  A smaller window needs
-    no second solve: V_d = V_D ∩ span(deg <= d) for d <= D, which
-    `InvariantSpace.restrict` computes.  dm must be a valid module
-    (`DModule.validate`): the reduced conditions rely on it."""
+    are those on t^a e_j with every exponent shifted by q b.  Each
+    condition is built once and evaluated on every box section t^a e_j,
+    a < q componentwise, that the window reaches (`_box_entries`); every
+    other unknown reuses its box entries.  The constraint rows, keyed by
+    (condition key, component, shifted exponent), go to one sparse solve
+    over every unknown in `degree_box` order (`_sparse_nullspace`).  A
+    smaller window needs no second solve: V_d = V_D ∩ span(deg <= d) for
+    d <= D, which `InvariantSpace.restrict` computes.  dm must be a valid
+    module (`DModule.validate`): the reduced conditions rely on it."""
     ctx = fd.ctx
     q = ctx.pm1
     d = ctx.solve_bound() if deg_bound is None else deg_bound
@@ -569,21 +606,13 @@ def solve_invariants(fd: FrobData, dm: DModule,
     fd = fd.deepen(nnil - 1)   # tau-room for the twisted images
     monomials = [(j, a) for a in degree_box(d, ctx.r)
                  for j in range(dm.rank)]
-    box = {}
+    reached = [(j, tuple(x % q for x in a)) for j, a in monomials]
+    box = _box_entries(fd, dm, nnil, list(dict.fromkeys(reached)))
     rows = {}   # (condition key, component, exponent) -> {unknown: coeff}
-    for k, (j, a) in enumerate(monomials):
-        a0 = tuple(x % q for x in a)
-        if (j, a0) not in box:
-            sec = [Poly.monomial(a0, 1, ctx.r, ctx.p) if jj == j
-                   else Poly.zero(ctx.r, ctx.p) for jj in range(dm.rank)]
-            items = _condition_items(fd, dm, sec, nnil)
-            box[(j, a0)] = [((key, comp), e, cf) for key, vec in items
-                            for comp, f in enumerate(vec)
-                            for e, cf in f.coeffs.items()]
-        shift = tuple(x - y for x, y in zip(a, a0))
+    for k, ((j, a), (_, a0)) in enumerate(zip(monomials, reached)):
+        shift = tuple(map(sub, a, a0))
         for ck, e, cf in box[(j, a0)]:
-            e = tuple(x + s for x, s in zip(e, shift))
-            rows.setdefault((ck, e), {})[k] = cf
+            rows.setdefault((ck, tuple(map(add, e, shift))), {})[k] = cf
     basis = _sparse_nullspace(list(rows.values()), len(monomials), ctx.p)
     return InvariantSpace(dm, d, monomials, basis)
 
@@ -617,41 +646,6 @@ def _sparse_nullspace(rows, ncols, p) -> np.ndarray:
     basis = np.zeros((kernel.shape[0], ncols), dtype=np.int64)
     basis[:, keep] = kernel
     return basis
-
-
-def solve_invariants_literal(fd: FrobData, dm: DModule, deg_bound: int,
-                             k_bound: int) -> InvariantSpace:
-    """Reference solver: impose rho(P)v = central(phi_tilde(P))v literally
-    for every basis operator d^<k>, k <= k_bound coordinate-wise.  Slow;
-    used to cross-check the reduced condition set on small configurations."""
-    ctx = fd.ctx
-    nnil = dm.nilpotency_index()
-    # phi must be exact on every probed |k| <= k_bound * r
-    room = -(-k_bound * ctx.r // ctx.pm1)
-    fd = fd.deepen(max(nnil - 1, room))
-    monomials = [(j, a) for a in degree_box(deg_bound, ctx.r)
-                 for j in range(dm.rank)]
-    cols = []
-    for (j, a) in monomials:
-        sec = [Poly.monomial(a, 1, ctx.r, ctx.p) if jj == j
-               else Poly.zero(ctx.r, ctx.p) for jj in range(dm.rank)]
-        conds = []
-        for k in box_le((k_bound,) * ctx.r):
-            if not any(k):
-                continue
-            naive = central_apply(dm, phi_tilde_basis(fd, k, nnil - 1), sec)
-            full = dm.act(k, sec)
-            conds.append(_vec_sub(naive, full))
-        cols.append(conds)
-    nslots = len(cols[0])
-    mats = []
-    for slot in range(nslots):
-        # unknowns x output-monomials, transposed into constraint rows
-        mats.append(_flatten_rows([cols[k][slot] for k in range(len(cols))],
-                                  ctx.p).T)
-    big = np.concatenate(mats, axis=0)
-    basis = nullspace_mod(big, ctx.p)
-    return InvariantSpace(dm, deg_bound, monomials, basis)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dopm.scalars import (angle, angle_mi, angle_mi_mod, binom_mod_p2, box,
-                          box_le, brace, brace_mi, degree_box, div_p_fact,
+from dopm.scalars import (angle, angle_mi_mod, binom_mod_p2, box, box_le,
+                          brace, brace_mi, degree_box, div_p_fact,
                           dp_monomial_action, dp_power_factor, dp_residues,
                           frac_mod, leibniz_weights, lucas_closed_form,
                           mi_add, mi_le, mi_scale, mi_sub, mi_sum, mi_unit,
@@ -110,6 +110,15 @@ def test_brace_cocycle(p, m, a, b, c):
     # associativity of tau^{a} tau^{b} tau^{c} in scalar form
     assert brace(a, b, p, m) * brace(a + b, c, p, m) == \
         brace(b, c, p, m) * brace(a, b + c, p, m)
+
+
+def angle_mi(k, l, p, m):
+    """The multi-index angle as the exact product of the coordinates'
+    Fractions: the oracle of angle_mi_mod."""
+    out = Fraction(1)
+    for a, b in zip(k, l):
+        out *= angle(a, b, p, m)
+    return out
 
 
 def test_multi_index_constants_are_products():

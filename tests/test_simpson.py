@@ -7,7 +7,9 @@ curvature works out to N + t' N^2 + ... in downstairs coordinates, so
 every quantity has a short independent formula.
 """
 
+import hashlib
 import random
+from collections import Counter
 from functools import lru_cache, partial
 
 import numpy as np
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from dopm.context import Context
 from dopm.diffops import DiffOp
-from dopm.frobenius import FrobData, random_strong_lifting
+from dopm.frobenius import FrobData, phi_tilde_basis, random_strong_lifting
 from dopm.diffops import central_unit, theta_unit
 from dopm.linalg import (nullspace_mod, pmat_add_inplace, pmat_eq, pmat_eye,
                          pmat_map, pmat_mul, pmat_scale, pmat_zero, rank_mod)
@@ -30,8 +32,7 @@ from dopm.simpson import (DModule, HiggsModule, InvariantSpace,
                           NotQuasiNilpotent, central_apply, corpus,
                           corpus_json, curvature_of, invariant_rank,
                           pullback, random_higgs, recovered_higgs,
-                          round_trip, solve_invariants,
-                          solve_invariants_literal, worked_example)
+                          round_trip, solve_invariants, worked_example)
 
 
 def jordan_higgs(ctx, n):
@@ -212,7 +213,6 @@ def test_invariant_sections_really_are_invariant():
     inv = solve_invariants(fd, dm)
     # spot-check the defining property through an independent route: the
     # honest action of d must match the twisted image evaluated centrally
-    from dopm.frobenius import phi_tilde_basis
     nnil = dm.nilpotency_index()
     for sec in inv.sections():
         lhs = dm.act((1,), sec)
@@ -521,6 +521,72 @@ def _solver_case(ctx, lift_seed, field, gauge):
     return fd, (_gauged_pullback if gauge else pullback)(fd, field(ctx))
 
 
+def _unit_section(ctx, n, j, a):
+    return [Poly.monomial(a, 1, ctx.r, ctx.p) if jj == j
+            else Poly.zero(ctx.r, ctx.p) for jj in range(n)]
+
+
+def _vec_sub(a, b):
+    return [x - y for x, y in zip(a, b)]
+
+
+def condition_items(fd, dm, sec, nnil):
+    """The per-section evaluation that `simpson._box_entries` replaced,
+    kept as its oracle: on one section, each defect (i, s),
+    central(phi_tilde(d_i^<s>)) sec - rho(d_i^<s>) sec, through
+    `central_apply` and `DModule.act`, yielded as (key, vector of
+    polynomials) when it is nonzero."""
+    ctx = fd.ctx
+    for i in range(ctx.r):
+        for s in range(1, ctx.pm + 1):
+            e = mi_scale(mi_unit(ctx.r, i), s)
+            naive = central_apply(dm, phi_tilde_basis(fd, e, nnil - 1), sec)
+            vec = _vec_sub(naive, dm.act(e, sec))
+            if any(vec):
+                yield (i, s), vec
+
+
+def box_oracle(fd, dm, nnil, sections):
+    """`_box_entries` through `condition_items`, one section at a time."""
+    out = {}
+    for j, a0 in sections:
+        sec = _unit_section(fd.ctx, dm.rank, j, a0)
+        out[(j, a0)] = [((key, comp), e, cf)
+                        for key, vec in condition_items(fd, dm, sec, nnil)
+                        for comp, f in enumerate(vec)
+                        for e, cf in f.coeffs.items()]
+    return out
+
+
+def solve_invariants_literal(fd, dm, deg_bound, k_bound):
+    """Reference solver: impose rho(P)v = central(phi_tilde(P))v literally
+    for every basis operator d^<k>, k <= k_bound coordinate-wise.  Slow;
+    it cross-checks the reduced condition set on small configurations."""
+    ctx = fd.ctx
+    nnil = dm.nilpotency_index()
+    # phi must be exact on every probed |k| <= k_bound * r
+    room = -(-k_bound * ctx.r // ctx.pm1)
+    fd = fd.deepen(max(nnil - 1, room))
+    monomials = [(j, a) for a in degree_box(deg_bound, ctx.r)
+                 for j in range(dm.rank)]
+    cols = []
+    for (j, a) in monomials:
+        sec = _unit_section(ctx, dm.rank, j, a)
+        conds = []
+        for k in box_le((k_bound,) * ctx.r):
+            if not any(k):
+                continue
+            naive = central_apply(dm, phi_tilde_basis(fd, k, nnil - 1), sec)
+            conds.append(_vec_sub(naive, dm.act(k, sec)))
+        cols.append(conds)
+    # unknowns x output-monomials, transposed into constraint rows
+    big = np.concatenate(
+        [simpson._flatten_rows([col[slot] for col in cols], ctx.p).T
+         for slot in range(len(cols[0]))], axis=0)
+    return InvariantSpace(dm, deg_bound, monomials,
+                          nullspace_mod(big, ctx.p))
+
+
 @pytest.mark.parametrize("ctx, lift_seed, field, gauge", SOLVER_CASES,
                          ids=SOLVER_IDS)
 def test_reduced_solver_agrees_with_the_literal_one(ctx, lift_seed, field,
@@ -539,32 +605,72 @@ def test_reduced_solver_agrees_with_the_literal_one(ctx, lift_seed, field,
         assert lit.contains(sec)
 
 
+def _reached(ctx, n, deg_bound):
+    """The box sections (j, a mod q) of a window, in first-reached order."""
+    q = ctx.pm1
+    return list(dict.fromkeys((j, tuple(x % q for x in a))
+                              for a in degree_box(deg_bound, ctx.r)
+                              for j in range(n)))
+
+
+def _rank_two(ctx):
+    return random_higgs(ctx, random.Random(1), 2)
+
+
+BOX_CASES = [
+    *[(*case, None) for case in SOLVER_CASES],
+    # pullbacks whose b_matrix(j e_i) vanishes for 0 < j < p^m, so the
+    # Leibniz sum skips columns
+    (Context(5, 2), None, _rank_two, False, None),
+    (Context(2, 3), None, _rank_two, False, None),
+    # a window below r (q - 1) reaches only part of the box
+    (Context(2, 1, r=2), None, _rank_two, False, 4),
+]
+BOX_IDS = [*SOLVER_IDS, "p5m2-pullback", "p2m3-pullback", "p2m1r2-window4"]
+
+
+@pytest.mark.parametrize("ctx, lift_seed, field, gauge, deg_bound",
+                         BOX_CASES, ids=BOX_IDS)
+def test_box_entries_are_the_per_section_oracle(ctx, lift_seed, field,
+                                                gauge, deg_bound):
+    fd, dm = _solver_case(ctx, lift_seed, field, gauge)
+    nnil = dm.nilpotency_index()
+    fd = fd.deepen(nnil - 1)
+    d = ctx.solve_bound() if deg_bound is None else deg_bound
+    sections = _reached(ctx, dm.rank, d)
+    if deg_bound is not None:
+        assert len(sections) < dm.rank * ctx.pm1 ** ctx.r
+    if field is _rank_two:
+        assert not any(dm._columns(mi_unit(ctx.r, 0)))
+    got = simpson._box_entries(fd, dm, nnil, sections)
+    want = box_oracle(fd, dm, nnil, sections)
+    assert list(got) == sections
+    for sec in sections:
+        assert Counter(got[sec]) == Counter(want[sec]), sec
+    assert any(want.values())
+
+
 def dense_solve(fd, dm):
     """The dense solve that the sparse one replaced, kept as its
-    reference: the box conditions of every unknown, shifted to its
-    exponent, as the columns of one (constraint rows, unknowns) matrix in
-    `degree_box` order, and nullspace_mod on the whole of it."""
+    reference: the box conditions of every unknown, through the
+    per-section oracle and shifted to its exponent, as the columns of one
+    (constraint rows, unknowns) matrix in `degree_box` order, and
+    nullspace_mod on the whole of it."""
     ctx = fd.ctx
     q = ctx.pm1
     nnil = dm.nilpotency_index()
     fd = fd.deepen(nnil - 1)
     monomials = [(j, a) for a in degree_box(ctx.solve_bound(), ctx.r)
                  for j in range(dm.rank)]
-    box = {}
+    box = box_oracle(fd, dm, nnil, _reached(ctx, dm.rank, ctx.solve_bound()))
     coords = {}   # (condition key, component, exponent) -> constraint row
     cols = []     # per unknown: {constraint row -> coefficient}
     for j, a in monomials:
         a0 = tuple(x % q for x in a)
-        if (j, a0) not in box:
-            sec = [Poly.monomial(a0, 1, ctx.r, ctx.p) if jj == j
-                   else Poly.zero(ctx.r, ctx.p) for jj in range(dm.rank)]
-            box[(j, a0)] = list(simpson._condition_items(fd, dm, sec, nnil))
         col = {}
-        for key, vec in box[(j, a0)]:
-            for comp, f in enumerate(vec):
-                for e, cf in f.coeffs.items():
-                    e = tuple(x + y - z for x, y, z in zip(e, a, a0))
-                    col[coords.setdefault((key, comp, e), len(coords))] = cf
+        for ck, e, cf in box[(j, a0)]:
+            e = tuple(x + y - z for x, y, z in zip(e, a, a0))
+            col[coords.setdefault((ck, e), len(coords))] = cf
         cols.append(col)
     mat = np.zeros((len(coords), len(monomials)), dtype=np.int64)
     for k, col in enumerate(cols):
@@ -818,24 +924,42 @@ def test_restrict_keeps_exactly_the_low_sections():
     assert wide.restrict(-1).dim == 0
 
 
-@pytest.mark.parametrize("ctx, lifted", [
-    (Context(3, 0, r=2), False), (Context(2, 1), False),
-    (Context(2, 0, r=2), True)])
-def test_conditions_are_evaluated_once_per_box_section(monkeypatch, ctx,
-                                                        lifted):
-    # t' = t^q is central: one evaluation per section t^a e_j, a < q
+@pytest.mark.parametrize("ctx, lifted, deg_bound", [
+    (Context(3, 0, r=2), False, None), (Context(2, 1), False, None),
+    (Context(2, 0, r=2), True, None), (Context(2, 1, r=2), False, 4)],
+    ids=["p3m0r2", "p2m1", "p2m0r2-lifted", "p2m1r2-window4"])
+def test_conditions_are_built_once_per_operator(monkeypatch, ctx, lifted,
+                                                deg_bound):
+    # each condition D_(i,s) is built once per solve, from one twisted
+    # image, and evaluated once on each box section t^a e_j, a < q, that
+    # the window reaches: t' = t^q is central
     fd = _strong(ctx, 8) if lifted else FrobData.standard(ctx)
     dm = pullback(fd, random_higgs(ctx, random.Random(9), 2))
-    calls = []
-    original = simpson._condition_items
+    images, seen = [], []
+    image, evaluate = simpson.phi_tilde_basis, simpson._box_entries
 
-    def counting(fd, dm, sec, *rest):
-        calls.append(sec)
-        return original(fd, dm, sec, *rest)
+    def counting_image(fd, n, *rest):
+        images.append(tuple(n))
+        return image(fd, n, *rest)
 
-    monkeypatch.setattr(simpson, "_condition_items", counting)
-    solve_invariants(fd, dm)
-    assert len(calls) == dm.rank * ctx.p ** ((ctx.m + 1) * ctx.r)
+    def counting_evaluate(fd, dm, nnil, sections):
+        seen.append(list(sections))
+        return evaluate(fd, dm, nnil, sections)
+
+    monkeypatch.setattr(simpson, "phi_tilde_basis", counting_image)
+    monkeypatch.setattr(simpson, "_box_entries", counting_evaluate)
+    inv = solve_invariants(fd, dm, deg_bound)
+    assert sorted(images) == sorted(mi_scale(mi_unit(ctx.r, i), s)
+                                    for i in range(ctx.r)
+                                    for s in range(1, ctx.pm + 1))
+    sections, = seen
+    q = ctx.pm1
+    assert len(set(sections)) == len(sections)
+    assert set(sections) == {(j, tuple(x % q for x in a))
+                             for j, a in inv.monomials}
+    full = dm.rank * q ** ctx.r
+    assert len(sections) == full if deg_bound is None else \
+        len(sections) < full
 
 
 def test_constants_are_invariant_for_cubes():
@@ -916,3 +1040,25 @@ def test_round_trip_at_the_advertised_corners(p, m, r, n):
     assert rep["rank"] == rep["rank_expected"] == n
     assert rep["members"] and rep["stable"] and rep["recovered_valid"]
     assert rep["recovered_exact"]
+
+
+def _basis_md5(basis):
+    head = repr((basis.shape, str(basis.dtype))).encode()
+    return hashlib.md5(head + basis.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("p, m, r, md5", [
+    (5, 2, 1, "0c753c69ab3a4cf6ce13201cedbcd567"),
+    (7, 2, 1, "66ffece21c4431a6fda2a41e7ed049ba"),
+    (5, 3, 1, "cffa9c2622512ee099c9aaa338ce6d28"),
+    (3, 2, 2, "8e9381f9a35a3e1c9dc615d7a598a313")])
+def test_round_trip_basis_bytes_are_pinned(p, m, r, md5):
+    # rank 2 under the standard lifting; the md5 is that of the basis the
+    # per-section evaluation gave
+    ctx = Context(p, m, r)
+    rep = round_trip(FrobData.standard(ctx),
+                     random_higgs(ctx, random.Random(1), 2))
+    assert rep["rank"] == rep["rank_expected"] == 2
+    assert rep["members"] and rep["stable"] and rep["recovered_valid"]
+    assert rep["recovered_exact"]
+    assert _basis_md5(rep["inv"].basis) == md5
