@@ -24,6 +24,8 @@ def rref_mod(a: np.ndarray, p: int):
     pivots = []
     rank = 0
     for c in range(cols):
+        if rank == rows:
+            break
         nz = np.flatnonzero(a[rank:, c])
         if not nz.size:
             continue
@@ -39,15 +41,17 @@ def rref_mod(a: np.ndarray, p: int):
             a[block] = (a[block] - np.outer(a[hit, c], a[rank, on])) % p
         pivots.append(c)
         rank += 1
-        if rank == rows:
-            break
     return a, pivots
 
 
 def rank_mod(a: np.ndarray, p: int) -> int:
-    if a.size == 0:
-        return 0
-    return len(rref_mod(a, p)[1])
+    """Rank over GF(p).  The rows U with one nonzero span the unit
+    vectors of their columns, so rank([U; M]) = |cols(U)| + rank(M with
+    cols(U) zeroed): only what is left is row-reduced."""
+    nz = a % p != 0
+    unit = np.count_nonzero(nz, axis=1) == 1
+    cols = nz[unit].any(axis=0)
+    return int(cols.sum()) + len(rref_mod(a[~unit][:, ~cols], p)[1])
 
 
 def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:

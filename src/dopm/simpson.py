@@ -21,21 +21,21 @@ impose this for P = d_i^<s>, 0 < s <= p^m: Theta^c commutes with both
 sides, as theta_i is central, and the conditions of d_i^<p^m> t_i^b are
 triangular in these (two lemmas, proved at `_box_entries`).
 
-The conditions are O_X'-linear: t' = t^q with q = p^(m+1) is central,
-so the conditions on t'^b t^a e_j are those on t^a e_j with every
-exponent shifted by q b.  The solver builds each condition once,
-evaluates it on the box a < q (componentwise) and builds every unknown
-of the degree window by that shift.  One sparse solve takes every
-unknown: a row with one nonzero forces its unknown to zero, and only
-the rows left after striking those reach the dense kernel.  A round trip solves once, at
-the bound d + q its stability check needs, and reads the degree-<= d
-invariants off that solve as V_d = V_(d+q) ∩ span(deg <= d).
+F_*O_X^n is free over O_X' = F_p[t'] on the box sections t^a e_j, a < q
+= p^(m+1) componentwise, and the conditions are O_X'-linear (t' = t^q is
+central): a matrix over F_p[t'] with a column per box section, each
+condition built once and evaluated on the box.  F_p[t'] is a domain, so
+a row with one nonzero entry forces its column to zero on the whole
+O_X'-kernel and on every window; only the t'-shifts of the surviving
+sections get window rows, for one sparse solve.  A round trip solves
+once, at the bound d + q its stability check needs, and reads the
+degree-<= d invariants off that solve as V_d = V_(d+q) ∩ span(deg <= d).
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import product
+from itertools import compress, product
 from operator import add, sub
 
 import numpy as np
@@ -435,29 +435,34 @@ class InvariantSpace:
         """v is in the span iff v = sum v[f_k] basis_k over the free
         columns f_k: only row k is nonzero at f_k, and it is 1 there."""
         v = self.flatten(sec)
-        free = [np.flatnonzero(row)[-1] for row in self.basis]
         return v is not None and np.array_equal(
-            v, v[free] @ self.basis % self.dm.ctx.p)
+            v, v[self.free] @ self.basis % self.dm.ctx.p)
+
+    @property
+    def free(self):
+        """The free column of each basis row, its last nonzero."""
+        return np.where(self.basis != 0, np.arange(self.basis.shape[1]),
+                        -1).max(axis=1, initial=-1)
 
     def restrict(self, deg_bound: int) -> "InvariantSpace":
         """V_d = V ∩ span(deg <= d), for d = deg_bound <= self.deg_bound.
 
-        The basis comes in the solver's canonical form (1 at its own free
-        column, 0 at the others), so it equals a direct solve at d."""
+        v in V is sum v[f_k] basis_k, so in V_d it is 0 at every free
+        column outside the window: V_d is the c @ B_in, B_in the rows with
+        free column inside, that vanish outside.  If every c does, B_in is
+        already in V_d's canonical form (it depends only on the space and
+        the column order)."""
         p = self.dm.ctx.p
-        inside = [k for k, (_, a) in enumerate(self.monomials)
-                  if mi_sum(a) <= deg_bound]
-        outside = [k for k, (_, a) in enumerate(self.monomials)
-                   if mi_sum(a) > deg_bound]
-        basis = self.basis
-        if outside and basis.shape[0]:
-            keep = nullspace_mod(basis[:, outside].T, p)
-            basis = keep @ basis % p
-        basis = basis[:, inside]
-        red, piv = rref_mod(basis[:, ::-1], p)
-        basis = red[len(piv) - 1::-1, ::-1] if piv else red[:0]
+        inside = np.array([mi_sum(a) <= deg_bound
+                           for _, a in self.monomials], dtype=bool)
+        rows = self.basis[inside[self.free]]
+        keep = nullspace_mod(rows[:, ~inside].T, p)
+        basis = rows[:, inside]
+        if keep.shape[0] < rows.shape[0]:
+            red, piv = rref_mod((keep @ basis % p)[:, ::-1], p)
+            basis = red[:len(piv)][::-1, ::-1]
         return InvariantSpace(self.dm, deg_bound,
-                              [self.monomials[k] for k in inside],
+                              list(compress(self.monomials, inside)),
                               np.ascontiguousarray(basis))
 
 
@@ -589,16 +594,16 @@ def solve_invariants(fd: FrobData, dm: DModule,
                      deg_bound: int | None = None) -> InvariantSpace:
     """Compute the invariant sections of total degree <= deg_bound.
 
-    t' = t^q (q = p^(m+1)) is central, so the conditions on t'^b t^a e_j
-    are those on t^a e_j with every exponent shifted by q b.  Each
-    condition is built once and evaluated on every box section t^a e_j,
-    a < q componentwise, that the window reaches (`_box_entries`); every
-    other unknown reuses its box entries.  The constraint rows, keyed by
-    (condition key, component, shifted exponent), go to one sparse solve
-    over every unknown in `degree_box` order (`_sparse_nullspace`).  A
-    smaller window needs no second solve: V_d = V_D ∩ span(deg <= d) for
-    d <= D, which `InvariantSpace.restrict` computes.  dm must be a valid
-    module (`DModule.validate`): the reduced conditions rely on it."""
+    Each condition is built once and evaluated on every box section
+    t^a e_j, a < q = p^(m+1) componentwise, that the window reaches
+    (`_box_entries`).  Entry (key, e) of section (j, a) is t'^(e div q)
+    in box row (key, e mod q); a box row with one section forces it, and
+    every unknown t'^b t^a e_j, to zero (F_p[t'] is a domain), repeated by
+    `_strike_singletons`.  Only the surviving unknowns get window rows,
+    keyed by (condition key, component, shifted exponent), for one sparse
+    solve in `degree_box` order (`_sparse_nullspace`).  V_d for d <= D is
+    `InvariantSpace.restrict`.  dm must be a valid module
+    (`DModule.validate`): the reduced conditions rely on it."""
     ctx = fd.ctx
     q = ctx.pm1
     d = ctx.solve_bound() if deg_bound is None else deg_bound
@@ -608,35 +613,51 @@ def solve_invariants(fd: FrobData, dm: DModule,
                  for j in range(dm.rank)]
     reached = [(j, tuple(x % q for x in a)) for j, a in monomials]
     box = _box_entries(fd, dm, nnil, list(dict.fromkeys(reached)))
+    by_row = {}   # (condition key, exponent mod q) -> {section: None}
+    for sec, entries in box.items():
+        for ck, e, _ in entries:
+            by_row.setdefault((ck, tuple(x % q for x in e)), {})[sec] = None
+    dead = _strike_singletons(list(by_row.values()))[0]
+    del by_row
     rows = {}   # (condition key, component, exponent) -> {unknown: coeff}
-    for k, ((j, a), (_, a0)) in enumerate(zip(monomials, reached)):
-        shift = tuple(map(sub, a, a0))
-        for ck, e, cf in box[(j, a0)]:
-            rows.setdefault((ck, tuple(map(add, e, shift))), {})[k] = cf
-    basis = _sparse_nullspace(list(rows.values()), len(monomials), ctx.p)
+    forced = [k for k, sec in enumerate(reached) if sec in dead]
+    for k, ((j, a), sec) in enumerate(zip(monomials, reached)):
+        if sec not in dead:
+            shift = tuple(map(sub, a, sec[1]))
+            for ck, e, cf in box[sec]:
+                rows.setdefault((ck, tuple(map(add, e, shift))), {})[k] = cf
+    basis = _sparse_nullspace(list(rows.values()), len(monomials), ctx.p,
+                              forced)
     return InvariantSpace(dm, d, monomials, basis)
 
 
-def _sparse_nullspace(rows, ncols, p) -> np.ndarray:
-    """nullspace_mod of the matrix with these {column: nonzero} rows.
-
-    A row with one nonzero forces its column to zero; the forced columns
-    are struck from every row, rows left empty are dropped, and this
-    repeats until no row is a singleton.  nullspace_mod then solves the
-    rows left over the unforced columns, and the forced columns stay
-    zero.  The basis is nullspace_mod's on the whole matrix: that basis
-    depends only on the kernel and the column order (a free column is
-    the last nonzero of some kernel vector), and a forced column is zero
-    on the whole kernel, so it is never free."""
+def _strike_singletons(rows):
+    """(forced, rows left) of {column: value} rows: a row with one entry
+    forces its column to zero, forced columns are struck from every row
+    and rows left empty dropped, until no row is a singleton."""
     forced = set()
     while True:
         ones = {c for row in rows if len(row) == 1 for c in row}
         if not ones:
-            break
+            return forced, rows
         forced |= ones
         rows = [left for row in rows
                 if (left := {c: v for c, v in row.items() if c not in ones})]
-    keep = [c for c in range(ncols) if c not in forced]
+
+
+def _sparse_nullspace(rows, ncols, p, forced) -> np.ndarray:
+    """nullspace_mod of the matrix with these {column: nonzero} rows,
+    whose `forced` columns, held by no row, are zero on the kernel.
+
+    nullspace_mod solves the rows `_strike_singletons` leaves over the
+    unforced columns.  Its basis depends only on the kernel and the
+    column order (a free column is the last nonzero of some kernel
+    vector), and a forced column is zero on the whole kernel, so never
+    free: the basis is that of the whole matrix."""
+    more, rows = _strike_singletons(rows)
+    unforced = np.ones(ncols, dtype=bool)
+    unforced[forced] = unforced[list(more)] = False
+    keep = np.flatnonzero(unforced).tolist()
     at = {c: k for k, c in enumerate(keep)}
     mat = np.zeros((len(rows), len(keep)), dtype=np.int64)
     for r, row in enumerate(rows):
@@ -726,19 +747,13 @@ def _commuting_nilpotent(mats, n, ctx) -> bool:
 # corpus generation
 
 def _random_invertible(rng, n, p):
+    """A random invertible matrix over F_p and its inverse: [S | I]
+    reduces to [I | S^-1] exactly when S is invertible."""
     while True:
         s = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
-        if rank_mod(np.array(s, dtype=np.int64), p) == n:
-            return s
-
-
-def _mat_inverse(s, p):
-    n = len(s)
-    a = np.array(s, dtype=np.int64) % p
-    aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
-    red, piv = rref_mod(aug, p)
-    assert piv == list(range(n))
-    return [[int(red[i, n + j]) for j in range(n)] for i in range(n)]
+        red, piv = rref_mod(np.hstack([s, np.eye(n, dtype=np.int64)]), p)
+        if piv == list(range(n)):
+            return s, red[:, n:].tolist()
 
 
 def _const_pmat(entries, ctx):
@@ -753,8 +768,7 @@ def random_higgs(ctx: Context, rng, n: int, linear: bool = False) -> HiggsModule
     p = ctx.p
     seed = [[rng.randrange(p) if j > i else 0 for j in range(n)]
             for i in range(n)]
-    s = _random_invertible(rng, n, p)
-    sinv = _mat_inverse(s, p)
+    s, sinv = _random_invertible(rng, n, p)
     smat, sinvmat = _const_pmat(s, ctx), _const_pmat(sinv, ctx)
     nmat = _const_pmat(seed, ctx)
     mats = []

@@ -567,6 +567,30 @@ def test_module_entry_point():
     assert res.stdout == "t1*d1 + 1\n"
 
 
+NUMPY_MA_PROBE = """
+import contextlib, io, random, sys
+from dopm.cli import main
+from dopm.context import Context
+from dopm.frobenius import FrobData
+from dopm.simpson import random_higgs, round_trip
+ctx = Context(3, 1, 2)
+higgs = random_higgs(ctx, random.Random(1), 2)
+rep = round_trip(FrobData.standard(ctx), higgs)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["verify", "--suite", "all"])
+print(rep["rank"], code, "numpy.ma" in sys.modules)
+"""
+
+
+def test_round_trip_and_verify_leave_numpy_ma_unimported():
+    # numpy.ma costs memory and import time, and nothing here needs it;
+    # np.unique, for one, imports it
+    res = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE],
+                         capture_output=True, text=True, env=child_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "2 0 False\n"
+
+
 def test_input_checks_hold_under_python_O(tmp_path):
     # python -O strips assert statements: a check on a file must not be one
     module = tmp_path / "module.json"       # r = 2 with one Higgs matrix

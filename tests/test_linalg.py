@@ -95,3 +95,54 @@ def test_kernel_agrees_with_the_row_at_a_time_reference(p, seed, name):
     assert np.array_equal(kern, reference_nullspace(a, p))
     if a.size:
         assert not np.any(a @ kern.T % p)
+
+
+def planted(p, seed):
+    """Matrices whose rows with one nonzero `rank_mod` takes out before
+    it row-reduces the rest."""
+    rng = np.random.default_rng(seed)
+    cols = 10
+
+    def units(n):
+        out = np.zeros((n, cols), dtype=np.int64)
+        out[np.arange(n), rng.integers(0, cols, n)] = rng.integers(1, p, n)
+        return out
+
+    mixed = rng.integers(0, p, (8, cols))
+    mixed[:, :2] = rng.integers(1, p, (8, 2))      # two nonzeros at least
+    same_column = np.zeros((2, cols), dtype=np.int64)
+    same_column[:, 3] = [1, -1]                     # different scalars
+    with_zero_rows = np.vstack([units(3), np.zeros((2, cols), np.int64),
+                                mixed[:3]])
+    # mixed rows that lose rank once the unit columns are struck
+    hidden = np.vstack([np.eye(3, cols, dtype=np.int64),
+                        np.eye(3, cols, dtype=np.int64)
+                        + np.eye(3, cols, 3, dtype=np.int64)])
+    return {
+        "planted": rng.permutation(np.vstack([mixed, units(6)])),
+        "same-column": np.vstack([same_column, mixed[:4]]),
+        "same-column-only": same_column,
+        "all-unit": units(14),
+        "no-unit": mixed,
+        "zero-rows": with_zero_rows,
+        "unit-columns-hide-rank": hidden,
+        "0xk": np.zeros((0, cols), dtype=np.int64),
+        "kx0": np.zeros((4, 0), dtype=np.int64),
+    }
+
+
+PLANTED = [(p, seed, name) for p in (2, 3, 5, 7) for seed in (1, 2)
+           for name in planted(p, seed)]
+
+
+@pytest.mark.parametrize("p, seed, name", PLANTED,
+                         ids=[f"p{p}-s{s}-{n}" for p, s, n in PLANTED])
+def test_rank_takes_out_unit_rows_exactly(p, seed, name):
+    # rank([U; M]) = |cols(U)| + rank(M with cols(U) zeroed): the count
+    # equals the pivots of a full elimination
+    a = planted(p, seed)[name]
+    before = a.copy()
+    rank = rank_mod(a, p)
+    assert type(rank) is int
+    assert rank == len(rref_mod(a, p)[1])
+    assert np.array_equal(a, before)

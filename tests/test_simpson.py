@@ -22,12 +22,13 @@ from dopm.diffops import DiffOp
 from dopm.frobenius import FrobData, phi_tilde_basis, random_strong_lifting
 from dopm.diffops import central_unit, theta_unit
 from dopm.linalg import (nullspace_mod, pmat_add_inplace, pmat_eq, pmat_eye,
-                         pmat_map, pmat_mul, pmat_scale, pmat_zero, rank_mod)
+                         pmat_map, pmat_mul, pmat_scale, pmat_zero, rank_mod,
+                         rref_mod)
 from dopm import simpson
 from dopm.poly import Poly
 from dopm.scalars import (angle_mi_mod, box_le, brace, brace_mi_mod,
                           degree_box, dp_monomial_action, mi_scale, mi_sub,
-                          mi_unit)
+                          mi_sum, mi_unit)
 from dopm.simpson import (DModule, HiggsModule, InvariantSpace,
                           NotQuasiNilpotent, central_apply, corpus,
                           corpus_json, curvature_of, invariant_rank,
@@ -468,11 +469,12 @@ def test_act_is_the_poly_per_term_oracle(data):
     assert dm.act(k, sec) == slow.act(k, sec)
 
 
-def shear(ctx, n, c=1):
-    """I + c t1 E_12: a gauge change that is not constant, so it moves the
-    invariants off the O_X'-span of the frame."""
+def shear(ctx, n, c=1, k=1):
+    """I + c t1^k E_12: a gauge change that is not constant, so it moves
+    the invariants off the O_X'-span of the frame."""
     s = pmat_eye(n, ctx.r, ctx.p)
-    s[0][1] = Poly.monomial(mi_unit(ctx.r, 0), c % ctx.p, ctx.r, ctx.p)
+    s[0][1] = Poly.monomial(mi_scale(mi_unit(ctx.r, 0), k), c % ctx.p,
+                            ctx.r, ctx.p)
     return s
 
 
@@ -707,6 +709,62 @@ def test_sparse_solve_equals_the_dense_one(monkeypatch, ctx, lift_seed,
         assert mat.shape[0]
 
 
+@pytest.mark.parametrize("ctx, lift_seed, field, gauge", SOLVER_CASES,
+                         ids=SOLVER_IDS)
+def test_box_level_propagation_builds_no_forced_window_row(monkeypatch, ctx,
+                                                           lift_seed, field,
+                                                           gauge):
+    # a box row with one section forces that section, and all its
+    # t'-shifts, to zero: no window row holds a forced unknown, and on a
+    # pullback none is left, the kernel being the t'-span of the frame
+    # (the basis is compared with dense_solve above)
+    fd, dm = _solver_case(ctx, lift_seed, field, gauge)
+    strikes, solves = [], []
+    strike, sparse = simpson._strike_singletons, simpson._sparse_nullspace
+
+    def spy_strike(rows):
+        strikes.append(strike(rows))
+        return strikes[-1]
+
+    def spy_sparse(rows, ncols, p, forced):
+        solves.append((rows, set(forced)))
+        return sparse(rows, ncols, p, forced)
+
+    monkeypatch.setattr(simpson, "_strike_singletons", spy_strike)
+    monkeypatch.setattr(simpson, "_sparse_nullspace", spy_sparse)
+    inv = solve_invariants(fd, dm)
+    (dead, box_left), _window = strikes
+    (rows, forced), = solves
+    q = ctx.pm1
+    reached = [(j, tuple(x % q for x in a)) for j, a in inv.monomials]
+    assert dead and forced == {k for k, sec in enumerate(reached)
+                               if sec in dead}
+    assert not any(c in forced for row in rows for c in row)
+    if gauge:
+        assert box_left and rows
+    else:
+        assert box_left == [] and rows == []
+        assert set(reached) - dead == {(j, (0,) * ctx.r)
+                                       for j in range(dm.rank)}
+
+
+@pytest.mark.parametrize("ctx", [Context(2, 0), Context(3, 0), Context(2, 1),
+                                 Context(2, 0, r=2)],
+                         ids=["p2m0", "p3m0", "p2m1", "p2m0r2"])
+def test_box_rows_are_polynomials_in_t_prime(ctx):
+    # under the shear by t1^(q+1) an invariant holds the box sections e_2
+    # and t1 e_1, the second times t': a box row is keyed by the exponent
+    # mod q and collects every power of t', or t1 e_1 would come out
+    # forced, and the kernel too small
+    fd = FrobData.standard(ctx)
+    k = ctx.pm1 + 1
+    dm = gauged(pullback(fd, _linear(0)(ctx)), shear(ctx, 2, k=k),
+                shear(ctx, 2, -1, k=k))
+    assert dm.validate() == (True, None)
+    inv = solve_invariants(fd, dm)
+    assert np.array_equal(inv.basis, dense_solve(fd, dm)[1])
+
+
 def row_space_contains(basis, v, p):
     """Membership by rank, the check that `InvariantSpace.contains`
     replaced: v is in the row space iff appending it keeps the rank."""
@@ -799,6 +857,13 @@ RANK_CASES = [
 ]
 
 
+def _rank_case(ctx, n, lift_seed, linear, gauge):
+    fd = FrobData.standard(ctx) if lift_seed is None else _strong(ctx,
+                                                                  lift_seed)
+    higgs = random_higgs(ctx, random.Random(f"{ctx}/{n}"), n, linear=linear)
+    return fd, (_gauged_pullback if gauge else pullback)(fd, higgs)
+
+
 @pytest.mark.parametrize(
     "ctx, n, lift_seed, linear, gauge", RANK_CASES,
     ids=[f"p{c.p}m{c.m}r{c.r}-{n}-{seed}-{linear}" + ("-gauged" if g else "")
@@ -808,10 +873,7 @@ def test_invariant_rank_picks_the_greedy_generators(monkeypatch, ctx, n,
     # the rank is the number of generators a greedy pick over the basis
     # keeps: dim V_D less the rank of t'V_(D-q), which invariant_rank
     # reads off column moves, with no Poly, and the reference off Polys
-    fd = FrobData.standard(ctx) if lift_seed is None else _strong(ctx,
-                                                                  lift_seed)
-    higgs = random_higgs(ctx, random.Random(f"{ctx}/{n}"), n, linear=linear)
-    dm = (_gauged_pullback if gauge else pullback)(fd, higgs)
+    fd, dm = _rank_case(ctx, n, lift_seed, linear, gauge)
     inv = solve_invariants(fd, dm)
     if gauge:
         assert max(np.count_nonzero(row) for row in inv.basis) >= 2
@@ -922,6 +984,96 @@ def test_restrict_keeps_exactly_the_low_sections():
         assert wide.contains(sec)
     assert np.array_equal(low.basis, solve_invariants(fd, dm, 4).basis)
     assert wide.restrict(-1).dim == 0
+
+
+def restrict_reference(inv, deg_bound):
+    """The restriction that `InvariantSpace.restrict` replaced, kept as
+    its oracle: the combinations of all basis rows that vanish outside
+    the window, and one more elimination back to the canonical form."""
+    p = inv.dm.ctx.p
+    inside = [k for k, (_, a) in enumerate(inv.monomials)
+              if mi_sum(a) <= deg_bound]
+    outside = [k for k, (_, a) in enumerate(inv.monomials)
+               if mi_sum(a) > deg_bound]
+    basis = inv.basis
+    if outside and basis.shape[0]:
+        keep = nullspace_mod(basis[:, outside].T, p)
+        basis = keep @ basis % p
+    basis = basis[:, inside]
+    red, piv = rref_mod(basis[:, ::-1], p)
+    basis = red[len(piv) - 1::-1, ::-1] if piv else red[:0]
+    return [inv.monomials[k] for k in inside], basis
+
+
+# (case builder, its arguments, gauge last; degree bound of the solve)
+RESTRICT_CASES = [
+    *[(_solver_case, case, None) for case in SOLVER_CASES],
+    *[(_rank_case, case, None) for case in RANK_CASES],
+    # windows below r (q - 1), which reach only part of the box
+    (_solver_case, (Context(2, 1, r=2), None, _rank_two, False), 4),
+    (_solver_case, (Context(2, 0, r=2), None, _linear(0), True), 3),
+]
+RESTRICT_IDS = [
+    *SOLVER_IDS,
+    *[f"rank-p{c.p}m{c.m}r{c.r}-{n}-{seed}-{linear}" + ("-gauged" if g else "")
+      for c, n, seed, linear, g in RANK_CASES],
+    "p2m1r2-window4", "p2m0r2-gauged-window3"]
+
+
+def _restrictions(monkeypatch, inv):
+    """Every restriction of inv against the oracle; the number of second
+    eliminations `restrict` made."""
+    eliminations = []
+
+    def spy(a, p):
+        eliminations.append(a.shape)
+        return rref_mod(a, p)
+
+    monkeypatch.setattr(simpson, "rref_mod", spy)
+    lows = []
+    for d in range(-1, inv.deg_bound + 1):
+        low = inv.restrict(d)
+        monomials, basis = restrict_reference(inv, d)
+        assert low.deg_bound == d and low.monomials == monomials
+        assert low.basis.dtype == basis.dtype
+        assert np.array_equal(low.basis, basis), d
+        lows.append(low)
+    monkeypatch.undo()
+    return lows, len(eliminations)
+
+
+@pytest.mark.parametrize("case", RESTRICT_CASES, ids=RESTRICT_IDS)
+def test_restrict_is_the_two_elimination_oracle(monkeypatch, case):
+    # rows whose free column lies outside the window drop out, and the
+    # rest are already canonical unless they fail to vanish outside; on a
+    # pullback, whose basis rows are unit vectors, they always vanish
+    build, args, deg_bound = case
+    fd, dm = build(*args)
+    inv = solve_invariants(fd, dm, deg_bound)
+    lows, eliminations = _restrictions(monkeypatch, inv)
+    if args[-1]:        # gauged
+        assert any(np.count_nonzero(row) >= 2
+                   for low in lows for row in low.basis)
+    else:
+        assert eliminations == 0
+        assert all(np.count_nonzero(row) == 1 for row in inv.basis)
+
+
+@pytest.mark.parametrize("p, r", [(2, 2), (3, 2), (5, 2), (3, 3)])
+def test_restrict_recombines_rows_that_leave_the_window(monkeypatch, p, r):
+    # in lex order a row can end inside the window and still reach past
+    # it, as the kernel of a random matrix does; then the rows that stay
+    # are recombined and reduced again
+    ctx = Context(p, 0, r)
+    dm = pullback(FrobData.standard(ctx), jordan_higgs(ctx, 2))
+    monomials = [(j, a) for a in degree_box(4, r) for j in range(2)]
+    rng = np.random.default_rng(p * r)
+    eliminations = 0
+    for rows in (3, len(monomials) // 2, len(monomials) - 2):
+        basis = nullspace_mod(rng.integers(0, p, (rows, len(monomials))), p)
+        inv = InvariantSpace(dm, 4, monomials, basis)
+        eliminations += _restrictions(monkeypatch, inv)[1]
+    assert eliminations
 
 
 @pytest.mark.parametrize("ctx, lifted, deg_bound", [
@@ -1051,7 +1203,8 @@ def _basis_md5(basis):
     (5, 2, 1, "0c753c69ab3a4cf6ce13201cedbcd567"),
     (7, 2, 1, "66ffece21c4431a6fda2a41e7ed049ba"),
     (5, 3, 1, "cffa9c2622512ee099c9aaa338ce6d28"),
-    (3, 2, 2, "8e9381f9a35a3e1c9dc615d7a598a313")])
+    (3, 2, 2, "8e9381f9a35a3e1c9dc615d7a598a313"),
+    (3, 1, 3, "8ccf529a4863dc184995f7b4533f170f")])
 def test_round_trip_basis_bytes_are_pinned(p, m, r, md5):
     # rank 2 under the standard lifting; the md5 is that of the basis the
     # per-section evaluation gave
