@@ -21,8 +21,9 @@ from .diffops import (DiffOp, central_embed, central_unit, commutator,
 from .frobenius import (FrobData, LiftingZ, NotALifting, NotStrong, bullet,
                         bullet_matrix, glue_derivation, glue_endo,
                         lifting_from_json, ov_split_matrix, phi, phi_basis,
-                        phi_center_inv, phi_tilde, phi_tilde_basis,
-                        random_strong_lifting, standard_lifting)
+                        phi_center_inv, phi_inv_basis, phi_tilde,
+                        phi_tilde_basis, random_strong_lifting,
+                        standard_lifting)
 from .simpson import (DModule, HiggsModule, InvariantSpace, MalformedInput,
                       NotQuasiNilpotent, central_apply, corpus, corpus_json,
                       curvature_of, invariant_rank, pullback, random_higgs,
@@ -45,8 +46,8 @@ __all__ = [
     "theta_power", "theta_unit", "zo_decompose", "zo_reassemble",
     "FrobData", "LiftingZ", "NotALifting", "NotStrong", "bullet",
     "bullet_matrix", "glue_derivation", "glue_endo", "lifting_from_json",
-    "ov_split_matrix", "phi", "phi_basis", "phi_center_inv", "phi_tilde",
-    "phi_tilde_basis", "random_strong_lifting", "standard_lifting",
+    "ov_split_matrix", "phi", "phi_basis", "phi_center_inv", "phi_inv_basis",
+    "phi_tilde", "phi_tilde_basis", "random_strong_lifting", "standard_lifting",
     "DModule", "HiggsModule", "InvariantSpace", "MalformedInput",
     "NotQuasiNilpotent",
     "central_apply", "corpus", "corpus_json", "curvature_of",

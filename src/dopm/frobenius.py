@@ -190,18 +190,23 @@ class FrobData:
         self._phi: dict = {}
         self._phi_inv: dict = {}
         self._phi_tw: dict = {}
+        self._deeper: dict = {}
 
     @classmethod
     def standard(cls, ctx: Context) -> "FrobData":
         return cls(ctx, standard_lifting(ctx))
 
     def deepen(self, theta_trunc: int) -> "FrobData":
-        """Same lifting, deeper truncation window (no-op when wide enough)."""
+        """Same lifting, deeper truncation window (no-op when wide enough),
+        kept: a repeat call returns the same instance and its caches."""
         if theta_trunc <= self.ctx.theta_trunc:
             return self
-        ctx2 = dataclasses.replace(self.ctx, theta_trunc=theta_trunc,
-                                   tau_trunc=None)
-        return FrobData(ctx2, LiftingZ(ctx2, self.lifting.polys))
+        if theta_trunc not in self._deeper:
+            ctx2 = dataclasses.replace(self.ctx, theta_trunc=theta_trunc,
+                                       tau_trunc=None)
+            self._deeper[theta_trunc] = FrobData(
+                ctx2, LiftingZ(ctx2, self.lifting.polys))
+        return self._deeper[theta_trunc]
 
     def c_matrix(self, i: int, j: int) -> Poly:
         """Coefficient of tau_i^{p^m} in w_j; drives the Higgs pullback."""
@@ -320,7 +325,9 @@ def phi_center_inv(fd: FrobData, z: DiffOp, n_trunc: int) -> DiffOp:
                           "is the input central and the lifting strong?")
 
 
-def _phi_inv_basis(fd: FrobData, c, n_trunc: int) -> DiffOp:
+def phi_inv_basis(fd: FrobData, c, n_trunc: int) -> DiffOp:
+    """phi_center_inv(d^<c p^(m+1)>, n_trunc), cached on fd: the one
+    entry point of the center-inverse cache."""
     key = (tuple(c), n_trunc)
     if key not in fd._phi_inv:
         z = DiffOp.dpartial(fd.ctx, mi_scale(c, fd.ctx.pm1))
@@ -338,7 +345,7 @@ def phi_tilde(fd: FrobData, op: DiffOp, n_trunc: int | None = None) -> DiffOp:
 
     def inverse(k):
         assert all(x % q == 0 for x in k), "phi image escaped the centralizer"
-        return _phi_inv_basis(fd, tuple(x // q for x in k), n)
+        return phi_inv_basis(fd, tuple(x // q for x in k), n)
 
     return premul_sum(ctx, ((f, inverse(k))
                             for k, f in phi(fd, op).terms.items()))

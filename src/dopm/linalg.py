@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .poly import Poly
+from .poly import Poly, mac, reduced
 
 
 def rref_mod(a: np.ndarray, p: int):
@@ -92,26 +92,19 @@ def pmat_scale(a, c):
 
 
 def pmat_mul(a, b):
-    n, mid, cols = len(a), len(b), len(b[0])
+    """a @ b, any compatible shapes: each entry multiply-accumulated into
+    one coefficient dict over the nonzero pairs and reduced once."""
     proto = a[0][0]
-    zero = Poly.zero(proto.nvars, proto.mod, proto.var)
-    out = [[zero] * cols for _ in range(n)]
-    for i in range(n):
-        for k in range(mid):
-            if not a[i][k]:
-                continue
-            for j in range(cols):
-                if b[k][j]:
-                    out[i][j] = out[i][j] + a[i][k] * b[k][j]
-    return out
-
-
-def pmat_pow(a, e: int):
-    n = len(a)
-    proto = a[0][0]
-    out = pmat_eye(n, proto.nvars, proto.mod, proto.var)
-    for _ in range(e):
-        out = pmat_mul(out, a)
+    out = []
+    for ra in a:
+        accs = [{} for _ in b[0]]
+        for x, rb in zip(ra, b):
+            if x:
+                for acc, y in zip(accs, rb):
+                    if y:
+                        mac(acc, x.coeffs, y.coeffs)
+        out.append([Poly._trusted(reduced(acc, proto.mod), proto.nvars,
+                                  proto.mod, proto.var) for acc in accs])
     return out
 
 

@@ -42,11 +42,11 @@ import numpy as np
 
 from .context import Context
 from .diffops import DiffOp, central_unit, leibniz, theta_unit
-from .frobenius import FrobData, phi_center_inv, phi_tilde_basis
+from .frobenius import FrobData, phi_inv_basis, phi_tilde_basis
 from .linalg import (nullspace_mod, pmat_add_inplace, pmat_eq, pmat_eye,
-                     pmat_is_zero, pmat_map, pmat_mul, pmat_pow, pmat_scale,
-                     pmat_zero, rank_mod, rref_mod)
-from .poly import (MalformedInput, Poly, is_int, poly_from_json,
+                     pmat_is_zero, pmat_map, pmat_mul, pmat_scale, pmat_zero,
+                     rank_mod, rref_mod)
+from .poly import (MalformedInput, Poly, is_int, mac, poly_from_json,
                    poly_to_json, reduced)
 from .scalars import (angle_mi_mod, degree_box, dp_residues, leibniz_weights,
                       mi_add, mi_scale, mi_sub, mi_sum, mi_unit)
@@ -75,15 +75,19 @@ class HiggsModule:
         self.matrices = matrices
 
     def validate(self):
+        """Raise unless the matrices commute and are nilpotent: the powers
+        A, A^2, .. up to the first zero one, A^n at most (n - 1 products)."""
         n = self.rank
         for i in range(self.ctx.r):
             for j in range(i + 1, self.ctx.r):
-                ab = pmat_mul(self.matrices[i], self.matrices[j])
-                ba = pmat_mul(self.matrices[j], self.matrices[i])
-                if not pmat_eq(ab, ba):
+                a, b = self.matrices[i], self.matrices[j]
+                if not pmat_eq(pmat_mul(a, b), pmat_mul(b, a)):
                     raise ValueError(f"Higgs matrices {i},{j} do not commute")
         for i, a in enumerate(self.matrices):
-            if not pmat_is_zero(pmat_pow(a, n)):
+            power, k = a, 1
+            while k < n and not pmat_is_zero(power):
+                power, k = pmat_mul(power, a), k + 1
+            if not pmat_is_zero(power):
                 raise NotQuasiNilpotent(f"Higgs matrix {i} is not nilpotent")
         return True
 
@@ -468,23 +472,23 @@ class InvariantSpace:
 
 def central_apply(dm: DModule, op: DiffOp, sec):
     """Evaluate a centralizer element sum f_k d^<cq> through the center:
-    sum f_k A_c^{-1} Theta^c sec, with no Leibniz action on f_k."""
+    sum f_k A_c^{-1} Theta^c sec, with no Leibniz action on f_k.  Each
+    output row is one coefficient dict: Theta^c's row times sec, times f_k
+    and the unit A_c^{-1}, all multiply-accumulated and reduced once."""
     ctx = dm.ctx
-    q = ctx.pm1
-    out = [Poly.zero(ctx.r, ctx.p) for _ in range(dm.rank)]
+    p, q = ctx.p, ctx.pm1
+    accs = [{} for _ in range(dm.rank)]
     for k, f in op.terms.items():
         assert all(x % q == 0 for x in k)
         c = tuple(x // q for x in k)
-        u = pow(central_unit(ctx, c), -1, ctx.p)
-        tp = dm.theta_pow(c)
-        for row in range(dm.rank):
-            acc = Poly.zero(ctx.r, ctx.p)
-            for col in range(dm.rank):
-                if tp[row][col] and sec[col]:
-                    acc = acc + tp[row][col] * sec[col]
-            if acc:
-                out[row] = out[row] + (f * acc).scale(u)
-    return out
+        u = pow(central_unit(ctx, c), -1, p)
+        for acc, tp_row in zip(accs, dm.theta_pow(c)):
+            inner = {}
+            for x, g in zip(tp_row, sec):
+                if x and g:
+                    mac(inner, x.coeffs, g.coeffs)
+            mac(acc, f.coeffs, inner, u)
+    return [Poly._trusted(reduced(acc, p), ctx.r, p) for acc in accs]
 
 
 def _box_entries(fd: FrobData, dm: DModule, nnil, sections) -> dict:
@@ -678,8 +682,13 @@ def invariant_rank(inv: InvariantSpace, low: InvariantSpace) -> int:
 
     t'_i = t_i^q is central, so it maps the coordinate of t^a e_j to that
     of t^(a + q e_i) e_j: each t'_i V_(D-q) is low.basis scattered into
-    the columns of inv."""
+    the columns of inv.  The scatter is injective (distinct (j, a) go to
+    distinct (j, a + q e_i)), so one block has the rank of low.basis,
+    whose rows are independent: at r = 1 the sum is that one block and
+    the answer is dim V_D - dim V_(D-q), with no elimination."""
     ctx = inv.dm.ctx
+    if ctx.r == 1:
+        return inv.dim - low.dim
     shifted = np.zeros((ctx.r * low.dim, len(inv.monomials)), dtype=np.int64)
     for i in range(ctx.r):
         tq = _along(ctx, i, ctx.pm1)
@@ -692,14 +701,14 @@ def recovered_higgs(fd: FrobData, dm: DModule):
     """The Higgs frame on invariants: matrices of the central operators
     phi^{-1}(theta_i) acting on constant sections, pushed down to O_X'.
 
-    Exact because theta-degrees >= the nilpotency index act as zero."""
+    Exact because theta-degrees >= the nilpotency index act as zero.  On
+    a round trip `solve_invariants` has cached phi^{-1}(theta_i) already."""
     ctx = fd.ctx
     n = dm.nilpotency_index() - 1
     fd = fd.deepen(n)          # phi needs tau-room up to theta-degree n
     out = []
     for i in range(ctx.r):
-        th = DiffOp.dpartial(fd.ctx, _along(ctx, i, ctx.pm1))
-        inv_op = phi_center_inv(fd, th, n) if n else DiffOp.zero(fd.ctx)
+        inv_op = phi_inv_basis(fd, _along(ctx, i, 1), n)
         mat = _on_columns(partial(central_apply, dm, inv_op),
                           pmat_eye(dm.rank, ctx.r, ctx.p))
         out.append(pmat_map(mat, lambda f: f.divide_exponents(ctx.pm1,
@@ -726,21 +735,16 @@ def round_trip(fd: FrobData, higgs: HiggsModule):
                   for j in range(n))
     stable = invariant_rank(wide, inv) == rank
     rec = recovered_higgs(fd, dm)
-    rec_ok = _commuting_nilpotent(rec, n, ctx)
+    try:
+        rec_ok = HiggsModule(ctx, rec).validate()
+    except ValueError:
+        rec_ok = False
     exact = all(pmat_eq(a, b) for a, b in zip(rec, higgs.matrices))
     return {
         "dm": dm, "inv": inv, "rank": rank, "rank_expected": n,
         "members": members, "stable": stable, "recovered": rec,
         "recovered_valid": rec_ok, "recovered_exact": exact,
     }
-
-
-def _commuting_nilpotent(mats, n, ctx) -> bool:
-    try:
-        HiggsModule(ctx, mats).validate()
-        return True
-    except ValueError:
-        return False
 
 
 # ---------------------------------------------------------------------------

@@ -334,6 +334,22 @@ def test_non_nilpotent_higgs_exits_3(capsys, tmp_path):
     assert code == 3 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("matrix", [
+    [[[[[0], 1]]]],                                  # a unit
+    [[[], [[[0], 1]]], [[[[0], 1]], []]],            # A^2 = 1
+    [[[], [[[0], 1]], []], [[], [], [[[0], 1]]],
+     [[[[1], 1]], [], []]],                          # A^3 = t'
+], ids=["unit", "involution", "cyclic-t'"])
+def test_roundtrip_of_a_matrix_with_no_zero_power_exits_3(capsys, tmp_path,
+                                                          matrix):
+    path = tmp_path / "higgs.json"
+    path.write_text(json.dumps({"p": 3, "m": 0, "r": 1, "rank": len(matrix),
+                                "matrices": [matrix]}))
+    code, out, err = run(capsys, "roundtrip", str(path))
+    assert code == 3 and out == ""
+    assert err == "error: Higgs matrix 0 is not nilpotent\n"
+
+
 # rho(d) = 1 at p = 2, m = 1: d*d = 2 d^<2> = 0, but rho(d)^2 = 1
 NOT_A_MODULE = {
     "p": 2, "m": 1, "r": 1, "rank": 1,

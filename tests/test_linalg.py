@@ -1,15 +1,21 @@
-"""The mod-p kernel against a row-at-a-time reference elimination.
+"""The mod-p kernel against a row-at-a-time reference elimination, and
+the product of polynomial matrices against a Poly-per-entry one.
 
 `rref_mod` clears a pivot column in one numpy update; the reference
 below clears it one row at a time.  Both must give the same matrix and
 the same pivots, and `nullspace_mod` the same basis as the reference
-kernel read off that matrix.
+kernel read off that matrix.  `pmat_mul` accumulates each entry in one
+coefficient dict; the reference adds up Polys.
 """
+
+import random
 
 import numpy as np
 import pytest
 
-from dopm.linalg import nullspace_mod, rank_mod, rref_mod
+from dopm.linalg import (nullspace_mod, pmat_eq, pmat_mul, pmat_zero,
+                         rank_mod, rref_mod)
+from dopm.poly import Poly
 
 
 def reference_rref(a, p):
@@ -146,3 +152,74 @@ def test_rank_takes_out_unit_rows_exactly(p, seed, name):
     assert type(rank) is int
     assert rank == len(rref_mod(a, p)[1])
     assert np.array_equal(a, before)
+
+
+# -- matrices of polynomials ---------------------------------------------------
+
+def pmat_mul_reference(a, b):
+    """The product one Poly at a time, every partial product a Poly: the
+    path `pmat_mul` replaced, kept as its oracle."""
+    n, mid, cols = len(a), len(b), len(b[0])
+    proto = a[0][0]
+    zero = Poly.zero(proto.nvars, proto.mod, proto.var)
+    out = [[zero] * cols for _ in range(n)]
+    for i in range(n):
+        for k in range(mid):
+            if not a[i][k]:
+                continue
+            for j in range(cols):
+                if b[k][j]:
+                    out[i][j] = out[i][j] + a[i][k] * b[k][j]
+    return out
+
+
+def random_pmat(rng, rows, cols, nvars, p, var, density=0.6):
+    """rows x cols, each entry zero with chance 1 - density and otherwise
+    up to three terms of degree <= 3 per variable."""
+    def entry():
+        if rng.random() >= density:
+            return Poly.zero(nvars, p, var)
+        return Poly({tuple(rng.randrange(4) for _ in range(nvars)):
+                     rng.randrange(p) for _ in range(rng.randrange(1, 4))},
+                    nvars, p, var)
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+# (variable family, number of variables): O_X, O_X' and O_X[theta] at r = 2
+FAMILIES = [("t", 1), ("t", 2), ("t'", 2), ("t|th", 4)]
+PMAT_CASES = [(p, var, nvars, n) for p in (2, 3, 5, 7)
+              for var, nvars in FAMILIES for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("p, var, nvars, n", PMAT_CASES,
+                         ids=[f"p{p}-{v}{k}-n{n}"
+                              for p, v, k, n in PMAT_CASES])
+def test_pmat_mul_is_the_poly_per_entry_oracle(p, var, nvars, n):
+    rng = random.Random(f"{p}/{var}/{nvars}/{n}")
+    zero = pmat_zero(n, nvars, p, var)
+    for density in (1.0, 0.6, 0.2):
+        a = random_pmat(rng, n, n, nvars, p, var, density)
+        b = random_pmat(rng, n, n, nvars, p, var, density)
+        col = random_pmat(rng, n, 1, nvars, p, var, density)
+        for x, y in [(a, b), (b, a), (a, col), (a, a), (zero, b), (a, zero),
+                     (zero, col), (a, [[f] for f in zero[0]])]:
+            got = pmat_mul(x, y)
+            want = pmat_mul_reference(x, y)
+            assert [len(row) for row in got] == [len(row) for row in want]
+            assert pmat_eq(got, want)
+            assert all((f.nvars, f.mod, f.var) == (nvars, p, var)
+                       and all(0 < c < p for c in f.coeffs.values())
+                       for row in got for f in row)
+
+
+def test_pmat_mul_is_the_oracle_over_z():
+    # mod None keeps exact integers, and what cancels is dropped
+    rng = random.Random(0)
+    a = [[Poly({e: rng.randrange(-3, 4) for e in [(0,), (1,), (2,)]}, 1)
+          for _ in range(3)] for _ in range(3)]
+    b = [[Poly({(0,): 1, (1,): -1}, 1)], [Poly({(1,): 1}, 1)],
+         [Poly({(0,): -1}, 1)]]
+    for x, y in [(a, a), (a, b)]:
+        got = pmat_mul(x, y)
+        assert pmat_eq(got, pmat_mul_reference(x, y))
+        assert all(0 not in f.coeffs.values() for row in got for f in row)

@@ -19,11 +19,13 @@ from hypothesis import strategies as st
 
 from dopm.context import Context
 from dopm.diffops import DiffOp
+from dopm import frobenius
+from dopm.expr import render_matrix
 from dopm.frobenius import FrobData, phi_tilde_basis, random_strong_lifting
 from dopm.diffops import central_unit, theta_unit
 from dopm.linalg import (nullspace_mod, pmat_add_inplace, pmat_eq, pmat_eye,
-                         pmat_map, pmat_mul, pmat_scale, pmat_zero, rank_mod,
-                         rref_mod)
+                         pmat_is_zero, pmat_map, pmat_mul, pmat_scale,
+                         pmat_zero, rank_mod, rref_mod)
 from dopm import simpson
 from dopm.poly import Poly
 from dopm.scalars import (angle_mi_mod, box_le, brace, brace_mi_mod,
@@ -67,6 +69,43 @@ def test_higgs_validate():
     e21[1][0] = Poly.one(2, 2, "t'")
     with pytest.raises(ValueError):
         HiggsModule(ctx, [e12, e21]).validate()
+
+
+@pytest.mark.parametrize("p, r, n", [(2, 1, 2), (2, 2, 5), (3, 1, 3),
+                                     (5, 2, 4), (7, 1, 6)])
+def test_nilpotency_is_checked_up_to_the_last_power(p, r, n):
+    # a Jordan block of rank n, with t' entries in the second direction:
+    # A^(n-1) != 0 = A^n, so the check must reach the n-th power
+    ctx = Context(p, 0, r=r)
+    h = jordan_higgs(ctx, n)
+    if r == 2:
+        h.matrices[1] = pmat_scale(h.matrices[0],
+                                   Poly.variable(1, r, p, "t'"))
+    for a in h.matrices:
+        power = a
+        for _ in range(n - 2):
+            power = pmat_mul(power, a)
+        assert not pmat_is_zero(power) and pmat_is_zero(pmat_mul(power, a))
+    assert h.validate()
+
+
+def _pmat(ctx, rows):
+    """A matrix over O_X' from {exponent: coefficient} entries."""
+    return [[Poly(f, ctx.r, ctx.p, "t'") for f in row] for row in rows]
+
+
+@pytest.mark.parametrize("rows", [
+    [[{(0,): 1}]],                                        # a unit
+    [[{}, {(0,): 1}], [{(0,): 1}, {}]],                   # A^2 = 1
+    [[{}, {(0,): 1}, {}], [{}, {}, {(0,): 1}],
+     [{(1,): 1}, {}, {}]],                                # A^3 = t'
+    [[{}, {(0,): 1}, {}], [{}, {}, {(0,): 1}],
+     [{}, {}, {(2,): 1}]],                                # A^k != 0, all k
+], ids=["unit", "involution", "cyclic-t'", "jordan-plus-corner"])
+def test_a_matrix_with_no_zero_power_is_refused(rows):
+    ctx = Context(3, 0)
+    with pytest.raises(NotQuasiNilpotent):
+        HiggsModule(ctx, [_pmat(ctx, rows)]).validate()
 
 
 def test_higgs_json_round_trip():
@@ -607,6 +646,71 @@ def test_reduced_solver_agrees_with_the_literal_one(ctx, lift_seed, field,
         assert lit.contains(sec)
 
 
+def central_apply_reference(dm, op, sec):
+    """The evaluation `central_apply` replaced, kept as its oracle: every
+    partial sum and product of sum f_k A_c^{-1} Theta^c sec a Poly."""
+    ctx = dm.ctx
+    q = ctx.pm1
+    out = [Poly.zero(ctx.r, ctx.p) for _ in range(dm.rank)]
+    for k, f in op.terms.items():
+        c = tuple(x // q for x in k)
+        u = pow(central_unit(ctx, c), -1, ctx.p)
+        tp = dm.theta_pow(c)
+        for row in range(dm.rank):
+            acc = Poly.zero(ctx.r, ctx.p)
+            for col in range(dm.rank):
+                if tp[row][col] and sec[col]:
+                    acc = acc + tp[row][col] * sec[col]
+            if acc:
+                out[row] = out[row] + (f * acc).scale(u)
+    return out
+
+
+# the solver's modules, each pulled back and gauged, plus Jordan blocks
+# with Theta^2 != 0 at p = 5 and at r = 2 (the solver's cases reach
+# |c| = 2 only at p = 2)
+CENTRAL_CASES = [(ctx, seed, field) for ctx, seed, field, _ in SOLVER_CASES] \
+    + [(Context(5, 0), None, lambda ctx: jordan_higgs(ctx, 3)),
+       (Context(3, 0, r=2), 2, lambda ctx: jordan_higgs(ctx, 3))]
+CENTRAL_IDS = [*SOLVER_IDS, "p5m0-jordan3", "p3m0r2-lifted-jordan3"]
+
+
+@pytest.mark.parametrize("gauge", [False, True], ids=["pullback", "gauged"])
+@pytest.mark.parametrize("ctx, lift_seed, field", CENTRAL_CASES,
+                         ids=CENTRAL_IDS)
+def test_central_apply_is_the_poly_per_product_oracle(ctx, lift_seed, field,
+                                                      gauge):
+    # on every Theta^c that nilpotency_index builds, alone and summed with
+    # O_X coefficients, and on the twisted images the solver evaluates
+    fd, dm = _solver_case(ctx, lift_seed, field, gauge)
+    nnil = dm.nilpotency_index()
+    rng = random.Random(f"central/{ctx}/{gauge}")
+    q, n = ctx.pm1, dm.rank
+
+    def poly(terms):
+        return Poly({tuple(rng.randrange(q + 2) for _ in range(ctx.r)):
+                     rng.randrange(1, ctx.p) for _ in range(terms)},
+                    ctx.r, ctx.p)
+
+    ops = [DiffOp.dpartial(ctx, mi_scale(c, q), coeff=poly(2))
+           for c in degree_box(nnil, ctx.r)]
+    ops.append(sum(ops[1:], ops[0]))
+    ops += [phi_tilde_basis(fd.deepen(nnil - 1),
+                            mi_scale(mi_unit(ctx.r, i), s), nnil - 1)
+            for i in range(ctx.r) for s in range(1, ctx.pm + 1)]
+    sections = [_unit_section(ctx, n, j, (0,) * ctx.r) for j in range(n)]
+    sections += [[poly(3) for _ in range(n)],
+                 [poly(2) if j else Poly.zero(ctx.r, ctx.p)
+                  for j in range(n)]]
+    assert any(dm.theta_pow(c) != pmat_zero(n, ctx.r, ctx.p)
+               for c in degree_box(nnil - 1, ctx.r) if any(c))
+    for op in ops:
+        for sec in sections:
+            got = central_apply(dm, op, sec)
+            assert got == central_apply_reference(dm, op, sec)
+            assert all(0 < c < ctx.p for f in got for c in f.coeffs.values())
+
+
 def _reached(ctx, n, deg_bound):
     """The box sections (j, a mod q) of a window, in first-reached order."""
     q = ctx.pm1
@@ -893,6 +997,33 @@ def test_invariant_rank_picks_the_greedy_generators(monkeypatch, ctx, n,
         assert not made
         assert type(rank) is int
         assert rank == invariant_rank_reference(window) == n
+
+
+@pytest.mark.parametrize("ctx, n", [
+    (Context(2, 0), 2), (Context(3, 0), 3), (Context(2, 1), 2),
+    (Context(5, 0), 2)], ids=["p2m0", "p3m0n3", "p2m1", "p5m0"])
+def test_rank_at_r1_is_a_difference_of_dimensions(monkeypatch, ctx, n):
+    # at r = 1, t'V_(D-q) is low.basis moved injectively into the columns
+    # of inv: its rank is dim V_(D-q), with no elimination, also when the
+    # basis rows of a gauged module are not unit vectors
+    fd = FrobData.standard(ctx)
+    dm = _gauged_pullback(fd, random_higgs(ctx, random.Random(f"r1/{ctx}"),
+                                           n, linear=True))
+    inv = solve_invariants(fd, dm)
+    q, windows = ctx.pm1, []
+    while inv.deg_bound >= q:
+        windows.append((inv, inv.restrict(inv.deg_bound - q)))
+        inv = windows[-1][1]
+    assert any(np.count_nonzero(row) >= 2 for _, low in windows
+               for row in low.basis)
+
+    def no_elimination(*args):
+        raise AssertionError("rank_mod called at r = 1")
+
+    monkeypatch.setattr(simpson, "rank_mod", no_elimination)
+    for window, low in windows:
+        assert invariant_rank(window, low) == invariant_rank_reference(window)
+    assert invariant_rank(*windows[0]) == n
 
 
 def test_round_trip_restricts_twice(monkeypatch):
@@ -1199,6 +1330,22 @@ def _basis_md5(basis):
     return hashlib.md5(head + basis.tobytes()).hexdigest()
 
 
+def _recovered_md5(recovered):
+    text = "\n\n".join(render_matrix(a) for a in recovered)
+    return hashlib.md5(text.encode()).hexdigest()
+
+
+# md5 of the rendered recovered frame, as the Poly-per-product matrix
+# layer gave it
+RECOVERED_MD5 = {
+    (5, 2, 1): "42aa22562e141e17e521ac6272fe68c6",
+    (7, 2, 1): "720fa32f72f335529f0d280acaa28c71",
+    (5, 3, 1): "42aa22562e141e17e521ac6272fe68c6",
+    (3, 2, 2): "a964b5c638e87a75432995a7ce8fdb2a",
+    (3, 1, 3): "eaaa9e3b799cdd9143a9d1d8941b7c64",
+}
+
+
 @pytest.mark.parametrize("p, m, r, md5", [
     (5, 2, 1, "0c753c69ab3a4cf6ce13201cedbcd567"),
     (7, 2, 1, "66ffece21c4431a6fda2a41e7ed049ba"),
@@ -1215,3 +1362,58 @@ def test_round_trip_basis_bytes_are_pinned(p, m, r, md5):
     assert rep["members"] and rep["stable"] and rep["recovered_valid"]
     assert rep["recovered_exact"]
     assert _basis_md5(rep["inv"].basis) == md5
+    assert _recovered_md5(rep["recovered"]) == RECOVERED_MD5[(p, m, r)]
+
+
+@pytest.mark.parametrize("p, m, r, n, lifted, md5", [
+    (3, 0, 1, 3, False, "027d8b2c62d6b1116f4f08d7be10716c"),
+    (5, 1, 1, 2, False, "24f569b3bb6cab8cada6a3ea6aff4f72"),
+    (2, 0, 2, 3, False, "1ee3f236bdf467852b39425f8f6f2e4c"),
+    (3, 0, 1, 2, True, "7fa50208c0897c1861e330cd4e1fddb1"),
+    (7, 0, 1, 3, False, "cff88649e023bee5173a8b2bf3908b98")])
+def test_recovered_frame_bytes_are_pinned(p, m, r, n, lifted, md5):
+    # frames with t' terms and units other than 1, unlike most of the
+    # rank-2 draws above; the md5 is that of the Poly-per-product layer
+    ctx = Context(p, m, r)
+    fd = _strong(ctx, 8) if lifted else FrobData.standard(ctx)
+    rep = round_trip(fd, random_higgs(ctx, random.Random(5), n, linear=True))
+    assert rep["rank"] == n and rep["recovered_exact"]
+    assert _recovered_md5(rep["recovered"]) == md5
+
+
+@pytest.mark.parametrize("p, m, r", [(2, 0, 1), (3, 0, 1), (2, 1, 1),
+                                     (3, 1, 1)])
+def test_a_deep_round_trip_builds_one_frob_data(monkeypatch, p, m, r):
+    # nnil - 1 = 4 > theta_trunc = 3: the solver and recovered_higgs both
+    # deepen, and share the one deeper FrobData; recovered_higgs reads
+    # phi^{-1}(theta_i) from the cache the solver's twisted images filled
+    ctx = Context(p, m, r)
+    fd = FrobData.standard(ctx)
+    built, inverted, inside = [], [], []
+    init, invert = FrobData.__init__, frobenius.phi_center_inv
+    recover = simpson.recovered_higgs
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def counting_invert(*args):
+        inverted.append(bool(inside))
+        return invert(*args)
+
+    def recovering(*args):
+        inside.append(True)
+        try:
+            return recover(*args)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(FrobData, "__init__", counting_init)
+    monkeypatch.setattr(frobenius, "phi_center_inv", counting_invert)
+    monkeypatch.setattr(simpson, "recovered_higgs", recovering)
+    rep = round_trip(fd, jordan_higgs(ctx, 5))
+    assert rep["dm"].nilpotency_index() - 1 > ctx.theta_trunc
+    assert len(built) == 1
+    assert built[0].ctx.theta_trunc == 4 and fd.deepen(4) is built[0]
+    assert inverted and not any(inverted)
+    assert rep["rank"] == 5 and rep["stable"] and rep["recovered_exact"]
