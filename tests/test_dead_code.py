@@ -14,6 +14,10 @@ SRC = pathlib.Path(__file__).parents[1] / "src" / "dopm"
 # methods that a framework calls by name, never the package itself
 HOOKS = {
     "_Parser.error",        # argparse reports a flag error through it
+    # the dense view of the invariants, read by the benchmark's checks
+    # (bench/workloads.py) and by the tests, never by the package
+    "InvariantSpace.monomials",
+    "InvariantSpace.basis",
 }
 
 

@@ -599,6 +599,101 @@ def box_oracle(fd, dm, nnil, sections):
     return out
 
 
+class DenseInvariantSpace:
+    """The dense invariant space that `InvariantSpace` replaced, kept as
+    its oracle: `monomials` indexes every window unknown as (component,
+    exponent) pairs, in column order, and `basis` rows are coefficient
+    vectors in that indexing, in the canonical form `nullspace_mod`
+    gives: each row is 1 at its last nonzero column, its free column, and
+    every other row is 0 there."""
+
+    def __init__(self, dm, deg_bound, monomials, basis):
+        self.dm = dm
+        self.deg_bound = deg_bound
+        self.monomials = monomials
+        self.index = {ma: k for k, ma in enumerate(monomials)}
+        self.basis = basis
+
+    @classmethod
+    def of(cls, inv):
+        """The dense view of an `InvariantSpace`."""
+        return cls(inv.dm, inv.deg_bound, inv.monomials, inv.basis)
+
+    @property
+    def dim(self):
+        return self.basis.shape[0]
+
+    def section(self, row):
+        ctx = self.dm.ctx
+        polys = [{} for _ in range(self.dm.rank)]
+        for k, (j, a) in enumerate(self.monomials):
+            c = int(row[k]) % ctx.p
+            if c:
+                polys[j][a] = c
+        return [Poly(d, ctx.r, ctx.p) for d in polys]
+
+    def sections(self):
+        return [self.section(row) for row in self.basis]
+
+    def flatten(self, sec):
+        """Coordinates of a section, or None if it leaves the window."""
+        v = np.zeros(len(self.monomials), dtype=np.int64)
+        for j, f in enumerate(sec):
+            for e, c in f.coeffs.items():
+                k = self.index.get((j, e))
+                if k is None:
+                    return None
+                v[k] = c % self.dm.ctx.p
+        return v
+
+    def contains(self, sec):
+        v = self.flatten(sec)
+        return v is not None and np.array_equal(
+            v, v[self.free] @ self.basis % self.dm.ctx.p)
+
+    @property
+    def free(self):
+        """The free column of each basis row, its last nonzero."""
+        return np.where(self.basis != 0, np.arange(self.basis.shape[1]),
+                        -1).max(axis=1, initial=-1)
+
+    def restrict(self, deg_bound):
+        p = self.dm.ctx.p
+        inside = np.array([mi_sum(a) <= deg_bound
+                           for _, a in self.monomials], dtype=bool)
+        rows = self.basis[inside[self.free]]
+        keep = nullspace_mod(rows[:, ~inside].T, p)
+        basis = rows[:, inside]
+        if keep.shape[0] < rows.shape[0]:
+            red, piv = rref_mod((keep @ basis % p)[:, ::-1], p)
+            basis = red[:len(piv)][::-1, ::-1]
+        return DenseInvariantSpace(
+            self.dm, deg_bound,
+            [ma for ma, inner in zip(self.monomials, inside) if inner],
+            np.ascontiguousarray(basis))
+
+
+def dense_invariant_rank(inv, low):
+    """The rank that `invariant_rank` replaced, kept as its oracle: each
+    t'_i V_(D-q) is low.basis scattered into the columns of inv."""
+    ctx = inv.dm.ctx
+    shifted = np.zeros((ctx.r * low.dim, len(inv.monomials)), dtype=np.int64)
+    for i in range(ctx.r):
+        tq = mi_scale(mi_unit(ctx.r, i), ctx.pm1)
+        cols = [inv.index[(j, tuple(x + y for x, y in zip(a, tq)))]
+                for j, a in low.monomials]
+        shifted[i * low.dim:(i + 1) * low.dim, cols] = low.basis
+    return inv.dim - rank_mod(shifted, ctx.p)
+
+
+def compact(dm, deg_bound, monomials, basis):
+    """The `InvariantSpace` of a canonical dense basis, every unknown
+    kept."""
+    unknowns = sorted(monomials, key=lambda key: (key[1], key[0]))
+    return InvariantSpace(dm, deg_bound, unknowns,
+                          simpson._sparse(basis, monomials))
+
+
 def solve_invariants_literal(fd, dm, deg_bound, k_bound):
     """Reference solver: impose rho(P)v = central(phi_tilde(P))v literally
     for every basis operator d^<k>, k <= k_bound coordinate-wise.  Slow;
@@ -624,8 +719,8 @@ def solve_invariants_literal(fd, dm, deg_bound, k_bound):
     big = np.concatenate(
         [simpson._flatten_rows([col[slot] for col in cols], ctx.p).T
          for slot in range(len(cols[0]))], axis=0)
-    return InvariantSpace(dm, deg_bound, monomials,
-                          nullspace_mod(big, ctx.p))
+    return DenseInvariantSpace(dm, deg_bound, monomials,
+                               nullspace_mod(big, ctx.p))
 
 
 @pytest.mark.parametrize("ctx, lift_seed, field, gauge", SOLVER_CASES,
@@ -756,7 +851,7 @@ def test_box_entries_are_the_per_section_oracle(ctx, lift_seed, field,
     assert any(want.values())
 
 
-def dense_solve(fd, dm):
+def dense_solve(fd, dm, deg_bound=None):
     """The dense solve that the sparse one replaced, kept as its
     reference: the box conditions of every unknown, through the
     per-section oracle and shifted to its exponent, as the columns of one
@@ -764,11 +859,12 @@ def dense_solve(fd, dm):
     nullspace_mod on the whole of it."""
     ctx = fd.ctx
     q = ctx.pm1
+    d = ctx.solve_bound() if deg_bound is None else deg_bound
     nnil = dm.nilpotency_index()
     fd = fd.deepen(nnil - 1)
-    monomials = [(j, a) for a in degree_box(ctx.solve_bound(), ctx.r)
+    monomials = [(j, a) for a in degree_box(d, ctx.r)
                  for j in range(dm.rank)]
-    box = box_oracle(fd, dm, nnil, _reached(ctx, dm.rank, ctx.solve_bound()))
+    box = box_oracle(fd, dm, nnil, _reached(ctx, dm.rank, d))
     coords = {}   # (condition key, component, exponent) -> constraint row
     cols = []     # per unknown: {constraint row -> coefficient}
     for j, a in monomials:
@@ -806,11 +902,14 @@ def test_sparse_solve_equals_the_dense_one(monkeypatch, ctx, lift_seed,
     assert inv.monomials == monomials
     assert np.array_equal(inv.basis, basis)
     # singleton elimination runs to the end: the dense kernel sees no row
-    # with one nonzero, and on a gauged module rows survive elimination
-    mat, = left
-    assert all(np.count_nonzero(row) >= 2 for row in mat)
+    # with one nonzero, and on a gauged module rows survive elimination;
+    # on a pullback none does, and nothing is eliminated
     if gauge:
+        mat, = left
         assert mat.shape[0]
+        assert all(np.count_nonzero(row) >= 2 for row in mat)
+    else:
+        assert left == []
 
 
 @pytest.mark.parametrize("ctx, lift_seed, field, gauge", SOLVER_CASES,
@@ -830,26 +929,29 @@ def test_box_level_propagation_builds_no_forced_window_row(monkeypatch, ctx,
         strikes.append(strike(rows))
         return strikes[-1]
 
-    def spy_sparse(rows, ncols, p, forced):
-        solves.append((rows, set(forced)))
-        return sparse(rows, ncols, p, forced)
+    def spy_sparse(rows, columns, p):
+        solves.append((rows, columns))
+        return sparse(rows, columns, p)
 
     monkeypatch.setattr(simpson, "_strike_singletons", spy_strike)
     monkeypatch.setattr(simpson, "_sparse_nullspace", spy_sparse)
     inv = solve_invariants(fd, dm)
     (dead, box_left), _window = strikes
-    (rows, forced), = solves
+    (rows, columns), = solves
     q = ctx.pm1
-    reached = [(j, tuple(x % q for x in a)) for j, a in inv.monomials]
-    assert dead and forced == {k for k, sec in enumerate(reached)
-                               if sec in dead}
-    assert not any(c in forced for row in rows for c in row)
+    reached = {(j, tuple(x % q for x in a)) for j, a in inv.monomials}
+    # the unknowns are the window unknowns of the surviving sections
+    assert dead and columns == [(j, a) for j, a in inv.monomials
+                                if (j, tuple(x % q for x in a)) not in dead]
+    assert inv.unknowns == columns
+    assert not any((j, tuple(x % q for x in a)) in dead
+                   for row in rows for j, a in row)
     if gauge:
         assert box_left and rows
     else:
         assert box_left == [] and rows == []
-        assert set(reached) - dead == {(j, (0,) * ctx.r)
-                                       for j in range(dm.rank)}
+        assert reached - dead == {(j, (0,) * ctx.r) for j in range(dm.rank)}
+        assert all(row == {key: 1} for key, row in inv.rows.items())
 
 
 @pytest.mark.parametrize("ctx", [Context(2, 0), Context(3, 0), Context(2, 1),
@@ -882,29 +984,30 @@ def row_space_contains(basis, v, p):
 def test_contains_agrees_with_the_rank_test(ctx, lift_seed, field, gauge):
     fd, dm = _solver_case(ctx, lift_seed, field, gauge)
     inv = solve_invariants(fd, dm)
+    dense = DenseInvariantSpace.of(inv)
     p = ctx.p
-    free = [np.flatnonzero(row)[-1] for row in inv.basis]
-    others = [c for c in range(len(inv.monomials)) if c not in free]
-    rows = [*inv.basis,
-            *(inv.basis[:-1] + inv.basis[1:]) % p,
-            inv.basis.sum(axis=0) % p,
-            np.zeros(len(inv.monomials), dtype=np.int64)]
+    free = [np.flatnonzero(row)[-1] for row in dense.basis]
+    others = [c for c in range(len(dense.monomials)) if c not in free]
+    rows = [*dense.basis,
+            *(dense.basis[:-1] + dense.basis[1:]) % p,
+            dense.basis.sum(axis=0) % p,
+            np.zeros(len(dense.monomials), dtype=np.int64)]
     for v in rows:
-        assert inv.contains(inv.section(v))
-        assert row_space_contains(inv.basis, v, p)
+        assert inv.contains(dense.section(v))
+        assert row_space_contains(dense.basis, v, p)
     # a basis row changed off the free columns leaves the span
-    for k, row in enumerate(inv.basis):
+    for k, row in enumerate(dense.basis):
         c = next((c for c in np.flatnonzero(row) if c != free[k]),
                  others[k % len(others)])
         v = row.copy()
         v[c] = (v[c] + 1) % p
-        assert not inv.contains(inv.section(v))
-        assert not row_space_contains(inv.basis, v, p)
+        assert not inv.contains(dense.section(v))
+        assert not row_space_contains(dense.basis, v, p)
     # and so does a section of degree above the window
     top = [Poly.zero(ctx.r, p) for _ in range(dm.rank)]
     top[0] = Poly.monomial(mi_scale(mi_unit(ctx.r, 0), inv.deg_bound + 1),
                            1, ctx.r, p)
-    assert inv.flatten(top) is None and not inv.contains(top)
+    assert dense.flatten(top) is None and not inv.contains(top)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -917,14 +1020,16 @@ def test_contains_reads_any_canonical_basis(p):
     monomials = [(j, (e,)) for e in range(6) for j in range(2)]
     rng = np.random.default_rng(p)
     basis = nullspace_mod(rng.integers(0, p, (4, len(monomials))), p)
-    inv = InvariantSpace(dm, 5, monomials, basis)
+    inv = compact(dm, 5, monomials, basis)
+    dense = DenseInvariantSpace(dm, 5, monomials, basis)
+    assert np.array_equal(inv.basis, basis)
     for _ in range(50):
         member = rng.integers(0, p, inv.dim) @ basis % p
         other = rng.integers(0, p, len(monomials))
         for v in (member, other):
-            assert inv.contains(inv.section(v)) == \
+            assert inv.contains(dense.section(v)) == \
                 row_space_contains(basis, v, p)
-        assert inv.contains(inv.section(member))
+        assert inv.contains(dense.section(member))
 
 
 def invariant_rank_reference(inv):
@@ -934,10 +1039,11 @@ def invariant_rank_reference(inv):
     ctx = inv.dm.ctx
     p, q = ctx.p, ctx.pm1
     shifted = []
+    dense = DenseInvariantSpace.of(inv)
     for sec in inv.restrict(inv.deg_bound - q).sections():
         for i in range(ctx.r):
             tq = Poly.monomial(mi_scale(mi_unit(ctx.r, i), q), 1, ctx.r, p)
-            moved = inv.flatten([tq * f for f in sec])
+            moved = dense.flatten([tq * f for f in sec])
             assert moved is not None
             shifted.append(moved)
     return inv.dim - rank_mod(np.array(shifted, dtype=np.int64), p)
@@ -1202,9 +1308,105 @@ def test_restrict_recombines_rows_that_leave_the_window(monkeypatch, p, r):
     eliminations = 0
     for rows in (3, len(monomials) // 2, len(monomials) - 2):
         basis = nullspace_mod(rng.integers(0, p, (rows, len(monomials))), p)
-        inv = InvariantSpace(dm, 4, monomials, basis)
+        inv = compact(dm, 4, monomials, basis)
         eliminations += _restrictions(monkeypatch, inv)[1]
     assert eliminations
+
+
+def _t1_gauged(ctx):
+    """The pullback sheared by t1^(q+1), whose box rows survive."""
+    fd = FrobData.standard(ctx)
+    k = ctx.pm1 + 1
+    return fd, gauged(pullback(fd, _linear(0)(ctx)), shear(ctx, 2, k=k),
+                      shear(ctx, 2, -1, k=k))
+
+
+def _probes(dense):
+    """Sections to test membership on: the basis, sums of neighbours and
+    of all rows, each row moved off its free column, the constant frame
+    and its t'-multiples, and a section just above the window."""
+    ctx, n = dense.dm.ctx, dense.dm.rank
+    p, q, basis = ctx.p, ctx.pm1, dense.basis
+    vecs = [*basis, *(basis[:-1] + basis[1:]) % p, basis.sum(axis=0) % p]
+    for k, row in enumerate(basis):
+        v = row.copy()
+        v[(int(dense.free[k]) + 1) % len(v)] += 1
+        vecs.append(v % p)
+    secs = [dense.section(v) for v in vecs]
+    for j in range(n):
+        for i in range(ctx.r):
+            for b in (0, 1, 2):
+                secs.append(_unit_section(ctx, n, j, mi_scale(
+                    mi_unit(ctx.r, i), b * q)))
+        secs.append(_unit_section(ctx, n, j, mi_scale(
+            mi_unit(ctx.r, 0), max(dense.deg_bound + 1, 0))))
+    return secs
+
+
+# (case builder, its arguments; degree bound of the solve)
+EQUIV_CASES = [
+    *[(_solver_case, case, None) for case in SOLVER_CASES],
+    *[(_rank_case, case, None) for case in RANK_CASES],
+    *[(_t1_gauged, (ctx,), None)
+      for ctx in (Context(2, 0), Context(3, 0), Context(2, 1),
+                  Context(2, 0, r=2))],
+    # windows below r (q - 1), which reach only part of the box
+    (_solver_case, (Context(2, 1, r=2), None, _rank_two, False), 4),
+    (_solver_case, (Context(2, 0, r=2), None, _linear(0), True), 3),
+    (_solver_case, (Context(2, 0, r=3), None, _rank_two, False), 2),
+    (_solver_case, (Context(3, 0, r=3), None, _rank_two, True), 4),
+    (_solver_case, (Context(2, 0, r=2), None, _rank_two, False), 0),
+]
+EQUIV_IDS = [
+    *SOLVER_IDS,
+    *[f"rank-p{c.p}m{c.m}r{c.r}-{n}-{seed}-{linear}" + ("-gauged" if g else "")
+      for c, n, seed, linear, g in RANK_CASES],
+    "t1q1-p2m0", "t1q1-p3m0", "t1q1-p2m1", "t1q1-p2m0r2",
+    "p2m1r2-window4", "p2m0r2-gauged-window3", "p2m0r3-window2",
+    "p3m0r3-gauged-window4", "p2m0r2-window0"]
+
+
+@pytest.mark.parametrize("case", EQUIV_CASES, ids=EQUIV_IDS)
+def test_invariant_space_is_the_dense_oracle(case):
+    # the space kept on the surviving box sections answers every question
+    # as the dense basis over every window unknown does, at every bound,
+    # and its dense view is that basis, byte for byte
+    build, args, deg_bound = case
+    fd, dm = build(*args)
+    ctx = dm.ctx
+    inv = solve_invariants(fd, dm, deg_bound)
+    wide = DenseInvariantSpace(dm, inv.deg_bound, *dense_solve(fd, dm,
+                                                               deg_bound))
+    probes = _probes(wide)
+    q = ctx.pm1
+    for d in range(-1, inv.deg_bound + 1):
+        got = inv if d == inv.deg_bound else inv.restrict(d)
+        want = wide if d == inv.deg_bound else wide.restrict(d)
+        assert got.deg_bound == d and got.dim == want.dim, d
+        assert got.monomials == want.monomials
+        assert _basis_md5(got.basis) == _basis_md5(want.basis), d
+        assert got.sections() == want.sections()
+        assert [got.contains(sec) for sec in probes] == \
+            [want.contains(sec) for sec in probes], d
+        assert invariant_rank(got, got.restrict(d - q)) == \
+            dense_invariant_rank(want, want.restrict(d - q)), d
+    if args[-1] or build is _t1_gauged:
+        assert any(len(row) >= 2 for row in inv.rows.values())
+
+
+@pytest.mark.parametrize("p, m, r", [(3, 1, 3), (2, 0, 3)])
+def test_round_trip_never_builds_the_dense_view(monkeypatch, p, m, r):
+    def refuse(self):
+        raise AssertionError("the dense view was built")
+
+    monkeypatch.setattr(InvariantSpace, "monomials", property(refuse))
+    monkeypatch.setattr(InvariantSpace, "basis", property(refuse))
+    ctx = Context(p, m, r)
+    rep = round_trip(FrobData.standard(ctx),
+                     random_higgs(ctx, random.Random(1), 2))
+    assert rep["rank"] == rep["rank_expected"] == 2
+    assert rep["members"] and rep["stable"] and rep["recovered_valid"]
+    assert rep["recovered_exact"]
 
 
 @pytest.mark.parametrize("ctx, lifted, deg_bound", [
@@ -1310,6 +1512,44 @@ def test_recovered_higgs_direct():
     h = jordan_higgs(ctx, 3)
     rec = recovered_higgs(fd, pullback(fd, h))
     assert all(pmat_eq(a, b) for a, b in zip(rec, h.matrices))
+
+
+def _counting_validate(monkeypatch):
+    calls = []
+    validate = HiggsModule.validate
+
+    def counting(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(HiggsModule, "validate", counting)
+    return calls
+
+
+def test_an_exact_frame_is_not_validated_again(monkeypatch):
+    # the input is valid, so a recovered frame equal to it is too
+    calls = _counting_validate(monkeypatch)
+    ctx = Context(3, 0, r=2)
+    h = random_higgs(ctx, random.Random(4), 2)
+    assert len(calls) == 1
+    rep = round_trip(FrobData.standard(ctx), h)
+    assert rep["recovered_exact"] and rep["recovered_valid"] is True
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("unit, valid", [(0, True), (1, False)],
+                         ids=["zero", "identity"])
+def test_a_frame_that_is_not_exact_is_validated(monkeypatch, unit, valid):
+    ctx = Context(2, 0)
+    zero = Poly.zero(ctx.r, ctx.p, "t'")
+    frame = [[[Poly.const(unit, ctx.r, ctx.p, "t'") if i == j else zero
+               for j in range(2)] for i in range(2)]]
+    monkeypatch.setattr(simpson, "recovered_higgs", lambda fd, dm: frame)
+    calls = _counting_validate(monkeypatch)
+    rep = round_trip(FrobData.standard(ctx), worked_example(ctx))
+    assert not rep["recovered_exact"]
+    assert rep["recovered_valid"] is valid
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("p, m, r, n", [
