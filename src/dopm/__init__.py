@@ -13,10 +13,10 @@ from .scalars import (angle, angle_mi_mod, binom_mod_p2, box,
                       box_le, brace, brace_mi, brace_mi_mod, degree_box,
                       dp_power_factor, lucas_closed_form)
 from .dpalg import DPElem, RatDP, gamma_dp, pair_op, taylor
-from .diffops import (DiffOp, central_embed, central_unit, commutator,
-                      frob_descend, frob_raise, is_central, kaneda_matrix,
-                      level_raise, quotient_matrix, ring_generators, theta,
-                      theta_decompose, theta_power, theta_unit, zo_decompose,
+from .diffops import (DiffOp, central_embed, commutator, frob_descend,
+                      frob_raise, is_central, kaneda_matrix, level_raise,
+                      quotient_matrix, ring_generators, theta,
+                      theta_decompose, theta_power, zo_decompose,
                       zo_reassemble)
 from .frobenius import (FrobData, LiftingZ, NotALifting, NotStrong, bullet,
                         bullet_matrix, glue_derivation, glue_endo,
@@ -40,10 +40,10 @@ __all__ = [
     "brace", "brace_mi", "brace_mi_mod", "degree_box", "dp_power_factor",
     "lucas_closed_form",
     "gamma_dp", "pair_op", "taylor",
-    "central_embed", "central_unit", "commutator", "frob_descend",
+    "central_embed", "commutator", "frob_descend",
     "frob_raise", "is_central", "kaneda_matrix", "level_raise",
     "quotient_matrix", "ring_generators", "theta", "theta_decompose",
-    "theta_power", "theta_unit", "zo_decompose", "zo_reassemble",
+    "theta_power", "zo_decompose", "zo_reassemble",
     "FrobData", "LiftingZ", "NotALifting", "NotStrong", "bullet",
     "bullet_matrix", "glue_derivation", "glue_endo", "lifting_from_json",
     "ov_split_matrix", "phi", "phi_basis", "phi_center_inv", "phi_inv_basis",

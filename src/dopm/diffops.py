@@ -18,8 +18,8 @@ from operator import sub
 
 from .context import Context
 from .poly import Poly, mac, reduced
-from .scalars import (angle, angle_mi_mod, box, dp_residues, frac_mod,
-                      leibniz_weights, mi_add, mi_scale, mi_unit, mi_zero)
+from .scalars import (box, dp_residues, leibniz_weights, mi_add, mi_scale,
+                      mi_unit, mi_zero)
 
 
 def dp_coeffs(s, coeffs: dict, p: int, m: int) -> dict:
@@ -241,30 +241,28 @@ def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
 
 def theta(ctx: Context, i: int) -> DiffOp:
     """theta_i = d^<p^(m+1) e_i>, the i-th curvature generator."""
-    return DiffOp.dpartial(ctx, mi_scale(mi_unit(ctx.r, i), ctx.pm1))
-
-
-def theta_unit(ctx: Context) -> int:
-    """Unit u with (d^<p^m e_i>)^p = u * theta_i, mod p."""
-    u = 1
-    for j in range(1, ctx.p):
-        u = u * frac_mod(angle(j * ctx.pm, ctx.pm, ctx.p, ctx.m), ctx.p) % ctx.p
-    return u
-
-
-def central_unit(ctx: Context, c) -> int:
-    """Unit A_c with theta^c = A_c * d^<c p^(m+1)>, mod p."""
-    u = 1
-    for ci in c:
-        for j in range(1, ci):
-            u = u * frac_mod(angle(j * ctx.pm1, ctx.pm1, ctx.p, ctx.m),
-                             ctx.p) % ctx.p
-    assert u, f"central unit vanished at {c}"
-    return u
+    return theta_power(ctx, mi_unit(ctx.r, i))
 
 
 def theta_power(ctx: Context, c) -> DiffOp:
-    return DiffOp.dpartial(ctx, mi_scale(c, ctx.pm1)).scale(central_unit(ctx, c))
+    """theta^c = d^<c q>, q = p^(m+1), exactly mod p.
+
+    No unit factor is needed.  In d^<k> d^<l> = <k+l \\ k> d^<k+l>, a
+    product over coordinates, each scalar the center meets is 1 mod p:
+    (d^<p^m>)^p = theta, theta^c = d^<c q>, theta^c d^<s> = d^<c q + s>
+    for 0 <= s < q.  With "≡" meaning mod p:
+
+    - Write (pn)! = p^n n! W(n), W(n) the product of the i <= pn prime
+      to p.  By Wilson's theorem W(n) ≡ ((p-1)!)^n ≡ (-1)^n, so
+      C(pa, pb) / C(a, b) = W(a) / (W(b) W(a-b)) ≡ 1.  Applied m times,
+      <a p^m \\ b p^m> = C(a p^m, b p^m) / C(a, b) ≡ 1, since the brace
+      of multiples of p^m is C(a, b).  The p-th power multiplies these
+      for a = j+1, b = j; theta^c for a = (j+1)p, b = jp.
+    - For s < q the base-p digits of s sit below those of c q, so by
+      Lucas's theorem C(cq+s, s) ≡ 1 and {cq+s \\ s} = C(cp + s', s') ≡ 1
+      with s' = s div p^m < p: <cq+s \\ cq> ≡ 1.
+    """
+    return DiffOp.dpartial(ctx, mi_scale(c, ctx.pm1))
 
 
 def ring_generators(ctx: Context):
@@ -297,7 +295,8 @@ def central_embed(ctx: Context, g: Poly) -> DiffOp:
 
 
 def theta_decompose(op: DiffOp) -> Poly:
-    """Inverse of central_embed on its image; raises ValueError off it."""
+    """Inverse of central_embed on its image, t^(q a) d^<q b> -> t'^a xi'^b;
+    raises ValueError off it."""
     ctx = op.ctx
     q = ctx.pm1
     out: dict = {}
@@ -305,13 +304,11 @@ def theta_decompose(op: DiffOp) -> Poly:
         if any(x % q for x in k):
             raise ValueError(f"index {k} is not divisible by p^(m+1)")
         b = tuple(x // q for x in k)
-        inv = pow(central_unit(ctx, b), -1, ctx.p)
         for e, c in f.coeffs.items():
             if any(x % q for x in e):
                 raise ValueError(f"coefficient exponent {e} not in O_X'")
-            a = tuple(x // q for x in e)
-            out[a + b] = out.get(a + b, 0) + c * inv
-    return Poly(out, 2 * ctx.r, ctx.p, "t'|xi'")
+            out[tuple(x // q for x in e) + b] = c
+    return Poly._trusted(out, 2 * ctx.r, ctx.p, "t'|xi'")
 
 
 # ---------------------------------------------------------------------------
@@ -320,40 +317,33 @@ def theta_decompose(op: DiffOp) -> Poly:
 def zo_decompose(op: DiffOp):
     """Write P = sum_{u < p^(m+1)}  z_u(t, theta) * d^<u>.
 
-    Returns {u: Poly in 2r variables "t|th"}; the decomposition peels
-    theta^c off d^<c q + u> at the cost of the unit A_c <c q \\ u>.
+    Returns {u: Poly in 2r variables "t|th"}.  t^e d^<c q + u> is
+    t^e theta^c d^<u> exactly (`theta_power`), so it is the term
+    t^e th^c of z_u, and no two terms of P share one.
     """
     ctx = op.ctx
     q = ctx.pm1
     out: dict = {}
     for k, f in op.terms.items():
         c = tuple(x // q for x in k)
-        u = tuple(x % q for x in k)
-        unit = central_unit(ctx, c) * angle_mi_mod(mi_scale(c, q), u,
-                                                   ctx.p, ctx.m, ctx.p) % ctx.p
-        inv = pow(unit, -1, ctx.p)
-        slot = out.setdefault(u, {})
+        slot = out.setdefault(tuple(x % q for x in k), {})
         for e, cf in f.coeffs.items():
-            key = e + c
-            slot[key] = (slot.get(key, 0) + cf * inv) % ctx.p
-    polys = {u: Poly(d, 2 * ctx.r, ctx.p, "t|th") for u, d in out.items()}
-    return {u: z for u, z in polys.items() if z}
+            slot[e + c] = cf
+    return {u: Poly._trusted(d, 2 * ctx.r, ctx.p, "t|th")
+            for u, d in out.items()}
 
 
 def zo_reassemble(ctx: Context, zo) -> DiffOp:
     """Exact inverse of zo_decompose."""
-    q = ctx.pm1
-    out = DiffOp.zero(ctx)
+    q, r = ctx.pm1, ctx.r
+    out: dict = {}
     for u, z in zo.items():
-        assert z.nvars == 2 * ctx.r
+        assert z.nvars == 2 * r
         for ec, cf in z.coeffs.items():
-            e, c = ec[:ctx.r], ec[ctx.r:]
-            unit = central_unit(ctx, c) * angle_mi_mod(mi_scale(c, q), u,
-                                                       ctx.p, ctx.m, ctx.p)
-            k = mi_add(mi_scale(c, q), u)
-            f = Poly.monomial(e, cf * unit, ctx.r, ctx.p)
-            out = out + DiffOp.dpartial(ctx, k, coeff=f)
-    return out
+            k = mi_add(mi_scale(ec[r:], q), u)
+            acc = out.setdefault(k, {})
+            acc[ec[:r]] = acc.get(ec[:r], 0) + cf
+    return DiffOp.from_dicts(ctx, out)
 
 
 KANEDA_MAX_SIZE = 4096

@@ -326,12 +326,12 @@ def phi_center_inv(fd: FrobData, z: DiffOp, n_trunc: int) -> DiffOp:
 
 
 def phi_inv_basis(fd: FrobData, c, n_trunc: int) -> DiffOp:
-    """phi_center_inv(d^<c p^(m+1)>, n_trunc), cached on fd: the one
-    entry point of the center-inverse cache."""
+    """phi_center_inv(theta^c, n_trunc), cached on fd: the one entry
+    point of the center-inverse cache."""
     key = (tuple(c), n_trunc)
     if key not in fd._phi_inv:
-        z = DiffOp.dpartial(fd.ctx, mi_scale(c, fd.ctx.pm1))
-        fd._phi_inv[key] = phi_center_inv(fd, z, n_trunc)
+        fd._phi_inv[key] = phi_center_inv(fd, theta_power(fd.ctx, c),
+                                          n_trunc)
     return fd._phi_inv[key]
 
 

@@ -13,7 +13,7 @@ exponent dilation O_X' -> O_X.  Going back, a vector v is invariant when
 the honest action of every operator agrees with the central evaluation
 of its twisted-Frobenius image:
 
-    rho(P)(v) = sum_k  f_k A_c^{-1} Theta^c v,  phi_tilde(P) = sum f_k d^<cq>
+    rho(P)(v) = sum_k  f_k Theta^c v,  phi_tilde(P) = sum f_k d^<cq>
 
 (phi alone is off by the center automorphism whenever some Theta^c with
 |c| >= 2 survives on the module).  On a valid module it suffices to
@@ -46,7 +46,7 @@ from operator import add, sub
 import numpy as np
 
 from .context import Context
-from .diffops import DiffOp, central_unit, leibniz, theta_unit
+from .diffops import DiffOp, leibniz
 from .frobenius import FrobData, phi_inv_basis, phi_tilde_basis
 from .linalg import (nullspace_mod, pmat_add_inplace, pmat_eq, pmat_eye,
                      pmat_is_zero, pmat_map, pmat_mul, pmat_scale, pmat_zero,
@@ -154,9 +154,9 @@ class DModule:
     `b_matrix(k)`, the matrix of rho(d^<k>) on constant sections, applies
     `act` column by column: below q = p^(m+1) it peels the largest p^l
     off s e_i (the angle coefficients that appear are units), above q it
-    splits off theta_i^c through the center, and a multi-index is built
-    one coordinate at a time.  theta_i is the normalized p-th power of
-    rho(d_i^<p^m>).
+    splits off the center, d^<cq + s> = theta^c d^<s>, and a multi-index
+    is built one coordinate at a time.  theta_i is the p-th power of
+    rho(d_i^<p^m>).  Both identities are exact (`diffops.theta_power`).
     """
 
     __slots__ = ("ctx", "rank", "gens", "_b", "_cols", "_theta", "_tpow",
@@ -254,15 +254,11 @@ class DModule:
         elif any(k[i + 1:]):        # d^<k> = d^<k_i e_i> d^<rest>
             out = _on_columns(partial(self.act, _along(ctx, i, k[i])),
                               self.b_matrix(k[:i] + (0,) + k[i + 1:]))
-        elif k[i] >= q:             # theta_i^c d^<s e_i>, up to a unit
+        elif k[i] >= q:             # theta_i^c d^<s e_i> = d^<(cq + s) e_i>
             c, s = divmod(k[i], q)
-            ce = _along(ctx, i, c)
-            u = central_unit(ctx, ce) * \
-                angle_mi_mod((c * q,), (s,), p, ctx.m, p) % p
-            out = pmat_scale(pmat_mul(self.theta_pow(ce),
-                                      self.b_matrix(_along(ctx, i, s))),
-                             pow(u, -1, p))
-        else:                       # d^<p^l e_i> d^<(s-p^l) e_i>, up to a unit
+            out = pmat_mul(self.theta_pow(_along(ctx, i, c)),
+                           self.b_matrix(_along(ctx, i, s)))
+        else:   # d^<p^l e_i> d^<(s-p^l) e_i> = <s \ p^l> d^<s e_i>, a unit
             s, l = k[i], 0
             while p ** (l + 1) <= s:
                 l += 1
@@ -287,7 +283,7 @@ class DModule:
             for _ in range(ctx.p):
                 mat = _on_columns(partial(self.act, _along(ctx, i, ctx.pm)),
                                   mat)
-            self._theta[i] = pmat_scale(mat, pow(theta_unit(ctx), -1, ctx.p))
+            self._theta[i] = mat
         return self._theta[i]
 
     def theta_pow(self, c):
@@ -516,22 +512,21 @@ def _sparse(mat, columns) -> dict:
 
 def central_apply(dm: DModule, op: DiffOp, sec):
     """Evaluate a centralizer element sum f_k d^<cq> through the center:
-    sum f_k A_c^{-1} Theta^c sec, with no Leibniz action on f_k.  Each
-    output row is one coefficient dict: Theta^c's row times sec, times f_k
-    and the unit A_c^{-1}, all multiply-accumulated and reduced once."""
+    sum f_k Theta^c sec, as d^<cq> = theta^c exactly, with no Leibniz
+    action on f_k.  Each output row is one coefficient dict: Theta^c's
+    row times sec, times f_k, all multiply-accumulated and reduced once."""
     ctx = dm.ctx
     p, q = ctx.p, ctx.pm1
     accs = [{} for _ in range(dm.rank)]
     for k, f in op.terms.items():
         assert all(x % q == 0 for x in k)
         c = tuple(x // q for x in k)
-        u = pow(central_unit(ctx, c), -1, p)
         for acc, tp_row in zip(accs, dm.theta_pow(c)):
             inner = {}
             for x, g in zip(tp_row, sec):
                 if x and g:
                     mac(inner, x.coeffs, g.coeffs)
-            mac(acc, f.coeffs, inner, u)
+            mac(acc, f.coeffs, inner)
     return [Poly._trusted(reduced(acc, p), ctx.r, p) for acc in accs]
 
 
@@ -555,13 +550,14 @@ def _box_entries(fd: FrobData, dm: DModule, nnil, sections) -> dict:
       the residue of a_i in `dp_residues(a')` (zero when a_i < a').
 
     A complete family is (c, i, l, b), |c| < nnil, l <= m, b < q: the
-    defect of d_i^<p^l> t_i^b on A_c^{-1} Theta^c sec (multiplication
-    operators come free, larger b repeat by periodicity of the binomials,
-    larger c die on the module).  Both sides of a defect are O_X-linear
-    in the operator and d^<p^l> t^b = sum_s' {p^l \\ s'} d^<s'>(t^b)
-    d^<p^l - s'>, so that defect is sum_s' w(b, s') t_i^(b - s')
-    D_(p^l - s') with w(b, s') = {p^l \\ s'} q_s'! C(b, s').  On a valid
-    module the two families have one kernel:
+    defect of d_i^<p^l> t_i^b on Theta^c sec = rho(d^<cq>) sec, as
+    theta^c = d^<cq> exactly (multiplication operators come free, larger
+    b repeat by periodicity of the binomials, larger c die on the
+    module).  Both sides of a defect are O_X-linear in the operator
+    and d^<p^l> t^b = sum_s' {p^l \\ s'} d^<s'>(t^b) d^<p^l - s'>, so
+    that defect is sum_s' w(b, s') t_i^(b - s') D_(p^l - s') with
+    w(b, s') = {p^l \\ s'} q_s'! C(b, s').  On a valid module the two
+    families have one kernel:
 
     1. c > 0 adds nothing.  rho(theta_i) commutes with every rho(d^<k>),
        as theta_i is central and rho an action, and with t, so it is the

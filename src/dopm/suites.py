@@ -24,7 +24,7 @@ from math import comb
 
 from .context import Context
 from .diffops import (DiffOp, frob_descend, frob_raise, kaneda_matrix,
-                      quotient_matrix, zo_decompose)
+                      quotient_matrix, theta, zo_decompose)
 from .dpalg import DPElem, gamma_dp, pair_op, taylor
 from .expr import render_op
 from .frobenius import (FrobData, as_split_module, bullet, bullet_matrix,
@@ -305,7 +305,7 @@ def suite_phibar(seed: int, only):
         ctx = fd.ctx
         ok = True
         for i in range(ctx.r):
-            th_i = DiffOp.dpartial(ctx, mi_scale(mi_unit(ctx.r, i), ctx.pm1))
+            th_i = theta(ctx, i)
             pm_i = DiffOp.dpartial(ctx, mi_scale(mi_unit(ctx.r, i), ctx.pm))
             if phi(fd, th_i) != th_i + phi(fd, pm_i) ** ctx.p:
                 ok = False

@@ -1,10 +1,10 @@
 """The operator ring: composition, the center, normal forms, level maps.
 
 Composition has an action oracle — (P Q)(f) must equal P(Q(f)) — and the
-curvature identities have closed-form unit oracles over Q.
+center's scalars have closed forms over Q (`closed_forms`), each 1 mod p.
 """
 
-from fractions import Fraction
+import random
 from math import comb, factorial
 
 import pytest
@@ -12,15 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dopm.context import Context
-from dopm.diffops import (DiffOp, central_embed, central_unit, commutator,
-                          frob_descend, frob_raise, is_central, kaneda_matrix,
-                          level_raise, quotient_matrix, theta, theta_decompose,
-                          theta_power, theta_unit, zo_decompose, zo_reassemble)
+from dopm.diffops import (DiffOp, central_embed, commutator, frob_descend,
+                          frob_raise, is_central, kaneda_matrix, level_raise,
+                          quotient_matrix, theta, theta_decompose,
+                          theta_power, zo_decompose, zo_reassemble)
 from dopm.linalg import pmat_eq, pmat_mul
 from dopm.poly import Poly
 from dopm.scalars import (angle_mi_mod, box_le, brace_mi_mod,
-                          dp_monomial_action, frac_mod, mi_add, mi_sub,
-                          mi_unit)
+                          dp_monomial_action, mi_add, mi_sub, mi_unit)
+
+from closed_forms import central_unit, mod_p, peel_angle, theta_unit
 
 CTXS = [Context(2, 0), Context(3, 0), Context(2, 1), Context(3, 1),
         Context(2, 0, r=2), Context(3, 1, r=2)]
@@ -201,27 +202,36 @@ def test_theta_is_central_and_kills_functions(ctx):
     assert not is_central(d)
 
 
-@pytest.mark.parametrize("ctx", CTXS[:4], ids=lambda c: f"p{c.p}m{c.m}")
-def test_theta_unit_oracle(ctx):
-    p, pm = ctx.p, ctx.pm
-    # (d^<p^m>)^p = u theta with u = (p^(m+1))! / ((p^m)!^p p!) over Q
-    u = Fraction(factorial(p * pm), factorial(pm) ** p * factorial(p))
-    assert theta_unit(ctx) == frac_mod(u, p)
-    lhs = DiffOp.dpartial(ctx, (pm,)) ** p
-    assert lhs == theta(ctx, 0).scale(theta_unit(ctx))
+UNIT_GRID = [(p, m) for p in (2, 3, 5, 7) for m in range(4)]
 
 
-@pytest.mark.parametrize("ctx", CTXS[:4], ids=lambda c: f"p{c.p}m{c.m}")
-def test_central_unit_oracle(ctx):
-    p, q = ctx.p, ctx.pm1
-    for c in range(1, 4):
-        want = Fraction(factorial(p) ** c * factorial(c * q),
-                        factorial(q) ** c * factorial(c * p))
-        assert central_unit(ctx, (c,)) == frac_mod(want, p)
-        # theta^c really is that multiple of the single basis element
-        assert theta(ctx, 0) ** c == theta_power(ctx, (c,))
-        assert theta_power(ctx, (c,)) == \
-            DiffOp.dpartial(ctx, (c * q,)).scale(central_unit(ctx, (c,)))
+UNIT_IDS = [f"p{p}m{m}" for p, m in UNIT_GRID]
+
+
+@pytest.mark.parametrize("p, m", UNIT_GRID, ids=UNIT_IDS)
+def test_theta_unit_oracle(p, m):
+    # (d^<p^m>)^p = u theta with the rational u 1 mod p, so with no scalar
+    ctx = Context(p, m)
+    assert mod_p(theta_unit(p, m), p) == 1
+    assert DiffOp.dpartial(ctx, (ctx.pm,)) ** p == theta(ctx, 0)
+
+
+@pytest.mark.parametrize("p, m", UNIT_GRID, ids=UNIT_IDS)
+def test_central_unit_oracle(p, m):
+    # the rationals A_c and <cq+s \ cq> are 1 mod p, so the ring
+    # identities hold with no scalar; s < q is every s up to q = 64, a
+    # sample with the ends and the p^m boundary above
+    ctx = Context(p, m)
+    pm, q = ctx.pm, ctx.pm1
+    rng = random.Random(f"units/{p}/{m}")
+    for c in range(1, 5):
+        assert mod_p(central_unit(p, m, (c,)), p) == 1
+        dcq = DiffOp.dpartial(ctx, (c * q,))
+        assert theta(ctx, 0) ** c == dcq == theta_power(ctx, (c,))
+        for s in {0, pm - 1, pm, q - 1, *rng.sample(range(q), min(q, 64))}:
+            assert mod_p(peel_angle(p, m, c, s), p) == 1
+            assert dcq * DiffOp.dpartial(ctx, (s,)) == \
+                DiffOp.dpartial(ctx, (c * q + s,))
 
 
 def test_theta_powers_multiply_across_coordinates():

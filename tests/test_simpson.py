@@ -22,7 +22,6 @@ from dopm.diffops import DiffOp
 from dopm import frobenius
 from dopm.expr import render_matrix
 from dopm.frobenius import FrobData, phi_tilde_basis, random_strong_lifting
-from dopm.diffops import central_unit, theta_unit
 from dopm.linalg import (nullspace_mod, pmat_add_inplace, pmat_eq, pmat_eye,
                          pmat_is_zero, pmat_map, pmat_mul, pmat_scale,
                          pmat_zero, rank_mod, rref_mod)
@@ -36,6 +35,8 @@ from dopm.simpson import (DModule, HiggsModule, InvariantSpace,
                           corpus_json, curvature_of, invariant_rank,
                           pullback, random_higgs, recovered_higgs,
                           round_trip, solve_invariants, worked_example)
+
+from closed_forms import central_unit, mod_p, peel_angle, theta_unit
 
 
 def jordan_higgs(ctx, n):
@@ -339,8 +340,8 @@ class ReferenceAction:
         else:
             c, t = divmod(s, q)
             ce = mi_scale(mi_unit(ctx.r, i), c)
-            u = central_unit(ctx, ce) * \
-                angle_mi_mod((c * q,), (t,), ctx.p, ctx.m, ctx.p) % ctx.p
+            u = mod_p(central_unit(ctx.p, ctx.m, ce)
+                      * peel_angle(ctx.p, ctx.m, c, t), ctx.p)
             out = pmat_scale(pmat_mul(self.theta_pow(ce), self.b_single(i, t)),
                              pow(u, -1, ctx.p))
         self._b1[key] = out
@@ -351,8 +352,9 @@ class ReferenceAction:
             mat = pmat_eye(self.rank, self.ctx.r, self.ctx.p)
             for _ in range(self.ctx.p):
                 mat = self.gen_apply(i, self.ctx.m, mat)
-            self._theta[i] = pmat_scale(
-                mat, pow(theta_unit(self.ctx), -1, self.ctx.p))
+            self._theta[i] = pmat_scale(mat, pow(
+                mod_p(theta_unit(self.ctx.p, self.ctx.m), self.ctx.p),
+                -1, self.ctx.p))
         return self._theta[i]
 
     def theta_pow(self, c):
@@ -743,13 +745,14 @@ def test_reduced_solver_agrees_with_the_literal_one(ctx, lift_seed, field,
 
 def central_apply_reference(dm, op, sec):
     """The evaluation `central_apply` replaced, kept as its oracle: every
-    partial sum and product of sum f_k A_c^{-1} Theta^c sec a Poly."""
+    partial sum and product of sum f_k A_c^{-1} Theta^c sec a Poly, A_c
+    the rational of `closed_forms`."""
     ctx = dm.ctx
     q = ctx.pm1
     out = [Poly.zero(ctx.r, ctx.p) for _ in range(dm.rank)]
     for k, f in op.terms.items():
         c = tuple(x // q for x in k)
-        u = pow(central_unit(ctx, c), -1, ctx.p)
+        u = pow(mod_p(central_unit(ctx.p, ctx.m, c), ctx.p), -1, ctx.p)
         tp = dm.theta_pow(c)
         for row in range(dm.rank):
             acc = Poly.zero(ctx.r, ctx.p)
