@@ -25,10 +25,11 @@ from .scalars import (box, dp_residues, leibniz_weights, mi_add, mi_scale,
 def dp_coeffs(s, coeffs: dict, p: int, m: int) -> dict:
     """d^<s> on a coefficient dict mod p: {h - s: c * prod_i q_(s_i)!
     C(h_i, s_i)}, from the cached `dp_residues` of each coordinate.  The
-    values are reduced and nonzero, and distinct h give distinct keys."""
+    values are reduced and nonzero, and distinct h give distinct keys.
+    For s = 0 it is `coeffs` itself, not a copy: callers only read it."""
     cols = [(i, dp_residues(x, p, m)) for i, x in enumerate(s) if x]
     if not cols:
-        return dict(coeffs)
+        return coeffs
     out = {}
     for h, c in coeffs.items():
         for i, row in cols:
@@ -351,26 +352,63 @@ KANEDA_MAX_SIZE = 4096
 
 def kaneda_matrix(op: DiffOp):
     """Matrix of right multiplication by P on the free left module
-    O_X[theta]^(p^(m+1) r): M[u][t] = z-coefficient of d^<u> in d^<t> * P,
-    rows/columns indexed by box(p^(m+1))^r in lex order.
+    O_X[theta]^(q^r), q = p^(m+1), with basis the d^<u>, u < q: column t
+    holds d^<t> * P = sum_u M[u][t] d^<u>.  Rows and columns are indexed
+    by box(q)^r in lex order.  Entries are commutative polynomials in
+    "t|th"; the defining relation is M(P*Q) = M(Q) @ M(P).
 
-    Entries are commutative polynomials in "t|th"; the defining relation
-    is M(P*Q) = M(Q) @ M(P).  More than KANEDA_MAX_SIZE rows (size^2
+    Each cell comes straight from the Leibniz rule.  A term g d^<l> of P
+    and an a <= t add
+
+        {t \\ a} <t-a+l \\ t-a> d^<a>(g) th^c,  t-a+l = c q + u,
+
+    to the cell (row u, column t), since d^<cq+u> is theta^c d^<u>
+    exactly (`theta_power`).  The weights are products of the
+    coordinates' `leibniz_weights`, so each coordinate lists its
+    (a, weight, t, u, c) once per term and the cells run over the
+    product of those lists.  Each d^<a>(g) is formed once per term and
+    serves every column t >= a.  More than KANEDA_MAX_SIZE rows (size^2
     entries) is refused with ValueError before anything is built.
     """
     ctx = op.ctx
-    size = ctx.pm1 ** ctx.r
+    p, m, q, r = ctx.p, ctx.m, ctx.pm1, ctx.r
+    size = q ** r
     if size > KANEDA_MAX_SIZE:
         raise ValueError(f"the Kaneda matrix has p^((m+1)r) = {size} rows; "
                          f"at most {KANEDA_MAX_SIZE} are supported")
-    basis = list(box(ctx.pm1, ctx.r))
-    idx = {u: n for n, u in enumerate(basis)}
-    zero = Poly.zero(2 * ctx.r, ctx.p, "t|th")
-    mat = [[zero] * len(basis) for _ in basis]
-    for tcol, tmi in enumerate(basis):
-        zo = zo_decompose(DiffOp.dpartial(ctx, tmi) * op)
-        for u, z in zo.items():
-            mat[idx[u]][tcol] = z
+    idx = {u: n for n, u in enumerate(box(q, r))}
+    cells: dict = {}
+    for l, g in op.terms.items():
+        coords = []
+        for hi, li in zip(g.max_exps(), l):
+            trail = []
+            for ti in range(q):
+                row = leibniz_weights(ti, min(ti, hi), li, p, m)
+                for ai, wi in zip(row[::2], row[1::2]):
+                    c, u = divmod(ti - ai + li, q)
+                    trail.append((ai, wi, ti, u, c))
+            coords.append(trail)
+        dg: dict = {}
+        for combo in product(*coords):
+            a, ws, t, u, c = zip(*combo)
+            h = dg.get(a)
+            if h is None:
+                h = dg[a] = dp_coeffs(a, g.coeffs, p, m)
+            if not h:
+                continue
+            w = 1
+            for x in ws:
+                w *= x
+            acc = cells.setdefault((u, t), {})
+            for e, x in h.items():
+                e = e + c
+                acc[e] = acc.get(e, 0) + w * x
+    zero = Poly.zero(2 * r, p, "t|th")
+    mat = [[zero] * size for _ in range(size)]
+    for (u, t), acc in cells.items():
+        f = reduced(acc, p)
+        if f:
+            mat[idx[u]][idx[t]] = Poly._trusted(f, 2 * r, p, "t|th")
     return mat
 
 

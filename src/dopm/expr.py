@@ -4,11 +4,14 @@ Input grammar (whitespace-insensitive):
 
     expr := ['+'|'-'] term (('+'|'-') term)*
     term := atom ('*' atom)*
-    atom := int | 't'IDX['^'NAT] | 'd'IDX['<'NAT'>'] | '(' expr ')' ['^'NAT]
+    atom := int | 't'IDX['^'NAT] | 'd'IDX['<'NAT'>']['^'NAT]
+          | '(' expr ')' ['^'NAT]
 
 t1..tr are the coordinates, d1..dr the divided partials: dI<k> is the
 k-th divided power in direction I, dI alone is order one.  Products are
-ring products, so "d1*t1" and "t1*d1 + 1" parse to the same operator.
+ring products written with '*', so "d1*t1" and "t1*d1 + 1" parse to the
+same operator; juxtaposition ("d1 t1") is an error.  A power is the ring
+power: "d1<2>^3" is "(d1<2>)^3", the product d1<2>*d1<2>*d1<2>.
 
 Output is deterministic: terms in descending index order, coefficients
 signed-minimal mod p, composite coefficients parenthesized.  The tokens
@@ -106,15 +109,19 @@ class _Parser:
                 k = self._nat()
                 self.take(">")
             exps = tuple(k if i == idx else 0 for i in range(ctx.r))
-            return DiffOp.dpartial(ctx, exps)
+            return self._power(DiffOp.dpartial(ctx, exps))
         if kind == "(":
             inner = self.expr()
             self.take(")")
-            if self.peek() == "^":
-                self.take()
-                return inner ** self._nat()
-            return inner
+            return self._power(inner)
         raise ExprError(f"unexpected {kind!r}")
+
+    def _power(self, op: DiffOp) -> DiffOp:
+        """op, or its ring power op^n when '^' n follows."""
+        if self.peek() == "^":
+            self.take()
+            return op ** self._nat()
+        return op
 
     def _index(self, val: int) -> int:
         if not 1 <= val <= self.ctx.r:
@@ -125,11 +132,24 @@ class _Parser:
         return self.take("int")[1]
 
 
+# What a token left over after a whole expression breaks.
+_LEFTOVER_RULES = {
+    ")": "it closes no '('",
+    "^": "'^' takes one exponent, after tI, dI, dI<k> or ')'",
+    "<": "'<k>' follows only dI",
+    ">": "'<k>' follows only dI",
+}
+
+
 def parse(ctx: Context, s: str) -> DiffOp:
     p = _Parser(ctx, tokenize(s))
     out = p.expr()
     if p.pos != len(p.toks):
-        raise ExprError(f"trailing input at token {p.pos}")
+        kind, val = p.toks[p.pos]
+        found = kind if val is None else f"{val}" if kind == "int" else \
+            f"{kind}{val}"
+        rule = _LEFTOVER_RULES.get(kind, "products need '*'")
+        raise ExprError(f"unexpected {found!r} at token {p.pos}: {rule}")
     return out
 
 

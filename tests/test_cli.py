@@ -8,9 +8,12 @@ import io
 import json
 import os
 import pathlib
+import random
+import shlex
 import shutil
 import subprocess
 import sys
+from itertools import takewhile
 
 import jsonschema
 import pytest
@@ -103,6 +106,49 @@ def test_kaneda_matrix_too_large_exits_3(capsys, monkeypatch):
     assert "531441" in err
     with pytest.raises(AssertionError, match="the basis was listed"):
         main(["kaneda-matrix", "--p", "2", "--m", "3", "--r", "3", "d1"])
+
+
+def readme_examples():
+    """(argv, printed text) of README's expression-command examples."""
+    lines = (REPO / "README.md").read_text().splitlines()
+    out = []
+    for n, line in enumerate(lines):
+        if line.startswith("$ dopm ") and not line.endswith(".json"):
+            argv = shlex.split(line[2:].split("#")[0])[1:]
+            printed = takewhile(lambda s: s and not s.startswith("```"),
+                                lines[n + 1:])
+            out.append((argv, "".join(s + "\n" for s in printed)))
+    return out
+
+
+def test_readme_examples_print_what_readme_says(capsys):
+    examples = readme_examples()
+    assert len(examples) >= 7
+    for argv, printed in examples:
+        assert run(capsys, *argv) == (0, printed, ""), argv
+
+
+@pytest.mark.parametrize("power, product", [
+    ("d1^2", "(d1)^2"), ("d1^2", "d1*d1"), ("d1<2>^3", "(d1<2>)^3"),
+    ("t1*d1<4>^2*t1", "t1*(d1<4>)^2*t1"), ("d1^0", "1"),
+])
+def test_a_power_of_a_d_atom_is_the_ring_power(capsys, power, product):
+    for fmt in ((), ("--json",)):
+        want = run(capsys, "mul", "--p", "3", "--m", "1", *fmt, product)
+        assert want[0] == 0
+        assert run(capsys, "mul", "--p", "3", "--m", "1", *fmt,
+                   power) == want
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("d1 t1", "unexpected 't1' at token 1: products need '*'"),
+    ("(t1 + 1) d1<2>", "unexpected 'd1' at token 5: products need '*'"),
+    ("t1^2^3", "unexpected '^' at token 3: '^' takes one exponent, "
+               "after tI, dI, dI<k> or ')'"),
+    ("d1)", "unexpected ')' at token 1: it closes no '('"),
+])
+def test_leftover_input_exits_2_naming_the_rule(capsys, expr, message):
+    assert run(capsys, "mul", expr) == (2, "", f"error: {message}\n")
 
 
 # -- module files -------------------------------------------------------------
@@ -690,3 +736,81 @@ def test_narrowed_verify_json_bytes_are_pinned(flags, digest):
                          capture_output=True, env=child_env())
     assert res.returncode == 0
     assert hashlib.md5(res.stdout).hexdigest() == digest
+
+
+# md5 of the text and then the --json output of each expression command
+# on seeded operators: products with polynomial coefficients, constant
+# coefficients, orders past p^(m+1) (the th shifts) and a power.  Taken
+# before the Kaneda matrix and the product got their direct routes.
+PIN_COMMANDS = ("mul", "apply", "kaneda-matrix", "phi", "phitilde")
+EXPRESSION_PINS = {
+    (2, 0, 1): ("74554feb7ef0544df7fa00da49a5b4db",
+                "cfd03f4e2fc76b67d769ada153ed995f",
+                "ab9ffe2a4a76aa70f6429109efe9885f",
+                "5d9876024d4c75eb8d452263dd0e9e90",
+                "a3197de544c810255c2445ba54e00e7b"),
+    (3, 1, 1): ("943b31dff5d2a7aa2b72c822a907fc36",
+                "dbcf499d1f263ceff3353f8c0fe62e10",
+                "acafc8fec3f50846204d8b0a393d3473",
+                "469575730de92c6145d7280d2e67cd9f",
+                "37430c9e4ed669032c827e0d91b08e3c"),
+    (7, 0, 1): ("f4c0425af08a8f9b3cb09a3bab8c3460",
+                "cd39154d85d3c8d32535d871bb28156e",
+                "e6b26614351b1684c89e3417009771d0",
+                "bddf39aadf7c83eba534b874e7e5247c",
+                "f31dd553e9878e7ddab7bb0a8a2444cc"),
+    (5, 0, 2): ("a68130aba9876ab8f894642b374ed6a7",
+                "d3f4dbc8d0d1af0aadabd20e06477c05",
+                "6bc29b641dae450a4ab0b5ad11639149",
+                "a2b2f597d4197858029def48b9e4b6da",
+                "37fe34241e4563618e07d7a1ced6f1e5"),
+    (2, 1, 2): ("67343f5d6b1b4bd6eb6c51e10fa00954",
+                "c9ace5e867399a68a981e421f9296246",
+                "ea0197ed00c469399989094525a7a060",
+                "3d1eb5bf21f02b71debeb273cd788b07",
+                "a609c353f166d5db5d97be71cc8385db"),
+    (3, 0, 3): ("9347e1138213d4d4412183182c075d86",
+                "5ff51696e497fdb5e4a3188be075af8e",
+                "880a7e461fdff2c28521d6a33e8298b8",
+                "bd33e6c915cd5912974f661e3a469be6",
+                "63d529a91e138a1d5d5badd2b41a4408"),
+}
+
+
+def pin_inputs(p, m, r):
+    """The seeded arguments of each expression command at (p, m, r)."""
+    rng = random.Random(f"cli-pins/{p}/{m}/{r}")
+    q = p ** (m + 1)
+
+    def mono(top):
+        return "*".join(f"t{i + 1}^{rng.randrange(top)}" for i in range(r))
+
+    def dpart():
+        # orders up to 3q // r: past q, within phi's default tau_trunc 3q
+        return "*".join(f"d{i + 1}<{rng.randrange(3 * q // r + 1)}>"
+                        for i in range(r))
+
+    def coeff():
+        return f"({rng.randrange(1, p)}*{mono(q + 2)} + {mono(3)} - 1)"
+
+    a = (f"{coeff()}*{dpart()} - {rng.randrange(1, p)}*{dpart()}"
+         f" + {dpart()}*{mono(q)} + {mono(q)}")
+    b = f"{coeff()}*{dpart()} + (d1 + t{r})^2 - 1"
+    f = f"{coeff()} + {mono(2 * q)}"
+    return {"mul": (a, b), "apply": (a, f), "kaneda-matrix": (a,),
+            "phi": (a,), "phitilde": (b,)}
+
+
+@pytest.mark.parametrize("pmr", list(EXPRESSION_PINS),
+                         ids=lambda c: "p{}m{}r{}".format(*c))
+@pytest.mark.parametrize("cmd", PIN_COMMANDS)
+def test_expression_command_bytes_are_pinned(capsys, cmd, pmr):
+    p, m, r = pmr
+    args = pin_inputs(p, m, r)[cmd]
+    digest = hashlib.md5()
+    for fmt in ((), ("--json",)):
+        code, out, err = run(capsys, cmd, "--p", str(p), "--m", str(m),
+                             "--r", str(r), *fmt, *args)
+        assert (code, err) == (0, "")
+        digest.update(out.encode())
+    assert digest.hexdigest() == EXPRESSION_PINS[pmr][PIN_COMMANDS.index(cmd)]

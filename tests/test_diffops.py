@@ -18,7 +18,7 @@ from dopm.diffops import (DiffOp, central_embed, commutator, frob_descend,
                           theta_power, zo_decompose, zo_reassemble)
 from dopm.linalg import pmat_eq, pmat_mul
 from dopm.poly import Poly
-from dopm.scalars import (angle_mi_mod, box_le, brace_mi_mod,
+from dopm.scalars import (angle_mi_mod, box, box_le, brace_mi_mod,
                           dp_monomial_action, mi_add, mi_sub, mi_unit)
 
 from closed_forms import central_unit, mod_p, peel_angle, theta_unit
@@ -138,6 +138,25 @@ def test_mul_is_the_poly_per_term_oracle(ctx, data):
     index, exp = _wide(ctx)
     a = data.draw(ops(ctx, max_index=index, max_exp=exp))
     b = data.draw(ops(ctx, max_index=index, max_exp=exp))
+    assert a * b == mul_oracle(a, b)
+
+
+@pytest.mark.parametrize("ctx", ORACLE_CTXS, ids=ORACLE_IDS)
+@given(st.data())
+@settings(max_examples=10, deadline=None)
+def test_products_with_only_the_a_zero_term_are_the_oracle(ctx, data):
+    # a pair f d^<k>, g d^<l> with k = 0 or g constant has only the a = 0
+    # Leibniz term, as in every product parse builds from the rendered
+    # form (f)*d1<k>*d2<j>; random ops seldom draw those shapes
+    index, exp = _wide(ctx)
+    a = data.draw(ops(ctx, max_index=index, max_exp=exp))
+    b = data.draw(ops(ctx, max_index=index, max_exp=exp))
+    fn = data.draw(ops(ctx, max_index=0, max_exp=exp))
+    consts = data.draw(ops(ctx, max_index=index, max_exp=0))
+    assert fn * b == mul_oracle(fn, b)              # a function on the left
+    assert a * consts == mul_oracle(a, consts)      # constant coefficients
+    # mixed: only some of the pairs have only the a = 0 term
+    a, b = a + fn, b + consts
     assert a * b == mul_oracle(a, b)
 
 
@@ -293,6 +312,41 @@ def test_kaneda_block_form():
                     want[t + k - p][t] = th
             got = kaneda_matrix(DiffOp.dpartial(ctx, (k,)))
             assert pmat_eq(got, want)
+
+
+def kaneda_oracle(op):
+    """The Kaneda matrix column by column: column t is the normal form
+    zo_decompose(d^<t> * P), read into rows by the index u < q."""
+    ctx = op.ctx
+    basis = list(box(ctx.pm1, ctx.r))
+    idx = {u: n for n, u in enumerate(basis)}
+    zero = Poly.zero(2 * ctx.r, ctx.p, "t|th")
+    mat = [[zero] * len(basis) for _ in basis]
+    for col, t in enumerate(basis):
+        for u, z in zo_decompose(DiffOp.dpartial(ctx, t) * op).items():
+            mat[idx[u]][col] = z
+    return mat
+
+
+# every (p, m, r) with p in {2, 3, 5, 7}, m <= 3, r <= 3 and q^r <= 64
+KANEDA_GRID = [(p, m, r) for p in (2, 3, 5, 7) for m in range(4)
+               for r in (1, 2, 3) if p ** ((m + 1) * r) <= 64]
+
+
+@pytest.mark.parametrize("p, m, r", KANEDA_GRID,
+                         ids=[f"p{p}m{m}r{r}" for p, m, r in KANEDA_GRID])
+@given(st.data())
+@settings(max_examples=6, deadline=None)
+def test_kaneda_matrix_is_the_column_oracle(p, m, r, data):
+    # orders up to 2q + 1 reach the th shifts; constant coefficients and
+    # the zero operator ride along
+    ctx = Context(p, m, r)
+    q = ctx.pm1
+    a = data.draw(ops(ctx, max_index=2 * q + 1, max_exp=q + 1))
+    consts = data.draw(ops(ctx, max_index=2 * q + 1, max_exp=0))
+    for op in (a, consts, a + consts, DiffOp.zero(ctx)):
+        got = kaneda_matrix(op)
+        assert len(got) == q ** r and pmat_eq(got, kaneda_oracle(op))
 
 
 @given(st.data())

@@ -40,6 +40,39 @@ def test_parse_powers_and_parens():
     assert parse(ctx1, "d1*d1") == DiffOp.dpartial(ctx1, (2,)).scale(2)
 
 
+def test_powers_of_d_atoms_are_ring_powers():
+    # dI^n and dI<k>^n are (dI<k>)^n, never d^<kn>
+    for ctx in (Context(2, 0), Context(3, 1), Context(2, 1, r=2)):
+        d = DiffOp.dpartial(ctx, (1,) + (0,) * (ctx.r - 1))
+        d2 = DiffOp.dpartial(ctx, (0,) * (ctx.r - 1) + (2,))
+        assert parse(ctx, "d1^3") == parse(ctx, "(d1)^3") == d ** 3
+        assert parse(ctx, "d1^0") == DiffOp.one(ctx)
+        assert parse(ctx, f"d{ctx.r}<2>^2") == d2 * d2
+        assert parse(ctx, f"t1*d{ctx.r}<2>^2*t1") == \
+            parse(ctx, f"t1*(d{ctx.r}<2>)^2*t1")
+    # at level one the power differs from the divided power:
+    # d^<1> d^<1> = <2 \ 1> d^<2> = 2 d^<2>
+    ctx = Context(3, 1)
+    assert parse(ctx, "d1^2") == DiffOp.dpartial(ctx, (2,)).scale(2)
+
+
+@pytest.mark.parametrize("s, found, rule", [
+    ("d1 t1", "'t1' at token 1", "products need '*'"),
+    ("3 3", "'3' at token 1", "products need '*'"),
+    ("d1<2>(t1)", "'(' at token 4", "products need '*'"),
+    ("t1)", "')' at token 1", "it closes no '('"),
+    ("t1^2^3", "'^' at token 3", "'^' takes one exponent"),
+    ("d1>2<", "'>' at token 1", "'<k>' follows only dI"),
+    ("t1<2>", "'<' at token 1", "'<k>' follows only dI"),
+])
+def test_leftover_input_names_the_token_and_the_rule(s, found, rule):
+    with pytest.raises(ExprError) as err:
+        parse(Context(2, 0), s)
+    msg = str(err.value)
+    assert "\n" not in msg
+    assert msg.startswith(f"unexpected {found}: ") and rule in msg
+
+
 def test_multi_coordinate_atoms():
     ctx = Context(3, 0, r=2)
     op = parse(ctx, "t2^2*d1<3>*d2")
@@ -52,7 +85,7 @@ def test_multi_coordinate_atoms():
 
 
 BAD = ["", "d1<", "d1<2", "t1^", "1 +", ")", "(t1", "x1", "t1**2", "d1>2<",
-       "3 3"]
+       "3 3", "d1^", "d1<2>^", "d1^2^2"]
 
 
 @pytest.mark.parametrize("s", BAD)
