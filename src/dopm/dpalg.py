@@ -17,9 +17,9 @@ against it in the suites.
 
 w^k/k! has one implementation, the tower gamma_k = gamma_{k-1} * w / k
 (`GammaTower`).  A tower keeps its rational steps, so a caller that needs
-gamma_0..gamma_K of one w (as FrobData does for phi) pays K products, not
-K^2/2; `gamma_dp` builds a fresh tower per call and is the from-scratch
-oracle.
+gamma_0..gamma_K of one w (as FrobData does for phi of a lifting with a
+nonzero deviation) pays K products, not K^2/2; `gamma_dp` builds a fresh
+tower per call and is the from-scratch oracle.
 """
 
 from __future__ import annotations

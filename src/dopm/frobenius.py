@@ -11,7 +11,11 @@ assumed).  From w one builds:
 
   * phi        -- the O_X-linear map d^<n> -> sum_c [tau^{n}] prod_j
                   gamma_{c_j}(w_j) * d^<c p^(m+1)>, with values in the
-                  centralizer of O_X';
+                  centralizer of O_X'.  For the standard lifting
+                  F_j = t_j^(p^(m+1)) these coefficients have a closed
+                  form (`standard_gamma_coeff`); a lifting with a nonzero
+                  deviation reads them off rational divided-power towers
+                  of w;
   * phi_center_inv / phi_tilde -- the theta-adic inverse on the center
                   and the induced splitting map;
   * bullet     -- the module structure P.(f theta^c) = phi(P f) theta^c
@@ -24,6 +28,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from fractions import Fraction
+from functools import cached_property, lru_cache
+from itertools import product
+from math import comb, factorial
 
 from .context import Context
 from .diffops import (DiffOp, box_matrix, premul_sum, theta_power,
@@ -31,8 +39,8 @@ from .diffops import (DiffOp, box_matrix, premul_sum, theta_power,
 from .dpalg import DPElem, GammaTower, taylor
 from .poly import (MalformedInput, Poly, is_int, poly_from_json,
                    poly_to_json, reduced)
-from .scalars import (brace_mi_mod, degree_box, div_p_fact, mi_add, mi_le,
-                      mi_scale, mi_sub, mi_sum, mi_unit, mi_zero)
+from .scalars import (brace_mi_mod, degree_box, div_p_fact, frac_mod, mi_add,
+                      mi_le, mi_scale, mi_sub, mi_sum, mi_unit, mi_zero)
 
 
 class NotALifting(ValueError):
@@ -168,12 +176,14 @@ class FrobData:
     """A validated strong lifting together with everything phi needs.
 
     State is per instance; each instance owns one lifting, so nothing
-    mixes moduli or levels.  Per coordinate j it keeps one GammaTower of
-    w_j, extended as far as phi has asked, and gamma_{c_j}(w_j) reduced
-    mod p for each k asked for; `gamma_coeffs` reads the coefficients
-    of prod_j gamma_{c_j}(w_j) off those without forming the product; and
-    it caches the phi, phi_center_inv and phi_tilde images of basis
-    operators.
+    mixes moduli or levels.  For the standard lifting (every deviation
+    h_j zero) `gamma_coeffs` evaluates `standard_gamma_coeff` and builds
+    neither w nor a tower.  Otherwise it keeps, per coordinate j, one
+    GammaTower of w_j, extended as far as phi has asked, and
+    gamma_{c_j}(w_j) reduced mod p for each k asked for, and reads the
+    coefficients of prod_j gamma_{c_j}(w_j) off those without forming
+    the product.  w and the towers are built on first use.  It caches the
+    phi, phi_center_inv and phi_tilde images of basis operators.
     """
 
     def __init__(self, ctx: Context, lifting: LiftingZ):
@@ -184,13 +194,20 @@ class FrobData:
         self.gs = [h.divide_exponents(ctx.pm) if _pm_divisible(h, ctx.pm)
                    else _reject_strong(j, h)
                    for j, h in enumerate(self.hs)]
-        self.ws = divided_frob_tau(ctx, lifting)
-        self._towers = [GammaTower(w) for w in self.ws]
+        self.is_standard = not any(self.hs)
         self._gammas: dict = {}
         self._phi: dict = {}
         self._phi_inv: dict = {}
         self._phi_tw: dict = {}
         self._deeper: dict = {}
+
+    @cached_property
+    def ws(self) -> list:
+        return divided_frob_tau(self.ctx, self.lifting)
+
+    @cached_property
+    def _towers(self) -> list:
+        return [GammaTower(w) for w in self.ws]
 
     @classmethod
     def standard(cls, ctx: Context) -> "FrobData":
@@ -230,7 +247,10 @@ class FrobData:
         multiplication applies factor by factor.  Splits grow one factor
         at a time over every c_j at once, keeping only the a_j that fit
         in what is left of n; the last a_r is a lookup, so at r = 1 this
-        is one per c."""
+        is one per c.  The standard lifting takes the closed form instead
+        (`_standard_gamma_coeffs`)."""
+        if self.is_standard:
+            return self._standard_gamma_coeffs(n)
         ctx = self.ctx
         p, m, r = ctx.p, ctx.m, ctx.r
         budget = mi_sum(n) // ctx.pm
@@ -270,6 +290,67 @@ class FrobData:
             if f:
                 out[c] = Poly._trusted(f, r, p)
         return out
+
+    def _standard_gamma_coeffs(self, n) -> dict:
+        """`gamma_coeffs` of F_j = t_j^q, by `standard_gamma_coeff`."""
+        ctx = self.ctx
+        p, pm, q, r = ctx.p, ctx.pm, ctx.pm1, ctx.r
+        if any(x % pm for x in n):
+            return {}
+        ks = [x // pm for x in n]
+        out = {}
+        for c in product(*[range(-(-k // p), k + 1) for k in ks]):
+            v = 1
+            for k, cj in zip(ks, c):
+                v = v * standard_gamma_coeff(k, cj, p) % p
+            if v:
+                e = tuple(q * cj - x for cj, x in zip(c, n))
+                out[c] = Poly._trusted({e: v}, r, p)
+        return out
+
+
+@lru_cache(maxsize=None)
+def standard_gamma_coeff(k: int, c: int, p: int) -> int:
+    """A(k, c) = k!/(c! (p!)^c) sum_i (-1)^(c-i) C(c, i) C(p i, k) mod p:
+    for the standard lifting F_j = t_j^q, q = p^(m+1), at every level m,
+
+        [tau^{n}] prod_j gamma_{c_j}(w_j)
+            = prod_j A(n_j/p^m, c_j) t_j^(q c_j - n_j)   if p^m | n,
+
+    and 0 otherwise.  Raises ArithmeticError unless A is p-integral, as
+    RatDP.to_dp does (by the proof it always is).
+
+    Proof.  Write tau^{s} = tau^s / q_s! (q_s = floor(s/p^m)).
+    1. Homogeneity.  F_j(t+tau) - F_j(t) is homogeneous of degree q in
+       (t_j, tau_j), so [tau_j^{n_j}] gamma_c(w_j) is A t_j^(q c - n_j),
+       with A its value at t_j = 1: the coefficient of gamma_c(W_m),
+       W_m(x) = ((1+x)^q - 1)/p!.
+    2. Level reduction.  (1+x)^(p^m) = 1 + x^(p^m) + pR with R integral,
+       so (1+x)^q = (1 + x^(p^m) + pR)^p = (1 + x^(p^m))^p mod p^2, and
+       W_m(x) = W_0(x^(p^m)) + pE with E p-integral in the plain basis,
+       hence in the level-m lattice.  For b >= 1, gamma_b(pE) =
+       (p^b/b!) E^b = 0 mod p, since v_p(b!) < b.  The span of the
+       tau^{k p^m} is the level-0 divided-power algebra in y = tau^{p^m}
+       (its braces are C(a+b, a)), and W_0(y) = sum_s y^s/(s!(p-s)!) lies
+       in its divided-power ideal, so each gamma_a(W_0(y)) is integral.
+       Hence gamma_c(W_m) = sum_(a+b=c) gamma_a(W_0(y)) gamma_b(pE)
+       = gamma_c(W_0(y)) mod p, which has no term off the multiples of
+       p^m.  At n = k p^m, tau^{n} = y^k/k!, and
+       gamma_c(W_0(y)) = ((1+y)^p - 1)^c / (c! (p!)^c), whose y^k
+       coefficient is sum_i (-1)^(c-i) C(c, i) C(p i, k) / (c! (p!)^c):
+       times k! this is A(k, c).
+    3. Coordinates.  w_j involves only t_j and tau_j, and the brace
+       between multi-indices of disjoint supports is 1, so the
+       coefficient of the product is the product of the coefficients.
+       gamma_c(w_j) lives in tau_j-degrees c p^m .. c q, so only
+       n_j/q <= c_j <= n_j/p^m contribute.
+    """
+    a = Fraction(factorial(k) * sum((-1) ** (c - i) * comb(c, i)
+                                    * comb(p * i, k) for i in range(c + 1)),
+                 factorial(c) * factorial(p) ** c)
+    if a.denominator % p == 0:
+        raise ArithmeticError(f"A({k}, {c}) not p-integral at p={p}")
+    return frac_mod(a, p)
 
 
 def _pm_divisible(h: Poly, pm: int) -> bool:

@@ -21,10 +21,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dopm
-from dopm import diffops
+from dopm import diffops, frobenius
 from dopm.cli import main
 from dopm.context import Context
-from dopm.frobenius import FrobData
+from dopm.diffops import DiffOp
+from dopm.dpalg import DPElem, gamma_dp
+from dopm.expr import render_op
+from dopm.frobenius import (FrobData, divided_frob_tau, random_strong_lifting,
+                            standard_lifting)
+from dopm.scalars import degree_box
 from dopm.simpson import pullback, worked_example
 from dopm.suites import SuiteCase, SuiteReport
 
@@ -633,7 +638,12 @@ NUMPY_MA_PROBE = """
 import contextlib, io, random, sys
 from dopm.cli import main
 from dopm.context import Context
-from dopm.frobenius import FrobData
+from dopm.diffops import DiffOp
+from dopm.dpalg import DPElem, gamma_dp
+from dopm.expr import render_op
+from dopm.frobenius import (FrobData, divided_frob_tau, random_strong_lifting,
+                            standard_lifting)
+from dopm.scalars import degree_box
 from dopm.simpson import random_higgs, round_trip
 ctx = Context(3, 1, 2)
 higgs = random_higgs(ctx, random.Random(1), 2)
@@ -814,3 +824,62 @@ def test_expression_command_bytes_are_pinned(capsys, cmd, pmr):
         assert (code, err) == (0, "")
         digest.update(out.encode())
     assert digest.hexdigest() == EXPRESSION_PINS[pmr][PIN_COMMANDS.index(cmd)]
+
+
+# -- a lifting file holding the standard lifting --------------------------------
+
+def write_lifting(tmp_path, lifting):
+    path = tmp_path / "lift.json"
+    path.write_text(json.dumps(lifting.to_json()))
+    return str(path)
+
+
+@pytest.mark.parametrize("pmr", [(3, 1, 1), (2, 0, 2)],
+                         ids=lambda c: "p{}m{}r{}".format(*c))
+@pytest.mark.parametrize("cmd", ["phi", "phitilde"])
+def test_a_standard_lifting_file_prints_what_std_prints(capsys, tmp_path,
+                                                        monkeypatch, cmd, pmr):
+    # the closed form is chosen by the lifting, not by how it was named:
+    # neither call Taylor-expands the lifting
+    def no_taylor(*args):
+        raise AssertionError("the standard lifting was Taylor-expanded")
+
+    monkeypatch.setattr(frobenius, "taylor", no_taylor)
+    p, m, r = pmr
+    lift = write_lifting(tmp_path, standard_lifting(Context(*pmr)))
+    args = pin_inputs(p, m, r)[cmd]
+    for fmt in ((), ("--json",)):
+        std = run(capsys, cmd, "--p", str(p), "--m", str(m), "--r", str(r),
+                  "--lift", "std", *fmt, *args)
+        assert std[0] == 0 and std[1]
+        assert run(capsys, cmd, "--lift", lift, *fmt, *args) == std
+
+
+def tower_phi(ctx, lifting, n) -> str:
+    """phi(d^<n>) = sum_c [tau^{n}] prod_j gamma_{c_j}(w_j) d^<c q>,
+    rendered, from from-scratch rational towers and DPElem products."""
+    ws = divided_frob_tau(ctx, lifting)
+    terms = {}
+    for c in degree_box(sum(n) // ctx.pm, ctx.r):
+        prod = DPElem.one(ctx, ctx.p)
+        for w, cj in zip(ws, c):
+            prod = prod * gamma_dp(w, cj)
+        terms[tuple(ctx.pm1 * x for x in c)] = prod.coeffs.get(n)
+    return render_op(DiffOp(ctx, terms))
+
+
+@pytest.mark.parametrize("pmr, ns", [
+    ((3, 1, 1), [(1,), (3,), (9,), (10,), (12,), (18,)]),
+    ((2, 0, 2), [(1, 0), (0, 2), (1, 1), (2, 1), (3, 2)]),
+], ids=["p3m1r1", "p2m0r2"])
+def test_a_deviated_lifting_file_is_the_tower_oracle(capsys, tmp_path,
+                                                     pmr, ns):
+    ctx = Context(*pmr)
+    lifting = random_strong_lifting(ctx, random.Random(str(pmr)), deg=2)
+    assert any(lifting.deviation(j) for j in range(ctx.r))
+    lift = write_lifting(tmp_path, lifting)
+    for n in ns:
+        dn = "*".join(f"d{j + 1}<{x}>" for j, x in enumerate(n) if x)
+        code, out, err = run(capsys, "phi", "--lift", lift, dn)
+        assert (code, err) == (0, "")
+        assert out == tower_phi(ctx, lifting, n) + "\n"

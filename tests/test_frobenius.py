@@ -8,21 +8,25 @@ Frobenius is C(Q, s) q_s! / p! * t^(Q-s), reduced mod p.
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 import pytest
 
+from dopm import frobenius
 from dopm.context import Context
 from dopm.diffops import DiffOp, central_embed, theta
-from dopm.dpalg import DPElem, RatDP, gamma_dp
+from dopm.dpalg import DPElem, GammaTower, RatDP, gamma_dp
+from dopm.expr import render_op
 from dopm.frobenius import (FrobData, LiftingZ, NotALifting, NotStrong,
-                            bullet, bullet_matrix, glue_derivation, glue_endo,
-                            lifting_from_json, ov_split_matrix, phi,
-                            phi_basis, phi_center_inv, phi_tilde,
-                            phi_tilde_basis, random_strong_lifting,
-                            standard_lifting, strong_lifting_from_higgs_frame)
+                            bullet, bullet_matrix, divided_frob_tau,
+                            glue_derivation, glue_endo, lifting_from_json,
+                            ov_split_matrix, phi, phi_basis, phi_center_inv,
+                            phi_tilde, phi_tilde_basis, random_strong_lifting,
+                            standard_gamma_coeff, standard_lifting,
+                            strong_lifting_from_higgs_frame)
 from dopm.poly import MalformedInput, Poly
-from dopm.scalars import degree_box, frac_mod, mi_scale, mi_unit
+from dopm.scalars import degree_box, frac_mod, mi_le, mi_scale, mi_unit
 
 from closed_forms import central_unit, mod_p
 
@@ -273,9 +277,12 @@ def test_gamma_requests_in_any_order(pmr, lifting):
 def test_phi_builds_one_tower_per_coordinate(monkeypatch, ctx, lift_seed):
     # every rational product is a tower step w_j * gamma_(k-1); phi of an
     # operator of order 3q needs gamma_k for k <= K = 3q / p^m, and reads
-    # single coefficients of prod_j gamma_{c_j}(w_j) without a DPElem product
-    steps, dp_products = Counter(), []
+    # single coefficients of prod_j gamma_{c_j}(w_j) without a DPElem product.
+    # The standard lifting takes the closed form: no tower, no Taylor
+    # expansion, no rational product
+    steps, dp_products, taylors = Counter(), [], []
     rat_mul, dp_mul = RatDP.__mul__, DPElem.__mul__
+    frob_taylor = frobenius.taylor
 
     def counting(self, other):
         steps[id(other)] += 1
@@ -285,8 +292,13 @@ def test_phi_builds_one_tower_per_coordinate(monkeypatch, ctx, lift_seed):
         dp_products.append(other)
         return dp_mul(self, other)
 
+    def taylor_counting(*args):
+        taylors.append(args)
+        return frob_taylor(*args)
+
     monkeypatch.setattr(RatDP, "__mul__", counting)
     monkeypatch.setattr(DPElem, "__mul__", dp_counting)
+    monkeypatch.setattr(frobenius, "taylor", taylor_counting)
     fd = FrobData.standard(ctx) if lift_seed is None else \
         FrobData(ctx, random_strong_lifting(ctx, random.Random(lift_seed),
                                             deg=2))
@@ -297,8 +309,120 @@ def test_phi_builds_one_tower_per_coordinate(monkeypatch, ctx, lift_seed):
     assert phi(fd, op)
     big_k = 3 * q // ctx.pm
     assert not dp_products
+    if lift_seed is None:
+        assert not steps and not taylors
+        return
     assert len(steps) == ctx.r
     assert all(n <= big_k for n in steps.values())
+
+
+# -- the closed form of the standard lifting ----------------------------------
+
+ALL_PM = [(p, m) for p in (2, 3, 5, 7) for m in range(4)]
+
+
+def rational_gammas(ctx):
+    """[j][k] = gamma_k(w_j) mod p of the standard lifting, for
+    k <= tau_trunc / p^m: the rational model, one GammaTower of the
+    Taylor-expanded w_j per coordinate, none of FrobData."""
+    big_k = ctx.tau_trunc // ctx.pm
+    out = []
+    for w in divided_frob_tau(ctx, standard_lifting(ctx)):
+        tower = GammaTower(w)
+        out.append([tower.rational(k).to_dp(ctx.p)
+                    for k in range(big_k + 1)])
+    return out
+
+
+def at_one(f) -> int:
+    """A coefficient polynomial evaluated at t = 1 (0 for no term)."""
+    return sum(f.coeffs.values()) % f.mod if f else 0
+
+
+@pytest.mark.parametrize("p,m", ALL_PM, ids=str)
+def test_standard_closed_form_is_the_rational_model_at_r1(p, m):
+    # every n <= tau_trunc, on and off the multiples of p^m
+    ctx = Context(p, m)
+    want = {}
+    for c, g in enumerate(rational_gammas(ctx)[0]):
+        for n, f in g.coeffs.items():
+            want.setdefault(n, {})[(c,)] = f
+    fd = FrobData.standard(ctx)
+    assert fd.is_standard
+    for n in range(ctx.tau_trunc + 1):
+        assert fd.gamma_coeffs((n,)) == want.get((n,), {})
+
+
+def draw_n(rng, ctx, on_grid):
+    """A multi-index n with |n| <= tau_trunc, every entry a multiple of
+    p^m (on_grid) or at least one not."""
+    while True:
+        n = [rng.randrange(ctx.tau_trunc // ctx.r + 1) for _ in range(ctx.r)]
+        if on_grid:
+            n = [x - x % ctx.pm for x in n]
+        elif all(x % ctx.pm == 0 for x in n):
+            n[rng.randrange(ctx.r)] += rng.randrange(1, ctx.pm)
+        if sum(n) <= ctx.tau_trunc:
+            return tuple(n)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("p,m", ALL_PM, ids=str)
+def test_standard_closed_form_is_the_rational_model_at_r23(p, m, r):
+    # [tau^{n}] prod_j gamma_{c_j}(w_j) as a DPElem product of the
+    # factors cut to tau-degrees <= n (no other term reaches tau^{n}),
+    # over every c whose cut factors are nonzero
+    ctx = Context(p, m, r)
+    gammas = rational_gammas(ctx)
+    fd = FrobData.standard(ctx)
+    rng = random.Random(f"closed-form/{p}/{m}/{r}")
+    for i in range(8):
+        on_grid = i % 2 == 0 or m == 0
+        n = draw_n(rng, ctx, on_grid)
+        cut = [[(c, DPElem(ctx, {s: f for s, f in g.coeffs.items()
+                                 if mi_le(s, n)}, p))
+                for c, g in enumerate(gammas[j])] for j in range(r)]
+        want = {}
+        for pick in product(*[[cg for cg in fs if cg[1]] for fs in cut]):
+            prod = pick[0][1]
+            for _, g in pick[1:]:
+                prod = prod * g
+            f = prod.coeffs.get(n)
+            if f:
+                want[tuple(c for c, _ in pick)] = f
+        assert bool(want) == on_grid
+        assert fd.gamma_coeffs(n) == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_standard_gammas_do_not_depend_on_the_level(p):
+    # A_m(k p^m, c) = A_0(k, c): at t = 1 the tau^{k p^m} coefficient of
+    # gamma_c(w) at level m is the tau^{k} one at level 0, in the rational
+    # model, and both are standard_gamma_coeff(k, c, p)
+    level0 = rational_gammas(Context(p, 0))[0]
+    for m in (1, 2, 3):
+        ctx = Context(p, m)
+        level_m = rational_gammas(ctx)[0]
+        assert len(level_m) == len(level0) == 3 * p + 1
+        for c, g0 in enumerate(level0):
+            for k in range(3 * p + 1):
+                a0 = at_one(g0.coeffs.get((k,)))
+                assert at_one(level_m[c].coeffs.get((k * ctx.pm,))) == a0
+                assert standard_gamma_coeff(k, c, p) == a0
+
+
+@pytest.mark.parametrize("pm, n, text", [
+    ((3, 0), 5, "-t1^10*d1<15> - t1^7*d1<12> + t1^4*d1<9> + t1*d1<6>"),
+    ((2, 1), 4, "t1^4*d1<8> + d1<4>"),
+    ((2, 1), 6, "t1^6*d1<12> + t1^2*d1<8>"),
+    ((2, 1), 5, "0"),
+])
+def test_standard_phi_hand_values(pm, n, text):
+    # p=2, m=1, n=4 (k=2): A(2,1) = 2!/(1! 2!) C(2,2) = 1 at t^(4-4) and
+    # A(2,2) = 2!/(2! 2!^2) (C(4,2) - 2 C(2,2)) = 1 at t^(8-4); n = 5 is
+    # off the multiples of p^m = 2
+    fd = FrobData.standard(Context(*pm))
+    assert render_op(phi_basis(fd, (n,))) == text
 
 
 # -- phi ------------------------------------------------------------------
