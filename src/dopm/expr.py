@@ -1,6 +1,6 @@
 """Parsing and printing of operator expressions.
 
-Input grammar (whitespace-insensitive):
+Input grammar (whitespace is ignored everywhere, at either end too):
 
     expr := ['+'|'-'] term (('+'|'-') term)*
     term := atom ('*' atom)*
@@ -8,10 +8,17 @@ Input grammar (whitespace-insensitive):
           | '(' expr ')' ['^'NAT]
 
 t1..tr are the coordinates, d1..dr the divided partials: dI<k> is the
-k-th divided power in direction I, dI alone is order one.  Products are
-ring products written with '*', so "d1*t1" and "t1*d1 + 1" parse to the
-same operator; juxtaposition ("d1 t1") is an error.  A power is the ring
-power: "d1<2>^3" is "(d1<2>)^3", the product d1<2>*d1<2>*d1<2>.
+k-th divided power in direction I, dI alone is order one, and k is at
+most MAX_ORDER.  Products are ring products written with '*', so "d1*t1"
+and "t1*d1 + 1" parse to the same operator; juxtaposition ("d1 t1") is
+an error.  A power is the ring power: "d1<2>^3" is "(d1<2>)^3", the
+product d1<2>*d1<2>*d1<2>.
+
+The parser reads straight into the basis form sum_k f_k d^<k>, as
+unreduced coefficient dicts reduced once at the end.  A term is read
+left to right: when the left factor is a function f, the product is
+the premultiplication f * sum g_l d^<l> = sum (f g_l) d^<l>; every
+other product, and every power, is the ring product DiffOp.__mul__.
 
 Output is deterministic: terms in descending index order, coefficients
 signed-minimal mod p, composite coefficients parenthesized.  The tokens
@@ -22,13 +29,22 @@ only in output, never in input.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .context import Context
 from .diffops import DiffOp
-from .poly import Poly
-from .scalars import mi_sum
+from .poly import Poly, mac
+from .scalars import mi_sum, mi_zero
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([td])(\d+)|([-+*()^<>]))")
+# int | tI or dI | symbol | anything else, a bad token; whitespace
+# between tokens matches nothing and is skipped
+_TOKEN = re.compile(r"(\d+)|([td])(\d+)|([-+*()^<>])|(\S)")
+
+# The largest divided-power order dI<k> the parser accepts.  The structure
+# constants of d^<k> need the factorial of about k/p^m: at 10^5 it takes
+# a tenth of a second, at 10^6 ten seconds, and past about 2*10^18
+# math.factorial refuses it.
+MAX_ORDER = 10**5
 
 
 class ExprError(ValueError):
@@ -36,27 +52,50 @@ class ExprError(ValueError):
 
 
 def tokenize(s: str):
-    pos = 0
     out = []
-    while pos < len(s):
-        m = _TOKEN.match(s, pos)
-        if not m or m.end() == pos:
-            raise ExprError(f"bad token at ...{s[pos:pos+12]!r}")
-        if m.group(1) is not None:
-            out.append(("int", int(m.group(1))))
-        elif m.group(2) is not None:
-            out.append((m.group(2), int(m.group(3))))
+    for num, var, idx, sym, bad in _TOKEN.findall(s):
+        if bad:
+            raise _bad_token(s)
+        if num:
+            out.append(("int", int(num)))
+        elif var:
+            out.append((var, int(idx)))
         else:
-            out.append((m.group(4), None))
-        pos = m.end()
+            out.append((sym, None))
     return out
 
 
+def _bad_token(s: str) -> ExprError:
+    """The error for s's first bad token, quoting s from the end of the
+    token before it."""
+    end = 0
+    for m in _TOKEN.finditer(s):
+        if m.group(5):
+            return ExprError(f"bad token at ...{s[end:end+12]!r}")
+        end = m.end()
+
+
+def _add_into(acc: dict, x: dict, sign: int = 1) -> dict:
+    """acc += sign * x on {k: {e: c}} dicts, unreduced; returns acc."""
+    for k, g in x.items():
+        f = acc.get(k)
+        if f is None:
+            f = acc[k] = {}
+        for e, c in g.items():
+            f[e] = f.get(e, 0) + sign * c
+    return acc
+
+
 class _Parser:
+    """Recursive descent into unreduced {k: {e: c}} dicts, the basis form
+    sum_k f_k d^<k>.  Every dict it returns is its own, so sums add in
+    place."""
+
     def __init__(self, ctx: Context, tokens):
         self.ctx = ctx
         self.toks = tokens
         self.pos = 0
+        self.zero = mi_zero(ctx.r)
 
     def peek(self):
         return self.toks[self.pos][0] if self.pos < len(self.toks) else None
@@ -70,29 +109,30 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expr(self) -> DiffOp:
+    def expr(self) -> dict:
         sign = 1
         if self.peek() in ("+", "-"):
             sign = -1 if self.take()[0] == "-" else 1
-        acc = self.term().scale(sign)
+        acc = self.term()
+        if sign < 0:
+            acc = _add_into({}, acc, -1)
         while self.peek() in ("+", "-"):
-            op = self.take()[0]
-            t = self.term()
-            acc = acc - t if op == "-" else acc + t
+            sign = -1 if self.take()[0] == "-" else 1
+            _add_into(acc, self.term(), sign)
         return acc
 
-    def term(self) -> DiffOp:
+    def term(self) -> dict:
         acc = self.atom()
         while self.peek() == "*":
             self.take()
-            acc = acc * self.atom()
+            acc = self._product(acc, self.atom())
         return acc
 
-    def atom(self) -> DiffOp:
-        ctx = self.ctx
+    def atom(self) -> dict:
+        ctx, zero = self.ctx, self.zero
         kind, val = self.take()
         if kind == "int":
-            return DiffOp.from_poly(ctx, Poly.const(val, ctx.r, ctx.p))
+            return {zero: {zero: val}}
         if kind == "t":
             idx = self._index(val)
             e = 1
@@ -100,28 +140,50 @@ class _Parser:
                 self.take()
                 e = self._nat()
             exps = tuple(e if i == idx else 0 for i in range(ctx.r))
-            return DiffOp.from_poly(ctx, Poly.monomial(exps, 1, ctx.r, ctx.p))
+            return {zero: {exps: 1}}
         if kind == "d":
             idx = self._index(val)
             k = 1
             if self.peek() == "<":
                 self.take()
                 k = self._nat()
+                if k > MAX_ORDER:
+                    raise ExprError(f"order of 'd{val}<{k}>' is above the "
+                                    f"cap {MAX_ORDER}")
                 self.take(">")
             exps = tuple(k if i == idx else 0 for i in range(ctx.r))
-            return self._power(DiffOp.dpartial(ctx, exps))
+            return self._power({exps: {zero: 1}})
         if kind == "(":
             inner = self.expr()
             self.take(")")
             return self._power(inner)
         raise ExprError(f"unexpected {kind!r}")
 
-    def _power(self, op: DiffOp) -> DiffOp:
-        """op, or its ring power op^n when '^' n follows."""
-        if self.peek() == "^":
-            self.take()
-            return op ** self._nat()
-        return op
+    def _product(self, a: dict, b: dict) -> dict:
+        """a * b.  A function f on the left premultiplies:
+        f * sum g_l d^<l> = sum (f g_l) d^<l>.  Anything else is the
+        ring product DiffOp.__mul__."""
+        f = a.get(self.zero) if len(a) == 1 else None
+        if f is not None:
+            out = {}
+            for l, g in b.items():
+                mac(out.setdefault(l, {}), f, g)
+            return out
+        return self._dicts(self._op(a) * self._op(b))
+
+    def _power(self, x: dict) -> dict:
+        """x, or its ring power x^n when '^' n follows."""
+        if self.peek() != "^":
+            return x
+        self.take()
+        return self._dicts(self._op(x) ** self._nat())
+
+    def _op(self, x: dict) -> DiffOp:
+        return DiffOp.from_dicts(self.ctx, x)
+
+    @staticmethod
+    def _dicts(op: DiffOp) -> dict:
+        return {k: f.coeffs for k, f in op.terms.items()}
 
     def _index(self, val: int) -> int:
         if not 1 <= val <= self.ctx.r:
@@ -150,7 +212,7 @@ def parse(ctx: Context, s: str) -> DiffOp:
             f"{kind}{val}"
         rule = _LEFTOVER_RULES.get(kind, "products need '*'")
         raise ExprError(f"unexpected {found!r} at token {p.pos}: {rule}")
-    return out
+    return DiffOp.from_dicts(ctx, out)
 
 
 # ---------------------------------------------------------------------------
@@ -164,29 +226,28 @@ def _signed(c: int, p: int) -> int:
     return c if c <= p // 2 else c - p
 
 
-def _mono_str(e, groups, r) -> str:
-    parts = []
-    for gi, g in enumerate(groups):
-        name = _GROUP_NAMES[g]
-        for i in range(r):
-            x = e[gi * r + i]
-            if x == 1:
-                parts.append(f"{name}{i+1}")
-            elif x:
-                parts.append(f"{name}{i+1}^{x}")
-    return "*".join(parts)
+@lru_cache(maxsize=None)
+def _var_names(var: str, nvars: int) -> tuple:
+    """The names of a polynomial's variables, in exponent order."""
+    groups = var.split("|")
+    r = nvars // len(groups)
+    return tuple(f"{_GROUP_NAMES[g]}{i+1}" for g in groups for i in range(r))
+
+
+def _mono_str(e, names) -> str:
+    return "*".join([n if x == 1 else f"{n}^{x}"
+                     for n, x in zip(names, e) if x])
 
 
 def render_poly(f: Poly) -> str:
     """Signed-minimal, descending exponent order."""
     if not f:
         return "0"
-    groups = f.var.split("|")
-    r = f.nvars // len(groups)
+    names = _var_names(f.var, f.nvars)
     out = ""
     for e in sorted(f.coeffs, reverse=True):
         c = _signed(f.coeffs[e], f.mod)
-        mono = _mono_str(e, groups, r)
+        mono = _mono_str(e, names)
         mag = abs(c)
         if mag == 1 and mono:
             body = mono
@@ -201,30 +262,26 @@ def render_poly(f: Poly) -> str:
     return out
 
 
-def _dpart_str(k) -> str:
-    parts = []
-    for i, x in enumerate(k):
-        if x == 1:
-            parts.append(f"d{i+1}")
-        elif x:
-            parts.append(f"d{i+1}<{x}>")
-    return "*".join(parts)
+def _dpart_str(k, names) -> str:
+    return "*".join([n if x == 1 else f"{n}<{x}>"
+                     for n, x in zip(names, k) if x])
 
 
 def render_op(op: DiffOp) -> str:
     if not op:
         return "0"
     p = op.ctx.p
+    dnames = [f"d{i+1}" for i in range(op.ctx.r)]
     out = ""
     for k in sorted(op.terms, key=lambda k: (mi_sum(k), k), reverse=True):
         f = op.terms[k]
-        dstr = _dpart_str(k)
+        dstr = _dpart_str(k, dnames)
         neg = False
         if len(f.coeffs) == 1:
             (e, c), = f.coeffs.items()
             c = _signed(c, p)
             neg, mag = c < 0, abs(c)
-            mono = _mono_str(e, f.var.split("|"), op.ctx.r)
+            mono = _mono_str(e, _var_names(f.var, f.nvars))
             pieces = [s for s in (mono, dstr) if s]
             if mag != 1 or not pieces:
                 pieces.insert(0, str(mag))

@@ -182,7 +182,8 @@ class FrobData:
     GammaTower of w_j, extended as far as phi has asked, and
     gamma_{c_j}(w_j) reduced mod p for each k asked for, and reads the
     coefficients of prod_j gamma_{c_j}(w_j) off those without forming
-    the product.  w and the towers are built on first use.  It caches the
+    the product.  w and the towers are built on first use, which only a
+    lifting with a deviation makes: `c_matrix` reads g.  It caches the
     phi, phi_center_inv and phi_tilde images of basis operators.
     """
 
@@ -226,9 +227,26 @@ class FrobData:
         return self._deeper[theta_trunc]
 
     def c_matrix(self, i: int, j: int) -> Poly:
-        """Coefficient of tau_i^{p^m} in w_j; drives the Higgs pullback."""
-        s = mi_scale(mi_unit(self.ctx.r, i), self.ctx.pm)
-        return self.ws[j].coeffs.get(s, Poly.zero(self.ctx.r, self.ctx.p))
+        """Coefficient c(i, j) of tau_i^{p^m} in w_j; drives the Higgs
+        pullback.  It is
+
+            c(i, j) = -delta_ij t_i^((p-1) p^m) - (dg_j/dt_i)(t^(p^m)),
+
+        read off g_j, not off w.  By Taylor, the coefficient is
+        d^<p^m e_i>(F_j)/p! mod p, and d^<p^m e_i>(t^h) =
+        C(h_i, p^m) t^(h - p^m e_i) since q_(p^m)! = 1.  For t_j^q,
+        q = p^(m+1): C(p^(m+1), p^m) = C(p, 1) = p mod p^2 (C(pa, pb) =
+        C(a, b) mod p^2), and p/p! = 1/(p-1)! = -1 mod p (Wilson).  For
+        p h_j with h_j = g_j(t^(p^m)): a term a t^(p^m e) of h_j gives
+        -a C(p^m e_i, p^m) = -a e_i mod p (Lucas) at t^(p^m (e - e_i)),
+        and these sum to -(dg_j/dt_i)(t^(p^m))."""
+        ctx = self.ctx
+        out = -self.gs[j].derivative(i).scale_exponents(ctx.pm)
+        if i == j:
+            out = out - Poly.monomial(
+                mi_scale(mi_unit(ctx.r, i), (ctx.p - 1) * ctx.pm), 1,
+                ctx.r, ctx.p)
+        return out
 
     def gamma_w(self, j: int, k: int) -> DPElem:
         """gamma_k(w_j) mod p, read off the coordinate's tower."""

@@ -26,7 +26,7 @@ from dopm.cli import main
 from dopm.context import Context
 from dopm.diffops import DiffOp
 from dopm.dpalg import DPElem, gamma_dp
-from dopm.expr import render_op
+from dopm.expr import MAX_ORDER, render_op
 from dopm.frobenius import (FrobData, divided_frob_tau, random_strong_lifting,
                             standard_lifting)
 from dopm.scalars import degree_box
@@ -154,6 +154,44 @@ def test_a_power_of_a_d_atom_is_the_ring_power(capsys, power, product):
 ])
 def test_leftover_input_exits_2_naming_the_rule(capsys, expr, message):
     assert run(capsys, "mul", expr) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("space", [" ", "\n", "  \t"])
+def test_trailing_whitespace_is_accepted(capsys, space):
+    want = run(capsys, "mul", "--p", "3", "--m", "0", "t1", "d1")
+    assert want == (0, "t1*d1\n", "")
+    assert run(capsys, "mul", "--p", "3", "--m", "0", "t1" + space,
+               "d1" + space) == want
+
+
+HUGE_ORDER = "d1<99999999999999999999>"
+
+
+@pytest.mark.parametrize("argv", [
+    ["mul", HUGE_ORDER, "d1"],
+    ["apply", HUGE_ORDER, "t1"],
+    ["kaneda-matrix", HUGE_ORDER],
+], ids=["mul", "apply", "kaneda-matrix"])
+def test_an_order_above_the_cap_exits_2(argv):
+    # factorial(k) of such an order overflows: refused before any arithmetic
+    cmd, *exprs = argv
+    res = subprocess.run([sys.executable, "-m", "dopm.cli", cmd, "--p", "3",
+                          "--m", "0", *exprs],
+                         capture_output=True, text=True, env=child_env())
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == f"error: order of {HUGE_ORDER!r} is above the " \
+                         f"cap {MAX_ORDER}\n"
+
+
+def test_readme_states_the_order_cap():
+    text = " ".join((REPO / "README.md").read_text().split())
+    assert f"order `<k>` above {MAX_ORDER} is refused with exit 2" in text
+
+
+def test_phi_past_tau_trunc_still_exits_3(capsys):
+    code, out, err = run(capsys, "phi", "--p", "2", "--m", "0", "d1<100>")
+    assert (code, out) == (3, "")
+    assert err == "error: phi(d^<(100,)>) needs tau_trunc >= 100, have 6\n"
 
 
 # -- module files -------------------------------------------------------------

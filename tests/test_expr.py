@@ -1,4 +1,10 @@
-"""Expression grammar: parse/render round trips and error reporting."""
+"""Expression grammar: parse/render round trips and error reporting.
+
+`parse` reads straight into the basis form sum f_k d^<k>; its oracle is
+`parse_reference`, which builds one DiffOp per atom and composes them
+with ring products throughout."""
+
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -6,8 +12,142 @@ from hypothesis import strategies as st
 
 from dopm.context import Context
 from dopm.diffops import DiffOp
-from dopm.expr import ExprError, parse, render_matrix, render_op, render_poly
+from dopm.expr import (MAX_ORDER, ExprError, parse, render_matrix, render_op,
+                       render_poly)
 from dopm.poly import Poly
+
+from test_diffops import ORACLE_CTXS, ORACLE_IDS
+
+
+# -- the reference parser ---------------------------------------------------------
+
+_REF_TOKEN = re.compile(r"\s*(?:(\d+)|([td])(\d+)|([-+*()^<>]))")
+
+
+def _ref_tokenize(s):
+    """One regex match per token from the end of the last one; what is
+    left at the end may be whitespace only."""
+    pos = 0
+    out = []
+    while pos < len(s) and not s[pos:].isspace():
+        m = _REF_TOKEN.match(s, pos)
+        if not m:
+            raise ExprError(f"bad token at ...{s[pos:pos+12]!r}")
+        if m.group(1) is not None:
+            out.append(("int", int(m.group(1))))
+        elif m.group(2) is not None:
+            out.append((m.group(2), int(m.group(3))))
+        else:
+            out.append((m.group(4), None))
+        pos = m.end()
+    return out
+
+
+class _RefParser:
+    def __init__(self, ctx, tokens):
+        self.ctx = ctx
+        self.toks = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
+
+    def take(self, kind=None):
+        if self.pos >= len(self.toks):
+            raise ExprError("unexpected end of expression")
+        tok = self.toks[self.pos]
+        if kind is not None and tok[0] != kind:
+            raise ExprError(f"expected {kind!r}, found {tok[0]!r}")
+        self.pos += 1
+        return tok
+
+    def expr(self):
+        sign = 1
+        if self.peek() in ("+", "-"):
+            sign = -1 if self.take()[0] == "-" else 1
+        acc = self.term().scale(sign)
+        while self.peek() in ("+", "-"):
+            op = self.take()[0]
+            t = self.term()
+            acc = acc - t if op == "-" else acc + t
+        return acc
+
+    def term(self):
+        acc = self.atom()
+        while self.peek() == "*":
+            self.take()
+            acc = acc * self.atom()
+        return acc
+
+    def atom(self):
+        ctx = self.ctx
+        kind, val = self.take()
+        if kind == "int":
+            return DiffOp.from_poly(ctx, Poly.const(val, ctx.r, ctx.p))
+        if kind == "t":
+            idx = self._index(val)
+            e = 1
+            if self.peek() == "^":
+                self.take()
+                e = self._nat()
+            exps = tuple(e if i == idx else 0 for i in range(ctx.r))
+            return DiffOp.from_poly(ctx, Poly.monomial(exps, 1, ctx.r, ctx.p))
+        if kind == "d":
+            idx = self._index(val)
+            k = 1
+            if self.peek() == "<":
+                self.take()
+                k = self._nat()
+                self.take(">")
+            exps = tuple(k if i == idx else 0 for i in range(ctx.r))
+            return self._power(DiffOp.dpartial(ctx, exps))
+        if kind == "(":
+            inner = self.expr()
+            self.take(")")
+            return self._power(inner)
+        raise ExprError(f"unexpected {kind!r}")
+
+    def _power(self, op):
+        if self.peek() == "^":
+            self.take()
+            return op ** self._nat()
+        return op
+
+    def _index(self, val):
+        if not 1 <= val <= self.ctx.r:
+            raise ExprError(f"coordinate index {val} out of range 1..{self.ctx.r}")
+        return val - 1
+
+    def _nat(self):
+        return self.take("int")[1]
+
+
+_REF_LEFTOVER = {
+    ")": "it closes no '('",
+    "^": "'^' takes one exponent, after tI, dI, dI<k> or ')'",
+    "<": "'<k>' follows only dI",
+    ">": "'<k>' follows only dI",
+}
+
+
+def parse_reference(ctx, s):
+    """One DiffOp per atom, ring products and DiffOp sums throughout."""
+    p = _RefParser(ctx, _ref_tokenize(s))
+    out = p.expr()
+    if p.pos != len(p.toks):
+        kind, val = p.toks[p.pos]
+        found = kind if val is None else f"{val}" if kind == "int" else \
+            f"{kind}{val}"
+        rule = _REF_LEFTOVER.get(kind, "products need '*'")
+        raise ExprError(f"unexpected {found!r} at token {p.pos}: {rule}")
+    return out
+
+
+def _outcome(fn, ctx, s):
+    try:
+        return fn(ctx, s)
+    except ExprError as e:
+        return ("ExprError", str(e))
 
 
 def test_documented_forms():
@@ -131,3 +271,125 @@ def test_render_matrix_shape():
     z = Poly.zero(1, 3, "t'")
     out = render_matrix([[f, z], [z, f]])
     assert out == "t'1\t0\n0\tt'1"
+
+
+# -- whitespace, the order cap, and the reference parser --------------------
+
+@pytest.mark.parametrize("s", ["t1 ", "t1\n", " t1", " \tt1 \n", "t1  \t"])
+def test_whitespace_is_ignored_at_either_end(s):
+    ctx = Context(3, 0)
+    assert parse(ctx, s) == parse(ctx, "t1")
+
+
+def test_bad_token_names_the_text_after_the_last_good_token():
+    ctx = Context(2, 0)
+    for s, rest in [("t1 + x1 ", " x1 "), ("x", "x"), ("d1 * t", " t"),
+                    ("t1 $", " $"), ("2 + d1<3> + t1# and more text",
+                                     "# and more t")]:
+        with pytest.raises(ExprError) as err:
+            parse(ctx, s)
+        assert str(err.value) == f"bad token at ...{rest!r}"
+
+
+def test_an_order_above_the_cap_is_refused():
+    ctx = Context(2, 0)
+    assert parse(ctx, f"d1<{MAX_ORDER}>") == \
+        DiffOp.dpartial(ctx, (MAX_ORDER,))
+    for s in (f"d1<{MAX_ORDER + 1}>", "t1*d1<99999999999999999999>*t1"):
+        with pytest.raises(ExprError) as err:
+            parse(ctx, s)
+        token = re.search(r"d1<\d+>", s).group()
+        assert str(err.value) == \
+            f"order of {token!r} is above the cap {MAX_ORDER}"
+
+
+@st.composite
+def atom_tokens(draw, ctx, depth):
+    """The tokens of a random atom, a parenthesized group while depth
+    allows, with or without a power."""
+    kind = draw(st.sampled_from(["int", "t", "d", "("] if depth else
+                                ["int", "t", "d"]))
+    i = draw(st.integers(1, ctx.r))
+
+    def power(top):
+        return ["^", str(draw(st.integers(0, top)))] if draw(st.booleans()) \
+            else []
+
+    if kind == "int":
+        return [str(draw(st.integers(0, 2 * ctx.p)))]
+    if kind == "t":
+        return [f"t{i}"] + power(4)
+    if kind == "d":
+        order = ["<", str(draw(st.integers(0, ctx.pm1 + 1))), ">"] \
+            if draw(st.booleans()) else []
+        return [f"d{i}"] + order + power(3)
+    return ["("] + draw(expr_tokens(ctx, depth - 1)) + [")"] + power(2)
+
+
+@st.composite
+def expr_tokens(draw, ctx, depth=2):
+    """The tokens of a random well-formed expression: an optional sign,
+    up to three terms of up to three factors."""
+    out = [draw(st.sampled_from("+-"))] if draw(st.integers(0, 3)) == 0 \
+        else []
+    for t in range(draw(st.integers(1, 3))):
+        if t:
+            out.append(draw(st.sampled_from("+-")))
+        for a in range(draw(st.integers(1, 3))):
+            if a:
+                out.append("*")
+            out += draw(atom_tokens(ctx, depth))
+    return out
+
+
+def _spaced(draw, tokens, least=""):
+    """The tokens joined by random whitespace, at either end too; `least`
+    is put in every gap."""
+    gaps = st.sampled_from(["", "", " ", "  ", "\t", "\n", " \n "])
+    return "".join(draw(gaps) + least + tok for tok in tokens) + draw(gaps)
+
+
+@pytest.mark.parametrize("ctx", ORACLE_CTXS, ids=ORACLE_IDS)
+@pytest.mark.parametrize("s", [
+    "d1*t1", "(0)", "(t1 + d1 - d1)*t1", "t1*(t1 + d1 - d1)", "-(0)",
+    "(0)^0", "(d1 - d1)^0", "(d1 - d1)*d1<2>", "-(t1 - d1)^2*d1",
+    "((t1 + 1))^2*(d1)^2", "t1^0*d1^0", "2*t1*3*d1<2>*t1^2*d1",
+    "d1<2>*(t1^2 + 1)^2 - 1", "(t1*d1 + 1)^2*(t1 + 1)", "+d1*t1 - t1*d1",
+])
+def test_parse_is_the_reference_on_fixed_forms(ctx, s):
+    assert parse(ctx, s) == parse_reference(ctx, s)
+
+
+@pytest.mark.parametrize("ctx", ORACLE_CTXS, ids=ORACLE_IDS)
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_parse_is_the_reference(ctx, data):
+    tokens = data.draw(expr_tokens(ctx))
+    s = _spaced(data.draw, tokens)
+    got = parse(ctx, s)
+    assert got == parse_reference(ctx, s)
+    assert got == parse(ctx, " ".join(tokens))      # whitespace-insensitive
+
+
+NOISE = ["x", "t", "d", "t9", "d0", "<", ">", "(", ")", "^", "*", "+", "-",
+         "1", "t1", "d1", "#", "**", "<>", ".5", "t1^"]
+
+
+@pytest.mark.parametrize("ctx", ORACLE_CTXS, ids=ORACLE_IDS)
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_malformed_input_fails_as_the_reference_does(ctx, data):
+    tokens = data.draw(expr_tokens(ctx, depth=1))
+    at = data.draw(st.integers(0, len(tokens)))
+    how = data.draw(st.sampled_from(["delete", "insert", "replace",
+                                     "truncate"]))
+    if how == "delete":
+        tokens = tokens[:at] + tokens[at + 1:]
+    elif how == "truncate":
+        tokens = tokens[:at]
+    else:
+        noise = data.draw(st.sampled_from(NOISE))
+        tokens = tokens[:at] + [noise] + tokens[at + (how == "replace"):]
+    # a space in every gap, so no two tokens run together into a new one
+    s = _spaced(data.draw, tokens, least=" ")
+    assert _outcome(parse, ctx, s) == _outcome(parse_reference, ctx, s)

@@ -26,7 +26,8 @@ from dopm.frobenius import (FrobData, LiftingZ, NotALifting, NotStrong,
                             standard_gamma_coeff, standard_lifting,
                             strong_lifting_from_higgs_frame)
 from dopm.poly import MalformedInput, Poly
-from dopm.scalars import degree_box, frac_mod, mi_le, mi_scale, mi_unit
+from dopm.scalars import (degree_box, div_p_fact, dp_monomial_action,
+                          frac_mod, mi_le, mi_scale, mi_unit)
 
 from closed_forms import central_unit, mod_p
 
@@ -105,20 +106,39 @@ def test_lifting_json_of_the_wrong_shape(lift):
         lifting_from_json({"p": 3, "m": 1, "r": 1, "lift": lift})
 
 
+def taylor_c(fd, i, j):
+    """[tau_i^{p^m}] w_j = d^<s>(F_j)/p! mod p at s = p^m e_i, term by
+    term of F_j mod p^2 with the exact structure integers, as `taylor`
+    and `divided_frob_tau` compute it at that one s."""
+    ctx = fd.ctx
+    s = mi_scale(mi_unit(ctx.r, i), ctx.pm)
+    out = {}
+    for h, c in fd.lifting.polys[j].coeffs.items():
+        if mi_le(s, h):
+            a = dp_monomial_action(s, h, ctx.p, ctx.m) * c % ctx.mod2
+            out[tuple(x - y for x, y in zip(h, s))] = div_p_fact(a, ctx.p)
+    return Poly(out, ctx.r, ctx.p)
+
+
 def test_c_matrix_formula():
-    # c(i, j) = -delta_ij t_i^((p-1) p^m) - (dg_j/dt_i dilated by p^m)
-    for p, m in [(2, 0), (3, 0), (2, 1), (3, 1)]:
-        ctx = Context(p, m, r=2)
-        rng = random.Random(11 * p + m)
-        fd = FrobData(ctx, random_strong_lifting(ctx, rng))
-        for i in range(2):
-            for j in range(2):
-                want = -fd.gs[j].derivative(i).scale_exponents(ctx.pm)
-                if i == j:
-                    e = tuple((p - 1) * ctx.pm if k == i else 0
-                              for k in range(2))
-                    want = want - Poly.monomial(e, 1, 2, p)
-                assert fd.c_matrix(i, j) == want
+    # c(i, j) = -delta_ij t_i^((p-1) p^m) - (dg_j/dt_i dilated by p^m),
+    # against the Taylor expansion of the lifting: the whole divided
+    # Frobenius where it is small, its one coefficient elsewhere
+    for p, m, r in product((2, 3, 5, 7), range(4), (1, 2, 3)):
+        ctx = Context(p, m, r)
+        rng = random.Random(100 * p + 10 * m + r)
+        for lift in (standard_lifting(ctx), random_strong_lifting(ctx, rng)):
+            fd = FrobData(ctx, lift)
+            ws = divided_frob_tau(ctx, lift) if ctx.pm <= 27 else None
+            for i in range(r):
+                s = mi_scale(mi_unit(r, i), ctx.pm)
+                for j in range(r):
+                    want = taylor_c(fd, i, j)
+                    if ws is not None:
+                        assert ws[j].coeffs.get(s, Poly.zero(r, p)) == want
+                    assert fd.c_matrix(i, j) == want, (p, m, r, i, j)
+                    if i == j:
+                        assert want, (p, m, r, i)
 
 
 # -- the gamma towers ----------------------------------------------------------
