@@ -20,10 +20,9 @@ from .diffops import (DiffOp, central_embed, commutator, frob_descend,
                       zo_reassemble)
 from .frobenius import (FrobData, LiftingZ, NotALifting, NotStrong, bullet,
                         bullet_matrix, glue_derivation, glue_endo,
-                        lifting_from_json, ov_split_matrix, phi, phi_basis,
-                        phi_center_inv, phi_inv_basis, phi_tilde,
-                        phi_tilde_basis, random_strong_lifting,
-                        standard_lifting)
+                        lifting_from_json, phi, phi_basis, phi_center_inv,
+                        phi_inv_basis, phi_tilde, phi_tilde_basis,
+                        random_strong_lifting, standard_lifting)
 from .simpson import (DModule, HiggsModule, InvariantSpace, MalformedInput,
                       NotQuasiNilpotent, central_apply, corpus, corpus_json,
                       curvature_of, invariant_rank, pullback, random_higgs,
@@ -46,8 +45,8 @@ __all__ = [
     "theta_power", "zo_decompose", "zo_reassemble",
     "FrobData", "LiftingZ", "NotALifting", "NotStrong", "bullet",
     "bullet_matrix", "glue_derivation", "glue_endo", "lifting_from_json",
-    "ov_split_matrix", "phi", "phi_basis", "phi_center_inv", "phi_inv_basis",
-    "phi_tilde", "phi_tilde_basis", "random_strong_lifting", "standard_lifting",
+    "phi", "phi_basis", "phi_center_inv", "phi_inv_basis", "phi_tilde",
+    "phi_tilde_basis", "random_strong_lifting", "standard_lifting",
     "DModule", "HiggsModule", "InvariantSpace", "MalformedInput",
     "NotQuasiNilpotent",
     "central_apply", "corpus", "corpus_json", "curvature_of",

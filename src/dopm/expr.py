@@ -12,7 +12,7 @@ k-th divided power in direction I, dI alone is order one, and k is at
 most MAX_ORDER.  Products are ring products written with '*', so "d1*t1"
 and "t1*d1 + 1" parse to the same operator; juxtaposition ("d1 t1") is
 an error.  A power is the ring power: "d1<2>^3" is "(d1<2>)^3", the
-product d1<2>*d1<2>*d1<2>.
+product d1<2>*d1<2>*d1<2>, refused past MAX_ORDER or MAX_DEGREE.
 
 The parser reads straight into the basis form sum_k f_k d^<k>, as
 unreduced coefficient dicts reduced once at the end.  A term is read
@@ -46,6 +46,10 @@ _TOKEN = re.compile(r"(\d+)|([td])(\d+)|([-+*()^<>])|(\S)")
 # math.factorial refuses it.
 MAX_ORDER = 10**5
 
+# The largest total degree in t a power may reach: C(D + r, r) terms per
+# coefficient at most; (t1+t2+t3+1)^97 at p = 7 takes 2 s on a Xeon core.
+MAX_DEGREE = 100
+
 
 class ExprError(ValueError):
     pass
@@ -56,12 +60,16 @@ def tokenize(s: str):
     for num, var, idx, sym, bad in _TOKEN.findall(s):
         if bad:
             raise _bad_token(s)
-        if num:
-            out.append(("int", int(num)))
-        elif var:
-            out.append((var, int(idx)))
-        else:
-            out.append((sym, None))
+        try:
+            if num:
+                out.append(("int", int(num)))
+            elif var:
+                out.append((var, int(idx)))
+            else:
+                out.append((sym, None))
+        except ValueError:      # past sys.get_int_max_str_digits()
+            raise ExprError(f"integer of {len(num or idx)} digits is too "
+                            f"long") from None
     return out
 
 
@@ -172,11 +180,19 @@ class _Parser:
         return self._dicts(self._op(a) * self._op(b))
 
     def _power(self, x: dict) -> dict:
-        """x, or its ring power x^n when '^' n follows."""
+        """x, or its ring power x^n if '^' n follows and n times x's largest
+        order (1 at least) and degree are within MAX_ORDER and MAX_DEGREE."""
         if self.peek() != "^":
             return x
         self.take()
-        return self._dicts(self._op(x) ** self._nat())
+        n = self._nat()
+        order = max([1, *(max(k) for k in x)])
+        degree = max([0, *(sum(e) for f in x.values() for e in f)])
+        if n * order > MAX_ORDER or n * degree > MAX_DEGREE:
+            raise ExprError(f"power '^{n}' reaches order {n * order} and "
+                            f"degree {n * degree}; the caps are {MAX_ORDER} "
+                            f"and {MAX_DEGREE}")
+        return self._dicts(self._op(x) ** n)
 
     def _op(self, x: dict) -> DiffOp:
         return DiffOp.from_dicts(self.ctx, x)

@@ -539,24 +539,3 @@ def glue_endo(ctx: Context, u, g: Poly, n_trunc: int | None = None) -> Poly:
 def _dt_truncate(g: Poly, r: int, n: int) -> Poly:
     return Poly({ec: c for ec, c in g.coeffs.items() if sum(ec[r:]) <= n},
                 g.nvars, g.mod, g.var)
-
-
-# ---------------------------------------------------------------------------
-# the Cartier-type splitting frame at level 0
-
-def ov_split_matrix(fd: FrobData):
-    """Z[i][j] = -delta_ij t_i^(p-1) - d g_i/d t_j at level 0; the same
-    data as the c-matrix of the divided Frobenius, transposed."""
-    ctx = fd.ctx
-    assert ctx.m == 0, "the split frame comparison is a level-0 statement"
-    out = []
-    for i in range(ctx.r):
-        row = []
-        for j in range(ctx.r):
-            z = -fd.gs[i].derivative(j)
-            if i == j:
-                z = z - Poly.monomial(mi_scale(mi_unit(ctx.r, i), ctx.p - 1),
-                                      1, ctx.r, ctx.p)
-            row.append(z)
-        out.append(row)
-    return out

@@ -23,11 +23,11 @@ triangular in these (two lemmas, proved at `_box_entries`).
 
 F_*O_X^n is free over O_X' = F_p[t'] on the box sections t^a e_j, a < q
 = p^(m+1) componentwise, and the conditions are O_X'-linear (t' = t^q is
-central): a matrix over F_p[t'] with a column per box section, each
-condition built once and evaluated on the box.  F_p[t'] is a domain, so
-a row with one nonzero entry forces its column to zero on the whole
-O_X'-kernel and on every window; only the t'-shifts of the surviving
-sections are unknowns, and they get window rows for one sparse solve.
+central): a matrix over F_p[t'] with a column per box section.  F_p[t']
+is a domain, so a row with one nonzero entry forces its column to zero
+on the whole O_X'-kernel and on every window.  Conditions come one at a
+time, each struck on the sections not yet forced; only the t'-shifts of
+the survivors are unknowns, and they get window rows for one sparse solve.
 The invariant space is kept on them: sparse kernel rows keyed by (j, a)
 (`InvariantSpace`).  When no box row survives, as on every pullback,
 V_d is every t'^b t^a e_j of degree <= d over the surviving sections,
@@ -530,16 +530,15 @@ def central_apply(dm: DModule, op: DiffOp, sec):
     return [Poly._trusted(reduced(acc, p), ctx.r, p) for acc in accs]
 
 
-def _box_entries(fd: FrobData, dm: DModule, nnil, sections) -> dict:
-    """The invariance conditions on the box sections t^a e_j, for each
+def _box_entries(fd: FrobData, dm: DModule, nnil, key, sections) -> dict:
+    """Condition key = (i, s) on the box sections t^a e_j, for each
     (j, a) in `sections`, as ((key, component), exponent, coefficient)
-    entries, coefficients reduced and nonzero; a key names its condition
-    across sections.
+    entries, coefficients reduced and nonzero.
 
     Condition (i, s), i < r and 0 < s <= p^m, is the defect of d_i^<s>:
     D_s(sec) = central(phi_tilde(d_i^<s>)) sec - rho(d_i^<s>) sec, the
     image truncated at the nilpotency order (the rest acts as zero).
-    Each one is built once and evaluated on every section:
+    It is built once and evaluated on every section:
 
     - the central half is O_X-linear in the section, so on t^a e_j it is
       t^a times its value on e_j, `central_apply` on the unit columns;
@@ -577,104 +576,87 @@ def _box_entries(fd: FrobData, dm: DModule, nnil, sections) -> dict:
     order, so the basis is the one the complete family gives."""
     ctx = fd.ctx
     p, m, n = ctx.p, ctx.m, dm.rank
-    box = {sec: [] for sec in sections}
-    for i in range(ctx.r):
-        for s in range(1, ctx.pm + 1):
-            key = (i, s)
-            op = phi_tilde_basis(fd, _along(ctx, i, s), nnil - 1)
-            cmat = _on_columns(partial(central_apply, dm, op),
-                               pmat_eye(n, ctx.r, p))
-            central = [[(row, cmat[row][j].coeffs) for row in range(n)
-                        if cmat[row][j]] for j in range(n)]
-            weights = leibniz_weights(s, s, 0, p, m)
-            terms = []
-            for a, w in zip(weights[::2], weights[1::2]):
-                cols = dm._columns(_along(ctx, i, s - a))
-                if any(cols):
-                    terms.append((_along(ctx, i, a), w,
-                                  dp_residues(a, p, m), cols))
-            for (j, a0), out in box.items():
-                acc = {}
-                for row, f in central[j]:
-                    for e, c in f.items():
-                        k = (row, tuple(map(add, e, a0)))
-                        acc[k] = acc.get(k, 0) + c
-                for da, w, res, cols in terms:
-                    c = w * res[a0[i] % len(res)]
-                    if c and cols[j]:
-                        b = tuple(map(sub, a0, da))
-                        for row, f, _ in cols[j]:
-                            for e, cf in f.items():
-                                k = (row, tuple(map(add, e, b)))
-                                acc[k] = acc.get(k, 0) - c * cf
-                for (row, e), c in acc.items():
-                    c %= p
-                    if c:
-                        out.append(((key, row), e, c))
+    i, s = key
+    op = phi_tilde_basis(fd, _along(ctx, i, s), nnil - 1)
+    cmat = _on_columns(partial(central_apply, dm, op), pmat_eye(n, ctx.r, p))
+    central = [[(row, cmat[row][j].coeffs) for row in range(n)
+                if cmat[row][j]] for j in range(n)]
+    weights = leibniz_weights(s, s, 0, p, m)
+    terms = []
+    for a, w in zip(weights[::2], weights[1::2]):
+        cols = dm._columns(_along(ctx, i, s - a))
+        if any(cols):
+            terms.append((_along(ctx, i, a), w, dp_residues(a, p, m), cols))
+    box = {}
+    for j, a0 in sections:
+        acc = {}
+        for row, f in central[j]:
+            for e, c in f.items():
+                k = (row, tuple(map(add, e, a0)))
+                acc[k] = acc.get(k, 0) + c
+        for da, w, res, cols in terms:
+            c = w * res[a0[i] % len(res)]
+            if c and cols[j]:
+                b = tuple(map(sub, a0, da))
+                for row, f, _ in cols[j]:
+                    for e, cf in f.items():
+                        k = (row, tuple(map(add, e, b)))
+                        acc[k] = acc.get(k, 0) - c * cf
+        box[(j, a0)] = [((key, row), e, cp)
+                        for (row, e), c in acc.items() if (cp := c % p)]
     return box
-
-
-def _flatten_rows(vec_rows, p):
-    """Vector-of-polynomials rows -> dense matrix over F_p."""
-    monos = {}
-    data = []
-    for vec in vec_rows:
-        row = {}
-        for j, f in enumerate(vec):
-            for e, c in f.coeffs.items():
-                key = (j, e)
-                if key not in monos:
-                    monos[key] = len(monos)
-                row[monos[key]] = c
-        data.append(row)
-    mat = np.zeros((len(data), len(monos)), dtype=np.int64)
-    for rix, row in enumerate(data):
-        for cix, c in row.items():
-            mat[rix, cix] = c % p
-    return mat
 
 
 def solve_invariants(fd: FrobData, dm: DModule,
                      deg_bound: int | None = None) -> InvariantSpace:
     """Compute the invariant sections of total degree <= deg_bound.
 
-    Each condition is built once and evaluated on every box section
-    t^a e_j, a < q = p^(m+1) componentwise, that the window reaches
-    (`_box_entries`).  Entry (key, e) of section (j, a) is t'^(e div q)
-    in box row (key, e mod q); a box row with one section forces it, and
-    every unknown t'^b t^a e_j, to zero (F_p[t'] is a domain), repeated by
-    `_strike_singletons`.  Only the t'-shifts of the surviving sections
-    inside the window are unknowns; they get window rows, keyed by
-    (condition key, component, shifted exponent), for one sparse solve in
-    column order (`_sparse_nullspace`).  V_d for d <= D is
-    `InvariantSpace.restrict`.  dm must be a valid module
-    (`DModule.validate`): the reduced conditions rely on it."""
+    The box sections t^a e_j, a < q = p^(m+1) componentwise, that the
+    window reaches start live.  The conditions (i, s) come one at a time,
+    s = 1..p^m outer and i inner, each built once and evaluated on the
+    live sections (`_box_entries`).  Entry (key, e) of section (j, a) is
+    t'^(e div q) in box row (key, e mod q); a box row with one live
+    section forces it, and every unknown t'^b t^a e_j, to zero (F_p[t']
+    is a domain).  `_strike_singletons` runs on each condition's box rows
+    and on the rows of two or more live sections kept from before, and
+    what it forces is no longer live.
+
+    The forced set is the one of an all-at-once strike: the least set F
+    of sections such that no box row has exactly one section outside F.
+    More rows or a larger F only force more, so every order of strikes
+    run to the end reaches this one least set.  A box row carries its
+    condition key, so it is built whole in one step, lacking only
+    sections already in F, which change nothing.
+
+    The survivors' t'-shifts inside the window are the unknowns; they
+    get window rows, keyed by (condition key, component, shifted
+    exponent), for one sparse solve in column order
+    (`_sparse_nullspace`).  V_d for d <= D is `InvariantSpace.restrict`.
+    dm must be a valid module (`DModule.validate`): the reduced
+    conditions rely on it."""
     ctx = fd.ctx
     q = ctx.pm1
     d = ctx.solve_bound() if deg_bound is None else deg_bound
     nnil = dm.nilpotency_index()
     fd = fd.deepen(nnil - 1)   # tau-room for the twisted images
-    reached = [(j, a) for a in product(range(min(q, d + 1)), repeat=ctx.r)
-               if sum(a) <= d for j in range(dm.rank)]
-    box = _box_entries(fd, dm, nnil, reached)
-    first, shared = {}, {}    # box row -> its first section; -> all
-    for sec, entries in box.items():
-        for ck, e, _ in entries:
-            row = (ck, tuple(x % q for x in e))
-            was = first.setdefault(row, sec)
-            if was != sec:
-                shared.setdefault(row, {was: None})[sec] = None
-    # a box row of one section enters as that section's singleton, once
-    lone = {sec for row, sec in first.items() if row not in shared}
-    del first
-    dead = _strike_singletons([*shared.values(),
-                               *({sec: None} for sec in lone)])[0]
+    live = {(j, a): [] for a in product(range(min(q, d + 1)), repeat=ctx.r)
+            if sum(a) <= d for j in range(dm.rank)}   # section -> entries
+    shared = []     # box rows of two or more live sections
+    for s in range(1, ctx.pm + 1):
+        for i in range(ctx.r):
+            new = {}
+            for sec, entries in _box_entries(fd, dm, nnil, (i, s),
+                                             live).items():
+                live[sec] += entries
+                for ck, e, _ in entries:
+                    new.setdefault((ck, tuple(x % q for x in e)),
+                                   {})[sec] = None
+            forced, shared = _strike_singletons([*shared, *new.values()])
+            for sec in forced:
+                del live[sec]
     rows = {}     # (condition key, component, exponent) -> {unknown: coeff}
     unknowns = []
-    for j, a0 in reached:
-        if (j, a0) in dead:
-            continue
-        entries = box[(j, a0)]
+    for (j, a0), entries in live.items():
         for b in degree_box((d - sum(a0)) // q, ctx.r):
             shift = mi_scale(b, q)
             key = (j, mi_add(a0, shift))

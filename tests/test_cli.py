@@ -26,7 +26,7 @@ from dopm.cli import main
 from dopm.context import Context
 from dopm.diffops import DiffOp
 from dopm.dpalg import DPElem, gamma_dp
-from dopm.expr import MAX_ORDER, render_op
+from dopm.expr import MAX_DEGREE, MAX_ORDER, render_op
 from dopm.frobenius import (FrobData, divided_frob_tau, random_strong_lifting,
                             standard_lifting)
 from dopm.scalars import degree_box
@@ -186,6 +186,24 @@ def test_an_order_above_the_cap_exits_2(argv):
 def test_readme_states_the_order_cap():
     text = " ".join((REPO / "README.md").read_text().split())
     assert f"order `<k>` above {MAX_ORDER} is refused with exit 2" in text
+    assert f"order above {MAX_ORDER} or total degree in `t` above " \
+           f"{MAX_DEGREE}" in text
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("d1^1000000", f"power '^1000000' reaches order 1000000 and degree 0; "
+                   f"the caps are {MAX_ORDER} and {MAX_DEGREE}"),
+    ("7" * 5000 + "*t1", "integer of 5000 digits is too long"),
+], ids=["huge-power", "huge-integer"])
+def test_huge_input_exits_2_before_any_product(expr, message):
+    # refused while parsing: the million-fold product would not end, and
+    # int() of 5000 digits raises a ValueError that would exit 3
+    res = subprocess.run([sys.executable, "-m", "dopm.cli", "mul", "--p",
+                          "3", "--m", "0", expr, "d1"],
+                         capture_output=True, text=True, env=child_env(),
+                         timeout=30)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == f"error: {message}\n"
 
 
 def test_phi_past_tau_trunc_still_exits_3(capsys):

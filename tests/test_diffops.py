@@ -191,6 +191,17 @@ def test_mul_is_associative(data):
     assert a * (b + c) == a * b + a * c
 
 
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_power_is_the_repeated_product(data):
+    ctx = data.draw(st.sampled_from(CTXS))
+    a = data.draw(ops(ctx, max_terms=2))
+    want = DiffOp.one(ctx)
+    for n in range(7):
+        assert a ** n == want
+        want = want * a
+
+
 @pytest.mark.parametrize("ctx", CTXS[:4], ids=lambda c: f"p{c.p}m{c.m}")
 def test_basis_product_is_the_angle_law(ctx):
     for k in range(7):

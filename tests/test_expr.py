@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from dopm.context import Context
 from dopm.diffops import DiffOp
-from dopm.expr import (MAX_ORDER, ExprError, parse, render_matrix, render_op,
-                       render_poly)
+from dopm.expr import (MAX_DEGREE, MAX_ORDER, ExprError, parse, render_matrix,
+                       render_op, render_poly)
 from dopm.poly import Poly
 
 from test_diffops import ORACLE_CTXS, ORACLE_IDS
@@ -108,9 +108,13 @@ class _RefParser:
         raise ExprError(f"unexpected {kind!r}")
 
     def _power(self, op):
+        """op^n as n ring products, not `DiffOp.__pow__`'s squaring."""
         if self.peek() == "^":
             self.take()
-            return op ** self._nat()
+            out = DiffOp.one(self.ctx)
+            for _ in range(self._nat()):
+                out = out * op
+            return out
         return op
 
     def _index(self, val):
@@ -301,6 +305,36 @@ def test_an_order_above_the_cap_is_refused():
         token = re.search(r"d1<\d+>", s).group()
         assert str(err.value) == \
             f"order of {token!r} is above the cap {MAX_ORDER}"
+
+
+def test_a_power_past_the_caps_is_refused():
+    ctx = Context(2, 0, r=2)
+    at_caps = [(f"d1^{MAX_ORDER}", DiffOp.dpartial(ctx, (MAX_ORDER, 0))),
+               (f"(t1*t2)^{MAX_DEGREE // 2}",
+                DiffOp.from_poly(ctx, Poly.monomial(
+                    (MAX_DEGREE // 2,) * 2, 1, 2, 2))),
+               (f"(1)^{MAX_ORDER}", DiffOp.one(ctx))]
+    for s, want in at_caps:
+        assert parse(ctx, s) == want
+    for s, n, order, degree in [
+            (f"d1^{MAX_ORDER + 1}", MAX_ORDER + 1, MAX_ORDER + 1, 0),
+            ("t1*d1<4>^25001", 25001, 100004, 0),
+            (f"(t1*t2)^{MAX_DEGREE // 2 + 1}", 51, 51, 102),
+            (f"(1)^{MAX_ORDER + 1}", MAX_ORDER + 1, MAX_ORDER + 1, 0),
+            ("d1^1000000", 10**6, 10**6, 0)]:
+        with pytest.raises(ExprError) as err:
+            parse(ctx, s)
+        assert str(err.value) == \
+            f"power '^{n}' reaches order {order} and degree {degree}; " \
+            f"the caps are {MAX_ORDER} and {MAX_DEGREE}"
+
+
+@pytest.mark.parametrize("s", ["7" * 5000 + "*t1", "d1<" + "7" * 5000 + ">",
+                               "t" + "1" * 5000])
+def test_an_integer_too_long_to_convert_is_refused(s):
+    with pytest.raises(ExprError) as err:
+        parse(Context(2, 0), s)
+    assert str(err.value) == "integer of 5000 digits is too long"
 
 
 @st.composite

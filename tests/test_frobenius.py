@@ -21,8 +21,8 @@ from dopm.expr import render_op
 from dopm.frobenius import (FrobData, LiftingZ, NotALifting, NotStrong,
                             bullet, bullet_matrix, divided_frob_tau,
                             glue_derivation, glue_endo, lifting_from_json,
-                            ov_split_matrix, phi, phi_basis, phi_center_inv,
-                            phi_tilde, phi_tilde_basis, random_strong_lifting,
+                            phi, phi_basis, phi_center_inv, phi_tilde,
+                            phi_tilde_basis, random_strong_lifting,
                             standard_gamma_coeff, standard_lifting,
                             strong_lifting_from_higgs_frame)
 from dopm.poly import MalformedInput, Poly
@@ -622,20 +622,3 @@ def test_glue_endo_composes():
     direct = glue_endo(ctx, u13, g)
     assert via2 == direct
 
-
-# -- the level-0 splitting frame ----------------------------------------------
-
-def test_ov_split_matrix_is_the_transposed_c_matrix():
-    ctx = Context(2, 0, r=2)
-    rng = random.Random(9)
-    fd = FrobData(ctx, random_strong_lifting(ctx, rng))
-    z = ov_split_matrix(fd)
-    for i in range(2):
-        for j in range(2):
-            assert z[i][j] == fd.c_matrix(j, i)
-
-
-def test_ov_split_matrix_rejects_higher_level():
-    fd = FrobData.standard(Context(2, 1))
-    with pytest.raises(AssertionError):
-        ov_split_matrix(fd)

@@ -707,20 +707,17 @@ def solve_invariants_literal(fd, dm, deg_bound, k_bound):
     fd = fd.deepen(max(nnil - 1, room))
     monomials = [(j, a) for a in degree_box(deg_bound, ctx.r)
                  for j in range(dm.rank)]
-    cols = []
+    rows = {}     # (operator, component, exponent) -> {unknown: coeff}
     for (j, a) in monomials:
         sec = _unit_section(ctx, dm.rank, j, a)
-        conds = []
         for k in box_le((k_bound,) * ctx.r):
             if not any(k):
                 continue
             naive = central_apply(dm, phi_tilde_basis(fd, k, nnil - 1), sec)
-            conds.append(_vec_sub(naive, dm.act(k, sec)))
-        cols.append(conds)
-    # unknowns x output-monomials, transposed into constraint rows
-    big = np.concatenate(
-        [simpson._flatten_rows([col[slot] for col in cols], ctx.p).T
-         for slot in range(len(cols[0]))], axis=0)
+            for comp, f in enumerate(_vec_sub(naive, dm.act(k, sec))):
+                for e, c in f.coeffs.items():
+                    rows.setdefault((k, comp, e), {})[(j, a)] = c
+    big = simpson._dense(list(rows.values()), monomials)
     return DenseInvariantSpace(dm, deg_bound, monomials,
                                nullspace_mod(big, ctx.p))
 
@@ -846,9 +843,15 @@ def test_box_entries_are_the_per_section_oracle(ctx, lift_seed, field,
         assert len(sections) < dm.rank * ctx.pm1 ** ctx.r
     if field is _rank_two:
         assert not any(dm._columns(mi_unit(ctx.r, 0)))
-    got = simpson._box_entries(fd, dm, nnil, sections)
+    got = {sec: [] for sec in sections}
+    for i in range(ctx.r):
+        for s in range(1, ctx.pm + 1):
+            one = simpson._box_entries(fd, dm, nnil, (i, s), sections)
+            assert list(one) == sections
+            for sec, entries in one.items():
+                assert all(ck[0] == (i, s) for ck, _, _ in entries)
+                got[sec] += entries
     want = box_oracle(fd, dm, nnil, sections)
-    assert list(got) == sections
     for sec in sections:
         assert Counter(got[sec]) == Counter(want[sec]), sec
     assert any(want.values())
@@ -939,7 +942,11 @@ def test_box_level_propagation_builds_no_forced_window_row(monkeypatch, ctx,
     monkeypatch.setattr(simpson, "_strike_singletons", spy_strike)
     monkeypatch.setattr(simpson, "_sparse_nullspace", spy_sparse)
     inv = solve_invariants(fd, dm)
-    (dead, box_left), _window = strikes
+    *box_strikes, _window = strikes
+    assert len(box_strikes) == ctx.r * ctx.pm     # one per condition
+    dead = set().union(*(forced for forced, _ in box_strikes))
+    assert len(dead) == sum(len(forced) for forced, _ in box_strikes)
+    box_left = box_strikes[-1][1]
     (rows, columns), = solves
     q = ctx.pm1
     reached = {(j, tuple(x % q for x in a)) for j, a in inv.monomials}
@@ -1419,8 +1426,9 @@ def test_round_trip_never_builds_the_dense_view(monkeypatch, p, m, r):
 def test_conditions_are_built_once_per_operator(monkeypatch, ctx, lifted,
                                                 deg_bound):
     # each condition D_(i,s) is built once per solve, from one twisted
-    # image, and evaluated once on each box section t^a e_j, a < q, that
-    # the window reaches: t' = t^q is central
+    # image, in one `_box_entries` call, s outer and i inner; the first
+    # call sees each box section t^a e_j, a < q, that the window reaches
+    # (t' = t^q is central), once, and each later one a part of those
     fd = _strong(ctx, 8) if lifted else FrobData.standard(ctx)
     dm = pullback(fd, random_higgs(ctx, random.Random(9), 2))
     images, seen = [], []
@@ -1430,9 +1438,9 @@ def test_conditions_are_built_once_per_operator(monkeypatch, ctx, lifted,
         images.append(tuple(n))
         return image(fd, n, *rest)
 
-    def counting_evaluate(fd, dm, nnil, sections):
-        seen.append(list(sections))
-        return evaluate(fd, dm, nnil, sections)
+    def counting_evaluate(fd, dm, nnil, key, sections):
+        seen.append((key, list(sections)))
+        return evaluate(fd, dm, nnil, key, sections)
 
     monkeypatch.setattr(simpson, "phi_tilde_basis", counting_image)
     monkeypatch.setattr(simpson, "_box_entries", counting_evaluate)
@@ -1440,14 +1448,47 @@ def test_conditions_are_built_once_per_operator(monkeypatch, ctx, lifted,
     assert sorted(images) == sorted(mi_scale(mi_unit(ctx.r, i), s)
                                     for i in range(ctx.r)
                                     for s in range(1, ctx.pm + 1))
-    sections, = seen
+    assert [key for key, _ in seen] == [(i, s) for s in range(1, ctx.pm + 1)
+                                        for i in range(ctx.r)]
+    for (_, sections), (_, before) in zip(seen[1:], seen):
+        assert set(sections) <= set(before)
+    sections = seen[0][1]
     q = ctx.pm1
-    assert len(set(sections)) == len(sections)
+    assert all(len(set(secs)) == len(secs) for _, secs in seen)
     assert set(sections) == {(j, tuple(x % q for x in a))
                              for j, a in inv.monomials}
     full = dm.rank * q ** ctx.r
     assert len(sections) == full if deg_bound is None else \
         len(sections) < full
+
+
+def test_each_condition_sees_only_the_live_sections(monkeypatch):
+    # on a pullback the first condition forces most box sections, and no
+    # later condition evaluates a section that an earlier strike forced:
+    # the calls see 162 = 2 * 9^2 sections, then fewer and fewer
+    ctx = Context(3, 1, r=2)
+    fd = FrobData.standard(ctx)
+    dm = pullback(fd, _rank_two(ctx))
+    seen, forced = [], set()
+    evaluate, strike = simpson._box_entries, simpson._strike_singletons
+
+    def spy_evaluate(fd, dm, nnil, key, sections):
+        sections = list(sections)
+        assert not forced & set(sections)
+        seen.append(len(sections))
+        return evaluate(fd, dm, nnil, key, sections)
+
+    def spy_strike(rows):
+        out = strike(rows)
+        forced.update(out[0])
+        return out
+
+    monkeypatch.setattr(simpson, "_box_entries", spy_evaluate)
+    monkeypatch.setattr(simpson, "_strike_singletons", spy_strike)
+    inv = solve_invariants(fd, dm)
+    assert seen == [162, 54, 18, 18, 18, 6]
+    assert {(j, tuple(x % ctx.pm1 for x in a)) for j, a in inv.unknowns} \
+        == {(0, (0, 0)), (1, (0, 0))}
 
 
 def test_constants_are_invariant_for_cubes():
