@@ -13,21 +13,17 @@ from .scalars import (angle, angle_mi_mod, binom_mod_p2, box,
                       box_le, brace, brace_mi, brace_mi_mod, degree_box,
                       dp_power_factor, lucas_closed_form)
 from .dpalg import DPElem, RatDP, gamma_dp, pair_op, taylor
-from .diffops import (DiffOp, central_embed, commutator, frob_descend,
-                      frob_raise, is_central, kaneda_matrix, level_raise,
-                      quotient_matrix, ring_generators, theta,
-                      theta_decompose, theta_power, zo_decompose,
-                      zo_reassemble)
+from .diffops import (DiffOp, frob_descend, frob_raise, kaneda_matrix,
+                      quotient_matrix, theta, theta_power, zo_decompose)
 from .frobenius import (FrobData, LiftingZ, NotALifting, NotStrong, bullet,
                         bullet_matrix, glue_derivation, glue_endo,
                         lifting_from_json, phi, phi_basis, phi_center_inv,
                         phi_inv_basis, phi_tilde, phi_tilde_basis,
                         random_strong_lifting, standard_lifting)
 from .simpson import (DModule, HiggsModule, InvariantSpace, MalformedInput,
-                      NotQuasiNilpotent, central_apply, corpus, corpus_json,
-                      curvature_of, invariant_rank, pullback, random_higgs,
-                      recovered_higgs, round_trip, solve_invariants,
-                      worked_example)
+                      NotQuasiNilpotent, central_apply, corpus, curvature_of,
+                      invariant_rank, pullback, random_higgs, recovered_higgs,
+                      round_trip, solve_invariants, worked_example)
 from .expr import ExprError, parse, render_matrix, render_op, render_poly
 from .suites import SUITES, SuiteCase, SuiteReport, run_suite
 
@@ -39,17 +35,15 @@ __all__ = [
     "brace", "brace_mi", "brace_mi_mod", "degree_box", "dp_power_factor",
     "lucas_closed_form",
     "gamma_dp", "pair_op", "taylor",
-    "central_embed", "commutator", "frob_descend",
-    "frob_raise", "is_central", "kaneda_matrix", "level_raise",
-    "quotient_matrix", "ring_generators", "theta", "theta_decompose",
-    "theta_power", "zo_decompose", "zo_reassemble",
+    "frob_descend", "frob_raise", "kaneda_matrix", "quotient_matrix",
+    "theta", "theta_power", "zo_decompose",
     "FrobData", "LiftingZ", "NotALifting", "NotStrong", "bullet",
     "bullet_matrix", "glue_derivation", "glue_endo", "lifting_from_json",
     "phi", "phi_basis", "phi_center_inv", "phi_inv_basis", "phi_tilde",
     "phi_tilde_basis", "random_strong_lifting", "standard_lifting",
     "DModule", "HiggsModule", "InvariantSpace", "MalformedInput",
     "NotQuasiNilpotent",
-    "central_apply", "corpus", "corpus_json", "curvature_of",
+    "central_apply", "corpus", "curvature_of",
     "invariant_rank", "pullback", "random_higgs", "recovered_higgs",
     "round_trip", "solve_invariants", "worked_example",
     "ExprError", "parse", "render_matrix", "render_op", "render_poly",

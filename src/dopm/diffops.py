@@ -13,7 +13,6 @@ elements theta_i = d^<p^(m+1) e_i>, which kill O_X because q(p^(m+1)) = p.
 from __future__ import annotations
 
 from itertools import product
-from math import factorial
 from operator import sub
 
 from .context import Context
@@ -146,9 +145,6 @@ class DiffOp:
             return NotImplemented
         return self.ctx == other.ctx and self.terms == other.terms
 
-    def coeff(self, k) -> Poly:
-        return self.terms.get(tuple(k), Poly.zero(self.ctx.r, self.ctx.p))
-
     def theta_truncate(self, n: int) -> "DiffOp":
         q = self.ctx.pm1
         return DiffOp(self.ctx, {k: f for k, f in self.terms.items()
@@ -180,10 +176,6 @@ class DiffOp:
     def scale(self, c: int) -> "DiffOp":
         return DiffOp(self.ctx, {k: f.scale(c) for k, f in self.terms.items()})
 
-    def premul(self, g: Poly) -> "DiffOp":
-        """Left multiplication by a function: g * P."""
-        return DiffOp(self.ctx, {k: g * f for k, f in self.terms.items()})
-
     def apply(self, f: Poly) -> Poly:
         """P(f) for f mod p."""
         p, m = self.ctx.p, self.ctx.m
@@ -194,8 +186,6 @@ class DiffOp:
 
     def __mul__(self, other):
         """Composition P * Q as operators (P after Q)."""
-        if isinstance(other, Poly):
-            return self * DiffOp.from_poly(self.ctx, other)
         self._check(other)
         ctx = self.ctx
         out: dict = {}
@@ -207,11 +197,6 @@ class DiffOp:
 
                 leibniz(ctx, out, k, g, l, targets)
         return DiffOp.from_dicts(ctx, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, Poly):
-            return self.premul(other)
-        return NotImplemented
 
     def __pow__(self, n: int) -> "DiffOp":
         """By squaring: at most 2 log2(n) products, not n."""
@@ -232,10 +217,6 @@ def premul_sum(ctx: Context, pairs) -> DiffOp:
                 acc = out[k] = {}
             mac(acc, f.coeffs, g.coeffs)
     return DiffOp.from_dicts(ctx, out)
-
-
-def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
-    return a * b - b * a
 
 
 # ---------------------------------------------------------------------------
@@ -267,52 +248,6 @@ def theta_power(ctx: Context, c) -> DiffOp:
     return DiffOp.dpartial(ctx, mi_scale(c, ctx.pm1))
 
 
-def ring_generators(ctx: Context):
-    """t_i and d^<p^l e_i> for l <= m: these generate D^(m) over k."""
-    gens = []
-    for i in range(ctx.r):
-        gens.append(DiffOp.from_poly(ctx, Poly.variable(i, ctx.r, ctx.p)))
-        for l in range(ctx.m + 1):
-            gens.append(DiffOp.dpartial(ctx, mi_scale(mi_unit(ctx.r, i),
-                                                      ctx.p**l)))
-    return gens
-
-
-def is_central(op: DiffOp) -> bool:
-    return all(not commutator(op, g) for g in ring_generators(op.ctx))
-
-
-def central_embed(ctx: Context, g: Poly) -> DiffOp:
-    """O_X'[xi'] -> Z(D^(m)), t'^a xi'^b -> t^(q a) theta^b with q = p^(m+1).
-
-    `g` has 2r variables: the first r are t', the last r xi'.
-    """
-    assert g.nvars == 2 * ctx.r and g.mod == ctx.p
-    out = DiffOp.zero(ctx)
-    for e, c in g.coeffs.items():
-        a, b = e[:ctx.r], e[ctx.r:]
-        f = Poly.monomial(mi_scale(a, ctx.pm1), c, ctx.r, ctx.p)
-        out = out + theta_power(ctx, b).premul(f)
-    return out
-
-
-def theta_decompose(op: DiffOp) -> Poly:
-    """Inverse of central_embed on its image, t^(q a) d^<q b> -> t'^a xi'^b;
-    raises ValueError off it."""
-    ctx = op.ctx
-    q = ctx.pm1
-    out: dict = {}
-    for k, f in op.terms.items():
-        if any(x % q for x in k):
-            raise ValueError(f"index {k} is not divisible by p^(m+1)")
-        b = tuple(x // q for x in k)
-        for e, c in f.coeffs.items():
-            if any(x % q for x in e):
-                raise ValueError(f"coefficient exponent {e} not in O_X'")
-            out[tuple(x // q for x in e) + b] = c
-    return Poly._trusted(out, 2 * ctx.r, ctx.p, "t'|xi'")
-
-
 # ---------------------------------------------------------------------------
 # normal forms: O_X[theta]-combinations of the small-index basis
 
@@ -333,19 +268,6 @@ def zo_decompose(op: DiffOp):
             slot[e + c] = cf
     return {u: Poly._trusted(d, 2 * ctx.r, ctx.p, "t|th")
             for u, d in out.items()}
-
-
-def zo_reassemble(ctx: Context, zo) -> DiffOp:
-    """Exact inverse of zo_decompose."""
-    q, r = ctx.pm1, ctx.r
-    out: dict = {}
-    for u, z in zo.items():
-        assert z.nvars == 2 * r
-        for ec, cf in z.coeffs.items():
-            k = mi_add(mi_scale(ec[r:], q), u)
-            acc = out.setdefault(k, {})
-            acc[ec[:r]] = acc.get(ec[:r], 0) + cf
-    return DiffOp.from_dicts(ctx, out)
 
 
 KANEDA_MAX_SIZE = 4096
@@ -445,25 +367,6 @@ def quotient_matrix(op: DiffOp):
 
 # ---------------------------------------------------------------------------
 # changing the level
-
-def level_raise(op: DiffOp, s: int = 1) -> DiffOp:
-    """The canonical ring map D^(m) -> D^(m+s): d^<k> at level m equals
-    q^(m)_k! d^[k], so its level-(m+s) coordinates pick up the integer
-    factor prod_i q^(m)(k_i)! / q^(m+s)(k_i)!."""
-    ctx = op.ctx
-    up = ctx.at_level(ctx.m + s)
-    out = {}
-    for k, f in op.terms.items():
-        c = 1
-        for x in k:
-            num = factorial(x // ctx.pm)
-            den = factorial(x // up.pm)
-            c = c * (num // den) % ctx.p
-        g = f.scale(c)
-        if g:
-            out[k] = g
-    return DiffOp(up, out)
-
 
 def frob_descend(op: DiffOp, s: int = 1, divide_coeffs: bool = False) -> DiffOp:
     """Frobenius descent D^(m) -> D^(m-s): keep the terms whose index is

@@ -52,10 +52,6 @@ class DPElem:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def one(cls, ctx, mod):
-        return cls(ctx, {mi_zero(ctx.r): Poly.one(ctx.r, mod)}, mod)
-
-    @classmethod
     def basis(cls, ctx, s, mod, coeff=None):
         f = coeff if coeff is not None else Poly.one(ctx.r, mod)
         return cls(ctx, {tuple(s): f}, mod)
@@ -85,12 +81,6 @@ class DPElem:
         for s, f in other.coeffs.items():
             out[s] = out.get(s, Poly.zero(self.ctx.r, self.mod)) + f
         return DPElem(self.ctx, out, self.mod)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def scale(self, c):
         if isinstance(c, Poly):

@@ -133,10 +133,6 @@ class Poly:
         return (self.nvars, self.mod, self.var, self.coeffs) == \
             (other.nvars, other.mod, other.var, other.coeffs)
 
-    def __hash__(self):
-        return hash((self.nvars, self.mod, self.var,
-                     frozenset(self.coeffs.items())))
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -186,12 +182,6 @@ class Poly:
             reduced({e: c * v for e, v in self.coeffs.items()}, self.mod),
             self.nvars, self.mod, self.var)
 
-    def __pow__(self, n: int):
-        out = Poly.one(self.nvars, self.mod, self.var)
-        for _ in range(n):
-            out = out * self
-        return out
-
     # -- structure ----------------------------------------------------------
 
     def max_exps(self):
@@ -227,7 +217,3 @@ class Poly:
     def reduce(self, mod: int) -> "Poly":
         assert self.mod is None or self.mod % mod == 0
         return Poly(self.coeffs, self.nvars, mod, self.var)
-
-    def lift(self) -> "Poly":
-        """Representative with integer coefficients (0..mod-1) over Z."""
-        return Poly(dict(self.coeffs), self.nvars, None, self.var)

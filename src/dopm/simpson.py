@@ -152,15 +152,13 @@ class DModule:
     Everything else is forced through one Leibniz sum, `act`:
     rho(d^<k>)(f e_j) = sum_a {k \\ a} d^<a>(f) rho(d^<k-a>)(e_j).
     `b_matrix(k)`, the matrix of rho(d^<k>) on constant sections, applies
-    `act` column by column: below q = p^(m+1) it peels the largest p^l
-    off s e_i (the angle coefficients that appear are units), above q it
-    splits off the center, d^<cq + s> = theta^c d^<s>, and a multi-index
-    is built one coordinate at a time.  theta_i is the p-th power of
-    rho(d_i^<p^m>).  Both identities are exact (`diffops.theta_power`).
+    `act` column by column: up to q = p^(m+1) it peels the largest p^l,
+    l <= m, off s e_i, above q it splits off the center, d^<cq + s> =
+    theta^c d^<s>, and a multi-index is built one coordinate at a time.
+    rho(theta_i) is b_matrix(q e_i) (`theta_pow`).
     """
 
-    __slots__ = ("ctx", "rank", "gens", "_b", "_cols", "_theta", "_tpow",
-                 "_nnil")
+    __slots__ = ("ctx", "rank", "gens", "_b", "_cols", "_tpow", "_nnil")
 
     def __init__(self, ctx: Context, rank: int, gens):
         self.ctx = ctx
@@ -178,7 +176,6 @@ class DModule:
                     raise MalformedInput(f"missing generator ({i},{l})")
         self._b = {}
         self._cols = {}
-        self._theta = None
         self._tpow = {}
         self._nnil = None
 
@@ -242,7 +239,15 @@ class DModule:
         return cols
 
     def b_matrix(self, k):
-        """Matrix of rho(d^<k>) on constant sections, any multi-index."""
+        """Matrix of rho(d^<k>) on constant sections, any multi-index.
+
+        Along one coordinate, s <= q peels p^l, the largest l <= m with
+        p^l <= s: d^<p^l> d^<s - p^l> = <s \\ p^l> d^<s>.  For s < q the
+        angle coefficient is a unit.  For s = j p^m, j <= p, it is
+        <j p^m \\ p^m> ≡ 1, by the proof at `diffops.theta_power`, so
+        b_matrix(q e_i) is rho(d_i^<p^m>) applied p times to the identity:
+        rho(theta_i), since theta_i = (d_i^<p^m>)^p exactly.  Above q the
+        center splits off, d^<cq + s> = theta^c d^<s> for s < q."""
         k = tuple(k)
         if k in self._b:
             return self._b[k]
@@ -254,13 +259,13 @@ class DModule:
         elif any(k[i + 1:]):        # d^<k> = d^<k_i e_i> d^<rest>
             out = _on_columns(partial(self.act, _along(ctx, i, k[i])),
                               self.b_matrix(k[:i] + (0,) + k[i + 1:]))
-        elif k[i] >= q:             # theta_i^c d^<s e_i> = d^<(cq + s) e_i>
+        elif k[i] > q:              # theta_i^c d^<s e_i> = d^<(cq + s) e_i>
             c, s = divmod(k[i], q)
             out = pmat_mul(self.theta_pow(_along(ctx, i, c)),
                            self.b_matrix(_along(ctx, i, s)))
         else:   # d^<p^l e_i> d^<(s-p^l) e_i> = <s \ p^l> d^<s e_i>, a unit
             s, l = k[i], 0
-            while p ** (l + 1) <= s:
+            while l < ctx.m and p ** (l + 1) <= s:
                 l += 1
             pl = p**l
             if s == pl:
@@ -274,18 +279,6 @@ class DModule:
         self._b[k] = out
         return out
 
-    def theta(self, i: int):
-        if self._theta is None:
-            self._theta = [None] * self.ctx.r
-        if self._theta[i] is None:
-            ctx = self.ctx
-            mat = pmat_eye(self.rank, ctx.r, ctx.p)
-            for _ in range(ctx.p):
-                mat = _on_columns(partial(self.act, _along(ctx, i, ctx.pm)),
-                                  mat)
-            self._theta[i] = mat
-        return self._theta[i]
-
     def theta_pow(self, c):
         c = tuple(c)
         if c in self._tpow:
@@ -294,7 +287,8 @@ class DModule:
             out = pmat_eye(self.rank, self.ctx.r, self.ctx.p)
         else:
             i = next(j for j, x in enumerate(c) if x)
-            out = pmat_mul(self.theta(i), self.theta_pow(mi_sub(c, mi_unit(self.ctx.r, i))))
+            out = pmat_mul(self.b_matrix(_along(self.ctx, i, self.ctx.pm1)),
+                           self.theta_pow(mi_sub(c, mi_unit(self.ctx.r, i))))
         self._tpow[c] = out
         return out
 
@@ -305,10 +299,11 @@ class DModule:
         if self._nnil is not None:
             return self._nnil
         ctx, n = self.ctx, self.rank
+        th = [self.b_matrix(_along(ctx, i, ctx.pm1)) for i in range(ctx.r)]
         for i in range(ctx.r):
             for j in range(i + 1, ctx.r):
-                if not pmat_eq(pmat_mul(self.theta(i), self.theta(j)),
-                               pmat_mul(self.theta(j), self.theta(i))):
+                if not pmat_eq(pmat_mul(th[i], th[j]),
+                               pmat_mul(th[j], th[i])):
                     raise NotQuasiNilpotent("curvature matrices do not commute")
         bound = ctx.r * (n - 1) + 1
         for nn in range(1, bound + 1):
@@ -379,7 +374,8 @@ def curvature_of(dm: DModule):
     entry descends there, as for every pullback, and over O_X (in t)
     otherwise: Theta_i is horizontal, not constant, so a gauge change by
     a non-constant matrix can take it out of O_X'."""
-    thetas = [dm.theta(i) for i in range(dm.ctx.r)]
+    thetas = [dm.b_matrix(_along(dm.ctx, i, dm.ctx.pm1))
+              for i in range(dm.ctx.r)]
     try:
         return [pmat_map(th, lambda f: f.divide_exponents(dm.ctx.pm1,
                                                           var="t'"))
@@ -857,7 +853,3 @@ def corpus(rng) -> list:
         out.append((f"r2-{p}{m}", random_higgs(c2, rng, 2)))
         out.append((f"r2n{n3}-{p}{m}", random_higgs(c2, rng, n3)))
     return out
-
-
-def corpus_json(modules) -> dict:
-    return {"modules": [{"name": name, **h.to_json()} for name, h in modules]}

@@ -917,7 +917,7 @@ def tower_phi(ctx, lifting, n) -> str:
     ws = divided_frob_tau(ctx, lifting)
     terms = {}
     for c in degree_box(sum(n) // ctx.pm, ctx.r):
-        prod = DPElem.one(ctx, ctx.p)
+        prod = DPElem.basis(ctx, (0,) * ctx.r, ctx.p)
         for w, cj in zip(ws, c):
             prod = prod * gamma_dp(w, cj)
         terms[tuple(ctx.pm1 * x for x in c)] = prod.coeffs.get(n)

@@ -1,13 +1,12 @@
 """No code without a caller: every module-level function or class in
-`src/dopm` is used somewhere in `src/dopm` outside its own definition or
-exported through `dopm.__all__`, and every method other than a dunder is
-used somewhere in `src/dopm`.  Read off the syntax trees alone."""
+`src/dopm` is read somewhere in `src/dopm` outside its own definition,
+and every method other than a dunder is read as an attribute (`.name`)
+somewhere in `src/dopm`.  Exporting a name through `dopm.__init__` is
+not a use.  Read off the syntax trees alone."""
 
 import ast
 import pathlib
 from collections import Counter
-
-import dopm
 
 SRC = pathlib.Path(__file__).parents[1] / "src" / "dopm"
 
@@ -21,15 +20,16 @@ HOOKS = {
 }
 
 
-def _references(node) -> Counter:
-    """Names read as a plain name or as an attribute, by count."""
-    out = Counter()
+def _references(node) -> tuple:
+    """Names read as a plain name, and names read as an attribute, each
+    by count."""
+    names, attrs = Counter(), Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            out[sub.id] += 1
+            names[sub.id] += 1
         elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-            out[sub.attr] += 1
-    return out
+            attrs[sub.attr] += 1
+    return names, attrs
 
 
 def _definitions(tree):
@@ -47,9 +47,11 @@ def _definitions(tree):
 def _uncalled(src=SRC):
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(src.glob("*.py"))}
-    total = Counter()
+    names, attrs = Counter(), Counter()
     for tree in trees.values():
-        total += _references(tree)
+        n, a = _references(tree)
+        names += n
+        attrs += a
     out = []
     for fname, tree in trees.items():
         for qual, name, node, method in _definitions(tree):
@@ -57,10 +59,12 @@ def _uncalled(src=SRC):
                 continue
             if method and name.startswith("__") and name.endswith("__"):
                 continue
-            used = total[name] - _references(node)[name]
-            if used or (not method and name in dopm.__all__):
-                continue
-            out.append(f"{fname}:{node.lineno} {qual}")
+            own_names, own_attrs = _references(node)
+            used = attrs[name] - own_attrs[name]
+            if not method:
+                used += names[name] - own_names[name]
+            if not used:
+                out.append(f"{fname}:{node.lineno} {qual}")
     return out
 
 
@@ -73,7 +77,13 @@ def test_the_guard_names_an_orphan_and_an_unused_method(tmp_path):
         (tmp_path / path.name).write_text(path.read_text())
     with open(tmp_path / "poly.py", "a") as fh:
         fh.write("\n\ndef _orphan(n):\n    return _orphan(n - 1)\n"
+                 "\n\ndef _exported(n):\n    return n\n"
                  "\n\nclass _Host:\n    def idle(self):\n        pass\n"
-                 "\n\n_Host()\n")
-    assert [s.split()[1] for s in _uncalled(tmp_path)] == ["_orphan",
-                                                            "_Host.idle"]
+                 "\n    def spare(self):\n        pass\n"
+                 "\n\ndef _user(spare):\n    return spare\n"
+                 "\n\n_Host()\n_user(0)\n")
+    with open(tmp_path / "__init__.py", "a") as fh:
+        fh.write("\nfrom .poly import _exported\n"
+                 "__all__ += [\"_exported\"]\n")
+    assert [s.split()[1] for s in _uncalled(tmp_path)] == [
+        "_orphan", "_exported", "_Host.idle", "_Host.spare"]

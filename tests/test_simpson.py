@@ -32,9 +32,9 @@ from dopm.scalars import (angle_mi_mod, box_le, brace, brace_mi_mod,
                           mi_sum, mi_unit)
 from dopm.simpson import (DModule, HiggsModule, InvariantSpace,
                           NotQuasiNilpotent, central_apply, corpus,
-                          corpus_json, curvature_of, invariant_rank,
-                          pullback, random_higgs, recovered_higgs,
-                          round_trip, solve_invariants, worked_example)
+                          curvature_of, invariant_rank, pullback,
+                          random_higgs, recovered_higgs, round_trip,
+                          solve_invariants, worked_example)
 
 from closed_forms import central_unit, mod_p, peel_angle, theta_unit
 
@@ -133,10 +133,6 @@ def test_corpus_shape():
     names = [name for name, _ in mods]
     assert len(names) == len(set(names))
     assert any(name.startswith("worked-") for name in names)
-    blob = corpus_json(mods)
-    assert [e["name"] for e in blob["modules"]] == names
-    for entry, (_, h) in zip(blob["modules"], mods):
-        assert entry["rank"] == h.rank
 
 
 # -- pullback -----------------------------------------------------------------
@@ -223,7 +219,7 @@ def test_central_apply_reads_theta_powers():
     q = ctx.pm1
     sec = [Poly.zero(1, 2), Poly.zero(1, 2), Poly.one(1, 2)]
     one_theta = central_apply(dm, DiffOp.dpartial(ctx, (q,)), sec)
-    th = dm.theta(0)
+    th = dm.theta_pow((1,))
     assert one_theta == [th[s][2] for s in range(3)]
     # and an O_X-combination stays a left coefficient, no Leibniz terms
     f = Poly.monomial((3,), 1, 1, 2)
@@ -283,7 +279,7 @@ def _linear(seed):
 
 class ReferenceAction:
     """The per-coordinate recursion that `DModule.act` replaced, kept as
-    the reference for `b_matrix` and `theta`: rho(d^<s e_i>) on constants
+    the reference for `b_matrix` and `theta_pow`: rho(d^<s e_i>) on constants
     by peeling the largest p^l (`b_single`), the Leibniz sum on matrix
     sections spelled out once per generator (`gen_apply`) and once per
     coordinate (`section_apply`), and a private d^<a e_i> (`apply_dp`)."""
@@ -398,7 +394,7 @@ class ReferenceAction:
 
 def _random_generators(seed, n):
     # random t-polynomial matrices in every generator slot: not a module,
-    # but b_matrix and theta are formulas in the generators, so they must
+    # but b_matrix and theta_pow are formulas in the generators, so they must
     # agree with the reference all the same, and here few of them vanish
     def module(ctx, fd):
         rng = random.Random(seed)
@@ -434,7 +430,7 @@ def test_b_matrix_and_theta_equal_the_per_coordinate_recursion(
     dm = module(ctx, fd)
     ref = ReferenceAction(dm)
     for i in range(ctx.r):
-        assert pmat_eq(dm.theta(i), ref.theta(i))
+        assert pmat_eq(dm.theta_pow(mi_unit(ctx.r, i)), ref.theta(i))
     for k in degree_box(2 * ctx.pm1, ctx.r):
         assert pmat_eq(dm.b_matrix(k), ref.b_matrix(k)), k
 
@@ -1193,7 +1189,7 @@ def test_curvature_of_a_gauged_pullback_leaves_o_x_prime():
     assert moved.validate() == (True, None)
     theta, = curvature_of(moved)
     assert all(f.var == "t" for row in theta for f in row)
-    assert pmat_eq(theta, pmat_mul(s, pmat_mul(dm.theta(0), s_inv)))
+    assert pmat_eq(theta, pmat_mul(s, pmat_mul(dm.theta_pow((1,)), s_inv)))
     # a pullback's frame still descends
     down, = curvature_of(dm)
     assert all(f.var == "t'" for row in down for f in row)
