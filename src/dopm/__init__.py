@@ -25,9 +25,20 @@ from .simpson import (DModule, HiggsModule, InvariantSpace, MalformedInput,
                       invariant_rank, pullback, random_higgs, recovered_higgs,
                       round_trip, solve_invariants, worked_example)
 from .expr import ExprError, parse, render_matrix, render_op, render_poly
-from .suites import SUITES, SuiteCase, SuiteReport, run_suite
 
 __version__ = "0.1.0"
+
+_SUITE_NAMES = ("SUITES", "SuiteCase", "SuiteReport", "run_suite")
+
+
+def __getattr__(name):
+    """The names of `suites`, imported on first use (PEP 562): only
+    `dopm verify` runs suites, so `import dopm` leaves them unloaded."""
+    if name in _SUITE_NAMES:
+        from . import suites
+        return getattr(suites, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Context", "Poly", "DPElem", "RatDP", "DiffOp",

@@ -12,7 +12,8 @@ k-th divided power in direction I, dI alone is order one, and k is at
 most MAX_ORDER.  Products are ring products written with '*', so "d1*t1"
 and "t1*d1 + 1" parse to the same operator; juxtaposition ("d1 t1") is
 an error.  A power is the ring power: "d1<2>^3" is "(d1<2>)^3", the
-product d1<2>*d1<2>*d1<2>, refused past MAX_ORDER or MAX_DEGREE.
+product d1<2>*d1<2>*d1<2>, refused past MAX_ORDER, MAX_DEGREE or
+MAX_BOX.
 
 The parser reads straight into the basis form sum_k f_k d^<k>, as
 unreduced coefficient dicts reduced once at the end.  A term is read
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from math import prod
 
 from .context import Context
 from .diffops import DiffOp
@@ -49,6 +51,15 @@ MAX_ORDER = 10**5
 # The largest total degree in t a power may reach: C(D + r, r) terms per
 # coefficient at most; (t1+t2+t3+1)^97 at p = 7 takes 2 s on a Xeon core.
 MAX_DEGREE = 100
+
+# The most indices d^<k> a power x^n may span: its index box
+# prod_i (n ord_i(x) + 1), ord_i(x) the largest k_i in x, bounds its
+# terms, and the products by squaring multiply such term lists pairwise.
+# It is the box of d1^MAX_ORDER, so it refuses no power of one
+# coordinate that MAX_ORDER allows.  Within it the slowest sums of dI
+# found, (d1+d2)^293 and (d1+d2+d3)^41 at p = 7, take half a second on a
+# Xeon core; (d1+d2+d3)^342, past it, took 11 s.
+MAX_BOX = MAX_ORDER + 1
 
 
 class ExprError(ValueError):
@@ -180,8 +191,9 @@ class _Parser:
         return self._dicts(self._op(a) * self._op(b))
 
     def _power(self, x: dict) -> dict:
-        """x, or its ring power x^n if '^' n follows and n times x's largest
-        order (1 at least) and degree are within MAX_ORDER and MAX_DEGREE."""
+        """x, or its ring power x^n if '^' n follows, n times x's largest
+        order (1 at least) and degree are within MAX_ORDER and MAX_DEGREE,
+        and its index box is within MAX_BOX."""
         if self.peek() != "^":
             return x
         self.take()
@@ -192,6 +204,11 @@ class _Parser:
             raise ExprError(f"power '^{n}' reaches order {n * order} and "
                             f"degree {n * degree}; the caps are {MAX_ORDER} "
                             f"and {MAX_DEGREE}")
+        box = prod(n * max([0, *(k[i] for k in x)]) + 1
+                   for i in range(self.ctx.r))
+        if box > MAX_BOX:
+            raise ExprError(f"power '^{n}' spans an index box of {box} "
+                            f"multi-indices; the cap is {MAX_BOX}")
         return self._dicts(self._op(x) ** n)
 
     def _op(self, x: dict) -> DiffOp:

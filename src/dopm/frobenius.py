@@ -185,22 +185,36 @@ class FrobData:
     the product.  w and the towers are built on first use, which only a
     lifting with a deviation makes: `c_matrix` reads g.  It caches the
     phi, phi_center_inv and phi_tilde images of basis operators.
+
+    The context's theta_trunc and tau_trunc are the window of phi: w
+    and the towers keep tau-degrees <= tau_trunc.  `window(n)` is the
+    instance of the same lifting for theta-degrees <= n, at which the
+    correspondence solves (n = nnil - 1); it is built with `shared`, an
+    instance whose validated hs and gs it takes as they are.
     """
 
-    def __init__(self, ctx: Context, lifting: LiftingZ):
-        assert ctx == lifting.ctx
+    def __init__(self, ctx: Context, lifting: LiftingZ,
+                 shared: "FrobData | None" = None):
         self.ctx = ctx
         self.lifting = lifting
-        self.hs = [lifting.deviation(j) for j in range(ctx.r)]
-        self.gs = [h.divide_exponents(ctx.pm) if _pm_divisible(h, ctx.pm)
-                   else _reject_strong(j, h)
-                   for j, h in enumerate(self.hs)]
-        self.is_standard = not any(self.hs)
+        if shared is None:
+            assert ctx == lifting.ctx
+            self.hs = [lifting.deviation(j) for j in range(ctx.r)]
+            self.gs = [h.divide_exponents(ctx.pm) if _pm_divisible(h, ctx.pm)
+                       else _reject_strong(j, h)
+                       for j, h in enumerate(self.hs)]
+            self.is_standard = not any(self.hs)
+            self._windows: dict = {}
+        else:
+            self.hs, self.gs = shared.hs, shared.gs
+            self.is_standard = shared.is_standard
+            self._windows = shared._windows
+        if ctx.tau_trunc == ctx.pm1 * ctx.theta_trunc:
+            self._windows.setdefault(ctx.theta_trunc, self)
         self._gammas: dict = {}
         self._phi: dict = {}
         self._phi_inv: dict = {}
         self._phi_tw: dict = {}
-        self._deeper: dict = {}
 
     @cached_property
     def ws(self) -> list:
@@ -214,17 +228,36 @@ class FrobData:
     def standard(cls, ctx: Context) -> "FrobData":
         return cls(ctx, standard_lifting(ctx))
 
-    def deepen(self, theta_trunc: int) -> "FrobData":
-        """Same lifting, deeper truncation window (no-op when wide enough),
-        kept: a repeat call returns the same instance and its caches."""
-        if theta_trunc <= self.ctx.theta_trunc:
-            return self
-        if theta_trunc not in self._deeper:
-            ctx2 = dataclasses.replace(self.ctx, theta_trunc=theta_trunc,
-                                       tau_trunc=None)
-            self._deeper[theta_trunc] = FrobData(
-                ctx2, LiftingZ(ctx2, self.lifting.polys))
-        return self._deeper[theta_trunc]
+    def window(self, n: int) -> "FrobData":
+        """The instance for theta-degrees <= n: its context has
+        theta_trunc = max(1, n) and that window's default tau_trunc
+        q max(1, n), q = p^(m+1).  It is self when the window matches;
+        otherwise it is built once, shares this lifting's validated data
+        (polys, hs, gs) with no second check, and is kept on every
+        instance of the lifting, so a repeat call from any of them
+        returns it and its caches.  It widens and shrinks alike.
+
+        Exact: the images that the window reaches are those of any wider
+        window.
+          * phi_tilde_basis(s e_i, n), s <= p^m, reads phi_basis at
+            s e_i, |s e_i| <= q, and phi_center_inv of the theta^c in
+            that image;
+          * phi_center_inv(theta^c, n) truncates to theta-degree n, so
+            each x it forms is a sum of d^<c'q> with |c'| <= n, and it
+            reads phi_basis only at c'q, |c'q| <= qn;
+          * phi_basis(nu) is gamma_coeffs(nu), which reads each
+            gamma_k(w_j) only at tau-indices a <= nu.  Taylor and the
+            towers drop only terms of tau-degree above tau_trunc, and
+            tau-degrees only add, so no term at |a| <= tau_trunc of w_j
+            or of gamma_k(w_j) depends on a dropped one.
+        So tau_trunc = q max(1, n) gives the same images, and
+        RatDP.to_dp still checks every coefficient that phi reads for
+        p-integrality."""
+        n = max(1, n)
+        if n not in self._windows:
+            ctx = dataclasses.replace(self.ctx, theta_trunc=n, tau_trunc=None)
+            self._windows[n] = FrobData(ctx, self.lifting, self)
+        return self._windows[n]
 
     def c_matrix(self, i: int, j: int) -> Poly:
         """Coefficient c(i, j) of tau_i^{p^m} in w_j; drives the Higgs

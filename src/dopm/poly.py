@@ -167,13 +167,17 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
+        """The product with a Poly of the same family, or with an int
+        scalar; any other operand is not ours to multiply by."""
         if isinstance(other, Poly):
             self._check(other)
             out = {}
             mac(out, self.coeffs, other.coeffs)
             return Poly._trusted(reduced(out, self.mod), self.nvars,
                                  self.mod, self.var)
-        return self.scale(other)
+        if isinstance(other, int):
+            return self.scale(other)
+        return NotImplemented
 
     __rmul__ = __mul__
 

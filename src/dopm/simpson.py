@@ -16,7 +16,11 @@ of its twisted-Frobenius image:
     rho(P)(v) = sum_k  f_k Theta^c v,  phi_tilde(P) = sum f_k d^<cq>
 
 (phi alone is off by the center automorphism whenever some Theta^c with
-|c| >= 2 survives on the module).  On a valid module it suffices to
+|c| >= 2 survives on the module).  Theta^c acts as zero once |c| reaches
+the nilpotency index nnil, so both directions read phi, phi_tilde and
+phi^{-1} only to theta-degree nnil - 1: they solve at the Frobenius
+window `FrobData.window(nnil - 1)`, whatever window the caller's
+context sets.  On a valid module it suffices to
 impose this for P = d_i^<s>, 0 < s <= p^m: Theta^c commutes with both
 sides, as theta_i is central, and the conditions of d_i^<p^m> t_i^b are
 triangular in these (two lemmas, proved at `_box_entries`).
@@ -634,7 +638,7 @@ def solve_invariants(fd: FrobData, dm: DModule,
     q = ctx.pm1
     d = ctx.solve_bound() if deg_bound is None else deg_bound
     nnil = dm.nilpotency_index()
-    fd = fd.deepen(nnil - 1)   # tau-room for the twisted images
+    fd = fd.window(nnil - 1)   # the theta-degrees the module sees
     live = {(j, a): [] for a in product(range(min(q, d + 1)), repeat=ctx.r)
             if sum(a) <= d for j in range(dm.rank)}   # section -> entries
     shared = []     # box rows of two or more live sections
@@ -730,7 +734,7 @@ def recovered_higgs(fd: FrobData, dm: DModule):
     a round trip `solve_invariants` has cached phi^{-1}(theta_i) already."""
     ctx = fd.ctx
     n = dm.nilpotency_index() - 1
-    fd = fd.deepen(n)          # phi needs tau-room up to theta-degree n
+    fd = fd.window(n)
     out = []
     for i in range(ctx.r):
         inv_op = phi_inv_basis(fd, _along(ctx, i, 1), n)

@@ -26,7 +26,7 @@ from dopm.cli import main
 from dopm.context import Context
 from dopm.diffops import DiffOp
 from dopm.dpalg import DPElem, gamma_dp
-from dopm.expr import MAX_DEGREE, MAX_ORDER, render_op
+from dopm.expr import MAX_BOX, MAX_DEGREE, MAX_ORDER, render_op
 from dopm.frobenius import (FrobData, divided_frob_tau, random_strong_lifting,
                             standard_lifting)
 from dopm.scalars import degree_box
@@ -188,6 +188,7 @@ def test_readme_states_the_order_cap():
     assert f"order `<k>` above {MAX_ORDER} is refused with exit 2" in text
     assert f"order above {MAX_ORDER} or total degree in `t` above " \
            f"{MAX_DEGREE}" in text
+    assert f"index box `prod_i (n*ord_i(x) + 1)` passes {MAX_BOX}" in text
 
 
 @pytest.mark.parametrize("expr, message", [
@@ -204,6 +205,18 @@ def test_huge_input_exits_2_before_any_product(expr, message):
                          timeout=30)
     assert (res.returncode, res.stdout) == (2, "")
     assert res.stderr == f"error: {message}\n"
+
+
+def test_a_power_of_a_sum_past_the_box_cap_exits_2_quickly():
+    # within the order and degree caps, but 2401^3 indices: it ran past
+    # 30 s before the index box was capped
+    res = subprocess.run([sys.executable, "-m", "dopm.cli", "mul", "--p",
+                          "7", "--m", "0", "--r", "3", "(d1+d2+d3)^2400",
+                          "1"], capture_output=True, text=True,
+                         env=child_env(), timeout=30)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == f"error: power '^2400' spans an index box of " \
+                         f"{2401**3} multi-indices; the cap is {MAX_BOX}\n"
 
 
 def test_phi_past_tau_trunc_still_exits_3(capsys):
@@ -770,6 +783,21 @@ def test_console_script():
                              capture_output=True, text=True, env=child_env())
     assert res.returncode == 0
     assert json.loads(res.stdout)["ok"]
+
+
+def test_import_dopm_leaves_the_suites_unloaded():
+    # a fresh interpreter: `import dopm` compiles no suite, and the suite
+    # names still import from the package, from `dopm.suites` itself
+    code = ("import sys, dopm\n"
+            "before = 'dopm.suites' in sys.modules\n"
+            "from dopm import SUITES, SuiteCase, SuiteReport, run_suite\n"
+            "suites = sys.modules['dopm.suites']\n"
+            "print(before, run_suite is suites.run_suite,\n"
+            "      SUITES is suites.SUITES, SuiteReport.__module__)\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=child_env(), timeout=60)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout == "False True True dopm.suites\n"
 
 
 # -- byte stability -----------------------------------------------------------

@@ -13,6 +13,9 @@ SRC = pathlib.Path(__file__).parents[1] / "src" / "dopm"
 # methods that a framework calls by name, never the package itself
 HOOKS = {
     "_Parser.error",        # argparse reports a flag error through it
+    # dopm/__init__.py's module __getattr__, which the import system
+    # calls for a name the module does not hold (PEP 562)
+    "__getattr__",
     # the dense view of the invariants, read by the benchmark's checks
     # (bench/workloads.py) and by the tests, never by the package
     "InvariantSpace.monomials",

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from dopm.context import Context
 from dopm.diffops import DiffOp
-from dopm.expr import (MAX_DEGREE, MAX_ORDER, ExprError, parse, render_matrix,
-                       render_op, render_poly)
+from dopm.expr import (MAX_BOX, MAX_DEGREE, MAX_ORDER, ExprError, parse,
+                       render_matrix, render_op, render_poly)
 from dopm.poly import Poly
 
 from test_diffops import ORACLE_CTXS, ORACLE_IDS
@@ -327,6 +327,27 @@ def test_a_power_past_the_caps_is_refused():
         assert str(err.value) == \
             f"power '^{n}' reaches order {order} and degree {degree}; " \
             f"the caps are {MAX_ORDER} and {MAX_DEGREE}"
+
+
+def test_a_power_past_the_index_box_cap_is_refused():
+    # the box prod_i (n ord_i + 1) bounds the terms of a power of a sum;
+    # d1^MAX_ORDER, one coordinate at the order cap, fills it exactly
+    assert MAX_BOX == MAX_ORDER + 1
+    for r, s, box in [(2, "(d1+d2)^315", 316**2),
+                      (3, "(d1+d2+d3)^45", 46**3),
+                      (3, "(d1<2>+t1*d2+d3)^22", 45 * 23 * 23),
+                      (2, f"d1^{MAX_ORDER}", MAX_BOX)]:
+        assert box <= MAX_BOX
+        assert parse(Context(7, 0, r=r), s)
+    for r, s, n, box in [(2, "(d1+d2)^316", 316, 317**2),
+                         (3, "(d1+d2+d3)^46", 46, 47**3),
+                         (3, "(d1<2>+t1*d2+d3)^37", 37, 75 * 38 * 38),
+                         (3, "(d1+d2+d3)^2400", 2400, 2401**3)]:
+        with pytest.raises(ExprError) as err:
+            parse(Context(7, 0, r=r), s)
+        assert str(err.value) == \
+            f"power '^{n}' spans an index box of {box} multi-indices; " \
+            f"the cap is {MAX_BOX}"
 
 
 @pytest.mark.parametrize("s", ["7" * 5000 + "*t1", "d1<" + "7" * 5000 + ">",

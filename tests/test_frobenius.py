@@ -21,8 +21,8 @@ from dopm.expr import render_op
 from dopm.frobenius import (FrobData, LiftingZ, NotALifting, NotStrong,
                             bullet, bullet_matrix, divided_frob_tau,
                             glue_derivation, glue_endo, lifting_from_json,
-                            phi, phi_basis, phi_center_inv, phi_tilde,
-                            phi_tilde_basis, random_strong_lifting,
+                            phi, phi_basis, phi_center_inv, phi_inv_basis,
+                            phi_tilde, phi_tilde_basis, random_strong_lifting,
                             standard_gamma_coeff, standard_lifting,
                             strong_lifting_from_higgs_frame)
 from dopm.poly import MalformedInput, Poly
@@ -530,6 +530,62 @@ def test_van_der_put_series():
             want = want - DiffOp.dpartial(
                 ctx, (p**k,), coeff=Poly.monomial((p**k - 1,), 1, 1, p))
         assert h == want
+
+
+# -- the Frobenius window -----------------------------------------------------
+
+WINDOW_PMR = [(3, 0, 1), (2, 1, 1), (3, 0, 2), (2, 0, 3)]
+
+
+def _lifted_at(ctx, pmr):
+    """A random strong lifting, drawn alike at every window of pmr."""
+    return FrobData(ctx, random_strong_lifting(
+        ctx, random.Random(f"window {pmr}"), deg=2))
+
+
+@pytest.mark.parametrize("pmr", WINDOW_PMR, ids=str)
+def test_a_window_gives_the_images_of_a_wide_one(pmr):
+    # every image the correspondence reads at theta-degrees <= n, from
+    # the window n that shrinks or widens the default theta_trunc = 3,
+    # against a FrobData built at theta_trunc = 4
+    ctx = Context(*pmr)
+    fd = _lifted_at(ctx, pmr)
+    wide = _lifted_at(Context(*pmr, theta_trunc=4), pmr)
+    assert not fd.is_standard
+    for n in (1, 2, 3):
+        win = fd.window(n)
+        assert (win.ctx.theta_trunc, win.ctx.tau_trunc) == (n, n * ctx.pm1)
+        for i in range(ctx.r):
+            for s in range(1, ctx.pm + 1):
+                k = mi_scale(mi_unit(ctx.r, i), s)
+                assert phi_tilde_basis(win, k, n).terms == \
+                    phi_tilde_basis(wide, k, n).terms
+        for c in degree_box(n, ctx.r):
+            assert phi_inv_basis(win, c, n).terms == \
+                phi_inv_basis(wide, c, n).terms
+
+
+def test_window_instances_are_kept_and_share_the_lifting(monkeypatch):
+    ctx = Context(3, 0, r=2)
+    fd = _lifted_at(ctx, "kept")
+    # a caller's own tau_trunc is not the window's: window(3) is built
+    custom = _lifted_at(Context(3, 0, r=2, tau_trunc=20), "kept")
+    checked = []
+    for name in ("__init__", "deviation"):
+        monkeypatch.setattr(LiftingZ, name,
+                            lambda *args, name=name: checked.append(name))
+    assert fd.window(3) is fd and fd.window(0) is fd.window(1)
+    low, high = fd.window(1), fd.window(5)
+    assert (low.ctx.tau_trunc, high.ctx.tau_trunc) == (3, 15)
+    assert low.window(5) is high and high.window(3) is fd
+    for win in (low, high):
+        assert win.lifting is fd.lifting
+        assert (win.hs, win.gs) == (fd.hs, fd.gs)
+        assert win.is_standard is fd.is_standard
+        assert win._phi is not fd._phi and win._gammas is not fd._gammas
+    assert custom.window(3) is not custom
+    assert custom.window(3).ctx.tau_trunc == 9
+    assert not checked
 
 
 # -- the split module ---------------------------------------------------------

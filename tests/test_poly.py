@@ -1,9 +1,13 @@
 """Sparse polynomial arithmetic: ring laws and the exponent maps."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dopm.context import Context
+from dopm.diffops import DiffOp
 from dopm.poly import Poly
 
 
@@ -69,3 +73,17 @@ def test_reduce_and_lift():
     g = Poly({(2,): 3}, 1, 5)
     lifted = Poly(dict(g.coeffs), 1, None, g.var)
     assert lifted.mod is None and lifted.reduce(5) == g
+
+
+def test_only_a_poly_or_an_int_multiplies_a_poly():
+    # an operator on the right is not a scalar: Python raises TypeError
+    # instead of scaling f by it coefficient by coefficient
+    ctx = Context(3, 0)
+    f = Poly({(1,): 1, (0,): 2}, 1, 3)
+    assert f * 2 == 2 * f == f.scale(2)
+    for other in (DiffOp.dpartial(ctx, (1,)), Fraction(1, 2), 0.5, "t1"):
+        with pytest.raises(TypeError):
+            f * other
+    for other in (Fraction(1, 2), 0.5):
+        with pytest.raises(TypeError):
+            other * f

@@ -21,7 +21,8 @@ from dopm.context import Context
 from dopm.diffops import DiffOp
 from dopm import frobenius
 from dopm.expr import render_matrix
-from dopm.frobenius import FrobData, phi_tilde_basis, random_strong_lifting
+from dopm.frobenius import (FrobData, LiftingZ, phi_tilde_basis,
+                            random_strong_lifting)
 from dopm.linalg import (nullspace_mod, pmat_add_inplace, pmat_eq, pmat_eye,
                          pmat_is_zero, pmat_map, pmat_mul, pmat_scale,
                          pmat_zero, rank_mod, rref_mod)
@@ -700,7 +701,7 @@ def solve_invariants_literal(fd, dm, deg_bound, k_bound):
     nnil = dm.nilpotency_index()
     # phi must be exact on every probed |k| <= k_bound * r
     room = -(-k_bound * ctx.r // ctx.pm1)
-    fd = fd.deepen(max(nnil - 1, room))
+    fd = fd.window(max(nnil - 1, room))
     monomials = [(j, a) for a in degree_box(deg_bound, ctx.r)
                  for j in range(dm.rank)]
     rows = {}     # (operator, component, exponent) -> {unknown: coeff}
@@ -786,7 +787,7 @@ def test_central_apply_is_the_poly_per_product_oracle(ctx, lift_seed, field,
     ops = [DiffOp.dpartial(ctx, mi_scale(c, q), coeff=poly(2))
            for c in degree_box(nnil, ctx.r)]
     ops.append(sum(ops[1:], ops[0]))
-    ops += [phi_tilde_basis(fd.deepen(nnil - 1),
+    ops += [phi_tilde_basis(fd.window(nnil - 1),
                             mi_scale(mi_unit(ctx.r, i), s), nnil - 1)
             for i in range(ctx.r) for s in range(1, ctx.pm + 1)]
     sections = [_unit_section(ctx, n, j, (0,) * ctx.r) for j in range(n)]
@@ -832,7 +833,7 @@ def test_box_entries_are_the_per_section_oracle(ctx, lift_seed, field,
                                                 gauge, deg_bound):
     fd, dm = _solver_case(ctx, lift_seed, field, gauge)
     nnil = dm.nilpotency_index()
-    fd = fd.deepen(nnil - 1)
+    fd = fd.window(nnil - 1)
     d = ctx.solve_bound() if deg_bound is None else deg_bound
     sections = _reached(ctx, dm.rank, d)
     if deg_bound is not None:
@@ -863,7 +864,7 @@ def dense_solve(fd, dm, deg_bound=None):
     q = ctx.pm1
     d = ctx.solve_bound() if deg_bound is None else deg_bound
     nnil = dm.nilpotency_index()
-    fd = fd.deepen(nnil - 1)
+    fd = fd.window(nnil - 1)
     monomials = [(j, a) for a in degree_box(d, ctx.r)
                  for j in range(dm.rank)]
     box = box_oracle(fd, dm, nnil, _reached(ctx, dm.rank, d))
@@ -1661,17 +1662,13 @@ def test_recovered_frame_bytes_are_pinned(p, m, r, n, lifted, md5):
     assert _recovered_md5(rep["recovered"]) == md5
 
 
-@pytest.mark.parametrize("p, m, r", [(2, 0, 1), (3, 0, 1), (2, 1, 1),
-                                     (3, 1, 1)])
-def test_a_deep_round_trip_builds_one_frob_data(monkeypatch, p, m, r):
-    # nnil - 1 = 4 > theta_trunc = 3: the solver and recovered_higgs both
-    # deepen, and share the one deeper FrobData; recovered_higgs reads
-    # phi^{-1}(theta_i) from the cache the solver's twisted images filled
-    ctx = Context(p, m, r)
-    fd = FrobData.standard(ctx)
-    built, inverted, inside = [], [], []
+def _counted_round_trip(monkeypatch, fd, higgs):
+    """round_trip(fd, higgs), with the FrobData it builds, the lifting
+    checks it makes and, per phi_center_inv call, whether it came from
+    inside recovered_higgs."""
+    built, checked, inverted, inside = [], [], [], []
     init, invert = FrobData.__init__, frobenius.phi_center_inv
-    recover = simpson.recovered_higgs
+    recover, deviation = simpson.recovered_higgs, LiftingZ.deviation
 
     def counting_init(self, *args):
         built.append(self)
@@ -1688,12 +1685,90 @@ def test_a_deep_round_trip_builds_one_frob_data(monkeypatch, p, m, r):
         finally:
             inside.clear()
 
+    def checking(*args):
+        checked.append(args)
+        return deviation(*args)
+
     monkeypatch.setattr(FrobData, "__init__", counting_init)
+    monkeypatch.setattr(LiftingZ, "deviation", checking)
     monkeypatch.setattr(frobenius, "phi_center_inv", counting_invert)
     monkeypatch.setattr(simpson, "recovered_higgs", recovering)
-    rep = round_trip(fd, jordan_higgs(ctx, 5))
-    assert rep["dm"].nilpotency_index() - 1 > ctx.theta_trunc
-    assert len(built) == 1
-    assert built[0].ctx.theta_trunc == 4 and fd.deepen(4) is built[0]
+    return round_trip(fd, higgs), built, checked, inverted
+
+
+def _one_shared_window(fd, rep, built, checked, inverted, n):
+    # the solver and recovered_higgs share the one window instance the
+    # round trip built, whose lifting nothing checks again;
+    # recovered_higgs reads phi^{-1}(theta_i) from the cache the solver's
+    # twisted images filled
+    ctx = fd.ctx
+    assert rep["dm"].nilpotency_index() - 1 == n
+    assert len(built) == 1 and not checked
+    win = built[0]
+    assert (win.ctx.theta_trunc, win.ctx.tau_trunc) == (n, n * ctx.pm1)
+    assert fd.window(n) is win and win.lifting is fd.lifting
     assert inverted and not any(inverted)
-    assert rep["rank"] == 5 and rep["stable"] and rep["recovered_exact"]
+    assert rep["rank"] == rep["rank_expected"] and rep["stable"]
+    assert rep["recovered_exact"]
+
+
+@pytest.mark.parametrize("p, m, r", [(2, 0, 1), (3, 0, 1), (2, 1, 1),
+                                     (3, 1, 1)])
+def test_a_deep_round_trip_builds_one_frob_data(monkeypatch, p, m, r):
+    # nnil - 1 = 4 > theta_trunc = 3: the window widens
+    ctx = Context(p, m, r)
+    fd = FrobData.standard(ctx)
+    _one_shared_window(fd, *_counted_round_trip(monkeypatch, fd,
+                                                jordan_higgs(ctx, 5)), 4)
+
+
+@pytest.mark.parametrize("p, m, r", [(2, 0, 1), (3, 0, 1), (2, 1, 1),
+                                     (2, 0, 2)])
+def test_a_shallow_lifted_round_trip_builds_one_frob_data(monkeypatch, p, m,
+                                                          r):
+    # nnil - 1 = 1 < theta_trunc = 3: the window shrinks, under a lifting
+    # with a deviation, so the window builds its own towers
+    ctx = Context(p, m, r)
+    fd = _strong(ctx, 8)
+    assert not fd.is_standard
+    _one_shared_window(fd, *_counted_round_trip(monkeypatch, fd,
+                                                jordan_higgs(ctx, 2)), 1)
+
+
+@pytest.mark.parametrize("p, m, r", [(2, 0, 1), (3, 0, 1), (7, 0, 1),
+                                     (2, 1, 1), (3, 0, 2)])
+def test_a_lifted_round_trip_builds_no_tower_past_its_window(p, m, r):
+    # nnil = 2: phi is read to theta-degree 1, so no step of any tower
+    # holds a term above tau-degree q (RatDP keeps |s| in its top field)
+    ctx = Context(p, m, r)
+    fd = _strong(ctx, 8)
+    rep = round_trip(fd, jordan_higgs(ctx, 2))
+    assert rep["dm"].nilpotency_index() == 2 and rep["recovered_exact"]
+    assert "_towers" not in vars(fd)
+    towers = fd.window(1)._towers
+    assert any(len(tower.steps) > 2 for tower in towers)
+    for tower in towers:
+        top = 2 * r * tower.w.width
+        assert max(key >> top for step in tower.steps
+                   for key in step.terms) <= ctx.pm1
+
+
+LIFTED_CASES = [case[:3] for case in SOLVER_CASES if case[1] is not None]
+LIFTED_IDS = [name for case, name in zip(SOLVER_CASES, SOLVER_IDS)
+              if case[1] is not None]
+
+
+@pytest.mark.parametrize("gauge", [False, True], ids=["pullback", "gauged"])
+@pytest.mark.parametrize("ctx, lift_seed, field", LIFTED_CASES,
+                         ids=LIFTED_IDS)
+def test_the_solve_at_its_window_is_the_solve_at_a_wide_one(
+        monkeypatch, ctx, lift_seed, field, gauge):
+    fd, dm = _solver_case(ctx, lift_seed, field, gauge)
+    got = solve_invariants(fd, dm)
+    wide = _strong(Context(ctx.p, ctx.m, ctx.r, theta_trunc=4), lift_seed)
+    assert fd.window(dm.nilpotency_index() - 1).ctx.tau_trunc < \
+        wide.ctx.tau_trunc
+    monkeypatch.setattr(FrobData, "window", lambda self, n: wide)
+    want = solve_invariants(fd, dm)
+    assert got.unknowns == want.unknowns and got.rows == want.rows
+    assert wide._phi_tw
