@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import weakref
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
@@ -189,28 +190,31 @@ class FrobData:
     The context's theta_trunc and tau_trunc are the window of phi: w
     and the towers keep tau-degrees <= tau_trunc.  `window(n)` is the
     instance of the same lifting for theta-degrees <= n, at which the
-    correspondence solves (n = nnil - 1); it is built with `shared`, an
-    instance whose validated hs and gs it takes as they are.
+    correspondence solves (n = nnil - 1); it is built with `root`, the
+    instance whose validated hs and gs it takes as they are.  A window
+    holds its root only by a weak reference, so no instance is part of
+    a reference cycle and each is freed as soon as its last user drops
+    it, caches and towers with it, without waiting for the cyclic
+    collector.
     """
 
     def __init__(self, ctx: Context, lifting: LiftingZ,
-                 shared: "FrobData | None" = None):
+                 root: "FrobData | None" = None):
         self.ctx = ctx
         self.lifting = lifting
-        if shared is None:
+        if root is None:
             assert ctx == lifting.ctx
             self.hs = [lifting.deviation(j) for j in range(ctx.r)]
             self.gs = [h.divide_exponents(ctx.pm) if _pm_divisible(h, ctx.pm)
                        else _reject_strong(j, h)
                        for j, h in enumerate(self.hs)]
             self.is_standard = not any(self.hs)
-            self._windows: dict = {}
+            self._root = None
         else:
-            self.hs, self.gs = shared.hs, shared.gs
-            self.is_standard = shared.is_standard
-            self._windows = shared._windows
-        if ctx.tau_trunc == ctx.pm1 * ctx.theta_trunc:
-            self._windows.setdefault(ctx.theta_trunc, self)
+            self.hs, self.gs = root.hs, root.gs
+            self.is_standard = root.is_standard
+            self._root = weakref.ref(root)
+        self._windows: dict = {}
         self._gammas: dict = {}
         self._phi: dict = {}
         self._phi_inv: dict = {}
@@ -233,9 +237,10 @@ class FrobData:
         theta_trunc = max(1, n) and that window's default tau_trunc
         q max(1, n), q = p^(m+1).  It is self when the window matches;
         otherwise it is built once, shares this lifting's validated data
-        (polys, hs, gs) with no second check, and is kept on every
-        instance of the lifting, so a repeat call from any of them
-        returns it and its caches.  It widens and shrinks alike.
+        (polys, hs, gs) with no second check, and is kept on the root
+        instance of the lifting, which each window reaches by a weak
+        reference, so a repeat call from any of them returns it and its
+        caches while the root lives.  It widens and shrinks alike.
 
         Exact: the images that the window reaches are those of any wider
         window.
@@ -254,10 +259,16 @@ class FrobData:
         RatDP.to_dp still checks every coefficient that phi reads for
         p-integrality."""
         n = max(1, n)
-        if n not in self._windows:
-            ctx = dataclasses.replace(self.ctx, theta_trunc=n, tau_trunc=None)
-            self._windows[n] = FrobData(ctx, self.lifting, self)
-        return self._windows[n]
+        root = self._root() if self._root is not None else self
+        if root is None:          # a window that outlived its root
+            root = self
+        ctx = root.ctx
+        if ctx.theta_trunc == n and ctx.tau_trunc == ctx.pm1 * n:
+            return root
+        if n not in root._windows:
+            ctx = dataclasses.replace(ctx, theta_trunc=n, tau_trunc=None)
+            root._windows[n] = FrobData(ctx, root.lifting, root)
+        return root._windows[n]
 
     def c_matrix(self, i: int, j: int) -> Poly:
         """Coefficient c(i, j) of tau_i^{p^m} in w_j; drives the Higgs

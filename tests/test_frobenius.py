@@ -5,7 +5,9 @@ F = t^Q with Q = p^(m+1), the tau^{s}-coefficient of the divided
 Frobenius is C(Q, s) q_s! / p! * t^(Q-s), reduced mod p.
 """
 
+import gc
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -586,6 +588,35 @@ def test_window_instances_are_kept_and_share_the_lifting(monkeypatch):
     assert custom.window(3) is not custom
     assert custom.window(3).ctx.tau_trunc == 9
     assert not checked
+
+
+def test_a_lifting_and_its_windows_are_freed_without_the_collector():
+    # a window holds its root only weakly, so dropping the root frees it
+    # and its windows, caches and towers with them, by reference counting
+    # alone: a cycle would keep them until the next collection
+    ctx = Context(3, 0, r=2)
+    fd = _lifted_at(ctx, "freed")
+    win = fd.window(1)
+    phi_tilde_basis(win, mi_unit(ctx.r, 0), 1)
+    assert win._towers and win.window(5).window(3) is fd
+    alive = [weakref.ref(x) for x in (fd, win, fd.window(5))]
+    gc.collect()
+    gc.disable()
+    try:
+        del fd, win
+        assert not any(ref() for ref in alive)
+    finally:
+        gc.enable()
+
+
+def test_a_window_that_outlives_its_root_still_windows():
+    ctx = Context(3, 0, r=2)
+    win = _lifted_at(ctx, "orphan").window(1)
+    gc.collect()
+    assert win.window(1) is win and win.window(0) is win
+    wide = win.window(2)
+    assert (wide.ctx.theta_trunc, wide.ctx.tau_trunc) == (2, 6)
+    assert wide.window(1) is win and win.window(2) is wide
 
 
 # -- the split module ---------------------------------------------------------
