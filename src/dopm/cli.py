@@ -176,26 +176,25 @@ def _module_setup(args):
 
 
 def _load_module(args, data, fd):
+    """The D-module of a file: the pullback of a valid Higgs module, a
+    module by construction, or a D-module whose action law is checked."""
     if "matrices" in data:
         higgs = HiggsModule.from_json(data, fd.ctx)
         higgs.validate()
-        return pullback(fd, higgs), higgs
+        return pullback(fd, higgs)
     if "generators" in data:
-        return DModule.from_json(data, fd.ctx), None
+        dm = DModule.from_json(data, fd.ctx)
+        ok, where = dm.validate()
+        if not ok:
+            raise NotQuasiNilpotent(f"module action law fails at {where}")
+        return dm
     raise CliError(f"{args.file}: need 'matrices' (Higgs) or 'generators' "
                    "(D-module)")
 
 
-def _check_module_law(dm):
-    ok, where = dm.validate()
-    if not ok:
-        raise NotQuasiNilpotent(f"module action law fails at {where}")
-
-
 def cmd_curvature(args) -> int:
     ctx, fd, data = _module_setup(args)
-    dm, _ = _load_module(args, data, fd)
-    _check_module_law(dm)
+    dm = _load_module(args, data, fd)
     dm.nilpotency_index()
     thetas = curvature_of(dm)
     text = "\n\n".join(f"Theta_{i + 1}:\n{render_matrix(mat)}"
@@ -205,9 +204,9 @@ def cmd_curvature(args) -> int:
 
 def cmd_pullback(args) -> int:
     ctx, fd, data = _module_setup(args)
-    dm, higgs = _load_module(args, data, fd)
-    if higgs is None:
+    if "matrices" not in data:
         raise CliError(f"{args.file}: pullback needs a Higgs file")
+    dm = _load_module(args, data, fd)
     chunks = []
     for (i, l), mat in sorted(dm.gens.items()):
         chunks.append(f"rho(d{i + 1}<{ctx.p ** l}>):\n{render_matrix(mat)}")
@@ -216,9 +215,7 @@ def cmd_pullback(args) -> int:
 
 def cmd_invariants(args) -> int:
     ctx, fd, data = _module_setup(args)
-    dm, higgs = _load_module(args, data, fd)
-    if higgs is None:           # a pullback is a module by construction
-        _check_module_law(dm)
+    dm = _load_module(args, data, fd)
     inv = solve_invariants(fd, dm)
     rank = invariant_rank(inv, inv.restrict(inv.deg_bound - ctx.pm1))
     secs = [_render_section(sec) for sec in inv.sections()]

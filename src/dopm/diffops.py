@@ -185,7 +185,10 @@ class DiffOp:
         return Poly._trusted(reduced(acc, p), self.ctx.r, p, f.var)
 
     def __mul__(self, other):
-        """Composition P * Q as operators (P after Q)."""
+        """Composition P * Q as operators (P after Q); any other operand is
+        not ours to multiply by."""
+        if not isinstance(other, DiffOp):
+            return NotImplemented
         self._check(other)
         ctx = self.ctx
         out: dict = {}

@@ -159,7 +159,9 @@ class DModule:
     `act` column by column: up to q = p^(m+1) it peels the largest p^l,
     l <= m, off s e_i, above q it splits off the center, d^<cq + s> =
     theta^c d^<s>, and a multi-index is built one coordinate at a time.
-    rho(theta_i) is b_matrix(q e_i) (`theta_pow`).
+    rho(theta_i) is b_matrix(q e_i) (`theta_pow`).  The module law is
+    checked on the generators as well: `validate` tests it on the pairs
+    (d_i^<p^l>, d_k^<t>), k <= i, 0 < t <= q, which give every pair.
     """
 
     __slots__ = ("ctx", "rank", "gens", "_b", "_cols", "_tpow", "_nnil")
@@ -319,19 +321,54 @@ class DModule:
             f"Theta powers do not vanish by total degree {bound}")
 
     def validate(self):
-        """rho(d^<a>) rho(d^<b>) = <a+b \\ a> rho(d^<a+b>) on constants,
-        for all pairs with |a|, |b| <= p^(m+1)."""
+        """(True, None) when rho(d^<a>) rho(d^<b>) = <a+b \\ a> rho(d^<a+b>)
+        on constants, L(a, b), for every a and b, else (False, (a, b, j))
+        with j a column where a pair fails.  Only the generator pairs
+        a = p^l e_i, l <= m, b = t e_k, k <= i, 0 < t <= q = p^(m+1) are
+        checked.  They are among the pairs |a|, |b| <= q, and they give L
+        for every pair, so the verdict is that of all those pairs.
+
+        Write R(k) = act(k, .), B(k) = b_matrix(k), Theta_k = B(q e_k) and
+        L*(a, b) for the law on every section.  By construction:
+        (F0) act is the Leibniz sum, and D^(m) expands d^<a> d^<b> f the
+             same way, so L(a', b') for all a' <= a, b' <= b gives L*(a, b);
+        (F1) R(x) B(y) = B(x + y) when x lies on coordinate k and y on
+             coordinates > k, so (F0) R(x) R(y) = R(x + y);
+        (F2) R((cq + s) e_k) = Theta_k^c R(s e_k), Theta_k acting as a
+             matrix: theta_k is central and theta^c d^<s> = d^<cq + s>;
+        (F3) <x+y \\ x> <x+y+b \\ x+y> = <y+b \\ y> <x+y+b \\ x>, as D^(m)
+             is associative.
+        Induct on |a|.  Take a generator g = p^l e_i, with L(g', .) known
+        for g' < g.  For k <= i the checked pairs give L*(g, s e_k), s <= q,
+        by (F0), so R(g) Theta_k = R(g + q e_k) = Theta_k R(g) by (F1) for
+        k < i and (F2) for k = i (the angle is 1 by (F2)).  So for t = cq
+        + s > q, s < q, R(g) B(t e_k) = Theta_k^c R(g) B(s e_k), and (F1),
+        (F2) carry the checked L(g, s e_k) to L(g, t e_k).  L(g, b) is (F1)
+        when b lies on coordinates > i.  Else, with k the first coordinate
+        of b = b_k e_k + b', (F0) gives L*(g, b_k e_k), which ends the
+        proof by (F1) if k = i.  If k < i, it says R(g) R(b_k e_k) =
+        R(g + b_k e_k), that is R(b_k e_k) R(g) by (F1), and L(g, b') ends
+        it, by induction on the number of coordinates.  Any other a is
+        x + y, x, y != 0, with <a \\ x> a unit: x = a_i e_i, its first
+        coordinate, if a has several; x = q e_i if a = a_i e_i, a_i > q;
+        else the peel x = p^l e_i of `b_matrix`.  L(x', .) holds for
+        x' <= x, and L(y, .), so (F0) gives R(a) = <a \\ x>^-1 R(x) R(y),
+        and R(a) B(b) = <a \\ x>^-1 <y+b \\ y> <a+b \\ x> B(a + b), which
+        is <a+b \\ a> B(a + b) by (F3).
+        """
         ctx = self.ctx
-        idx = list(degree_box(ctx.pm1, ctx.r))
-        for a, b in product(idx, repeat=2):
-            want = pmat_scale(self.b_matrix(tuple(x + y for x, y in zip(a, b))),
-                              angle_mi_mod(a, b, ctx.p, ctx.m, ctx.p))
-            bb = self.b_matrix(b)
-            for j in range(self.rank):
-                col = [bb[s][j] for s in range(self.rank)]
-                got = self.act(a, col)
-                if any(got[s] != want[s][j] for s in range(self.rank)):
-                    return False, (a, b, j)
+        p, m, n = ctx.p, ctx.m, self.rank
+        for i, l in product(range(ctx.r), range(m + 1)):
+            a = _along(ctx, i, p**l)
+            for k, t in product(range(i + 1), range(1, ctx.pm1 + 1)):
+                b = _along(ctx, k, t)
+                want = pmat_scale(self.b_matrix(mi_add(a, b)),
+                                  angle_mi_mod(a, b, p, m, p))
+                bb = self.b_matrix(b)
+                for j in range(n):
+                    got = self.act(a, [row[j] for row in bb])
+                    if any(got[s] != want[s][j] for s in range(n)):
+                        return False, (a, b, j)
         return True, None
 
 

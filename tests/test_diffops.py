@@ -5,6 +5,7 @@ center's scalars have closed forms over Q (`closed_forms`), each 1 mod p.
 """
 
 import random
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
@@ -177,6 +178,20 @@ def test_composition_matches_the_action(data):
     b = data.draw(ops(ctx))
     f = data.draw(fns(ctx))
     assert (a * b).apply(f) == a.apply(b.apply(f))
+
+
+def test_only_an_operator_multiplies_an_operator():
+    # a polynomial on the right is not an operator: Python raises TypeError
+    # instead of composing with it or failing in the context check
+    ctx = Context(3, 0)
+    op = DiffOp.dpartial(ctx, (1,))
+    assert op * DiffOp.one(ctx) == DiffOp.one(ctx) * op == op
+    for other in (Poly({(1,): 1, (0,): 2}, 1, 3), 2, Fraction(1, 2), 0.5,
+                  "t1"):
+        with pytest.raises(TypeError):
+            op * other
+        with pytest.raises(TypeError):
+            other * op
 
 
 @given(st.data())

@@ -11,6 +11,7 @@ import hashlib
 import random
 from collections import Counter
 from functools import lru_cache, partial
+from itertools import product
 
 import numpy as np
 import pytest
@@ -29,8 +30,8 @@ from dopm.linalg import (nullspace_mod, pmat_add_inplace, pmat_eq, pmat_eye,
 from dopm import simpson
 from dopm.poly import Poly
 from dopm.scalars import (angle_mi_mod, box_le, brace, brace_mi_mod,
-                          degree_box, dp_monomial_action, mi_scale, mi_sub,
-                          mi_sum, mi_unit)
+                          degree_box, dp_monomial_action, mi_add, mi_scale,
+                          mi_sub, mi_sum, mi_unit)
 from dopm.simpson import (DModule, HiggsModule, InvariantSpace,
                           NotQuasiNilpotent, central_apply, corpus,
                           curvature_of, invariant_rank, pullback,
@@ -568,6 +569,120 @@ def _unit_section(ctx, n, j, a):
 
 def _vec_sub(a, b):
     return [x - y for x, y in zip(a, b)]
+
+
+# -- the module law on the generators against every pair --------------------
+
+def law_fails(dm, a, b):
+    """The first column j where rho(d^<a>) rho(d^<b>) and <a+b \\ a>
+    rho(d^<a+b>) differ on constants, or None."""
+    ctx = dm.ctx
+    want = pmat_scale(dm.b_matrix(mi_add(a, b)),
+                      angle_mi_mod(a, b, ctx.p, ctx.m, ctx.p))
+    bb = dm.b_matrix(b)
+    for j in range(dm.rank):
+        got = dm.act(a, [row[j] for row in bb])
+        if any(got[s] != want[s][j] for s in range(dm.rank)):
+            return j
+    return None
+
+
+def validate_all_pairs(dm):
+    """The module law on constants for every pair |a|, |b| <= q: the check
+    that `DModule.validate` replaced, kept as its oracle."""
+    idx = list(degree_box(dm.ctx.pm1, dm.ctx.r))
+    for a, b in product(idx, repeat=2):
+        j = law_fails(dm, a, b)
+        if j is not None:
+            return False, (a, b, j)
+    return True, None
+
+
+# m = 2 and r = 2 among them; the oracle checks up to 2025 pairs
+LAW_CASES = [(Context(2, 2), None), (Context(3, 1), 3),
+             (Context(2, 1, r=2), None), (Context(3, 0, r=2), 5),
+             (Context(2, 2, r=2), None), (Context(2, 0, r=3), 6)]
+
+
+@lru_cache(maxsize=None)
+def _law_modules(n):
+    """A pullback, its gauge change, and the pullback with the generator
+    d_1^<p^m> of another, gauged pullback: not a module, as d_1^<p^m> then
+    need not commute with d_2 or agree with the lower d_1^<p^l>."""
+    ctx, lift_seed = LAW_CASES[n]
+    fd = FrobData.standard(ctx) if lift_seed is None else \
+        _strong(ctx, lift_seed)
+    dm, other = (pullback(fd, random_higgs(ctx, random.Random(seed), 2,
+                                           linear=True))
+                 for seed in (0, 7))        # nonzero in every direction
+    moved = gauged(dm, shear(ctx, 2), shear(ctx, 2, -1))
+    other = gauged(other, shear(ctx, 2), shear(ctx, 2, -1))
+    gens = dict(dm.gens)
+    gens[(0, ctx.m)] = other.gens[(0, ctx.m)]
+    return dm, moved, DModule(ctx, 2, gens)
+
+
+def _perturbed(dm, data):
+    """dm with one generator entry moved by a monomial."""
+    ctx = dm.ctx
+    key = data.draw(st.sampled_from(sorted(dm.gens)))
+    row, col = (data.draw(st.integers(0, dm.rank - 1)) for _ in range(2))
+    e = tuple(data.draw(st.integers(0, 3)) for _ in range(ctx.r))
+    gens = {k: [list(r) for r in mat] for k, mat in dm.gens.items()}
+    gens[key][row][col] = gens[key][row][col] + Poly.monomial(
+        e, data.draw(st.integers(1, ctx.p - 1)), ctx.r, ctx.p)
+    return DModule(ctx, dm.rank, gens)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_validate_gives_the_all_pairs_verdict(data):
+    n = data.draw(st.integers(0, len(LAW_CASES) - 1))
+    dm = data.draw(st.sampled_from(_law_modules(n)))
+    if data.draw(st.booleans()):
+        dm = _perturbed(dm, data)
+    ctx = dm.ctx
+    ok, where = dm.validate()
+    assert ok == validate_all_pairs(dm)[0]
+    if not ok:
+        # a generator p^l e_i against t e_k, k <= i, 0 < t <= q
+        a, b, j = where
+        (i, s), = [(i, x) for i, x in enumerate(a) if x]
+        (k, t), = [(k, x) for k, x in enumerate(b) if x]
+        assert s in [ctx.p**l for l in range(ctx.m + 1)]
+        assert k <= i and 0 < t <= ctx.pm1
+        assert law_fails(dm, a, b) == j
+
+
+def test_coordinates_that_do_not_commute_fail_across_them():
+    # at m = 0 the mixed module's coordinates are modules on their own, so
+    # only the pairs of d_2 against t e_1 can see it; both checks do
+    dm, moved, mixed = _law_modules(3)
+    assert dm.validate() == moved.validate() == (True, None)
+    ctx = mixed.ctx
+    assert all(law_fails(mixed, simpson._along(ctx, i, 1),
+                         simpson._along(ctx, i, t)) is None
+               for i in range(ctx.r) for t in range(1, ctx.pm1 + 1))
+    ok, (a, b, j) = mixed.validate()
+    assert not ok and a == (0, 1) and b[1] == 0
+    assert validate_all_pairs(mixed)[0] is False
+
+
+def test_validate_acts_once_per_generator_pair_and_column(monkeypatch):
+    # r (m+1) generators against B = {t e_k : 0 < t <= q}, once per column
+    # of a warm b_matrix cache; the check over every pair made
+    # |degree_box(q, r)|^2 rank = 6050 calls here
+    ctx = Context(3, 1, r=2)
+    dm = pullback(FrobData.standard(ctx),
+                  random_higgs(ctx, random.Random(1), 2))
+    assert dm.validate() == (True, None)
+    calls = []
+    act = DModule.act
+    monkeypatch.setattr(DModule, "act",
+                        lambda self, k, sec: calls.append(k) or
+                        act(self, k, sec))
+    assert dm.validate() == (True, None)
+    assert 0 < len(calls) <= ctx.r * (ctx.m + 1) * ctx.r * ctx.pm1 * dm.rank
 
 
 def condition_items(fd, dm, sec, nnil):
