@@ -28,7 +28,6 @@ from .poly import Poly
 from .simpson import (DModule, HiggsModule, MalformedInput, NotQuasiNilpotent,
                       curvature_of, invariant_rank, pullback, round_trip,
                       solve_invariants)
-from .suites import SUITES, run_suite
 
 
 # 128 + SIGPIPE: what a shell reports for `yes | head -1`
@@ -276,6 +275,19 @@ def _report_text(rep) -> list:
     return lines
 
 
+# the keys of `suites.SUITES`, in order, for --suite's choices: only
+# `verify` imports the suites, so every other command skips their module
+SUITE_NAMES = ("lucas", "compd", "ringlaws", "kaneda", "phi", "phibar",
+               "bullet", "vanderput", "glue", "descent", "simpson",
+               "ov-compare")
+
+
+def run_suite(name, seed, only):
+    """`suites.run_suite`, its module imported on first use."""
+    from . import suites
+    return suites.run_suite(name, seed, only)
+
+
 def cmd_verify(args) -> int:
     _ctx(args)                  # the flags must name a supported context
     only = None
@@ -394,7 +406,7 @@ def main(argv=None) -> int:
 
     # verify reads only the context flags, its suite and its seed
     sp = sub.add_parser("verify", help="run a verification suite")
-    sp.add_argument("--suite", default="all", choices=[*SUITES, "all"])
+    sp.add_argument("--suite", default="all", choices=[*SUITE_NAMES, "all"])
     sp.add_argument("--seed", type=int, default=0,
                     help="seed for randomized suites")
     _add_context(sp)

@@ -6,12 +6,15 @@ matrices.  Its pullback along a strong lifting carries the D^(m)-module
 structure determined by
 
     rho(d_i^<p^l>) = 0 on generators       (l < m)
-    rho(d_i^<p^m>) = sum_j c(i, j) sigma(A_j)
+    rho(d_i^<p^m>) = G_i = sum_j c(i, j) sigma(A_j)
 
 with c the tau^{p^m}-block of the divided Frobenius and sigma the
-exponent dilation O_X' -> O_X.  Going back, a vector v is invariant when
-the honest action of every operator agrees with the central evaluation
-of its twisted-Frobenius image:
+exponent dilation O_X' -> O_X.  Its curvature has the closed form
+rho(theta_i) = sigma(A_i) + G_i^p on constants (Jacobson's formula in
+s = t^(p^m), proved at `pullback`), so no Leibniz pass computes it.
+Going back, a vector v is invariant when the honest action of every
+operator agrees with the central evaluation of its twisted-Frobenius
+image:
 
     rho(P)(v) = sum_k  f_k Theta^c v,  phi_tilde(P) = sum f_k d^<cq>
 
@@ -159,8 +162,10 @@ class DModule:
     `act` column by column: up to q = p^(m+1) it peels the largest p^l,
     l <= m, off s e_i, above q it splits off the center, d^<cq + s> =
     theta^c d^<s>, and a multi-index is built one coordinate at a time.
-    rho(theta_i) is b_matrix(q e_i) (`theta_pow`).  The module law is
-    checked on the generators as well: `validate` tests it on the pairs
+    rho(theta_i) is b_matrix(q e_i) (`theta_pow`); a pullback stores it
+    in closed form, sigma(A_i) + G_i^p (`pullback`), and any other module
+    computes it by p - 1 Leibniz passes.  The module law is checked on
+    the generators as well: `validate` tests it on the pairs
     (d_i^<p^l>, d_k^<t>), k <= i, 0 < t <= q, which give every pair.
     """
 
@@ -326,7 +331,10 @@ class DModule:
         with j a column where a pair fails.  Only the generator pairs
         a = p^l e_i, l <= m, b = t e_k, k <= i, 0 < t <= q = p^(m+1) are
         checked.  They are among the pairs |a|, |b| <= q, and they give L
-        for every pair, so the verdict is that of all those pairs.
+        for every pair, so the verdict is that of all those pairs.  The
+        pair (p^m e_i, (q - p^m) e_i) compares act(p^m e_i, B((q - p^m)
+        e_i)) with B(q e_i), which on a pullback is the stored closed form
+        (`pullback`): validating a pullback also checks that form.
 
         Write R(k) = act(k, .), B(k) = b_matrix(k), Theta_k = B(q e_k) and
         L*(a, b) for the law on every section.  By construction:
@@ -390,24 +398,68 @@ def _on_columns(fn, mat):
 
 def pullback(fd: FrobData, higgs: HiggsModule) -> DModule:
     """F*-pullback with the connection induced by the divided Frobenius:
-    rho(d_i^<p^m>) = sum_j c(i,j) sigma(A_j), lower generators zero."""
+    rho(d_i^<p^m>) = G_i = sum_j c(i,j) sigma(A_j), lower generators
+    zero.  The A_j must commute (`HiggsModule.validate`).
+
+    The curvature is stored in closed form, with no Leibniz pass:
+
+        Theta_i = b_matrix(q e_i) = sigma(A_i) + G_i^p,  q = p^(m+1).
+
+    G_i^p stops at the first zero power.  G_i is a sum of commuting
+    nilpotents, so G_i^n = 0 at rank n, and the term vanishes once p >= n.
+
+    Proof.  `b_matrix(q e_i)` applies R = act(p^m e_i, .) p times to the
+    identity, each peel angle being 1.
+    1. R = D + G_i.  For 0 < b < p^m, rho(d_i^<b>) is a unit times a
+       product of the zero generators d_i^<p^l>, l < m, so it kills
+       constant sections.  In the Leibniz sum for R(f e) only the ends
+       survive: R(f e) = d^<p^m e_i>(f) e + f G_i e.  Write s = t^(p^m).
+       Each c(i, j) lies in F_p[s] (`FrobData.c_matrix`) and each
+       sigma(A_j) in F_p[t'] = F_p[s^p].  On F_p[s], d^<p^m e_i> is the
+       derivation D = d/ds_i, as d^<p^m>(s^k) = C(k p^m, p^m) s^(k-1) =
+       k s^(k-1) by Lucas.  So R acts on F_p[s]^n as D + G_i.
+    2. Jacobson.  The matrices F_p[s][sigma(A_1), .., sigma(A_r)] form a
+       commutative ring C, as the A_j commute.  D maps C to itself and
+       kills each sigma(A_j), and F_p[s]^n is a module over C[D], where
+       D X = X D + D(X).  In C[D] the rank-one case of Jacobson's
+       formula (as Katz 1970, "Nilpotent connections and the monodromy
+       theorem", uses it for the p-curvature) reads
+       (D + G_i)^p = D^p + D^(p-1)(G_i) + G_i^p, and D^p kills the
+       constant columns.
+    3. D^(p-1)(G_i) = sigma(A_i).  It is sum_j D^(p-1)(c(i, j))
+       sigma(A_j), with c(i, j) = -delta_ij s_i^(p-1) - (dg_j/dt_i)(s).
+       D^(p-1) s_i^(p-1) = (p-1)! = -1 by Wilson, and
+       D^(p-1) (dg_j/dt_i)(s) = (d^p g_j/dt_i^p)(s) = 0.
+
+    A module with the same generators and an empty cache (a `generators`
+    file, or `DModule(ctx, n, dm.gens)`) still takes the Leibniz path,
+    and `DModule.validate` compares the two."""
     ctx = fd.ctx
-    assert ctx == higgs.ctx
-    n = higgs.rank
+    if ctx != higgs.ctx:
+        raise ValueError(f"the lifting is over {ctx} but the Higgs module "
+                         f"over {higgs.ctx}")
+    p, n = ctx.p, higgs.rank
+    sigmas = [pmat_map(a, lambda f: f.scale_exponents(ctx.pm1, var="t"))
+              for a in higgs.matrices]
     gens = {}
     for i in range(ctx.r):
         for l in range(ctx.m):
-            gens[(i, l)] = pmat_zero(n, ctx.r, ctx.p)
-        acc = pmat_zero(n, ctx.r, ctx.p)
-        for j in range(ctx.r):
+            gens[(i, l)] = pmat_zero(n, ctx.r, p)
+        acc = pmat_zero(n, ctx.r, p)
+        for j, sig in enumerate(sigmas):
             cij = fd.c_matrix(i, j)
-            if not cij:
-                continue
-            sig = pmat_map(higgs.matrices[j],
-                           lambda f: f.scale_exponents(ctx.pm1, var="t"))
-            acc = pmat_add_inplace(acc, pmat_scale(sig, cij))
+            if cij:
+                acc = pmat_add_inplace(acc, pmat_scale(sig, cij))
         gens[(i, ctx.m)] = acc
-    return DModule(ctx, n, gens)
+    dm = DModule(ctx, n, gens)
+    for i, sig in enumerate(sigmas):
+        g = power = gens[(i, ctx.m)]
+        for _ in range(p - 1):
+            if pmat_is_zero(power):
+                break
+            power = pmat_mul(power, g)
+        dm._b[_along(ctx, i, ctx.pm1)] = pmat_add_inplace(sig, power)
+    return dm
 
 
 def curvature_of(dm: DModule):

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dopm
-from dopm import diffops, frobenius
+from dopm import cli, diffops, frobenius
 from dopm.cli import main
 from dopm.context import Context
 from dopm.diffops import DiffOp
@@ -30,8 +30,8 @@ from dopm.expr import MAX_BOX, MAX_DEGREE, MAX_ORDER, render_op
 from dopm.frobenius import (FrobData, divided_frob_tau, random_strong_lifting,
                             standard_lifting)
 from dopm.scalars import degree_box
-from dopm.simpson import pullback, worked_example
-from dopm.suites import SuiteCase, SuiteReport
+from dopm.simpson import pullback, random_higgs, worked_example
+from dopm.suites import SUITES, SuiteCase, SuiteReport
 
 REPO = pathlib.Path(__file__).parents[1]
 SCHEMA = json.loads((REPO / "docs" / "report_schema.json").read_text())
@@ -244,6 +244,33 @@ def test_pullback_and_curvature_files(capsys, tmp_path):
     # the Higgs route gives the same curvature
     code, out2, _ = run(capsys, "curvature", "--json", higgs)
     assert code == 0 and json.loads(out2)["theta"] == [theta]
+
+
+# each field has A_j^p != 0 (rank above p), so G_i^p is not zero either
+@pytest.mark.parametrize("pmr, rank, seed, lift_seed", [
+    ((2, 0, 1), 3, 7, None), ((3, 1, 2), 4, 0, None), ((2, 1, 2), 3, 7, 4)],
+    ids=["p2m0r1", "p3m1r2", "p2m1r2-lifted"])
+def test_curvature_of_a_higgs_file_is_that_of_its_pullback_file(
+        capsys, tmp_path, pmr, rank, seed, lift_seed):
+    # the Higgs file's pullback stores its curvature in closed form; the
+    # D-module file it writes has only generators, so its curvature takes
+    # the Leibniz path: both must print the same bytes
+    ctx = Context(*pmr)
+    higgs = tmp_path / "higgs.json"
+    higgs.write_text(json.dumps(random_higgs(
+        ctx, random.Random(seed), rank, linear=True).to_json()))
+    lift = ["--lift", write_lifting(tmp_path, random_strong_lifting(
+        ctx, random.Random(lift_seed), deg=2))] if lift_seed else []
+    code, out, err = run(capsys, "pullback", "--json", str(higgs), *lift)
+    assert (code, err) == (0, "")
+    dmfile = tmp_path / "dm.json"
+    dmfile.write_text(out)
+    for flags in ([], ["--json"]):
+        got = [run(capsys, "curvature", *flags, str(path), *lift)
+               for path in (higgs, dmfile)]
+        assert got[0] == got[1]
+        code, out, err = got[0]
+        assert (code, err) == (0, "") and out.startswith(("Theta_1", "{"))
 
 
 def test_invariants_file(capsys, tmp_path):
@@ -798,6 +825,22 @@ def test_import_dopm_leaves_the_suites_unloaded():
                          text=True, env=child_env(), timeout=60)
     assert (res.returncode, res.stderr) == (0, "")
     assert res.stdout == "False True True dopm.suites\n"
+
+
+def test_a_command_other_than_verify_leaves_the_suites_unloaded():
+    # `dopm mul d1 t1` in a fresh interpreter: only verify imports suites
+    code = ("import sys\n"
+            "from dopm.cli import main\n"
+            "code = main(['mul', 'd1', 't1'])\n"
+            "print(code, 'dopm.suites' in sys.modules)\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=child_env(), timeout=60)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout == "t1*d1 + 1\n0 False\n"
+
+
+def test_the_suite_choices_are_the_suites():
+    assert cli.SUITE_NAMES == tuple(SUITES)
 
 
 # -- byte stability -----------------------------------------------------------

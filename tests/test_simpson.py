@@ -8,7 +8,10 @@ every quantity has a short independent formula.
 """
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from functools import lru_cache, partial
 from itertools import product
@@ -173,6 +176,141 @@ def test_curvature_of_pullback_closed_form():
             for i in range(n - k):
                 want[i][i + k] = Poly.monomial((k - 1,), 1, 1, 2, "t'")
         assert pmat_eq(theta, want)
+
+
+# -- the stored curvature of a pullback ---------------------------------------
+
+def leibniz_curvature(dm, i):
+    """Theta_i by the Leibniz path, the oracle of `pullback`'s closed form:
+    a module with dm's generators and an empty cache applies
+    rho(d_i^<p^m>) p times to the identity."""
+    fresh = DModule(dm.ctx, dm.rank, dm.gens)
+    return fresh.b_matrix(simpson._along(dm.ctx, i, dm.ctx.pm1))
+
+
+def assert_closed_form_curvature(ctx, fd, higgs):
+    """The stored Theta_i of the pullback is the Leibniz one; returns
+    whether the G_i^p term was needed, Theta_i != sigma(A_i), for some i."""
+    dm = pullback(fd, higgs)
+    needed = False
+    for i in range(ctx.r):
+        theta = dm.b_matrix(simpson._along(ctx, i, ctx.pm1))
+        assert pmat_eq(theta, leibniz_curvature(dm, i)), i
+        sigma = pmat_map(higgs.matrices[i],
+                         lambda f: f.scale_exponents(ctx.pm1, var="t"))
+        needed = needed or not pmat_eq(theta, sigma)
+    return needed
+
+
+def jordan_field(ctx, rng, n, linear=False):
+    """A_j = f_j N: N one Jordan block of size n in a random frame, f_j a
+    random nonzero constant, plus a t'-linear term with `linear`.  The A_j
+    commute, and A_j^p != 0 when n > p."""
+    s, s_inv = (simpson._const_pmat(x, ctx)
+                for x in simpson._random_invertible(rng, n, ctx.p))
+    block = pmat_mul(s, pmat_mul(jordan_higgs(ctx, n).matrices[0], s_inv))
+    mats = []
+    for _ in range(ctx.r):
+        f = Poly.const(rng.randrange(1, ctx.p), ctx.r, ctx.p, "t'")
+        c = rng.randrange(ctx.p)
+        if linear and c:
+            f = f + Poly.monomial(mi_unit(ctx.r, rng.randrange(ctx.r)), c,
+                                  ctx.r, ctx.p, "t'")
+        mats.append(pmat_scale(block, f))
+    return HiggsModule(ctx, mats)
+
+
+FIELDS = {"random": random_higgs, "jordan": jordan_field}
+
+# every (p, m) of the advertised range, each p at r = 1, 2 and 3, and
+# p < rank at p = 2 and 3, where a Jordan field's G_i^p does not vanish
+RANGE_CASES = [(p, m, 1 + (p + m) % 3, {2: 3, 3: 4}.get(p, 2))
+               for p in (2, 3, 5, 7) for m in range(4)]
+
+
+@pytest.mark.parametrize("lifted", [False, True], ids=["std", "lifted"])
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("p, m, r, n", RANGE_CASES,
+                         ids=lambda c: str(c))
+def test_stored_curvature_is_the_leibniz_curvature(p, m, r, n, field,
+                                                   lifted):
+    ctx = Context(p, m, r)
+    fd = _strong(ctx, p + m) if lifted else FrobData.standard(ctx)
+    higgs = FIELDS[field](ctx, random.Random(10 * p + m), n,
+                          linear=m % 2 == 0)
+    needed = assert_closed_form_curvature(ctx, fd, higgs)
+    assert needed or not (field == "jordan" and n > p)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_stored_curvature_is_the_leibniz_curvature_on_random_fields(data):
+    ctx = Context(data.draw(st.sampled_from((2, 3, 5, 7))),
+                  data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3)))
+    lift_seed = data.draw(st.none() | st.integers(0, 99))
+    fd = FrobData.standard(ctx) if lift_seed is None else \
+        _strong(ctx, lift_seed)
+    field = FIELDS[data.draw(st.sampled_from(sorted(FIELDS)))]
+    higgs = field(ctx, random.Random(data.draw(st.integers(0, 999))),
+                  data.draw(st.integers(2, 4)),
+                  linear=data.draw(st.booleans()))
+    assert_closed_form_curvature(ctx, fd, higgs)
+
+
+def test_pullback_and_nilpotency_index_make_no_act_call(monkeypatch):
+    calls = []
+    act = DModule.act
+    monkeypatch.setattr(DModule, "act",
+                        lambda self, k, sec: calls.append(k) or
+                        act(self, k, sec))
+    for ctx, lift_seed in [(Context(3, 1, r=2), None),
+                           (Context(2, 1, r=2), 4)]:
+        fd = FrobData.standard(ctx) if lift_seed is None else \
+            _strong(ctx, lift_seed)
+        dm = pullback(fd, random_higgs(ctx, random.Random(1), 3))
+        nnil = dm.nilpotency_index()
+        assert calls == []
+        # the Leibniz path acts at least p - 1 times per coordinate and
+        # column, on the columns of rho(d_i^<p^m>) and its powers
+        assert DModule(ctx, 3, dm.gens).nilpotency_index() == nnil
+        assert len(calls) >= ctx.r * (ctx.p - 1) * 3
+        calls.clear()
+
+
+def test_validate_compares_act_with_the_stored_curvature():
+    # the pair (p^m e_i, (q - p^m) e_i) reads the stored Theta_i, so a
+    # wrong closed form fails validate
+    ctx = Context(3, 1, r=2)
+    fd = FrobData.standard(ctx)
+    higgs = random_higgs(ctx, random.Random(1), 2, linear=True)
+    assert pullback(fd, higgs).validate() == (True, None)
+    for i in range(ctx.r):
+        dm = pullback(fd, higgs)
+        key = simpson._along(ctx, i, ctx.pm1)
+        theta = [list(row) for row in dm.b_matrix(key)]
+        theta[1][0] = theta[1][0] + Poly.one(ctx.r, ctx.p)
+        dm._b[key] = theta
+        ok, where = dm.validate()
+        assert not ok and where[0][i] and where[1][i], where
+
+
+def test_pullback_refuses_a_higgs_module_of_another_context():
+    fd = FrobData.standard(Context(2, 0))
+    with pytest.raises(ValueError, match="Higgs module"):
+        pullback(fd, worked_example(Context(2, 1)))
+    # an explicit check, not an assert: python -O keeps it
+    code = ("from dopm import Context, FrobData, pullback, worked_example\n"
+            "try:\n"
+            "    pullback(FrobData.standard(Context(2, 0)),\n"
+            "             worked_example(Context(2, 1)))\n"
+            "except ValueError:\n"
+            "    print('refused')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(simpson.__file__)),
+        os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert (res.returncode, res.stdout, res.stderr) == (0, "refused\n", "")
 
 
 def test_nilpotency_index():
