@@ -10,7 +10,7 @@ module re-verifies the underlying identities end to end.
 from .context import Context
 from .poly import Poly
 from .scalars import (angle, angle_mi_mod, binom_mod_p2, box,
-                      box_le, brace, brace_mi, brace_mi_mod, degree_box,
+                      box_le, brace, brace_mi_mod, degree_box,
                       dp_power_factor, lucas_closed_form)
 from .dpalg import DPElem, RatDP, gamma_dp, pair_op, taylor
 from .diffops import (DiffOp, frob_descend, frob_raise, kaneda_matrix,
@@ -43,7 +43,7 @@ def __getattr__(name):
 __all__ = [
     "Context", "Poly", "DPElem", "RatDP", "DiffOp",
     "angle", "angle_mi_mod", "binom_mod_p2", "box", "box_le",
-    "brace", "brace_mi", "brace_mi_mod", "degree_box", "dp_power_factor",
+    "brace", "brace_mi_mod", "degree_box", "dp_power_factor",
     "lucas_closed_form",
     "gamma_dp", "pair_op", "taylor",
     "frob_descend", "frob_raise", "kaneda_matrix", "quotient_matrix",

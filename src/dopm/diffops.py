@@ -13,7 +13,7 @@ elements theta_i = d^<p^(m+1) e_i>, which kill O_X because q(p^(m+1)) = p.
 from __future__ import annotations
 
 from itertools import product
-from operator import sub
+from operator import mul, sub
 
 from .context import Context
 from .poly import Poly, mac, reduced
@@ -202,11 +202,16 @@ class DiffOp:
         return DiffOp.from_dicts(ctx, out)
 
     def __pow__(self, n: int) -> "DiffOp":
-        """By squaring: at most 2 log2(n) products, not n."""
+        return self.power(n)
+
+    def power(self, n: int, times=mul) -> "DiffOp":
+        """self^n by squaring: at most 2 log2(n) products, not n, each
+        formed by times(a, b), the product a * b."""
         if n < 2:
             return self if n else DiffOp.one(self.ctx)
-        half = self ** (n // 2)
-        return half * half * self if n % 2 else half * half
+        half = self.power(n // 2, times)
+        square = times(half, half)
+        return times(square, self) if n % 2 else square
 
 
 def premul_sum(ctx: Context, pairs) -> DiffOp:

@@ -29,13 +29,15 @@ from math import lcm
 
 from .context import Context
 from .poly import Poly
-from .scalars import (box_le, brace_mi, brace_mi_mod, dp_monomial_action,
+from .scalars import (box_le, brace_mi_mod, dp_monomial_action,
                       mi_add, mi_sum, mi_zero, q_fact)
 
 
 class DPElem:
     """An element at the context's level m, with every term of total
-    tau-degree above ctx.tau_trunc dropped."""
+    tau-degree above ctx.tau_trunc dropped.  A product needs an integer
+    `mod`: an element with Fraction coefficients (`gamma_dp(...,
+    mod=None)`) is compared, never multiplied."""
 
     __slots__ = ("ctx", "coeffs", "mod")
 
@@ -82,11 +84,8 @@ class DPElem:
             out[s] = out.get(s, Poly.zero(self.ctx.r, self.mod)) + f
         return DPElem(self.ctx, out, self.mod)
 
-    def scale(self, c):
-        if isinstance(c, Poly):
-            out = {s: c * f for s, f in self.coeffs.items()}
-        else:
-            out = {s: f.scale(c) for s, f in self.coeffs.items()}
+    def scale(self, c: int):
+        out = {s: f.scale(c) for s, f in self.coeffs.items()}
         return DPElem(self.ctx, out, self.mod)
 
     def __mul__(self, other):
@@ -98,8 +97,7 @@ class DPElem:
                 s = mi_add(a, b)
                 if mi_sum(s) > trunc:
                     continue
-                c = brace_mi_mod(a, b, p, m, self.mod) if self.mod is not None \
-                    else brace_mi(a, b, p, m)
+                c = brace_mi_mod(a, b, p, m, self.mod)
                 if c:
                     term = (f * g).scale(c)
                     out[s] = out.get(s, Poly.zero(self.ctx.r, self.mod)) + term

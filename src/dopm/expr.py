@@ -49,7 +49,8 @@ _TOKEN = re.compile(r"(\d+)|([td])(\d+)|([-+*()^<>])|(\S)")
 MAX_ORDER = 10**5
 
 # The largest total degree in t a power may reach: C(D + r, r) terms per
-# coefficient at most; (t1+t2+t3+1)^97 at p = 7 takes 2 s on a Xeon core.
+# coefficient at most.  MAX_PAIRS, not this cap, bounds the squarings:
+# (t1+t2+t3+1)^97 at p = 7 took 41 s on a Xeon core before it did.
 MAX_DEGREE = 100
 
 # The most indices d^<k> a power x^n may span: its index box
@@ -60,6 +61,14 @@ MAX_DEGREE = 100
 # found, (d1+d2)^293 and (d1+d2+d3)^41 at p = 7, take half a second on a
 # Xeon core; (d1+d2+d3)^342, past it, took 11 s.
 MAX_BOX = MAX_ORDER + 1
+
+# The most term pairs (t^e d^<k> by t^e' d^<k'>) the squarings of one
+# power may multiply, counted from the operands before each product.  A
+# pair costs more the higher its orders, as its structure constants take
+# factorials of about that size, so few terms do not make a power cheap:
+# (d1+d1<2>)^1000 at p = 7 multiplies 13892 pairs in 1.8 s on a Xeon
+# core, and ^2000 needs 194481 more and ran 220 s.
+MAX_PAIRS = 10**5
 
 
 class ExprError(ValueError):
@@ -103,6 +112,10 @@ def _add_into(acc: dict, x: dict, sign: int = 1) -> dict:
         for e, c in g.items():
             f[e] = f.get(e, 0) + sign * c
     return acc
+
+
+def _term_count(op: DiffOp) -> int:
+    return sum(len(f.coeffs) for f in op.terms.values())
 
 
 class _Parser:
@@ -193,7 +206,8 @@ class _Parser:
     def _power(self, x: dict) -> dict:
         """x, or its ring power x^n if '^' n follows, n times x's largest
         order (1 at least) and degree are within MAX_ORDER and MAX_DEGREE,
-        and its index box is within MAX_BOX."""
+        its index box is within MAX_BOX, and its squarings multiply at
+        most MAX_PAIRS term pairs."""
         if self.peek() != "^":
             return x
         self.take()
@@ -209,7 +223,17 @@ class _Parser:
         if box > MAX_BOX:
             raise ExprError(f"power '^{n}' spans an index box of {box} "
                             f"multi-indices; the cap is {MAX_BOX}")
-        return self._dicts(self._op(x) ** n)
+        pairs = 0
+
+        def times(a: DiffOp, b: DiffOp) -> DiffOp:
+            nonlocal pairs
+            pairs += _term_count(a) * _term_count(b)
+            if pairs > MAX_PAIRS:
+                raise ExprError(f"power '^{n}' multiplies at least {pairs} "
+                                f"term pairs; the cap is {MAX_PAIRS}")
+            return a * b
+
+        return self._dicts(self._op(x).power(n, times))
 
     def _op(self, x: dict) -> DiffOp:
         return DiffOp.from_dicts(self.ctx, x)

@@ -10,14 +10,19 @@ coefficient above order zero is divisible by p, which is checked, not
 assumed).  From w one builds:
 
   * phi        -- the O_X-linear map d^<n> -> sum_c [tau^{n}] prod_j
-                  gamma_{c_j}(w_j) * d^<c p^(m+1)>, with values in the
-                  centralizer of O_X'.  For the standard lifting
-                  F_j = t_j^(p^(m+1)) these coefficients have a closed
-                  form (`standard_gamma_coeff`); a lifting with a nonzero
-                  deviation reads them off rational divided-power towers
-                  of w;
-  * phi_center_inv / phi_tilde -- the theta-adic inverse on the center
-                  and the induced splitting map;
+                  gamma_{c_j}(w_j) * d^<c p^(m+1)>, with values in
+                  O_X[theta].  For 0 < |n| <= p^m it is read off the
+                  matrix c(i, j) alone (`FrobData.gamma_coeffs`).  For
+                  the standard lifting F_j = t_j^(p^(m+1)) every
+                  coefficient has a closed form (`standard_gamma_coeff`);
+                  a lifting with a nonzero deviation reads the others off
+                  rational divided-power towers of w;
+  * phi_center_inv / phi_tilde -- the theta-adic inverse of phi on
+                  O_X[theta], in closed form from c(i, j) (`_psi`), and
+                  the induced splitting map phi_tilde = phi^{-1} o phi.
+                  The inverse reads neither w nor a tower, so neither
+                  does phi_tilde(d^<n>) at |n| <= p^m, which is all the
+                  correspondence asks of it;
   * bullet     -- the module structure P.(f theta^c) = phi(P f) theta^c
                   on O_X[theta], plus its matrix model;
   * glue       -- the change-of-lifting derivation and the induced
@@ -177,15 +182,18 @@ class FrobData:
     """A validated strong lifting together with everything phi needs.
 
     State is per instance; each instance owns one lifting, so nothing
-    mixes moduli or levels.  For the standard lifting (every deviation
-    h_j zero) `gamma_coeffs` evaluates `standard_gamma_coeff` and builds
-    neither w nor a tower.  Otherwise it keeps, per coordinate j, one
-    GammaTower of w_j, extended as far as phi has asked, and
-    gamma_{c_j}(w_j) reduced mod p for each k asked for, and reads the
-    coefficients of prod_j gamma_{c_j}(w_j) off those without forming
-    the product.  w and the towers are built on first use, which only a
-    lifting with a deviation makes: `c_matrix` reads g.  It caches the
-    phi, phi_center_inv and phi_tilde images of basis operators.
+    mixes moduli or levels.  `c_matrix` reads g, and so does
+    `gamma_coeffs` at 0 < |n| <= p^m, for every lifting.  Past that, the
+    standard lifting (every deviation h_j zero) evaluates
+    `standard_gamma_coeff`; a lifting with a deviation keeps, per
+    coordinate j, one GammaTower of w_j, extended as far as phi has
+    asked, and gamma_{c_j}(w_j) reduced mod p for each k asked for, and
+    reads the coefficients of prod_j gamma_{c_j}(w_j) off those without
+    forming the product.  w and the towers are built on first use, which
+    only phi of an operator of order above p^m under such a lifting
+    makes.  It caches the phi, phi_inv_basis and phi_tilde images of
+    basis operators, and the powers psi^b of psi = phi^{-1}(theta) per
+    truncation (`_psi`).
 
     The context's theta_trunc and tau_trunc are the window of phi: w
     and the towers keep tau-degrees <= tau_trunc.  `window(n)` is the
@@ -219,6 +227,7 @@ class FrobData:
         self._phi: dict = {}
         self._phi_inv: dict = {}
         self._phi_tw: dict = {}
+        self._psi: dict = {}
 
     @cached_property
     def ws(self) -> list:
@@ -244,20 +253,20 @@ class FrobData:
 
         Exact: the images that the window reaches are those of any wider
         window.
-          * phi_tilde_basis(s e_i, n), s <= p^m, reads phi_basis at
-            s e_i, |s e_i| <= q, and phi_center_inv of the theta^c in
-            that image;
-          * phi_center_inv(theta^c, n) truncates to theta-degree n, so
-            each x it forms is a sum of d^<c'q> with |c'| <= n, and it
-            reads phi_basis only at c'q, |c'q| <= qn;
-          * phi_basis(nu) is gamma_coeffs(nu), which reads each
-            gamma_k(w_j) only at tau-indices a <= nu.  Taylor and the
-            towers drop only terms of tau-degree above tau_trunc, and
-            tau-degrees only add, so no term at |a| <= tau_trunc of w_j
-            or of gamma_k(w_j) depends on a dropped one.
-        So tau_trunc = q max(1, n) gives the same images, and
-        RatDP.to_dp still checks every coefficient that phi reads for
-        p-integrality."""
+          * phi_tilde_basis(s e_i, n), s <= p^m, is phi_center_inv of
+            phi_basis(s e_i), which `gamma_coeffs` reads off c(i, j):
+            sum_j c(i, j) theta_j at s = p^m and 0 below it;
+          * phi_center_inv and phi_inv_basis at n read only psi mod
+            theta-degree > n (`_psi`), which c(i, j) alone determines;
+          * phi_basis(nu) at |nu| > p^m, which the correspondence never
+            reads, is gamma_coeffs(nu): it reads each gamma_k(w_j) only
+            at tau-indices a <= nu.  Taylor and the towers drop only
+            terms of tau-degree above tau_trunc, and tau-degrees only
+            add, so no term at |a| <= tau_trunc of w_j or of
+            gamma_k(w_j) depends on a dropped one.
+        So the correspondence reads no tau_trunc, any phi_basis(nu) with
+        |nu| <= q max(1, n) is exact in the window, and RatDP.to_dp still
+        checks every coefficient that phi reads for p-integrality."""
         n = max(1, n)
         root = self._root() if self._root is not None else self
         if root is None:          # a window that outlived its root
@@ -309,11 +318,14 @@ class FrobData:
         multiplication applies factor by factor.  Splits grow one factor
         at a time over every c_j at once, keeping only the a_j that fit
         in what is left of n; the last a_r is a lookup, so at r = 1 this
-        is one per c.  The standard lifting takes the closed form instead
-        (`_standard_gamma_coeffs`)."""
+        is one per c.  The low window 0 < |n| <= p^m reads c(i, j) for
+        every lifting (`_low_gamma_coeffs`), and the standard lifting
+        takes the closed form everywhere else (`_standard_gamma_coeffs`)."""
+        ctx = self.ctx
+        if 0 < mi_sum(n) <= ctx.pm:
+            return self._low_gamma_coeffs(n)
         if self.is_standard:
             return self._standard_gamma_coeffs(n)
-        ctx = self.ctx
         p, m, r = ctx.p, ctx.m, ctx.r
         budget = mi_sum(n) // ctx.pm
         # (c_1 .. c_j, a_1 + .. + a_j, weight, factors)
@@ -352,6 +364,40 @@ class FrobData:
             if f:
                 out[c] = Poly._trusted(f, r, p)
         return out
+
+    def _low_gamma_coeffs(self, n) -> dict:
+        """`gamma_coeffs` at 0 < |n| <= p^m, for every lifting: {e_j:
+        c(i, j)} at n = p^m e_i, and {} at every other n of that size.
+        So phi(d_i^<p^m>) = sum_j c(i, j) theta_j and phi(d^<n>) = 0 at
+        the other n, read off g with no w and no tower.  In particular
+        phi_tilde(d_i^<s>) = phi_center_inv(0) = 0 for 0 < s < p^m.
+
+        Proof.  At |n| <= p^m every n_k <= p^m, so q_(n_k)! = 1 and
+        d^<n>(t^h) = C(h, n) t^(h - n); by Taylor, [tau^{n}] w_j is
+        d^<n>(F_j)/p! mod p, as in `c_matrix`.  Write F_j = t_j^q + p h_j,
+        q = p^(m+1), h_j = g_j(t^(p^m)).
+        1. w_j has no term at 0 < |n| <= p^m other than the n = p^m e_i.
+           - t_j^q gives C(q, n_j) at n = n_j e_j.  By Kummer,
+             v_p C(p^(m+1), s) = m + 1 - v_p(s) for 0 < s < q: that is 1
+             at s = p^m and at least 2 at every other 0 < s <= p^m.  p!
+             has valuation 1, so only s = p^m leaves a term mod p.
+           - p h_j gives p C(p^m e, n)/p! = C(p^m e, n)/(p-1)! mod p for a
+             term t^(p^m e).  By Lucas, C(p^m e_k, n_k) = 0 mod p unless
+             p^m | n_k, as the base-p digits of p^m e_k below p^m are 0.
+             With 0 < |n| <= p^m that leaves n = p^m e_k.
+        2. Only |c| <= 1 contributes.  In the rational model gamma_c(w_j)
+           is w_j^c/c!, and by 1 w_j lies in tau-degrees >= p^m, so
+           prod_j gamma_(c_j)(w_j) lies in tau-degrees >= |c| p^m: |c| >= 2
+           needs |n| >= 2 p^m.  c = 0 is gamma_0 = 1, with no term at
+           n != 0.  c = e_j is [tau^{n}] w_j: 0 by 1 unless n = p^m e_i,
+           where it is c(i, j) by definition.
+        """
+        ctx = self.ctx
+        if ctx.pm not in n:
+            return {}
+        i = list(n).index(ctx.pm)
+        return {mi_unit(ctx.r, j): f for j in range(ctx.r)
+                if (f := self.c_matrix(i, j))}
 
     def _standard_gamma_coeffs(self, n) -> dict:
         """`gamma_coeffs` of F_j = t_j^q, by `standard_gamma_coeff`."""
@@ -453,45 +499,131 @@ def phi(fd: FrobData, op: DiffOp) -> DiffOp:
                               for k, f in op.terms.items()))
 
 
-def phi_center_inv(fd: FrobData, z: DiffOp, n_trunc: int) -> DiffOp:
-    """Solve phi(x) = z mod theta-degree > n_trunc, by the fixed point of
-    x -> z - (phi(x) - x); phi is the identity plus a theta-raising
-    perturbation on the center, so this stabilizes in <= n_trunc+1 steps
-    (a loud error otherwise)."""
-    x = z.theta_truncate(n_trunc)
-    for _ in range(3 * n_trunc + 8):
-        nxt = (z - (phi(fd, x) - x)).theta_truncate(n_trunc)
-        if nxt == x:
-            return x
-        x = nxt
-    raise ArithmeticError("phi_center_inv did not stabilize; "
-                          "is the input central and the lifting strong?")
+def _psi(fd: FrobData, n: int) -> list:
+    """psi_i = phi^{-1}(theta_i) mod theta-degree > n, for i < r, as
+    elements of the center O_X'[theta] in the variables "t|th"; cached
+    on fd at (e_i, n) among the powers psi^b of `phi_inv_basis`.  psi is
+    the fixed point of
+
+        psi_i = theta_i - sum_j c(i, j)^p psi_j^p,
+
+    which reads c(i, j) alone (`FrobData.c_matrix`): no phi, no w, no
+    tower.  O_X[theta] is commutative of characteristic p, so the p-th
+    power of sum_c a_c theta^c is sum_c a_c^p theta^(pc), the exponent
+    dilation by p.  c(i, j) lies in F_p[t^(p^m)], so c(i, j)^p lies in
+    O_X' = F_p[t^q], q = p^(m+1), and psi in the center.  Every psi_j has
+    theta-degree >= 1, so psi_j^p has theta-degree >= p, and psi = theta
+    whenever n < p.
+
+    Proof that phi(psi_i) = theta_i mod theta-degree > n.  It rests on
+    two facts about phi on the center that the paper gives and that are
+    checked here, not proved:
+      (a) phi(theta_i) = theta_i + phi(d_i^<p^m>)^p, checked by the
+          `phibar` verify suite.  As phi(d_i^<p^m>) = sum_j c(i, j)
+          theta_j (proved at `FrobData._low_gamma_coeffs`), this is
+          theta_i + sum_j c(i, j)^p theta_j^p;
+      (b) phi is an O_X'-algebra map on the center, checked by
+          `test_phi_multiplicative_on_the_center`.
+    By (a) and (b), phi(theta^c) is theta^c plus terms of theta-degree
+    >= |c| + p - 1: phi is tangent to the identity, so it keeps
+    theta-degrees > n above n and is injective mod theta-degree > n;
+    psi_i is therefore the one phi^{-1}(theta_i).  Apply phi to the
+    fixed-point equation and write x_i = phi(psi_i): by (b), then (a)
+    and the additivity of p-th powers,
+
+        x_i = phi(theta_i) - sum_j c(i, j)^p x_j^p
+            = theta_i - sum_j c(i, j)^p (x_j - theta_j)^p.
+
+    So e_i = x_i - theta_i satisfies e_i = -sum_j c(i, j)^p e_j^p.  Each
+    e_i has theta-degree >= 1, and if the least degree D of a nonzero e
+    were <= n, the right side would start at degree >= pD > D.  So e = 0
+    mod theta-degree > n.
+
+    The loop: T(psi)_i = theta_i - sum_j c(i, j)^p psi_j^p has T(a) -
+    T(b) = -C^p (a - b)^p, so iterates from theta that agree below
+    degree D agree below degree pD after one more step.  It stops at the
+    first repeat, the fixed point, after about log_p(n) + 2 passes."""
+    ctx = fd.ctx
+    p, r = ctx.p, ctx.r
+    units = [(mi_unit(r, i), n) for i in range(r)]
+    if units[0] in fd._psi:
+        return [fd._psi[key] for key in units]
+    cp = [[(j, as_split_module(ctx, f.scale_exponents(p)))
+           for j in range(r) if (f := fd.c_matrix(i, j))] for i in range(r)]
+    th = [Poly.monomial(mi_zero(r) + mi_unit(r, i), 1, 2 * r, p, "t|th")
+          for i in range(r)]
+    psi = th
+    while True:
+        frob = [_dt_truncate(x.scale_exponents(p), r, n) for x in psi]
+        nxt = []
+        for i in range(r):
+            x = th[i]
+            for j, f in cp[i]:
+                if frob[j]:
+                    x = x - f * frob[j]
+            nxt.append(_dt_truncate(x, r, n))
+        if nxt == psi:
+            break
+        psi = nxt
+    fd._psi.update(zip(units, psi))
+    return psi
 
 
 def phi_inv_basis(fd: FrobData, c, n_trunc: int) -> DiffOp:
-    """phi_center_inv(theta^c, n_trunc), cached on fd: the one entry
-    point of the center-inverse cache."""
+    """phi^{-1}(theta^c) mod theta-degree > n_trunc: the product psi^c =
+    prod_i psi_i^(c_i) of `_psi`, as phi is multiplicative on the center
+    (fact (b) there), read as the operator sum f d^<c'q> of its terms
+    f theta^c'.  Cached on fd, and so are the powers psi^b on the way,
+    b = e_1, 2 e_1, .., c, so a new c costs one product per step past
+    the longest cached b; none is formed past theta-degree n_trunc."""
     key = (tuple(c), n_trunc)
     if key not in fd._phi_inv:
-        fd._phi_inv[key] = phi_center_inv(fd, theta_power(fd.ctx, c),
-                                          n_trunc)
+        ctx = fd.ctx
+        p, r, q = ctx.p, ctx.r, ctx.pm1
+        z = Poly.one(2 * r, p, "t|th")
+        if sum(c) > n_trunc:
+            z = Poly.zero(2 * r, p, "t|th")
+        else:
+            psi, b = _psi(fd, n_trunc), [0] * r
+            for i, ci in enumerate(c):
+                for _ in range(ci):
+                    b[i] += 1
+                    power = (tuple(b), n_trunc)
+                    if power not in fd._psi:
+                        fd._psi[power] = _dt_truncate(z * psi[i], r, n_trunc)
+                    z = fd._psi[power]
+        terms: dict = {}
+        for ec, v in z.coeffs.items():
+            terms.setdefault(mi_scale(ec[r:], q), {})[ec[:r]] = v
+        fd._phi_inv[key] = DiffOp._trusted(
+            ctx, {k: Poly._trusted(f, r, p) for k, f in terms.items()})
     return fd._phi_inv[key]
 
 
+def phi_center_inv(fd: FrobData, z: DiffOp, n_trunc: int) -> DiffOp:
+    """The inverse of phi on O_X[theta] mod theta-degree > n_trunc:
+    z = sum_c f_c theta^c, theta^c = d^<cq>, goes to sum_c f_c psi^c
+    (`phi_inv_basis`).  phi is O_X-linear, so this inverts it on the
+    center O_X'[theta] (f_c in O_X') and on O_X[theta] alike.  A term of
+    z off the powers of theta raises ValueError."""
+    q = fd.ctx.pm1
+    pairs = []
+    for k, f in z.terms.items():
+        if any(x % q for x in k):
+            raise ValueError(f"phi_center_inv: d^<{','.join(map(str, k))}> "
+                             f"is not a power of theta")
+        pairs.append((f, phi_inv_basis(fd, tuple(x // q for x in k),
+                                       n_trunc)))
+    return premul_sum(fd.ctx, pairs)
+
+
 def phi_tilde(fd: FrobData, op: DiffOp, n_trunc: int | None = None) -> DiffOp:
-    """The splitting map: phi followed by the inverse of phi on the
-    center, so that phi_tilde restricted to the center is the identity
-    (mod theta-degree > n_trunc)."""
-    ctx = fd.ctx
-    n = ctx.theta_trunc if n_trunc is None else n_trunc
-    q = ctx.pm1
-
-    def inverse(k):
-        assert all(x % q == 0 for x in k), "phi image escaped the centralizer"
-        return phi_inv_basis(fd, tuple(x // q for x in k), n)
-
-    return premul_sum(ctx, ((f, inverse(k))
-                            for k, f in phi(fd, op).terms.items()))
+    """The splitting map phi_tilde = phi^{-1} o phi: phi, whose values
+    lie in O_X[theta], followed by its inverse there, so that phi_tilde
+    restricted to the center is the identity (mod theta-degree >
+    n_trunc)."""
+    n = fd.ctx.theta_trunc if n_trunc is None else n_trunc
+    return phi_center_inv(fd, phi(fd, op), n)
 
 
 def phi_tilde_basis(fd: FrobData, n, n_trunc: int) -> DiffOp:
@@ -581,5 +713,7 @@ def glue_endo(ctx: Context, u, g: Poly, n_trunc: int | None = None) -> Poly:
 
 
 def _dt_truncate(g: Poly, r: int, n: int) -> Poly:
-    return Poly({ec: c for ec, c in g.coeffs.items() if sum(ec[r:]) <= n},
-                g.nvars, g.mod, g.var)
+    """g's terms of degree <= n in its last r variables: dt' in
+    `glue_endo`, theta in `_psi`."""
+    return Poly._trusted({ec: c for ec, c in g.coeffs.items()
+                          if sum(ec[r:]) <= n}, g.nvars, g.mod, g.var)

@@ -67,13 +67,6 @@ def frac_mod(x: Fraction, mod: int) -> int:
     return x.numerator * pow(x.denominator, -1, mod) % mod
 
 
-def brace_mi(k, l, p: int, m: int) -> int:
-    out = 1
-    for a, b in zip(k, l):
-        out *= brace(a, b, p, m)
-    return out
-
-
 def brace_mi_mod(k, l, p: int, m: int, mod: int) -> int:
     out = 1
     for a, b in zip(k, l):

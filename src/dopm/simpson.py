@@ -23,10 +23,13 @@ image:
 the nilpotency index nnil, so both directions read phi, phi_tilde and
 phi^{-1} only to theta-degree nnil - 1: they solve at the Frobenius
 window `FrobData.window(nnil - 1)`, whatever window the caller's
-context sets.  On a valid module it suffices to
-impose this for P = d_i^<s>, 0 < s <= p^m: Theta^c commutes with both
-sides, as theta_i is central, and the conditions of d_i^<p^m> t_i^b are
-triangular in these (two lemmas, proved at `_box_entries`).
+context sets.  There phi_tilde(d_i^<s>), s <= p^m, and phi^{-1}(theta_i)
+are closed forms in c(i, j) (`FrobData._low_gamma_coeffs`,
+`frobenius._psi`), so no divided-power tower is built.  On a valid
+module it suffices to impose this for P = d_i^<s>, 0 < s <= p^m:
+Theta^c commutes with both sides, as theta_i is central, and the
+conditions of d_i^<p^m> t_i^b are triangular in these (two lemmas,
+proved at `_box_entries`).
 
 F_*O_X^n is free over O_X' = F_p[t'] on the box sections t^a e_j, a < q
 = p^(m+1) componentwise, and the conditions are O_X'-linear (t' = t^q is

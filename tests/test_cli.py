@@ -26,7 +26,8 @@ from dopm.cli import main
 from dopm.context import Context
 from dopm.diffops import DiffOp
 from dopm.dpalg import DPElem, gamma_dp
-from dopm.expr import MAX_BOX, MAX_DEGREE, MAX_ORDER, render_op
+from dopm.expr import (MAX_BOX, MAX_DEGREE, MAX_ORDER, MAX_PAIRS,
+                       render_op)
 from dopm.frobenius import (FrobData, divided_frob_tau, random_strong_lifting,
                             standard_lifting)
 from dopm.scalars import degree_box
@@ -189,6 +190,7 @@ def test_readme_states_the_order_cap():
     assert f"order above {MAX_ORDER} or total degree in `t` above " \
            f"{MAX_DEGREE}" in text
     assert f"index box `prod_i (n*ord_i(x) + 1)` passes {MAX_BOX}" in text
+    assert f"squarings multiply more than {MAX_PAIRS} term pairs" in text
 
 
 @pytest.mark.parametrize("expr, message", [
@@ -217,6 +219,19 @@ def test_a_power_of_a_sum_past_the_box_cap_exits_2_quickly():
     assert (res.returncode, res.stdout) == (2, "")
     assert res.stderr == f"error: power '^2400' spans an index box of " \
                          f"{2401**3} multi-indices; the cap is {MAX_BOX}\n"
+
+
+def test_a_power_of_a_sum_past_the_pair_cap_exits_2_quickly():
+    # within the order, degree and box caps, at one coordinate: its last
+    # squaring would multiply 194481 term pairs of order about 4000, and
+    # it ran past 60 s before the pairs were capped
+    res = subprocess.run([sys.executable, "-m", "dopm.cli", "mul", "--p",
+                          "7", "--m", "0", "(d1+d1<2>)^2000", "1"],
+                         capture_output=True, text=True, env=child_env(),
+                         timeout=30)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == f"error: power '^2000' multiplies at least 208373 " \
+                         f"term pairs; the cap is {MAX_PAIRS}\n"
 
 
 def test_phi_past_tau_trunc_still_exits_3(capsys):

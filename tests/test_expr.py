@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from dopm.context import Context
 from dopm.diffops import DiffOp
-from dopm.expr import (MAX_BOX, MAX_DEGREE, MAX_ORDER, ExprError, parse,
-                       render_matrix, render_op, render_poly)
+from dopm.expr import (MAX_BOX, MAX_DEGREE, MAX_ORDER, MAX_PAIRS, ExprError,
+                       parse, render_matrix, render_op, render_poly)
 from dopm.poly import Poly
 
 from test_diffops import ORACLE_CTXS, ORACLE_IDS
@@ -348,6 +348,23 @@ def test_a_power_past_the_index_box_cap_is_refused():
         assert str(err.value) == \
             f"power '^{n}' spans an index box of {box} multi-indices; " \
             f"the cap is {MAX_BOX}"
+
+
+def test_a_power_past_the_pair_cap_is_refused():
+    # the squarings' term pairs, counted from the operands before each
+    # product, up to the one that passes the cap
+    assert MAX_PAIRS == 10**5
+    for r, s in [(1, "(d1+d1<2>)^1000"), (2, "(d1+d2)^293"),
+                 (3, "(d1+d2+d3)^41"), (1, "(t1+d1)^100")]:
+        assert parse(Context(7, 0, r=r), s)
+    for r, s, n, pairs in [(1, "(d1+d1<2>)^2000", 2000, 208373),
+                           (3, "(t1+t2+t3+1)^97", 97, 217688),
+                           (2, "(t1+t2+d1+d2)^50", 50, 119936)]:
+        with pytest.raises(ExprError) as err:
+            parse(Context(7, 0, r=r), s)
+        assert str(err.value) == \
+            f"power '^{n}' multiplies at least {pairs} term pairs; " \
+            f"the cap is {MAX_PAIRS}"
 
 
 @pytest.mark.parametrize("s", ["7" * 5000 + "*t1", "d1<" + "7" * 5000 + ">",

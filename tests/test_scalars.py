@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dopm.scalars import (angle, angle_mi_mod, binom_mod_p2, box, box_le,
-                          brace, brace_mi, degree_box, div_p_fact,
+                          brace, brace_mi_mod, degree_box, div_p_fact,
                           dp_monomial_action, dp_power_factor, dp_residues,
                           frac_mod, leibniz_weights, lucas_closed_form,
                           mi_add, mi_le, mi_scale, mi_sub, mi_sum, mi_unit,
@@ -124,8 +124,8 @@ def angle_mi(k, l, p, m):
 def test_multi_index_constants_are_products():
     k, l = (3, 5, 2), (4, 1, 7)
     for p, m in [(2, 1), (3, 0), (5, 1)]:
-        assert brace_mi(k, l, p, m) == \
-            brace(3, 4, p, m) * brace(5, 1, p, m) * brace(2, 7, p, m)
+        assert brace_mi_mod(k, l, p, m, p * p) == \
+            brace(3, 4, p, m) * brace(5, 1, p, m) * brace(2, 7, p, m) % (p * p)
         assert angle_mi(k, l, p, m) == \
             angle(3, 4, p, m) * angle(5, 1, p, m) * angle(2, 7, p, m)
 

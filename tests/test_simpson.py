@@ -1917,19 +1917,19 @@ def test_recovered_frame_bytes_are_pinned(p, m, r, n, lifted, md5):
 
 def _counted_round_trip(monkeypatch, fd, higgs):
     """round_trip(fd, higgs), with the FrobData it builds, the lifting
-    checks it makes and, per phi_center_inv call, whether it came from
+    checks it makes and, per c(i, j) it reads, whether the read came from
     inside recovered_higgs."""
-    built, checked, inverted, inside = [], [], [], []
-    init, invert = FrobData.__init__, frobenius.phi_center_inv
+    built, checked, read, inside = [], [], [], []
+    init, c_matrix = FrobData.__init__, FrobData.c_matrix
     recover, deviation = simpson.recovered_higgs, LiftingZ.deviation
 
     def counting_init(self, *args):
         built.append(self)
         init(self, *args)
 
-    def counting_invert(*args):
-        inverted.append(bool(inside))
-        return invert(*args)
+    def reading(self, *args):
+        read.append(bool(inside))
+        return c_matrix(self, *args)
 
     def recovering(*args):
         inside.append(True)
@@ -1944,23 +1944,25 @@ def _counted_round_trip(monkeypatch, fd, higgs):
 
     monkeypatch.setattr(FrobData, "__init__", counting_init)
     monkeypatch.setattr(LiftingZ, "deviation", checking)
-    monkeypatch.setattr(frobenius, "phi_center_inv", counting_invert)
+    monkeypatch.setattr(FrobData, "c_matrix", reading)
     monkeypatch.setattr(simpson, "recovered_higgs", recovering)
-    return round_trip(fd, higgs), built, checked, inverted
+    return round_trip(fd, higgs), built, checked, read
 
 
-def _one_shared_window(fd, rep, built, checked, inverted, n):
+def _one_shared_window(fd, rep, built, checked, read, n):
     # the solver and recovered_higgs share the one window instance the
     # round trip built, whose lifting nothing checks again;
-    # recovered_higgs reads phi^{-1}(theta_i) from the cache the solver's
-    # twisted images filled
+    # recovered_higgs reads the psi = phi^{-1}(theta) that the solver's
+    # twisted images cached there: it reads no c(i, j), the one input of
+    # psi, and the window holds powers of psi at n alone
     ctx = fd.ctx
     assert rep["dm"].nilpotency_index() - 1 == n
     assert len(built) == 1 and not checked
     win = built[0]
     assert (win.ctx.theta_trunc, win.ctx.tau_trunc) == (n, n * ctx.pm1)
     assert fd.window(n) is win and win.lifting is fd.lifting
-    assert inverted and not any(inverted)
+    assert read and not any(read)
+    assert win._psi and {m for _, m in win._psi} == {n}
     assert rep["rank"] == rep["rank_expected"] and rep["stable"]
     assert rep["recovered_exact"]
 
@@ -1980,7 +1982,7 @@ def test_a_deep_round_trip_builds_one_frob_data(monkeypatch, p, m, r):
 def test_a_shallow_lifted_round_trip_builds_one_frob_data(monkeypatch, p, m,
                                                           r):
     # nnil - 1 = 1 < theta_trunc = 3: the window shrinks, under a lifting
-    # with a deviation, so the window builds its own towers
+    # with a deviation
     ctx = Context(p, m, r)
     fd = _strong(ctx, 8)
     assert not fd.is_standard
@@ -1990,20 +1992,29 @@ def test_a_shallow_lifted_round_trip_builds_one_frob_data(monkeypatch, p, m,
 
 @pytest.mark.parametrize("p, m, r", [(2, 0, 1), (3, 0, 1), (7, 0, 1),
                                      (2, 1, 1), (3, 0, 2)])
-def test_a_lifted_round_trip_builds_no_tower_past_its_window(p, m, r):
-    # nnil = 2: phi is read to theta-degree 1, so no step of any tower
-    # holds a term above tau-degree q (RatDP keeps |s| in its top field)
+def test_a_lifted_round_trip_builds_no_tower_past_its_window(monkeypatch, p,
+                                                             m, r):
+    # under a lifting with a deviation the round trip reads phi only at
+    # |n| <= p^m and psi = phi^{-1}(theta), both off c(i, j): no FrobData
+    # it uses builds w or a tower, at nnil - 1 = 1 and at nnil - 1 = 3,
+    # where p <= 3 makes psi != theta
     ctx = Context(p, m, r)
     fd = _strong(ctx, 8)
-    rep = round_trip(fd, jordan_higgs(ctx, 2))
-    assert rep["dm"].nilpotency_index() == 2 and rep["recovered_exact"]
-    assert "_towers" not in vars(fd)
-    towers = fd.window(1)._towers
-    assert any(len(tower.steps) > 2 for tower in towers)
-    for tower in towers:
-        top = 2 * r * tower.w.width
-        assert max(key >> top for step in tower.steps
-                   for key in step.terms) <= ctx.pm1
+    assert not fd.is_standard
+    built, init = [], FrobData.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(FrobData, "__init__", counting_init)
+    for rank, n in ((2, 1), (4, 3)):
+        rep = round_trip(fd, jordan_higgs(ctx, rank))
+        assert rep["dm"].nilpotency_index() - 1 == n
+        assert rep["recovered_exact"]
+        assert fd.window(n) in [fd, *built]
+        for x in (fd, *built):
+            assert "ws" not in vars(x) and "_towers" not in vars(x)
 
 
 LIFTED_CASES = [case[:3] for case in SOLVER_CASES if case[1] is not None]
