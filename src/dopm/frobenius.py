@@ -31,9 +31,7 @@ assumed).  From w one builds:
 
 from __future__ import annotations
 
-import dataclasses
 import json
-import weakref
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
@@ -193,36 +191,21 @@ class FrobData:
     only phi of an operator of order above p^m under such a lifting
     makes.  It caches the phi, phi_inv_basis and phi_tilde images of
     basis operators, and the powers psi^b of psi = phi^{-1}(theta) per
-    truncation (`_psi`).
-
-    The context's theta_trunc and tau_trunc are the window of phi: w
-    and the towers keep tau-degrees <= tau_trunc.  `window(n)` is the
-    instance of the same lifting for theta-degrees <= n, at which the
-    correspondence solves (n = nnil - 1); it is built with `root`, the
-    instance whose validated hs and gs it takes as they are.  A window
-    holds its root only by a weak reference, so no instance is part of
-    a reference cycle and each is freed as soon as its last user drops
-    it, caches and towers with it, without waiting for the cyclic
-    collector.
+    truncation (`_psi`).  w and the towers keep tau-degrees <= the
+    context's tau_trunc.
     """
 
-    def __init__(self, ctx: Context, lifting: LiftingZ,
-                 root: "FrobData | None" = None):
+    def __init__(self, ctx: Context, lifting: LiftingZ):
+        if ctx != lifting.ctx:
+            raise ValueError(f"the context is {ctx} but the lifting is "
+                             f"over {lifting.ctx}")
         self.ctx = ctx
         self.lifting = lifting
-        if root is None:
-            assert ctx == lifting.ctx
-            self.hs = [lifting.deviation(j) for j in range(ctx.r)]
-            self.gs = [h.divide_exponents(ctx.pm) if _pm_divisible(h, ctx.pm)
-                       else _reject_strong(j, h)
-                       for j, h in enumerate(self.hs)]
-            self.is_standard = not any(self.hs)
-            self._root = None
-        else:
-            self.hs, self.gs = root.hs, root.gs
-            self.is_standard = root.is_standard
-            self._root = weakref.ref(root)
-        self._windows: dict = {}
+        self.hs = [lifting.deviation(j) for j in range(ctx.r)]
+        self.gs = [h.divide_exponents(ctx.pm) if _pm_divisible(h, ctx.pm)
+                   else _reject_strong(j, h)
+                   for j, h in enumerate(self.hs)]
+        self.is_standard = not any(self.hs)
         self._gammas: dict = {}
         self._phi: dict = {}
         self._phi_inv: dict = {}
@@ -240,44 +223,6 @@ class FrobData:
     @classmethod
     def standard(cls, ctx: Context) -> "FrobData":
         return cls(ctx, standard_lifting(ctx))
-
-    def window(self, n: int) -> "FrobData":
-        """The instance for theta-degrees <= n: its context has
-        theta_trunc = max(1, n) and that window's default tau_trunc
-        q max(1, n), q = p^(m+1).  It is self when the window matches;
-        otherwise it is built once, shares this lifting's validated data
-        (polys, hs, gs) with no second check, and is kept on the root
-        instance of the lifting, which each window reaches by a weak
-        reference, so a repeat call from any of them returns it and its
-        caches while the root lives.  It widens and shrinks alike.
-
-        Exact: the images that the window reaches are those of any wider
-        window.
-          * phi_tilde_basis(s e_i, n), s <= p^m, is phi_center_inv of
-            phi_basis(s e_i), which `gamma_coeffs` reads off c(i, j):
-            sum_j c(i, j) theta_j at s = p^m and 0 below it;
-          * phi_center_inv and phi_inv_basis at n read only psi mod
-            theta-degree > n (`_psi`), which c(i, j) alone determines;
-          * phi_basis(nu) at |nu| > p^m, which the correspondence never
-            reads, is gamma_coeffs(nu): it reads each gamma_k(w_j) only
-            at tau-indices a <= nu.  Taylor and the towers drop only
-            terms of tau-degree above tau_trunc, and tau-degrees only
-            add, so no term at |a| <= tau_trunc of w_j or of
-            gamma_k(w_j) depends on a dropped one.
-        So the correspondence reads no tau_trunc, any phi_basis(nu) with
-        |nu| <= q max(1, n) is exact in the window, and RatDP.to_dp still
-        checks every coefficient that phi reads for p-integrality."""
-        n = max(1, n)
-        root = self._root() if self._root is not None else self
-        if root is None:          # a window that outlived its root
-            root = self
-        ctx = root.ctx
-        if ctx.theta_trunc == n and ctx.tau_trunc == ctx.pm1 * n:
-            return root
-        if n not in root._windows:
-            ctx = dataclasses.replace(ctx, theta_trunc=n, tau_trunc=None)
-            root._windows[n] = FrobData(ctx, root.lifting, root)
-        return root._windows[n]
 
     def c_matrix(self, i: int, j: int) -> Poly:
         """Coefficient c(i, j) of tau_i^{p^m} in w_j; drives the Higgs

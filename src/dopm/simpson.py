@@ -21,12 +21,12 @@ image:
 (phi alone is off by the center automorphism whenever some Theta^c with
 |c| >= 2 survives on the module).  Theta^c acts as zero once |c| reaches
 the nilpotency index nnil, so both directions read phi, phi_tilde and
-phi^{-1} only to theta-degree nnil - 1: they solve at the Frobenius
-window `FrobData.window(nnil - 1)`, whatever window the caller's
-context sets.  There phi_tilde(d_i^<s>), s <= p^m, and phi^{-1}(theta_i)
-are closed forms in c(i, j) (`FrobData._low_gamma_coeffs`,
-`frobenius._psi`), so no divided-power tower is built.  On a valid
-module it suffices to impose this for P = d_i^<s>, 0 < s <= p^m:
+phi^{-1} only to theta-degree n = nnil - 1, cached on the caller's fd.
+There phi_tilde(d_i^<s>), s <= p^m, and phi^{-1}(theta_i) are closed
+forms in c(i, j) (`FrobData._low_gamma_coeffs`, `frobenius._psi`), so
+no tower is built; phi is read at orders <= p^m < q <= tau_trunc and psi
+at n, so theta_trunc and tau_trunc change neither output nor cost.
+On a valid module it suffices to impose this for P = d_i^<s>, 0 < s <= p^m:
 Theta^c commutes with both sides, as theta_i is central, and the
 conditions of d_i^<p^m> t_i^b are triangular in these (two lemmas,
 proved at `_box_entries`).
@@ -730,7 +730,6 @@ def solve_invariants(fd: FrobData, dm: DModule,
     q = ctx.pm1
     d = ctx.solve_bound() if deg_bound is None else deg_bound
     nnil = dm.nilpotency_index()
-    fd = fd.window(nnil - 1)   # the theta-degrees the module sees
     live = {(j, a): [] for a in product(range(min(q, d + 1)), repeat=ctx.r)
             if sum(a) <= d for j in range(dm.rank)}   # section -> entries
     shared = []     # box rows of two or more live sections
@@ -823,10 +822,9 @@ def recovered_higgs(fd: FrobData, dm: DModule):
     phi^{-1}(theta_i) acting on constant sections, pushed down to O_X'.
 
     Exact because theta-degrees >= the nilpotency index act as zero.  On
-    a round trip `solve_invariants` has cached phi^{-1}(theta_i) already."""
+    a round trip `solve_invariants` has cached phi^{-1}(theta_i) on fd."""
     ctx = fd.ctx
     n = dm.nilpotency_index() - 1
-    fd = fd.window(n)
     out = []
     for i in range(ctx.r):
         inv_op = phi_inv_basis(fd, _along(ctx, i, 1), n)

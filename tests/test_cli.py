@@ -310,6 +310,34 @@ def test_roundtrip_file(capsys, tmp_path):
     assert code == 0 and "round trip ok" in out
 
 
+def test_the_truncations_change_no_roundtrip_and_no_invariants(capsys,
+                                                               tmp_path):
+    # both commands read phi at orders <= p^m and psi to the module's
+    # nilpotency index: on a Jordan block of rank 5 (nnil - 1 = 4) under a
+    # lifting with a deviation, theta_trunc below, at the default and above
+    # it print the same bytes
+    ctx = Context(2, 0)
+    higgs = tmp_path / "higgs.json"
+    higgs.write_text(json.dumps({"p": 2, "m": 0, "r": 1, "matrices": [
+        [[[[[0], 1]] if j == i + 1 else [] for j in range(5)]
+        for i in range(5)]]}))
+    lifting = random_strong_lifting(ctx, random.Random(8), deg=2)
+    assert lifting.deviation(0)
+    lift = write_lifting(tmp_path, lifting)
+    code, out, err = run(capsys, "pullback", "--json", "--lift", lift,
+                         str(higgs))
+    assert (code, err) == (0, "")
+    dmfile = tmp_path / "dm.json"
+    dmfile.write_text(out)
+    for cmd, path in (("roundtrip", higgs), ("invariants", dmfile)):
+        got = [run(capsys, cmd, "--json", "--lift", lift, *flags, str(path))
+               for flags in (["--theta-trunc", "1"], [],
+                             ["--theta-trunc", "6", "--tau-trunc", "200"])]
+        code, out, err = got[0]
+        assert (code, err) == (0, "") and out.startswith("{")
+        assert got[0] == got[1] == got[2]
+
+
 # -- verify -------------------------------------------------------------------
 
 def test_verify_json_is_deterministic_and_valid(capsys):

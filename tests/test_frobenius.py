@@ -6,7 +6,10 @@ Frobenius is C(Q, s) q_s! / p! * t^(Q-s), reduced mod p.
 """
 
 import gc
+import os
 import random
+import subprocess
+import sys
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -30,6 +33,7 @@ from dopm.frobenius import (FrobData, LiftingZ, NotALifting, NotStrong,
 from dopm.poly import MalformedInput, Poly
 from dopm.scalars import (degree_box, div_p_fact, dp_monomial_action,
                           frac_mod, mi_le, mi_scale, mi_unit)
+from dopm.simpson import random_higgs, round_trip
 
 from closed_forms import central_unit, mod_p
 
@@ -634,89 +638,51 @@ def test_van_der_put_series():
         assert h == want
 
 
-# -- the Frobenius window -----------------------------------------------------
+# -- one FrobData per lifting -------------------------------------------------
 
-WINDOW_PMR = [(3, 0, 1), (2, 1, 1), (3, 0, 2), (2, 0, 3)]
-
-
-def _lifted_at(ctx, pmr):
-    """A random strong lifting, drawn alike at every window of pmr."""
-    return FrobData(ctx, random_strong_lifting(
-        ctx, random.Random(f"window {pmr}"), deg=2))
-
-
-@pytest.mark.parametrize("pmr", WINDOW_PMR, ids=str)
-def test_a_window_gives_the_images_of_a_wide_one(pmr):
-    # every image the correspondence reads at theta-degrees <= n, from
-    # the window n that shrinks or widens the default theta_trunc = 3,
-    # against a FrobData built at theta_trunc = 4
-    ctx = Context(*pmr)
-    fd = _lifted_at(ctx, pmr)
-    wide = _lifted_at(Context(*pmr, theta_trunc=4), pmr)
-    assert not fd.is_standard
-    for n in (1, 2, 3):
-        win = fd.window(n)
-        assert (win.ctx.theta_trunc, win.ctx.tau_trunc) == (n, n * ctx.pm1)
-        for i in range(ctx.r):
-            for s in range(1, ctx.pm + 1):
-                k = mi_scale(mi_unit(ctx.r, i), s)
-                assert phi_tilde_basis(win, k, n).terms == \
-                    phi_tilde_basis(wide, k, n).terms
-        for c in degree_box(n, ctx.r):
-            assert phi_inv_basis(win, c, n).terms == \
-                phi_inv_basis(wide, c, n).terms
-
-
-def test_window_instances_are_kept_and_share_the_lifting(monkeypatch):
+def test_a_lifting_of_another_context_is_refused():
     ctx = Context(3, 0, r=2)
-    fd = _lifted_at(ctx, "kept")
-    # a caller's own tau_trunc is not the window's: window(3) is built
-    custom = _lifted_at(Context(3, 0, r=2, tau_trunc=20), "kept")
-    checked = []
-    for name in ("__init__", "deviation"):
-        monkeypatch.setattr(LiftingZ, name,
-                            lambda *args, name=name: checked.append(name))
-    assert fd.window(3) is fd and fd.window(0) is fd.window(1)
-    low, high = fd.window(1), fd.window(5)
-    assert (low.ctx.tau_trunc, high.ctx.tau_trunc) == (3, 15)
-    assert low.window(5) is high and high.window(3) is fd
-    for win in (low, high):
-        assert win.lifting is fd.lifting
-        assert (win.hs, win.gs) == (fd.hs, fd.gs)
-        assert win.is_standard is fd.is_standard
-        assert win._phi is not fd._phi and win._gammas is not fd._gammas
-    assert custom.window(3) is not custom
-    assert custom.window(3).ctx.tau_trunc == 9
-    assert not checked
+    wide = Context(3, 0, r=2, theta_trunc=5)
+    lifting = random_strong_lifting(ctx, random.Random(1), deg=2)
+    with pytest.raises(ValueError) as err:
+        FrobData(wide, lifting)
+    assert str(ctx) in str(err.value) and str(wide) in str(err.value)
+    # a wider truncation takes the lifting's polynomials over its context
+    fd = FrobData(wide, LiftingZ(wide, lifting.polys))
+    assert fd.gs == FrobData(ctx, lifting).gs
+    # an explicit check, not an assert: python -O keeps it
+    code = ("from dopm import Context, FrobData\n"
+            "try:\n"
+            "    FrobData(Context(2, 0, theta_trunc=5),\n"
+            "             FrobData.standard(Context(2, 0)).lifting)\n"
+            "except ValueError:\n"
+            "    print('refused')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(frobenius.__file__)),
+        os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert (res.returncode, res.stdout, res.stderr) == (0, "refused\n", "")
 
 
-def test_a_lifting_and_its_windows_are_freed_without_the_collector():
-    # a window holds its root only weakly, so dropping the root frees it
-    # and its windows, caches and towers with them, by reference counting
+def test_a_lifting_is_freed_without_the_collector():
+    # no FrobData is part of a reference cycle, so dropping the last
+    # reference frees it, caches and towers with it, by reference counting
     # alone: a cycle would keep them until the next collection
     ctx = Context(3, 0, r=2)
-    fd = _lifted_at(ctx, "freed")
-    win = fd.window(1)
-    phi_tilde_basis(win, mi_unit(ctx.r, 0), 1)
-    assert win._towers and win.window(5).window(3) is fd
-    alive = [weakref.ref(x) for x in (fd, win, fd.window(5))]
+    fd = FrobData(ctx, random_strong_lifting(ctx, random.Random("freed"),
+                                             deg=2))
+    phi_basis(fd, (ctx.pm1, 0))       # past p^m: builds the towers
+    rep = round_trip(fd, random_higgs(ctx, random.Random(1), 2))
+    assert "_towers" in vars(fd) and rep["recovered_exact"]
+    alive = weakref.ref(fd)
     gc.collect()
     gc.disable()
     try:
-        del fd, win
-        assert not any(ref() for ref in alive)
+        del fd, rep
+        assert alive() is None
     finally:
         gc.enable()
-
-
-def test_a_window_that_outlives_its_root_still_windows():
-    ctx = Context(3, 0, r=2)
-    win = _lifted_at(ctx, "orphan").window(1)
-    gc.collect()
-    assert win.window(1) is win and win.window(0) is win
-    wide = win.window(2)
-    assert (wide.ctx.theta_trunc, wide.ctx.tau_trunc) == (2, 6)
-    assert wide.window(1) is win and win.window(2) is wide
 
 
 # -- the split module ---------------------------------------------------------

@@ -7,6 +7,7 @@ curvature works out to N + t' N^2 + ... in downstairs coordinates, so
 every quantity has a short independent formula.
 """
 
+import dataclasses
 import hashlib
 import os
 import random
@@ -953,8 +954,9 @@ def solve_invariants_literal(fd, dm, deg_bound, k_bound):
     ctx = fd.ctx
     nnil = dm.nilpotency_index()
     # phi must be exact on every probed |k| <= k_bound * r
-    room = -(-k_bound * ctx.r // ctx.pm1)
-    fd = fd.window(max(nnil - 1, room))
+    wide = dataclasses.replace(ctx, tau_trunc=max(ctx.tau_trunc,
+                                                  k_bound * ctx.r))
+    fd = FrobData(wide, LiftingZ(wide, fd.lifting.polys))
     monomials = [(j, a) for a in degree_box(deg_bound, ctx.r)
                  for j in range(dm.rank)]
     rows = {}     # (operator, component, exponent) -> {unknown: coeff}
@@ -1040,8 +1042,7 @@ def test_central_apply_is_the_poly_per_product_oracle(ctx, lift_seed, field,
     ops = [DiffOp.dpartial(ctx, mi_scale(c, q), coeff=poly(2))
            for c in degree_box(nnil, ctx.r)]
     ops.append(sum(ops[1:], ops[0]))
-    ops += [phi_tilde_basis(fd.window(nnil - 1),
-                            mi_scale(mi_unit(ctx.r, i), s), nnil - 1)
+    ops += [phi_tilde_basis(fd, mi_scale(mi_unit(ctx.r, i), s), nnil - 1)
             for i in range(ctx.r) for s in range(1, ctx.pm + 1)]
     sections = [_unit_section(ctx, n, j, (0,) * ctx.r) for j in range(n)]
     sections += [[poly(3) for _ in range(n)],
@@ -1086,7 +1087,6 @@ def test_box_entries_are_the_per_section_oracle(ctx, lift_seed, field,
                                                 gauge, deg_bound):
     fd, dm = _solver_case(ctx, lift_seed, field, gauge)
     nnil = dm.nilpotency_index()
-    fd = fd.window(nnil - 1)
     d = ctx.solve_bound() if deg_bound is None else deg_bound
     sections = _reached(ctx, dm.rank, d)
     if deg_bound is not None:
@@ -1117,7 +1117,6 @@ def dense_solve(fd, dm, deg_bound=None):
     q = ctx.pm1
     d = ctx.solve_bound() if deg_bound is None else deg_bound
     nnil = dm.nilpotency_index()
-    fd = fd.window(nnil - 1)
     monomials = [(j, a) for a in degree_box(d, ctx.r)
                  for j in range(dm.rank)]
     box = box_oracle(fd, dm, nnil, _reached(ctx, dm.rank, d))
@@ -1949,20 +1948,16 @@ def _counted_round_trip(monkeypatch, fd, higgs):
     return round_trip(fd, higgs), built, checked, read
 
 
-def _one_shared_window(fd, rep, built, checked, read, n):
-    # the solver and recovered_higgs share the one window instance the
-    # round trip built, whose lifting nothing checks again;
-    # recovered_higgs reads the psi = phi^{-1}(theta) that the solver's
-    # twisted images cached there: it reads no c(i, j), the one input of
-    # psi, and the window holds powers of psi at n alone
-    ctx = fd.ctx
+def _one_frob_data(fd, rep, built, checked, read, n):
+    # the solver and recovered_higgs work on the caller's fd: the round
+    # trip builds no FrobData and checks no lifting again; recovered_higgs
+    # reads the psi = phi^{-1}(theta) that the solver's twisted images
+    # cached on fd: it reads no c(i, j), the one input of psi, and fd holds
+    # powers of psi at n alone
     assert rep["dm"].nilpotency_index() - 1 == n
-    assert len(built) == 1 and not checked
-    win = built[0]
-    assert (win.ctx.theta_trunc, win.ctx.tau_trunc) == (n, n * ctx.pm1)
-    assert fd.window(n) is win and win.lifting is fd.lifting
+    assert not built and not checked
     assert read and not any(read)
-    assert win._psi and {m for _, m in win._psi} == {n}
+    assert fd._psi and {m for _, m in fd._psi} == {n}
     assert rep["rank"] == rep["rank_expected"] and rep["stable"]
     assert rep["recovered_exact"]
 
@@ -1970,30 +1965,29 @@ def _one_shared_window(fd, rep, built, checked, read, n):
 @pytest.mark.parametrize("p, m, r", [(2, 0, 1), (3, 0, 1), (2, 1, 1),
                                      (3, 1, 1)])
 def test_a_deep_round_trip_builds_one_frob_data(monkeypatch, p, m, r):
-    # nnil - 1 = 4 > theta_trunc = 3: the window widens
+    # nnil - 1 = 4 > theta_trunc = 3: psi is read past the context's
+    # theta truncation
     ctx = Context(p, m, r)
     fd = FrobData.standard(ctx)
-    _one_shared_window(fd, *_counted_round_trip(monkeypatch, fd,
-                                                jordan_higgs(ctx, 5)), 4)
+    _one_frob_data(fd, *_counted_round_trip(monkeypatch, fd,
+                                            jordan_higgs(ctx, 5)), 4)
 
 
 @pytest.mark.parametrize("p, m, r", [(2, 0, 1), (3, 0, 1), (2, 1, 1),
                                      (2, 0, 2)])
 def test_a_shallow_lifted_round_trip_builds_one_frob_data(monkeypatch, p, m,
                                                           r):
-    # nnil - 1 = 1 < theta_trunc = 3: the window shrinks, under a lifting
-    # with a deviation
+    # nnil - 1 = 1 < theta_trunc = 3, under a lifting with a deviation
     ctx = Context(p, m, r)
     fd = _strong(ctx, 8)
     assert not fd.is_standard
-    _one_shared_window(fd, *_counted_round_trip(monkeypatch, fd,
-                                                jordan_higgs(ctx, 2)), 1)
+    _one_frob_data(fd, *_counted_round_trip(monkeypatch, fd,
+                                            jordan_higgs(ctx, 2)), 1)
 
 
 @pytest.mark.parametrize("p, m, r", [(2, 0, 1), (3, 0, 1), (7, 0, 1),
                                      (2, 1, 1), (3, 0, 2)])
-def test_a_lifted_round_trip_builds_no_tower_past_its_window(monkeypatch, p,
-                                                             m, r):
+def test_a_lifted_round_trip_builds_no_tower(monkeypatch, p, m, r):
     # under a lifting with a deviation the round trip reads phi only at
     # |n| <= p^m and psi = phi^{-1}(theta), both off c(i, j): no FrobData
     # it uses builds w or a tower, at nnil - 1 = 1 and at nnil - 1 = 3,
@@ -2012,7 +2006,6 @@ def test_a_lifted_round_trip_builds_no_tower_past_its_window(monkeypatch, p,
         rep = round_trip(fd, jordan_higgs(ctx, rank))
         assert rep["dm"].nilpotency_index() - 1 == n
         assert rep["recovered_exact"]
-        assert fd.window(n) in [fd, *built]
         for x in (fd, *built):
             assert "ws" not in vars(x) and "_towers" not in vars(x)
 
@@ -2025,14 +2018,19 @@ LIFTED_IDS = [name for case, name in zip(SOLVER_CASES, SOLVER_IDS)
 @pytest.mark.parametrize("gauge", [False, True], ids=["pullback", "gauged"])
 @pytest.mark.parametrize("ctx, lift_seed, field", LIFTED_CASES,
                          ids=LIFTED_IDS)
-def test_the_solve_at_its_window_is_the_solve_at_a_wide_one(
-        monkeypatch, ctx, lift_seed, field, gauge):
-    fd, dm = _solver_case(ctx, lift_seed, field, gauge)
-    got = solve_invariants(fd, dm)
-    wide = _strong(Context(ctx.p, ctx.m, ctx.r, theta_trunc=4), lift_seed)
-    assert fd.window(dm.nilpotency_index() - 1).ctx.tau_trunc < \
-        wide.ctx.tau_trunc
-    monkeypatch.setattr(FrobData, "window", lambda self, n: wide)
-    want = solve_invariants(fd, dm)
-    assert got.unknowns == want.unknowns and got.rows == want.rows
-    assert wide._phi_tw
+def test_the_truncations_change_no_solve_and_no_frame(ctx, lift_seed, field,
+                                                      gauge):
+    # the correspondence reads phi at orders <= p^m < q <= tau_trunc and
+    # psi at nnil - 1 alone: FrobDatas at theta_trunc 1, 3 and 5 and at a
+    # custom tau_trunc solve alike, and their round trips recover the same
+    # frame
+    got = []
+    for kw in ({"theta_trunc": 1}, {}, {"theta_trunc": 5},
+               {"tau_trunc": 200}):
+        c = Context(ctx.p, ctx.m, ctx.r, **kw)
+        fd, dm = _solver_case(c, lift_seed, field, gauge)
+        assert not fd.is_standard
+        inv = solve_invariants(fd, dm)
+        got.append((inv.unknowns, inv.rows,
+                    round_trip(fd, field(c))["recovered"]))
+    assert all(x == got[0] for x in got[1:])
