@@ -7,22 +7,21 @@ mod p, read mod p^2.  Its divided Frobenius
 
 lands in the level-m divided-power algebra mod p (every Taylor
 coefficient above order zero is divisible by p, which is checked, not
-assumed).  From w one builds:
+assumed).  w defines the maps below, and none of them builds it: the
+standard lifting's phi has a closed form, and everything else reads
+only w's tau^{p^m}-block c(i, j), in closed form from the lifting
+(`FrobData.c_matrix`):
 
   * phi        -- the O_X-linear map d^<n> -> sum_c [tau^{n}] prod_j
                   gamma_{c_j}(w_j) * d^<c p^(m+1)>, with values in
-                  O_X[theta].  For 0 < |n| <= p^m it is read off the
-                  matrix c(i, j) alone (`FrobData.gamma_coeffs`).  For
-                  the standard lifting F_j = t_j^(p^(m+1)) every
-                  coefficient has a closed form (`standard_gamma_coeff`);
-                  a lifting with a nonzero deviation reads the others off
-                  rational divided-power towers of w;
+                  O_X[theta].  For the standard lifting F_j =
+                  t_j^(p^(m+1)) every coefficient has a closed form
+                  (`standard_gamma_coeff`); any other lifting computes
+                  phi(d^<n>) = d^<n> . 1 in the split module, one
+                  generator d_i^<p^m> or theta_i at a time (`_peel`);
   * phi_center_inv / phi_tilde -- the theta-adic inverse of phi on
                   O_X[theta], in closed form from c(i, j) (`_psi`), and
-                  the induced splitting map phi_tilde = phi^{-1} o phi.
-                  The inverse reads neither w nor a tower, so neither
-                  does phi_tilde(d^<n>) at |n| <= p^m, which is all the
-                  correspondence asks of it;
+                  the induced splitting map phi_tilde = phi^{-1} o phi;
   * bullet     -- the module structure P.(f theta^c) = phi(P f) theta^c
                   on O_X[theta], plus its matrix model;
   * glue       -- the change-of-lifting derivation and the induced
@@ -33,18 +32,18 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from math import comb, factorial
 
 from .context import Context
-from .diffops import (DiffOp, box_matrix, premul_sum, theta_power,
+from .diffops import (DiffOp, box_matrix, dp_coeffs, premul_sum, theta_power,
                       zo_decompose)
-from .dpalg import DPElem, GammaTower, taylor
-from .poly import (MalformedInput, Poly, is_int, poly_from_json,
+from .dpalg import DPElem, taylor
+from .poly import (MalformedInput, Poly, is_int, mac, poly_from_json,
                    poly_to_json, reduced)
-from .scalars import (brace_mi_mod, degree_box, div_p_fact, frac_mod, mi_add,
-                      mi_le, mi_scale, mi_sub, mi_sum, mi_unit, mi_zero)
+from .scalars import (degree_box, div_p_fact, frac_mod, mi_add,
+                      mi_scale, mi_sub, mi_sum, mi_unit, mi_zero)
 
 
 class NotALifting(ValueError):
@@ -180,19 +179,14 @@ class FrobData:
     """A validated strong lifting together with everything phi needs.
 
     State is per instance; each instance owns one lifting, so nothing
-    mixes moduli or levels.  `c_matrix` reads g, and so does
-    `gamma_coeffs` at 0 < |n| <= p^m, for every lifting.  Past that, the
+    mixes moduli or levels.  phi reads the lifting through g alone: the
     standard lifting (every deviation h_j zero) evaluates
-    `standard_gamma_coeff`; a lifting with a deviation keeps, per
-    coordinate j, one GammaTower of w_j, extended as far as phi has
-    asked, and gamma_{c_j}(w_j) reduced mod p for each k asked for, and
-    reads the coefficients of prod_j gamma_{c_j}(w_j) off those without
-    forming the product.  w and the towers are built on first use, which
-    only phi of an operator of order above p^m under such a lifting
-    makes.  It caches the phi, phi_inv_basis and phi_tilde images of
-    basis operators, and the powers psi^b of psi = phi^{-1}(theta) per
-    truncation (`_psi`).  w and the towers keep tau-degrees <= the
-    context's tau_trunc.
+    `standard_gamma_coeff` (`gamma_coeffs`), and any other lifting peels
+    d^<n> into the generators d_i^<p^m> and the theta_i, which act on the
+    split module through c(i, j) (`c_matrix`, `_peel`).  Neither builds
+    w.  It caches the phi, phi_inv_basis and phi_tilde images of basis
+    operators (with the images the peel passes on the way), and the
+    powers psi^b of psi = phi^{-1}(theta) per truncation (`_psi`).
     """
 
     def __init__(self, ctx: Context, lifting: LiftingZ):
@@ -206,19 +200,10 @@ class FrobData:
                    else _reject_strong(j, h)
                    for j, h in enumerate(self.hs)]
         self.is_standard = not any(self.hs)
-        self._gammas: dict = {}
         self._phi: dict = {}
         self._phi_inv: dict = {}
         self._phi_tw: dict = {}
         self._psi: dict = {}
-
-    @cached_property
-    def ws(self) -> list:
-        return divided_frob_tau(self.ctx, self.lifting)
-
-    @cached_property
-    def _towers(self) -> list:
-        return [GammaTower(w) for w in self.ws]
 
     @classmethod
     def standard(cls, ctx: Context) -> "FrobData":
@@ -246,106 +231,10 @@ class FrobData:
                 ctx.r, ctx.p)
         return out
 
-    def gamma_w(self, j: int, k: int) -> DPElem:
-        """gamma_k(w_j) mod p, read off the coordinate's tower."""
-        key = (j, k)
-        if key not in self._gammas:
-            self._gammas[key] = self._towers[j].rational(k).to_dp(self.ctx.p)
-        return self._gammas[key]
-
     def gamma_coeffs(self, n) -> dict:
-        """{c: [tau^{n}] prod_j gamma_{c_j}(w_j)} over the c with
-        |c| <= |n|/p^m whose product has a nonzero term at tau^{n}.
-
-        Each is the sum over splits a_1 + ... + a_r = n of
-        prod_j [tau^{a_j}] gamma_{c_j}(w_j), each split weighted by the
-        brace constants {a_1 + .. + a_(j-1) + a_j \\ a_j} that DPElem
-        multiplication applies factor by factor.  Splits grow one factor
-        at a time over every c_j at once, keeping only the a_j that fit
-        in what is left of n; the last a_r is a lookup, so at r = 1 this
-        is one per c.  The low window 0 < |n| <= p^m reads c(i, j) for
-        every lifting (`_low_gamma_coeffs`), and the standard lifting
-        takes the closed form everywhere else (`_standard_gamma_coeffs`)."""
-        ctx = self.ctx
-        if 0 < mi_sum(n) <= ctx.pm:
-            return self._low_gamma_coeffs(n)
-        if self.is_standard:
-            return self._standard_gamma_coeffs(n)
-        p, m, r = ctx.p, ctx.m, ctx.r
-        budget = mi_sum(n) // ctx.pm
-        # (c_1 .. c_j, a_1 + .. + a_j, weight, factors)
-        splits = [((), mi_zero(r), 1, ())]
-        for j in range(r - 1):
-            nxt = []
-            for cs, part, wt, fs in splits:
-                rest = mi_sub(n, part)
-                for k in range(budget - sum(cs) + 1):
-                    for a, f in self.gamma_w(j, k).coeffs.items():
-                        if not mi_le(a, rest):
-                            continue
-                        w = wt * brace_mi_mod(part, a, p, m, p) % p
-                        if w:
-                            nxt.append((cs + (k,), mi_add(part, a), w,
-                                        fs + (f,)))
-            splits = nxt
-        accs: dict = {}
-        for cs, part, wt, fs in splits:
-            a = mi_sub(n, part)
-            wt = wt * brace_mi_mod(part, a, p, m, p) % p
-            if not wt:
-                continue
-            for k in range(budget - sum(cs) + 1):
-                g = self.gamma_w(r - 1, k).coeffs.get(a)
-                if g is None:
-                    continue
-                for f in fs:
-                    g = f * g
-                acc = accs.setdefault(cs + (k,), {})
-                for e, v in g.coeffs.items():
-                    acc[e] = acc.get(e, 0) + wt * v
-        out = {}
-        for c, acc in accs.items():
-            f = reduced(acc, p)
-            if f:
-                out[c] = Poly._trusted(f, r, p)
-        return out
-
-    def _low_gamma_coeffs(self, n) -> dict:
-        """`gamma_coeffs` at 0 < |n| <= p^m, for every lifting: {e_j:
-        c(i, j)} at n = p^m e_i, and {} at every other n of that size.
-        So phi(d_i^<p^m>) = sum_j c(i, j) theta_j and phi(d^<n>) = 0 at
-        the other n, read off g with no w and no tower.  In particular
-        phi_tilde(d_i^<s>) = phi_center_inv(0) = 0 for 0 < s < p^m.
-
-        Proof.  At |n| <= p^m every n_k <= p^m, so q_(n_k)! = 1 and
-        d^<n>(t^h) = C(h, n) t^(h - n); by Taylor, [tau^{n}] w_j is
-        d^<n>(F_j)/p! mod p, as in `c_matrix`.  Write F_j = t_j^q + p h_j,
-        q = p^(m+1), h_j = g_j(t^(p^m)).
-        1. w_j has no term at 0 < |n| <= p^m other than the n = p^m e_i.
-           - t_j^q gives C(q, n_j) at n = n_j e_j.  By Kummer,
-             v_p C(p^(m+1), s) = m + 1 - v_p(s) for 0 < s < q: that is 1
-             at s = p^m and at least 2 at every other 0 < s <= p^m.  p!
-             has valuation 1, so only s = p^m leaves a term mod p.
-           - p h_j gives p C(p^m e, n)/p! = C(p^m e, n)/(p-1)! mod p for a
-             term t^(p^m e).  By Lucas, C(p^m e_k, n_k) = 0 mod p unless
-             p^m | n_k, as the base-p digits of p^m e_k below p^m are 0.
-             With 0 < |n| <= p^m that leaves n = p^m e_k.
-        2. Only |c| <= 1 contributes.  In the rational model gamma_c(w_j)
-           is w_j^c/c!, and by 1 w_j lies in tau-degrees >= p^m, so
-           prod_j gamma_(c_j)(w_j) lies in tau-degrees >= |c| p^m: |c| >= 2
-           needs |n| >= 2 p^m.  c = 0 is gamma_0 = 1, with no term at
-           n != 0.  c = e_j is [tau^{n}] w_j: 0 by 1 unless n = p^m e_i,
-           where it is c(i, j) by definition.
-        """
-        ctx = self.ctx
-        if ctx.pm not in n:
-            return {}
-        i = list(n).index(ctx.pm)
-        return {mi_unit(ctx.r, j): f for j in range(ctx.r)
-                if (f := self.c_matrix(i, j))}
-
-    def _standard_gamma_coeffs(self, n) -> dict:
-        """`gamma_coeffs` of F_j = t_j^q, by `standard_gamma_coeff`."""
+        """{c: [tau^{n}] prod_j gamma_{c_j}(w_j)} for the standard lifting
+        F_j = t_j^q, over the c with a nonzero coefficient: the theta^c
+        coefficients of phi(d^<n>), by `standard_gamma_coeff`."""
         ctx = self.ctx
         p, pm, q, r = ctx.p, ctx.pm, ctx.pm1, ctx.r
         if any(x % pm for x in n):
@@ -371,7 +260,7 @@ def standard_gamma_coeff(k: int, c: int, p: int) -> int:
             = prod_j A(n_j/p^m, c_j) t_j^(q c_j - n_j)   if p^m | n,
 
     and 0 otherwise.  Raises ArithmeticError unless A is p-integral, as
-    RatDP.to_dp does (by the proof it always is).
+    `dpalg.gamma_dp` does (by the proof it always is).
 
     Proof.  Write tau^{s} = tau^s / q_s! (q_s = floor(s/p^m)).
     1. Homogeneity.  F_j(t+tau) - F_j(t) is homogeneous of degree q in
@@ -418,11 +307,12 @@ def _reject_strong(j, h):
 # phi and its restriction to the center
 
 def phi_basis(fd: FrobData, n) -> DiffOp:
-    """phi(d^<n>) = sum_c [tau^{n}](prod_j gamma_{c_j}(w_j)) d^<c p^(m+1)>,
-    its coefficients read by `FrobData.gamma_coeffs`.
+    """phi(d^<n>) = sum_c [tau^{n}](prod_j gamma_{c_j}(w_j)) d^<c p^(m+1)>:
+    `FrobData.gamma_coeffs` for the standard lifting, `_peel` for any
+    other.
 
     Finite: gamma_{c_j}(w_j) starts in tau-degree c_j p^m, so only
-    |c| <= |n|/p^m contributes.  Exact as long as |n| <= ctx.tau_trunc.
+    |c| <= |n|/p^m contributes.  Refused past |n| = ctx.tau_trunc.
     """
     n = tuple(n)
     if n in fd._phi:
@@ -431,10 +321,103 @@ def phi_basis(fd: FrobData, n) -> DiffOp:
     if mi_sum(n) > ctx.tau_trunc:
         raise ValueError(
             f"phi(d^<{n}>) needs tau_trunc >= {mi_sum(n)}, have {ctx.tau_trunc}")
+    if not fd.is_standard:
+        return _peel(fd, n)
     terms = {mi_scale(c, ctx.pm1): g
              for c, g in fd.gamma_coeffs(n).items()}
     out = fd._phi[n] = DiffOp._trusted(ctx, terms)
     return out
+
+
+def _peel(fd: FrobData, n) -> DiffOp:
+    """phi(d^<n>) = d^<n> . 1 in the split module O_X[theta] (`bullet`:
+    P . (f theta^c) = phi(P f) theta^c), for any strong lifting, by the
+    peel of `DModule.b_matrix`; every image on the way is cached on fd.
+
+    O_X[theta] is a D^(m)-module under this action (the paper; cf.
+    Berthelot, "D-modules arithmetiques II", Mem. SMF 81, 2000), and the
+    tests check its module law under deviated liftings.  Its generators
+    act through c(i, j) alone:
+
+        d_i^<p^l> . (f theta^c)
+            = (d^<p^l e_i>(f) + [l = m] f sum_j c(i, j) theta_j) theta^c.
+
+    Proof.  By Leibniz, d^<p^l e_i> f = sum_a {p^l \\ a} d^<a e_i>(f)
+    d^<(p^l - a) e_i>, and phi is O_X-linear.  The a = p^l term is
+    d^<p^l e_i>(f), with phi(1) = 1.  Every other term has 0 < s =
+    p^l - a <= p^m, and by the lemma phi(d_i^<s>) is 0 for s < p^m and
+    sum_j c(i, j) theta_j at s = p^m, which needs l = m and a = 0, where
+    the brace is 1.
+
+    Lemma.  At 0 < |n| <= p^m, phi(d^<n>) = sum_j c(k, j) theta_j if
+    n = p^m e_k, and 0 otherwise.  Here every n_k <= p^m, so q_(n_k)! = 1
+    and d^<n>(t^h) = C(h, n) t^(h - n); by Taylor, [tau^{n}] w_j is
+    d^<n>(F_j)/p! mod p, as in `c_matrix`.  Write F_j = t_j^q + p h_j,
+    q = p^(m+1), h_j = g_j(t^(p^m)).
+    1. w_j has no term at 0 < |n| <= p^m other than the n = p^m e_k.
+       - t_j^q gives C(q, n_j) at n = n_j e_j.  By Kummer,
+         v_p C(p^(m+1), s) = m + 1 - v_p(s) for 0 < s < q: that is 1
+         at s = p^m and at least 2 at every other 0 < s <= p^m.  p!
+         has valuation 1, so only s = p^m leaves a term mod p.
+       - p h_j gives p C(p^m e, n)/p! = C(p^m e, n)/(p-1)! mod p for a
+         term t^(p^m e).  By Lucas, C(p^m e_k, n_k) = 0 mod p unless
+         p^m | n_k, as the base-p digits of p^m e_k below p^m are 0.
+         With 0 < |n| <= p^m that leaves n = p^m e_k.
+    2. Only |c| <= 1 contributes to phi(d^<n>).  In the rational model
+       gamma_c(w_j) is w_j^c/c!, and by 1 w_j lies in tau-degrees
+       >= p^m, so prod_j gamma_(c_j)(w_j) lies in tau-degrees >= |c| p^m:
+       |c| >= 2 needs |n| >= 2 p^m.  c = 0 is gamma_0 = 1, with no term
+       at n != 0.  c = e_j is [tau^{n}] w_j: 0 by 1 unless n = p^m e_k,
+       where it is c(k, j) by definition.
+
+    The peel.  If p^m does not divide n_k = b p^m + a, 0 < a < p^m, then
+    d^<n - a e_k> d^<a e_k> = d^<n>: the angle is C(n_k, a) = 1 mod p
+    by Lucas, over the brace b!/b! = 1.  So phi(d^<n>) =
+    d^<n - a e_k> . phi(d^<a e_k>) = 0 by the lemma.  Otherwise take i
+    the first coordinate with n_i > 0.
+    - n_i > q: d^<n> = theta_i d^<n - q e_i>, as the units at
+      `diffops.theta_power` are 1, and theta_i . (f theta^c) =
+      phi(f theta_i) theta^c = f phi(theta_i) theta^c (theta_i is
+      central, phi is O_X-linear): the product with phi(theta_i).
+    - n_i <= q: d^<n> = d_i^<p^m> d^<n - p^m e_i>.  p^m is the largest
+      p^l, l <= m, with p^l <= n_i, the one `b_matrix` peels, and its
+      angle <n_i \\ p^m> is 1 (`diffops.theta_power`), as are the other
+      coordinates'.
+    By the module law phi(d^<n>) is then phi(theta_i) phi(d^<n - q e_i>)
+    or d_i^<p^m> . phi(d^<n - p^m e_i>), down to phi(1) = 1.  Each step
+    runs on coefficient dicts, multiply-accumulated and reduced once."""
+    ctx = fd.ctx
+    p, m, pm, q, r = ctx.p, ctx.m, ctx.pm, ctx.pm1, ctx.r
+    if any(x % pm for x in n):
+        fd._phi[n] = DiffOp.zero(ctx)
+        return fd._phi[n]
+    units = [mi_unit(r, j) for j in range(r)]
+    chain = []
+    while n not in fd._phi and any(n):
+        i = next(j for j, x in enumerate(n) if x)
+        chain.append((n, i))
+        n = mi_sub(n, mi_scale(units[i], q if n[i] > q else pm))
+    z = fd._phi[n] if n in fd._phi else DiffOp.one(ctx)
+    one = {mi_zero(r): 1}
+    for n, i in reversed(chain):
+        accs: dict = {}
+        if n[i] > q:
+            for c1, f1 in phi_basis(fd, mi_scale(units[i], q)).terms.items():
+                for c, f in z.terms.items():
+                    mac(accs.setdefault(mi_add(c1, c), {}), f1.coeffs,
+                        f.coeffs)
+        else:
+            di = mi_scale(units[i], pm)
+            cs = [(mi_scale(units[j], q), g.coeffs) for j in range(r)
+                  if (g := fd.c_matrix(i, j))]
+            for c, f in z.terms.items():
+                mac(accs.setdefault(c, {}), dp_coeffs(di, f.coeffs, p, m), one)
+                for cj, g in cs:
+                    mac(accs.setdefault(mi_add(c, cj), {}), f.coeffs, g)
+        z = fd._phi[n] = DiffOp._trusted(ctx, {
+            c: Poly._trusted(g, r, p) for c, acc in accs.items()
+            if (g := reduced(acc, p))})
+    return z
 
 
 def phi(fd: FrobData, op: DiffOp) -> DiffOp:
@@ -452,8 +435,8 @@ def _psi(fd: FrobData, n: int) -> list:
 
         psi_i = theta_i - sum_j c(i, j)^p psi_j^p,
 
-    which reads c(i, j) alone (`FrobData.c_matrix`): no phi, no w, no
-    tower.  O_X[theta] is commutative of characteristic p, so the p-th
+    which reads c(i, j) alone (`FrobData.c_matrix`): no phi and no w.
+    O_X[theta] is commutative of characteristic p, so the p-th
     power of sum_c a_c theta^c is sum_c a_c^p theta^(pc), the exponent
     dilation by p.  c(i, j) lies in F_p[t^(p^m)], so c(i, j)^p lies in
     O_X' = F_p[t^q], q = p^(m+1), and psi in the center.  Every psi_j has
@@ -461,14 +444,23 @@ def _psi(fd: FrobData, n: int) -> list:
     whenever n < p.
 
     Proof that phi(psi_i) = theta_i mod theta-degree > n.  It rests on
-    two facts about phi on the center that the paper gives and that are
-    checked here, not proved:
-      (a) phi(theta_i) = theta_i + phi(d_i^<p^m>)^p, checked by the
-          `phibar` verify suite.  As phi(d_i^<p^m>) = sum_j c(i, j)
-          theta_j (proved at `FrobData._low_gamma_coeffs`), this is
-          theta_i + sum_j c(i, j)^p theta_j^p;
-      (b) phi is an O_X'-algebra map on the center, checked by
-          `test_phi_multiplicative_on_the_center`.
+    two facts about phi on the center, both consequences of the module
+    law of the split module O_X[theta] (`_peel`):
+      (a) phi(theta_i) = theta_i + sum_j c(i, j)^p theta_j^p, which is
+          theta_i + phi(d_i^<p^m>)^p (checked by the `phibar` verify
+          suite).  As theta_i = (d_i^<p^m>)^p (`diffops.theta_power`),
+          phi(theta_i) = R^p(1) for R = d_i^<p^m> . (-).  By the
+          generator step at `_peel`, R acts on F_p[s][theta], s =
+          t^(p^m), as D + G: D = d/ds_i (Lucas, as in
+          `simpson.pullback`) and G the product with sum_j c(i, j)
+          theta_j, each c(i, j) in F_p[s].  By Jacobson, as in
+          `pullback`'s proof, (D + G)^p(1) = D^p(1) + D^(p-1)(G) + G^p =
+          D^(p-1)(G) + G^p, and D^(p-1) c(i, j) = delta_ij there;
+      (b) phi is an O_X'-algebra map on the center (checked by
+          `test_phi_multiplicative_on_the_center`).  A central Z acts on
+          O_X[theta] as the product with phi(Z): Z . (f theta^c) =
+          phi(f Z) theta^c = f phi(Z) theta^c, as phi is O_X-linear.  So
+          phi(Z Z') = Z . (Z' . 1) = phi(Z) phi(Z').
     By (a) and (b), phi(theta^c) is theta^c plus terms of theta-degree
     >= |c| + p - 1: phi is tangent to the identity, so it keeps
     theta-degrees > n above n and is injective mod theta-degree > n;

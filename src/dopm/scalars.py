@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial
-from operator import add, le, sub
+from operator import add, sub
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +229,6 @@ def mi_sub(a, b):
     out = tuple(map(sub, a, b))
     assert min(out, default=0) >= 0, (a, b)
     return out
-
-
-def mi_le(a, b) -> bool:
-    return all(map(le, a, b))
 
 
 def mi_sum(a) -> int:

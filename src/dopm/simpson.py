@@ -22,13 +22,14 @@ image:
 |c| >= 2 survives on the module).  Theta^c acts as zero once |c| reaches
 the nilpotency index nnil, so both directions read phi, phi_tilde and
 phi^{-1} only to theta-degree n = nnil - 1, cached on the caller's fd.
-There phi_tilde(d_i^<s>), s <= p^m, and phi^{-1}(theta_i) are closed
-forms in c(i, j) (`FrobData._low_gamma_coeffs`, `frobenius._psi`), so
-no tower is built; phi is read at orders <= p^m < q <= tau_trunc and psi
-at n, so theta_trunc and tau_trunc change neither output nor cost.
-On a valid module it suffices to impose this for P = d_i^<s>, 0 < s <= p^m:
-Theta^c commutes with both sides, as theta_i is central, and the
-conditions of d_i^<p^m> t_i^b are triangular in these (two lemmas,
+There phi_tilde(d_i^<p^l>), l <= m, and phi^{-1}(theta_i) are closed
+forms in c(i, j) (the lemma at `frobenius._peel`, `frobenius._psi`);
+phi is read at orders <= p^m < q <= tau_trunc and psi at n, so
+theta_trunc and tau_trunc change neither output nor cost.  On a valid
+module it suffices to impose this for the generators P = d_i^<p^l>,
+l <= m: Theta^c commutes with both sides, as theta_i is central, the
+conditions of d_i^<p^m> t_i^b are triangular in those of the d_i^<s>,
+0 < s <= p^m, and these follow from the generators' (three lemmas,
 proved at `_box_entries`).
 
 F_*O_X^n is free over O_X' = F_p[t'] on the box sections t^a e_j, a < q
@@ -647,8 +648,8 @@ def _box_entries(fd: FrobData, dm: DModule, nnil, key, sections) -> dict:
     module).  Both sides of a defect are O_X-linear in the operator
     and d^<p^l> t^b = sum_s' {p^l \\ s'} d^<s'>(t^b) d^<p^l - s'>, so
     that defect is sum_s' w(b, s') t_i^(b - s') D_(p^l - s') with
-    w(b, s') = {p^l \\ s'} q_s'! C(b, s').  On a valid module the two
-    families have one kernel:
+    w(b, s') = {p^l \\ s'} q_s'! C(b, s').  On a valid module the
+    complete family, the D_s and the generators' D_(p^l) have one kernel:
 
     1. c > 0 adds nothing.  rho(theta_i) commutes with every rho(d^<k>),
        as theta_i is central and rho an action, and with t, so it is the
@@ -663,6 +664,14 @@ def _box_entries(fd: FrobData, dm: DModule, nnil, key, sections) -> dict:
        of D_(p^m - s'), s' < b, since w(b, b) = 1 (q_b! = 1 and
        q_(p^m - b) = 0, or b = p^m); by induction on b each D_s vanishes
        on the kernel of the family.
+    3. The D_s at s = p^l, l <= m, have the kernel of all the D_s,
+       0 < s <= p^m.  For s < p^m, phi_tilde(d_i^<s>) = 0 (the lemma at
+       `frobenius._peel`), so D_s(v) = -rho(d_i^<s>) v.  If s is not a
+       power of p, peel p^L, the largest L <= m with p^L <= s, as
+       `DModule.b_matrix` does: rho(d_i^<s>) = <s \\ p^L>^-1
+       rho(d_i^<p^L>) rho(d_i^<s - p^L>), the angle a unit, on a valid
+       module.  By induction on s, rho(d_i^<s - p^L>) v = 0 on the
+       kernel of the generators' D_(p^l), so D_s(v) = 0 there.
 
     nullspace_mod's basis depends only on the kernel and the column
     order, so the basis is the one the complete family gives."""
@@ -704,12 +713,13 @@ def solve_invariants(fd: FrobData, dm: DModule,
     """Compute the invariant sections of total degree <= deg_bound.
 
     The box sections t^a e_j, a < q = p^(m+1) componentwise, that the
-    window reaches start live.  The conditions (i, s) come one at a time,
-    s = 1..p^m outer and i inner, each built once and evaluated on the
-    live sections (`_box_entries`).  Entry (key, e) of section (j, a) is
-    t'^(e div q) in box row (key, e mod q); a box row with one live
-    section forces it, and every unknown t'^b t^a e_j, to zero (F_p[t']
-    is a domain).  `_strike_singletons` runs on each condition's box rows
+    window reaches start live.  The conditions (i, s) of the generators
+    come one at a time, s = p^l for l = 0..m outer and i inner, each
+    built once and evaluated on the live sections (`_box_entries`).
+    Entry (key, e) of section (j, a) is t'^(e div q) in box row (key,
+    e mod q); a box row with one live section forces it, and every
+    unknown t'^b t^a e_j, to zero (F_p[t'] is a domain).
+    `_strike_singletons` runs on each condition's box rows
     and on the rows of two or more live sections kept from before, and
     what it forces is no longer live.
 
@@ -733,7 +743,7 @@ def solve_invariants(fd: FrobData, dm: DModule,
     live = {(j, a): [] for a in product(range(min(q, d + 1)), repeat=ctx.r)
             if sum(a) <= d for j in range(dm.rank)}   # section -> entries
     shared = []     # box rows of two or more live sections
-    for s in range(1, ctx.pm + 1):
+    for s in (ctx.p**l for l in range(ctx.m + 1)):
         for i in range(ctx.r):
             new = {}
             for sec, entries in _box_entries(fd, dm, nnil, (i, s),

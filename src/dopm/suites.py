@@ -28,8 +28,9 @@ from .diffops import (DiffOp, frob_descend, frob_raise, kaneda_matrix,
 from .dpalg import DPElem, gamma_dp, pair_op, taylor
 from .expr import render_op
 from .frobenius import (FrobData, as_split_module, bullet, bullet_matrix,
-                        glue_derivation, glue_endo, phi, phi_center_inv,
-                        phi_tilde, random_strong_lifting, standard_lifting)
+                        divided_frob_tau, glue_derivation, glue_endo, phi,
+                        phi_center_inv, phi_tilde, random_strong_lifting,
+                        standard_lifting)
 from .linalg import (pmat_add_inplace, pmat_eq, pmat_map, pmat_scale,
                      pmat_zero, rank_mod)
 from .poly import Poly
@@ -266,13 +267,14 @@ def suite_phi(seed: int, only):
         yield _true(f"zero window 0 < n < p^m, p={p} m={m}", window)
     for fi, fd in _liftings(seed, only):
         ctx = fd.ctx
+        ws = divided_frob_tau(ctx, fd.lifting)
         ok_formula = True
         ok_phi = True
         for i in range(ctx.r):
             for j in range(ctx.r):
                 # the coefficient of tau_i^{p^m} in the Taylor-expanded w_j
-                want = fd.ws[j].coeffs.get(mi_scale(mi_unit(ctx.r, i), ctx.pm),
-                                           Poly.zero(ctx.r, ctx.p))
+                want = ws[j].coeffs.get(mi_scale(mi_unit(ctx.r, i), ctx.pm),
+                                        Poly.zero(ctx.r, ctx.p))
                 if fd.c_matrix(i, j) != want:
                     ok_formula = False
             img = phi(fd, DiffOp.dpartial(ctx, mi_scale(mi_unit(ctx.r, i),
@@ -538,7 +540,8 @@ def suite_ov_compare(seed: int, only):
                 dm = simp.pullback(fd, hg)
                 # Z[j][k], the tau_k-coefficient of the Taylor-expanded w_j
                 z = [[w.coeffs.get(mi_unit(r, k), Poly.zero(r, p))
-                      for k in range(r)] for w in fd.ws]
+                      for k in range(r)]
+                     for w in divided_frob_tau(ctx, fd.lifting)]
                 ok = True
                 for ii in range(r):
                     acc = pmat_zero(2, r, p)

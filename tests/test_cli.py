@@ -1027,7 +1027,7 @@ def test_a_standard_lifting_file_prints_what_std_prints(capsys, tmp_path,
 
 def tower_phi(ctx, lifting, n) -> str:
     """phi(d^<n>) = sum_c [tau^{n}] prod_j gamma_{c_j}(w_j) d^<c q>,
-    rendered, from from-scratch rational towers and DPElem products."""
+    rendered, from the rational model `gamma_dp` and DPElem products."""
     ws = divided_frob_tau(ctx, lifting)
     terms = {}
     for c in degree_box(sum(n) // ctx.pm, ctx.r):

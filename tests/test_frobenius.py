@@ -11,28 +11,26 @@ import random
 import subprocess
 import sys
 import weakref
-from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 
 import pytest
 
-from dopm import frobenius
+from dopm import dpalg, frobenius
 from dopm.context import Context
 from dopm.diffops import DiffOp, theta, theta_power
-from dopm.dpalg import DPElem, GammaTower, RatDP, gamma_dp
+from dopm.dpalg import DPElem, gamma_dp
 from dopm.expr import render_op
 from dopm.frobenius import (FrobData, LiftingZ, NotALifting, NotStrong,
                             bullet, bullet_matrix, divided_frob_tau,
                             glue_derivation, glue_endo, lifting_from_json,
                             phi, phi_basis, phi_center_inv, phi_inv_basis,
                             phi_tilde, phi_tilde_basis, random_strong_lifting,
-                            standard_gamma_coeff, standard_lifting,
-                            strong_lifting_from_higgs_frame)
+                            standard_gamma_coeff, standard_lifting)
 from dopm.poly import MalformedInput, Poly
 from dopm.scalars import (degree_box, div_p_fact, dp_monomial_action,
-                          frac_mod, mi_le, mi_scale, mi_unit)
+                          frac_mod, mi_scale, mi_unit)
 from dopm.simpson import random_higgs, round_trip
 
 from closed_forms import central_unit, mod_p
@@ -55,22 +53,22 @@ def std_w_oracle(p, m):
                                  (2, 2)])
 def test_standard_divided_frobenius(p, m):
     ctx = Context(p, m)
-    fd = FrobData.standard(ctx)
     want = {s: f for s, f in std_w_oracle(p, m).items()
             if sum(s) <= ctx.tau_trunc}
-    assert fd.ws[0].coeffs == want
+    assert divided_frob_tau(ctx, standard_lifting(ctx))[0].coeffs == want
 
 
 def test_standard_divided_frobenius_frozen():
+    def w(ctx):
+        return divided_frob_tau(ctx, standard_lifting(ctx))[0].coeffs
+
     # p=3, m=0: w = 2 t^2 tau + t tau^{2} + tau^{3}
-    fd = FrobData.standard(Context(3, 0))
-    assert fd.ws[0].coeffs == {(1,): Poly.monomial((2,), 2, 1, 3),
-                               (2,): Poly.monomial((1,), 1, 1, 3),
-                               (3,): Poly.one(1, 3)}
+    assert w(Context(3, 0)) == {(1,): Poly.monomial((2,), 2, 1, 3),
+                                (2,): Poly.monomial((1,), 1, 1, 3),
+                                (3,): Poly.one(1, 3)}
     # p=2, m=1: w = t^2 tau^{2} + tau^{4}
-    fd = FrobData.standard(Context(2, 1))
-    assert fd.ws[0].coeffs == {(2,): Poly.monomial((2,), 1, 1, 2),
-                               (4,): Poly.one(1, 2)}
+    assert w(Context(2, 1)) == {(2,): Poly.monomial((2,), 1, 1, 2),
+                                (4,): Poly.one(1, 2)}
 
 
 # -- lifting validation -------------------------------------------------------
@@ -112,6 +110,11 @@ def test_lifting_json_of_the_wrong_shape(lift):
         lifting_from_json({"p": 3, "m": 1, "r": 1, "lift": lift})
 
 
+def le(a, b) -> bool:
+    """a <= b in every coordinate."""
+    return all(x <= y for x, y in zip(a, b))
+
+
 def taylor_c(fd, i, j):
     """[tau_i^{p^m}] w_j = d^<s>(F_j)/p! mod p at s = p^m e_i, term by
     term of F_j mod p^2 with the exact structure integers, as `taylor`
@@ -120,7 +123,7 @@ def taylor_c(fd, i, j):
     s = mi_scale(mi_unit(ctx.r, i), ctx.pm)
     out = {}
     for h, c in fd.lifting.polys[j].coeffs.items():
-        if mi_le(s, h):
+        if le(s, h):
             a = dp_monomial_action(s, h, ctx.p, ctx.m) * c % ctx.mod2
             out[tuple(x - y for x, y in zip(h, s))] = div_p_fact(a, ctx.p)
     return Poly(out, ctx.r, ctx.p)
@@ -147,16 +150,16 @@ def test_c_matrix_formula():
                         assert want, (p, m, r, i)
 
 
-# -- the gamma towers ----------------------------------------------------------
+# -- phi against the rational model -------------------------------------------
 
 TOWER_PMR = [(7, 1, 1), (5, 0, 1), (3, 0, 3), (2, 3, 1), (3, 1, 2)]
 
 
 def tower_fd(pmr, lifting):
     """The standard lifting in the default window; a random strong one in
-    the window theta_trunc = 1, since the from-scratch oracle makes K^2/2
-    rational products and a random w has hundreds of terms (the default
-    window at (3, 0, 3) takes minutes)."""
+    the window theta_trunc = 1, since the rational oracle multiplies out
+    w^k for every k <= tau_trunc / p^m and a random w has hundreds of
+    terms (the default window at (3, 0, 3) takes minutes)."""
     if lifting == "std":
         return FrobData.standard(Context(*pmr))
     ctx = Context(*pmr, theta_trunc=1)
@@ -201,30 +204,102 @@ def fraction_gammas(w, big_k, mod):
     return out
 
 
+def theta_coeffs(fd, n) -> dict:
+    """{c: f} for phi(d^<n>) = sum_c f theta^c, theta^c = d^<c q>."""
+    q = fd.ctx.pm1
+    return {tuple(x // q for x in k): f
+            for k, f in phi_basis(fd, n).terms.items()}
+
+
+def assert_phi_is_the_rational_model(fd):
+    """The theta^c coefficient of phi(d^<n>), by the closed form or the
+    peel, is [tau^{n}] prod_j gamma_dp(w_j, c_j) at every |n| <=
+    tau_trunc: from the Taylor-expanded w and DPElem products over every
+    |c| <= tau_trunc / p^m, cut at tau_trunc (a term only ever moves
+    up)."""
+    ctx = fd.ctx
+    big_k = ctx.tau_trunc // ctx.pm
+    gammas = [[gamma_dp(w, k) for k in range(big_k + 1)]
+              for w in divided_frob_tau(ctx, fd.lifting)]
+    want: dict = {}
+    for c in degree_box(big_k, ctx.r):
+        prod = gammas[0][c[0]]
+        for j in range(1, ctx.r):
+            prod = prod * gammas[j][c[j]]
+        for n, f in prod.coeffs.items():
+            want.setdefault(n, {})[c] = f
+    for n in degree_box(ctx.tau_trunc, ctx.r):
+        assert theta_coeffs(fd, n) == want.get(n, {}), n
+        if fd.is_standard:
+            assert fd.gamma_coeffs(n) == want.get(n, {}), n
+
+
 @pytest.mark.parametrize("lifting", ["std", "random"])
 @pytest.mark.parametrize("pmr", TOWER_PMR, ids=str)
 def test_gamma_tower_is_the_from_scratch_oracle(pmr, lifting):
-    fd = tower_fd(pmr, lifting)
-    ctx = fd.ctx
-    big_k = ctx.tau_trunc // ctx.pm
-    want = {(j, k): gamma_dp(w, k)
-            for j, w in enumerate(fd.ws) for k in range(big_k + 1)}
-    for (j, k), g in want.items():
-        assert fd.gamma_w(j, k) == g
-    # gamma_coeffs(n)[c] is [tau^{n}] of the full product
-    # prod_j gamma_{c_j}(w_j), at every n of its support and at the n one
-    # step off it (no term)
-    for c in degree_box(big_k, ctx.r):
-        prod = want[0, c[0]]
-        for j in range(1, ctx.r):
-            prod = prod * want[j, c[j]]
-        for n, g in prod.coeffs.items():
-            assert fd.gamma_coeffs(n)[c] == g
-        off = {tuple(x + (i == j) for j, x in enumerate(n))
-               for n in prod.coeffs for i in range(ctx.r)}
-        for n in off - prod.coeffs.keys():
-            if sum(n) <= ctx.tau_trunc:
-                assert not fd.gamma_coeffs(n).get(c)
+    assert_phi_is_the_rational_model(tower_fd(pmr, lifting))
+
+
+def deviated(ctx, rng) -> FrobData:
+    """A random strong lifting of degree 2 with a nonzero deviation."""
+    while True:
+        fd = FrobData(ctx, random_strong_lifting(ctx, rng, deg=2))
+        if not fd.is_standard:
+            return fd
+
+
+# theta_trunc = 1 where the oracle is slow in the default window
+PEEL_CASES = [(7, 0, 1, 3), (7, 1, 1, 1), (7, 0, 2, 1), (5, 2, 1, 1),
+              (5, 0, 2, 2), (3, 3, 1, 3), (2, 3, 1, 3), (2, 2, 2, 2),
+              (3, 1, 2, 1), (2, 0, 3, 3), (3, 0, 3, 1), (2, 1, 3, 1)]
+
+
+@pytest.mark.parametrize("p, m, r, top", PEEL_CASES, ids=str)
+def test_the_peel_is_the_rational_model(p, m, r, top):
+    # phi(d^<n>) = d^<n> . 1 by generator steps on the split module, and
+    # the closed form, against the rational model over p <= 7, m <= 3,
+    # r <= 3, under the standard lifting and two deviated ones
+    ctx = Context(p, m, r, theta_trunc=top)
+    rng = random.Random(f"peel {p} {m} {r}")
+    for fd in (FrobData.standard(ctx), deviated(ctx, rng),
+               deviated(ctx, rng)):
+        assert_phi_is_the_rational_model(fd)
+
+
+MODULE_LAW_CASES = [(2, 0, 1), (3, 0, 1), (7, 0, 1), (2, 1, 1), (3, 1, 1),
+                    (2, 2, 1), (2, 0, 2), (3, 0, 2), (2, 1, 2), (2, 0, 3)]
+
+
+def rand_op(rng, ctx, orders):
+    """A random operator: one term per order in `orders`, on a random
+    coordinate split, each coefficient of t-degree <= 2."""
+    out = DiffOp.zero(ctx)
+    for o in orders:
+        k = [0] * ctx.r
+        for _ in range(o):
+            k[rng.randrange(ctx.r)] += 1
+        f = Poly({tuple(rng.randrange(3) for _ in range(ctx.r)):
+                  rng.randrange(1, ctx.p) if ctx.p > 2 else 1}, ctx.r, ctx.p)
+        out = out + DiffOp.dpartial(ctx, k, coeff=f)
+    return out
+
+
+@pytest.mark.parametrize("pmr", MODULE_LAW_CASES, ids=str)
+def test_the_module_law_holds_under_a_deviation(pmr):
+    # (PQ).z = P.(Q.z) on O_X[theta] under random strong liftings, with P
+    # and Q of orders above p^m: the fact the peel of phi rests on
+    ctx = Context(*pmr)
+    rng = random.Random(f"module law {pmr}")
+    q, pm = ctx.pm1, ctx.pm
+    for _ in range(2):
+        fd = deviated(ctx, rng)
+        for _ in range(3):
+            a = rand_op(rng, ctx, (pm, q, q + pm + 1))
+            b = rand_op(rng, ctx, (1, pm + 1, q))
+            z = Poly({tuple(rng.randrange(4) for _ in range(ctx.r))
+                      + tuple(rng.randrange(2) for _ in range(ctx.r)): 1},
+                     2 * ctx.r, ctx.p, "t|th")
+            assert bullet(fd, a * b, z) == bullet(fd, a, bullet(fd, b, z))
 
 
 @pytest.mark.parametrize("lifting", ["std", "random"])
@@ -233,113 +308,55 @@ def test_gamma_is_the_fraction_oracle(pmr, lifting):
     fd = tower_fd(pmr, lifting)
     ctx = fd.ctx
     big_k = ctx.tau_trunc // ctx.pm
-    for j, w in enumerate(fd.ws):
+    for w in divided_frob_tau(ctx, fd.lifting):
         exact = fraction_gammas(w, big_k, None)
         reduced = fraction_gammas(w, big_k, ctx.p)
         for k in range(big_k + 1):
             assert gamma_dp(w, k, mod=None) == exact[k]
             assert gamma_dp(w, k) == reduced[k]
-            assert fd.gamma_w(j, k) == reduced[k]
-
-
-def _high_t_fd(theta_trunc):
-    # w's t-exponents (up to 39) are far above tau_trunc, so the packed
-    # key's t-fields need more bits than its tau-fields
-    ctx = Context(3, 0, r=2, theta_trunc=theta_trunc)
-    gs = [Poly({(40, 0): 1, (0, 37): 1}, 2, 3),
-          Poly({(40, 0): 2, (0, 37): 1}, 2, 3)]
-    return FrobData(ctx, strong_lifting_from_higgs_frame(ctx, gs))
-
-
-@pytest.mark.parametrize("theta_trunc", [3, 5])
-def test_packed_tower_is_the_fraction_oracle_at_high_t_degree(theta_trunc):
-    fd = _high_t_fd(theta_trunc)
-    ctx = fd.ctx
-    big_k = ctx.tau_trunc // ctx.pm
-    for j, w in enumerate(fd.ws):
-        top_t = max(x for f in w.coeffs.values() for e in f.coeffs
-                    for x in e)
-        assert top_t > 2 * ctx.tau_trunc
-        assert fd._towers[j].w.width > ctx.tau_trunc.bit_length()
-        exact = fraction_gammas(w, big_k, None)
-        reduced = fraction_gammas(w, big_k, ctx.p)
-        for k in range(big_k + 1):
-            assert gamma_dp(w, k, mod=None) == exact[k]
-            assert fd.gamma_w(j, k) == reduced[k]
-
-
-def test_a_product_whose_fields_carry_is_dropped():
-    # width 2 (tau_trunc = 3, t-degree 1): every field holds 0..3.  In
-    # tau^{3} * tau^{3} the tau-field carries into |s|, and t * t^3 (a
-    # deeper factor) carries into the tau-field; both have |s| > 3
-    ctx = Context(2, 0, theta_trunc=1, tau_trunc=3)
-    w = DPElem(ctx, {(3,): Poly.monomial((1,), 1, 1, 2)}, 2)
-    x = RatDP.from_dp(w)
-    assert x.width == 2
-    assert not (x * x).terms
-    y = RatDP(ctx, {(1 << 2) + (1 << 4) + 3: 1}, 1, 2)   # t^3 tau^{1}
-    assert (y * x).terms == {}
-    one = RatDP.one(ctx, 2)
-    assert (one * x).terms == x.terms
-    with pytest.raises(ValueError):
-        x * RatDP.one(ctx, 3)
 
 
 @pytest.mark.parametrize("lifting", ["std", "random"])
 @pytest.mark.parametrize("pmr", TOWER_PMR, ids=str)
 def test_gamma_requests_in_any_order(pmr, lifting):
+    # the images phi caches on the way to one n are the ones asked for
+    # directly: every phi(d^<n>), |n| <= tau_trunc, top down and bottom up
     down, up = tower_fd(pmr, lifting), tower_fd(pmr, lifting)
-    big_k = down.ctx.tau_trunc // down.ctx.pm
-    for j in range(down.ctx.r):
-        got = {k: down.gamma_w(j, k) for k in range(big_k, -1, -1)}
-        assert got == {k: up.gamma_w(j, k) for k in range(big_k + 1)}
+    ns = list(degree_box(down.ctx.tau_trunc, down.ctx.r))
+    got = {n: phi_basis(down, n) for n in reversed(ns)}
+    assert got == {n: phi_basis(up, n) for n in ns}
 
 
 @pytest.mark.parametrize("ctx, lift_seed", [
     (Context(3, 0), None), (Context(2, 1, r=2), None),
     (Context(3, 0, r=2), 3), (Context(2, 0, r=3), None),
-    (Context(2, 0, r=3), 3),
-], ids=["p3m0", "p2m1r2", "p3m0r2-lifted", "p2m0r3", "p2m0r3-lifted"])
-def test_phi_builds_one_tower_per_coordinate(monkeypatch, ctx, lift_seed):
-    # every rational product is a tower step w_j * gamma_(k-1); phi of an
-    # operator of order 3q needs gamma_k for k <= K = 3q / p^m, and reads
-    # single coefficients of prod_j gamma_{c_j}(w_j) without a DPElem product.
-    # The standard lifting takes the closed form: no tower, no Taylor
-    # expansion, no rational product
-    steps, dp_products, taylors = Counter(), [], []
-    rat_mul, dp_mul = RatDP.__mul__, DPElem.__mul__
-    frob_taylor = frobenius.taylor
+    (Context(2, 0, r=3), 3), (Context(3, 0), 3), (Context(2, 1, r=2), 3),
+    (Context(3, 1), 5),
+], ids=["p3m0", "p2m1r2", "p3m0r2-lifted", "p2m0r3", "p2m0r3-lifted",
+        "p3m0-lifted", "p2m1r2-lifted", "p3m1-lifted"])
+def test_phi_builds_no_divided_power(monkeypatch, ctx, lift_seed):
+    # phi, phitilde and bullet of an operator of order 3q read c(i, j)
+    # alone under a deviated lifting, and the closed form under the
+    # standard one: no Taylor expansion, no divided power and no
+    # divided-power product
+    def refuse(*args, **kwargs):
+        raise AssertionError("a divided power on phi's path")
 
-    def counting(self, other):
-        steps[id(other)] += 1
-        return rat_mul(self, other)
-
-    def dp_counting(self, other):
-        dp_products.append(other)
-        return dp_mul(self, other)
-
-    def taylor_counting(*args):
-        taylors.append(args)
-        return frob_taylor(*args)
-
-    monkeypatch.setattr(RatDP, "__mul__", counting)
-    monkeypatch.setattr(DPElem, "__mul__", dp_counting)
-    monkeypatch.setattr(frobenius, "taylor", taylor_counting)
+    for mod, name in ((dpalg, "taylor"), (frobenius, "taylor"),
+                      (dpalg, "gamma_dp")):
+        monkeypatch.setattr(mod, name, refuse)
+    monkeypatch.setattr(DPElem, "__mul__", refuse)
     fd = FrobData.standard(ctx) if lift_seed is None else \
         FrobData(ctx, random_strong_lifting(ctx, random.Random(lift_seed),
                                             deg=2))
+    assert fd.is_standard == (lift_seed is None)
     q = ctx.pm1
     op = DiffOp.zero(ctx)
     for j in range(ctx.r):
         op = op + DiffOp.dpartial(ctx, mi_scale(mi_unit(ctx.r, j), 3 * q))
-    assert phi(fd, op)
-    big_k = 3 * q // ctx.pm
-    assert not dp_products
-    if lift_seed is None:
-        assert not steps and not taylors
-        return
-    assert len(steps) == ctx.r
-    assert all(n <= big_k for n in steps.values())
+    assert phi(fd, op) and phi_tilde(fd, op)
+    z = Poly.monomial((1,) * ctx.r + (0,) * ctx.r, 1, 2 * ctx.r, ctx.p, "t|th")
+    assert bullet(fd, op, z)
 
 
 # -- the closed form of the standard lifting ----------------------------------
@@ -349,15 +366,11 @@ ALL_PM = [(p, m) for p in (2, 3, 5, 7) for m in range(4)]
 
 def rational_gammas(ctx):
     """[j][k] = gamma_k(w_j) mod p of the standard lifting, for
-    k <= tau_trunc / p^m: the rational model, one GammaTower of the
+    k <= tau_trunc / p^m: the rational model, `gamma_dp` of the
     Taylor-expanded w_j per coordinate, none of FrobData."""
     big_k = ctx.tau_trunc // ctx.pm
-    out = []
-    for w in divided_frob_tau(ctx, standard_lifting(ctx)):
-        tower = GammaTower(w)
-        out.append([tower.rational(k).to_dp(ctx.p)
-                    for k in range(big_k + 1)])
-    return out
+    return [[gamma_dp(w, k) for k in range(big_k + 1)]
+            for w in divided_frob_tau(ctx, standard_lifting(ctx))]
 
 
 def at_one(f) -> int:
@@ -406,7 +419,7 @@ def test_standard_closed_form_is_the_rational_model_at_r23(p, m, r):
         on_grid = i % 2 == 0 or m == 0
         n = draw_n(rng, ctx, on_grid)
         cut = [[(c, DPElem(ctx, {s: f for s, f in g.coeffs.items()
-                                 if mi_le(s, n)}, p))
+                                 if le(s, n)}, p))
                 for c, g in enumerate(gammas[j])] for j in range(r)]
         want = {}
         for pick in product(*[[cg for cg in fs if cg[1]] for fs in cut]):
@@ -503,7 +516,6 @@ def test_phi_vanishes_below_the_level():
                             DiffOp.from_poly(ctx, fd.c_matrix(i, j)) * \
                             phi_inv_basis(fd, mi_unit(ctx.r, j), n)
                     assert phi_tilde_basis(fd, k, n) == want
-            assert "ws" not in vars(fd) and "_towers" not in vars(fd)
 
 
 @pytest.mark.parametrize("pmr", [(2, 1, 1), (3, 1, 1), (2, 2, 1), (7, 1, 1),
@@ -667,14 +679,14 @@ def test_a_lifting_of_another_context_is_refused():
 
 def test_a_lifting_is_freed_without_the_collector():
     # no FrobData is part of a reference cycle, so dropping the last
-    # reference frees it, caches and towers with it, by reference counting
-    # alone: a cycle would keep them until the next collection
+    # reference frees it, caches with it, by reference counting alone: a
+    # cycle would keep them until the next collection
     ctx = Context(3, 0, r=2)
     fd = FrobData(ctx, random_strong_lifting(ctx, random.Random("freed"),
                                              deg=2))
-    phi_basis(fd, (ctx.pm1, 0))       # past p^m: builds the towers
+    phi_basis(fd, (3 * ctx.pm1, 0))   # past q: the peel fills the cache
     rep = round_trip(fd, random_higgs(ctx, random.Random(1), 2))
-    assert "_towers" in vars(fd) and rep["recovered_exact"]
+    assert (ctx.pm1, 0) in fd._phi and rep["recovered_exact"]
     alive = weakref.ref(fd)
     gc.collect()
     gc.disable()
