@@ -62,9 +62,8 @@ def _ctx(args, pmr=None) -> Context:
             if flag is not None and flag != val:
                 raise CliError(
                     f"--{name} {flag} disagrees with the file ({name}={val})")
-    kw = {name: getattr(args, name)
-          for name in ("tau_trunc", "theta_trunc", "deg_bound")
-          if getattr(args, name, None) is not None}     # verify has none
+    kw = {name: getattr(args, name) for name in ("theta_trunc", "deg_bound")
+          if getattr(args, name, None) is not None}  # where a command has it
     try:
         return Context(*pmr, **kw)
     except ValueError as e:
@@ -332,17 +331,6 @@ def _add_context(sp) -> None:
                     help="machine-readable output")
 
 
-def _add_window(sp) -> None:
-    sp.add_argument("--tau-trunc", type=int, default=None, dest="tau_trunc",
-                    help="max tau-degree kept in divided-power data")
-    sp.add_argument("--theta-trunc", type=int, default=None,
-                    dest="theta_trunc", help="max theta-degree kept")
-    sp.add_argument("--deg-bound", type=int, default=None, dest="deg_bound",
-                    help="max t-degree in linear solves")
-    sp.add_argument("--lift", default="std", metavar="FILE|std",
-                    help="Frobenius lifting: 'std' or a JSON file")
-
-
 def main(argv=None) -> int:
     ap = _Parser(
         prog="dopm",
@@ -400,9 +388,18 @@ def main(argv=None) -> int:
     sp.add_argument("file")
     sp.set_defaults(handler=cmd_roundtrip)
 
-    for sp in sub.choices.values():
+    # each command takes only the flags it reads
+    for cmd, sp in sub.choices.items():
         _add_context(sp)
-        _add_window(sp)
+        sp.add_argument("--lift", default="std", metavar="FILE|std",
+                        help="Frobenius lifting: 'std' or a JSON file")
+        if cmd in ("phi", "phitilde", "bullet"):
+            sp.add_argument("--theta-trunc", type=int, help="Frobenius "
+                            "window T (default 3): phi takes |n| <= p^(m+1) "
+                            "T, phitilde keeps theta-degrees <= T")
+        if cmd in ("invariants", "roundtrip"):
+            sp.add_argument("--deg-bound", type=int,
+                            help="max t-degree in linear solves")
 
     # verify reads only the context flags, its suite and its seed
     sp = sub.add_parser("verify", help="run a verification suite")

@@ -1,7 +1,7 @@
 """The level-m divided-power algebra O_X<tau_1,..,tau_r>^(m).
 
-Elements are finite sums  sum_s  f_s(t) * tau^{s}  over the brace basis
-tau^{s}, with the multiplication law
+Elements are finite sums  sum_s  f_s(t) * tau^{s}, every term kept,
+over the brace basis tau^{s}, with the multiplication law
 
     tau^{a} * tau^{b} = {a+b \\ a} * tau^{a+b}.
 
@@ -28,22 +28,17 @@ from .scalars import (box_le, brace_mi_mod, dp_monomial_action,
 
 
 class DPElem:
-    """An element at the context's level m, with every term of total
-    tau-degree above ctx.tau_trunc dropped.  A product needs an integer
-    `mod`: an element with Fraction coefficients (`gamma_dp(...,
-    mod=None)`) is compared, never multiplied."""
+    """An element at the context's level m: a finite sum, every term kept.
+    A product needs an integer `mod`: an element with Fraction
+    coefficients (`gamma_dp(..., mod=None)`) is compared, never
+    multiplied."""
 
     __slots__ = ("ctx", "coeffs", "mod")
 
     def __init__(self, ctx: Context, coeffs, mod):
         self.ctx = ctx
         self.mod = mod
-        clean = {}
-        for s, f in coeffs.items():
-            s = tuple(s)
-            if f and mi_sum(s) <= ctx.tau_trunc:
-                clean[s] = f
-        self.coeffs = clean
+        self.coeffs = {tuple(s): f for s, f in coeffs.items() if f}
 
     # -- constructors -------------------------------------------------------
 
@@ -84,13 +79,11 @@ class DPElem:
 
     def __mul__(self, other):
         self._check(other)
-        p, m, trunc = self.ctx.p, self.ctx.m, self.ctx.tau_trunc
+        p, m = self.ctx.p, self.ctx.m
         out = {}
         for a, f in self.coeffs.items():
             for b, g in other.coeffs.items():
                 s = mi_add(a, b)
-                if mi_sum(s) > trunc:
-                    continue
                 c = brace_mi_mod(a, b, p, m, self.mod)
                 if c:
                     term = (f * g).scale(c)
@@ -117,13 +110,11 @@ class DPElem:
 def taylor(ctx: Context, f: Poly, mod) -> DPElem:
     """eps(f) = sum_s d^<s>(f) tau^{s}: the image of f under t -> t + tau.
 
-    Exact for |s| within the truncation bound; the constant term is f.
+    Exact and finite: |s| <= deg f.  The constant term is f.
     """
     out: dict = {}
     for h, c in f.coeffs.items():
         for s in box_le(h):
-            if mi_sum(s) > ctx.tau_trunc:
-                continue
             a = dp_monomial_action(s, h, ctx.p, ctx.m) * c
             if mod is not None:
                 a %= mod
@@ -153,7 +144,7 @@ def pair_op(op, w: DPElem) -> Poly:
 # ---------------------------------------------------------------------------
 # the rational model and usual divided powers
 
-def gamma_dp(w: DPElem, k: int, lift=None, mod=0) -> DPElem:
+def gamma_dp(w: DPElem, k: int, lift=None, mod=0, top=None) -> DPElem:
     """Usual divided power gamma_k(w) = w^k/k! in the rational model, from
     scratch.
 
@@ -162,9 +153,9 @@ def gamma_dp(w: DPElem, k: int, lift=None, mod=0) -> DPElem:
     stored, the 0..p-1 representative; the result does not depend on the
     choice, which tests randomize).  w^k/k! is formed exactly, integer
     numerators on (t-exponent, tau-exponent) keys over one common
-    denominator, dropping terms of total tau-degree above ctx.tau_trunc
-    (sound: tau-degrees only ever add).  Back in the brace basis, the
-    coefficient c prod q_{s_i}! / den must be p-integral, else
+    denominator, dropping terms of total tau-degree above `top` (sound:
+    tau-degrees only ever add; None keeps all).  Back in the brace basis,
+    the coefficient c prod q_{s_i}! / den must be p-integral, else
     ArithmeticError (the loud failure outside the divided-power lattice):
     with den = p^v u, u prime to p, that is p^v | c prod q_{s_i}!, and
     its value is (c prod q_{s_i}! / p^v) u^-1.
@@ -175,7 +166,7 @@ def gamma_dp(w: DPElem, k: int, lift=None, mod=0) -> DPElem:
     if w.constant_term():
         raise ValueError("gamma_k needs a zero constant term")
     ctx = w.ctx
-    p, r, trunc = ctx.p, ctx.r, ctx.tau_trunc
+    p, r = ctx.p, ctx.r
     target = w.mod if mod == 0 else mod
     dens = {s: _q_fact_mi(s, ctx) for s in w.coeffs}
     den = lcm(*dens.values())
@@ -187,7 +178,7 @@ def gamma_dp(w: DPElem, k: int, lift=None, mod=0) -> DPElem:
         for (e1, s1), c1 in power.items():
             for e2, s2, c2 in terms:
                 s = mi_add(s1, s2)
-                if mi_sum(s) <= trunc:
+                if top is None or mi_sum(s) <= top:
                     key = (mi_add(e1, e2), s)
                     nxt[key] = nxt.get(key, 0) + c1 * c2
         power = nxt

@@ -186,7 +186,7 @@ class FrobData:
     split module through c(i, j) (`c_matrix`, `_peel`).  Neither builds
     w.  It caches the phi, phi_inv_basis and phi_tilde images of basis
     operators (with the images the peel passes on the way), and the
-    powers psi^b of psi = phi^{-1}(theta) per truncation (`_psi`).
+    powers psi^b of psi = phi^{-1}(theta) per theta-degree cut (`_psi`).
     """
 
     def __init__(self, ctx: Context, lifting: LiftingZ):
@@ -312,15 +312,21 @@ def phi_basis(fd: FrobData, n) -> DiffOp:
     other.
 
     Finite: gamma_{c_j}(w_j) starts in tau-degree c_j p^m, so only
-    |c| <= |n|/p^m contributes.  Refused past |n| = ctx.tau_trunc.
+    |c| <= |n|/p^m contributes.  Past |n| = q theta_trunc, q = p^(m+1),
+    phi refuses (ValueError) to guard cost, not exactness: unrefused,
+    d1<1000> at p = 2 took 10 s and d1<2000> 160 s (one Xeon core).  The
+    standard w_j lies in tau_j-degrees <= q, so there a refused image lies
+    wholly above theta-degree theta_trunc; a deviated w_j only has every
+    s_i <= q (q_(s_i)! = 0 mod p past it), so |c| >= max_i n_i / q.
     """
     n = tuple(n)
     if n in fd._phi:
         return fd._phi[n]
     ctx = fd.ctx
-    if mi_sum(n) > ctx.tau_trunc:
-        raise ValueError(
-            f"phi(d^<{n}>) needs tau_trunc >= {mi_sum(n)}, have {ctx.tau_trunc}")
+    top = ctx.pm1 * ctx.theta_trunc
+    if mi_sum(n) > top:
+        raise ValueError(f"phi(d^<{n}>) is past the window |n| <= {top}: "
+                         f"it needs theta_trunc >= {-(-mi_sum(n) // ctx.pm1)}")
     if not fd.is_standard:
         return _peel(fd, n)
     terms = {mi_scale(c, ctx.pm1): g

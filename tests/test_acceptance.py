@@ -7,7 +7,9 @@ cases with expected/actual values.  Three suites carry wall budgets.
 
 import time
 
-from dopm.suites import SUITES, run_suite
+import pytest
+
+from dopm.suites import SUITES, _liftings, run_suite
 
 
 def check(name, budget_s=None):
@@ -47,6 +49,15 @@ def test_block_matrix_form_over_the_center():
 
 def test_divided_frobenius_images():
     check("phi")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_suites_liftings_are_all_deviated(seed):
+    # the phi, phibar and bullet suites check ten deviated liftings, not
+    # the standard closed form again
+    fds = [fd for _, fd in _liftings(seed, None)]
+    assert len(fds) == 10
+    assert not any(fd.is_standard for fd in fds)
 
 
 def test_center_automorphism_and_its_inverse():

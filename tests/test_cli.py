@@ -234,10 +234,15 @@ def test_a_power_of_a_sum_past_the_pair_cap_exits_2_quickly():
                          f"term pairs; the cap is {MAX_PAIRS}\n"
 
 
-def test_phi_past_tau_trunc_still_exits_3(capsys):
-    code, out, err = run(capsys, "phi", "--p", "2", "--m", "0", "d1<100>")
-    assert (code, out) == (3, "")
-    assert err == "error: phi(d^<(100,)>) needs tau_trunc >= 100, have 6\n"
+def test_phi_past_the_window_exits_3_at_once():
+    # the window guards cost: phi(d1<1000>) alone takes seconds, and
+    # d1<4000> is far past the default window |n| <= 3 p at p = 2
+    res = subprocess.run([sys.executable, "-m", "dopm.cli", "phi", "--p", "2",
+                          "d1<4000>"], capture_output=True, text=True,
+                         env=child_env(), timeout=10)
+    assert (res.returncode, res.stdout) == (3, "")
+    assert res.stderr == "error: phi(d^<(4000,)>) is past the window " \
+                         "|n| <= 6: it needs theta_trunc >= 2000\n"
 
 
 # -- module files -------------------------------------------------------------
@@ -310,34 +315,6 @@ def test_roundtrip_file(capsys, tmp_path):
     assert code == 0 and "round trip ok" in out
 
 
-def test_the_truncations_change_no_roundtrip_and_no_invariants(capsys,
-                                                               tmp_path):
-    # both commands read phi at orders <= p^m and psi to the module's
-    # nilpotency index: on a Jordan block of rank 5 (nnil - 1 = 4) under a
-    # lifting with a deviation, theta_trunc below, at the default and above
-    # it print the same bytes
-    ctx = Context(2, 0)
-    higgs = tmp_path / "higgs.json"
-    higgs.write_text(json.dumps({"p": 2, "m": 0, "r": 1, "matrices": [
-        [[[[[0], 1]] if j == i + 1 else [] for j in range(5)]
-        for i in range(5)]]}))
-    lifting = random_strong_lifting(ctx, random.Random(8), deg=2)
-    assert lifting.deviation(0)
-    lift = write_lifting(tmp_path, lifting)
-    code, out, err = run(capsys, "pullback", "--json", "--lift", lift,
-                         str(higgs))
-    assert (code, err) == (0, "")
-    dmfile = tmp_path / "dm.json"
-    dmfile.write_text(out)
-    for cmd, path in (("roundtrip", higgs), ("invariants", dmfile)):
-        got = [run(capsys, cmd, "--json", "--lift", lift, *flags, str(path))
-               for flags in (["--theta-trunc", "1"], [],
-                             ["--theta-trunc", "6", "--tau-trunc", "200"])]
-        code, out, err = got[0]
-        assert (code, err) == (0, "") and out.startswith("{")
-        assert got[0] == got[1] == got[2]
-
-
 # -- verify -------------------------------------------------------------------
 
 def test_verify_json_is_deterministic_and_valid(capsys):
@@ -406,6 +383,27 @@ def test_verify_refuses_unsupported_parameters(capsys, flags):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+# the positional arguments of each command, and the flags beyond
+# --p/--m/--r/--json each one reads: --theta-trunc only where phi is, and
+# --deg-bound only where the invariants are solved
+COMMAND_ARGS = {"mul": ("d1",), "apply": ("d1", "t1"), "phi": ("d1",),
+                "phitilde": ("d1",), "bullet": ("d1", "t1"),
+                "kaneda-matrix": ("d1",), "curvature": ("m.json",),
+                "pullback": ("m.json",), "invariants": ("m.json",),
+                "roundtrip": ("m.json",), "verify": ()}
+COMMAND_FLAGS = {
+    **{cmd: {"--lift"} for cmd in ("mul", "apply", "kaneda-matrix",
+                                   "curvature", "pullback")},
+    **{cmd: {"--lift", "--theta-trunc"} for cmd in ("phi", "phitilde",
+                                                    "bullet")},
+    **{cmd: {"--lift", "--deg-bound"} for cmd in ("invariants",
+                                                  "roundtrip")},
+    "verify": {"--suite", "--seed"}}
+UNREAD_FLAGS = [(cmd, flag) for cmd in COMMAND_ARGS if cmd != "verify"
+                for flag in ("--tau-trunc", "--theta-trunc", "--deg-bound")
+                if flag not in COMMAND_FLAGS[cmd]]
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--suite", "lucas", "--lift", "/no/such/file.json",
      "--deg-bound", "5"),
@@ -415,15 +413,31 @@ def test_verify_refuses_unsupported_parameters(capsys, flags):
     ("mul", "--seed", "3", "d1"),
     ("verify", "--suite", "nosuch"),
     ("mul", "--p", "x", "d1"),
+    *[(cmd, flag, "9", *COMMAND_ARGS[cmd]) for cmd, flag in UNREAD_FLAGS],
 ], ids=["verify-lift-deg-bound", "verify-lift", "verify-tau-trunc",
-        "verify-theta-trunc", "mul-seed", "unknown-suite", "non-integer-p"])
+        "verify-theta-trunc", "mul-seed", "unknown-suite", "non-integer-p",
+        *[cmd + flag[1:] for cmd, flag in UNREAD_FLAGS]])
 def test_flags_a_command_does_not_read_exit_2(capsys, argv):
     # each command takes only the flags it reads; a flag error is one line
+    # that names the flag
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     out, err = capsys.readouterr()
     assert exc.value.code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+    assert [a for a in argv if a.startswith("--")][-1] in err
+
+
+@pytest.mark.parametrize("cmd", COMMAND_ARGS)
+def test_each_command_registers_the_flags_it_reads(capsys, cmd):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    flags = {word.strip("[],") for word in out.split()
+             if word.strip("[],").startswith("--")}
+    assert flags == {"--help", "--p", "--m", "--r", "--json"} | \
+        COMMAND_FLAGS[cmd]
 
 
 def test_verify_accepts_supported_parameters_off_the_grid(capsys):
@@ -727,10 +741,12 @@ def test_mutated_files_exit_cleanly(tmp_path_factory, data, which):
         files[name].write_text(json.dumps(doc))
     module = files["dmodule" if which == "dmodule" else "higgs"]
     lift = ["--lift", str(files["lift"])] if which == "lift" else []
-    for command in ("invariants", "roundtrip", "curvature"):
+    for command, bound in (("invariants", ["--deg-bound", "2"]),
+                           ("roundtrip", ["--deg-bound", "2"]),
+                           ("curvature", [])):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, "--deg-bound", "2", *lift, str(module)])
+            code = main([command, *bound, *lift, str(module)])
         assert code in (0, 1, 2, 3)
         if code >= 2:
             assert err.getvalue().startswith("error:")
@@ -966,7 +982,7 @@ def pin_inputs(p, m, r):
         return "*".join(f"t{i + 1}^{rng.randrange(top)}" for i in range(r))
 
     def dpart():
-        # orders up to 3q // r: past q, within phi's default tau_trunc 3q
+        # orders up to 3q // r: past q, within phi's default window 3q
         return "*".join(f"d{i + 1}<{rng.randrange(3 * q // r + 1)}>"
                         for i in range(r))
 
@@ -1033,7 +1049,7 @@ def tower_phi(ctx, lifting, n) -> str:
     for c in degree_box(sum(n) // ctx.pm, ctx.r):
         prod = DPElem.basis(ctx, (0,) * ctx.r, ctx.p)
         for w, cj in zip(ws, c):
-            prod = prod * gamma_dp(w, cj)
+            prod = prod * gamma_dp(w, cj, top=sum(n))
         terms[tuple(ctx.pm1 * x for x in c)] = prod.coeffs.get(n)
     return render_op(DiffOp(ctx, terms))
 
@@ -1053,3 +1069,77 @@ def test_a_deviated_lifting_file_is_the_tower_oracle(capsys, tmp_path,
         code, out, err = run(capsys, "phi", "--lift", lift, dn)
         assert (code, err) == (0, "")
         assert out == tower_phi(ctx, lifting, n) + "\n"
+
+
+def deviated_lifting(ctx, seed):
+    """A random strong lifting of degree 2 with a nonzero deviation."""
+    rng = random.Random(seed)
+    while True:
+        lifting = random_strong_lifting(ctx, rng, deg=2)
+        if not FrobData(ctx, lifting).is_standard:
+            return lifting
+
+
+# md5 of the text and then the --json output of phi and bullet, under the
+# standard lifting or a deviated one, at orders past the default window
+# 3q: `--theta-trunc ceil(T/q)` prints what `--tau-trunc T` printed when
+# the window had two knobs, q = p^(m+1)
+WINDOW_PINS = {
+    ("phi", (2, 0, 1), False, 100, ("d1<100>",)):
+        "4c4325745375cf6a468f90c74f12c9fe",
+    ("bullet", (3, 1, 1), False, 40, ("d1<40>", "t1^5")):
+        "d4ec03f7d5c3ed7e2895cd7a7f570ae9",
+    ("phi", (2, 0, 2), True, 7, ("d1<4>*d2<3>",)):
+        "1862ceadfc6caa3046611461c5ffa6b6",
+    ("phi", (3, 0, 3), True, 12, ("d1<12>",)):
+        "5b02955f9a08e29aa825cb3a926057c3",
+    ("phi", (7, 3, 1), False, 8232, ("d1<8232>",)):
+        "68a878b50b8b0dfdb46b037fe0f4777c",
+    ("phi", (2, 0, 3), False, 7, ("d1<3>*d2<2>*d3<2>",)):
+        "822b675d81b085868a9391ed40bd5d0b",
+    ("bullet", (2, 0, 3), True, 7, ("d1<2>*d2<2>*d3<3>", "t1*t3")):
+        "c85bf484d0b73872a619ac2e4003f442",
+    ("phi", (5, 0, 2), False, 20, ("d1<10>*d2<10>",)):
+        "cc0c509afa2fc24d21bf91108741b99f",
+    ("bullet", (2, 1, 1), True, 20, ("d1<20>", "t1")):
+        "81e5b3515349ccdd44d2293e1e0a6fe2",
+    ("phi", (2, 2, 1), False, 41, ("d1<40> + t1*d1<32>",)):
+        "9baffc51257e55ecc6784f0a6f422a1e",
+    ("phi", (3, 0, 1), True, 20, ("d1<20>",)):
+        "6718131d543499eb0f7645fd7f65bdaf",
+}
+
+
+@pytest.mark.parametrize("case", WINDOW_PINS, ids=lambda c: "{}-p{}m{}r{}{}"
+                         .format(c[0], *c[1], "-lifted" if c[2] else ""))
+def test_the_window_prints_the_pinned_bytes(capsys, tmp_path, case):
+    cmd, (p, m, r), lifted, top, args = case
+    flags = ["--p", str(p), "--m", str(m), "--r", str(r)]
+    if lifted:
+        flags += ["--lift", write_lifting(tmp_path, deviated_lifting(
+            Context(p, m, r), f"window {p} {m} {r}"))]
+    window = ["--theta-trunc", str(-(-top // p ** (m + 1)))]
+    digest = hashlib.md5()
+    for fmt in ((), ("--json",)):
+        code, out, err = run(capsys, cmd, *flags, *window, *fmt, *args)
+        assert (code, err) == (0, "")
+        digest.update(out.encode())
+    assert digest.hexdigest() == WINDOW_PINS[case]
+    # the default window refuses the same order
+    code, out, err = run(capsys, cmd, *flags, *args)
+    assert (code, out) == (3, "") and "theta_trunc" in err
+    assert err.count("\n") == 1
+
+
+def test_phitilde_inside_the_window_fixes_the_center(capsys, tmp_path):
+    # d1<27> = theta_1^9 at p = 3, m = 0 under a random lifting of degree 4:
+    # refused in the default window, the identity in the window 9
+    ctx = Context(3, 0, 3)
+    lift = write_lifting(tmp_path, random_strong_lifting(
+        ctx, random.Random(str((3, 0, 3)))))
+    argv = ["phitilde", "--p", "3", "--m", "0", "--r", "3", "--lift", lift]
+    assert run(capsys, *argv, "d1<27>") == (
+        3, "", "error: phi(d^<(27, 0, 0)>) is past the window |n| <= 9: "
+               "it needs theta_trunc >= 9\n")
+    assert run(capsys, *argv, "--theta-trunc", "9", "d1<27>") == \
+        (0, "d1<27>\n", "")

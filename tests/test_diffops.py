@@ -254,7 +254,7 @@ def is_central(op):
     return all(op * g == g * op for g in ring_generators(op.ctx))
 
 
-@pytest.mark.parametrize("ctx", CTXS, ids=str)
+@pytest.mark.parametrize("ctx", CTXS, ids=lambda c: f"p{c.p}m{c.m}r{c.r}")
 def test_theta_is_central_and_kills_functions(ctx):
     for i in range(ctx.r):
         th = theta(ctx, i)

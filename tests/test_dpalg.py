@@ -28,8 +28,9 @@ CTXS = [Context(2, 0), Context(3, 0), Context(2, 1), Context(3, 1)]
 
 @pytest.mark.parametrize("ctx", CTXS, ids=lambda c: f"p{c.p}m{c.m}")
 def test_basis_multiplication_is_the_brace_law(ctx):
-    for a in range(ctx.tau_trunc + 1):
-        for b in range(ctx.tau_trunc + 1 - a):
+    top = ctx.pm1 * ctx.theta_trunc
+    for a in range(top + 1):
+        for b in range(top + 1 - a):
             lhs = DPElem.basis(ctx, (a,), ctx.p) * DPElem.basis(ctx, (b,),
                                                                 ctx.p)
             c = brace_mi_mod((a,), (b,), ctx.p, ctx.m, ctx.p)
@@ -41,10 +42,11 @@ def dp_elems(draw, ctx, max_terms=3, ideal=False, dilated=False):
     # dilated: tau-support in p^m * (positive indices) — the sub-ideal
     # carrying honest divided powers, the domain of every gamma below
     step = ctx.pm if dilated else 1
+    top = ctx.pm1 * ctx.theta_trunc
     coeffs = {}
     for _ in range(draw(st.integers(0, max_terms))):
         s = tuple(step * draw(st.integers(1 if ideal else 0,
-                                          ctx.tau_trunc // step))
+                                          top // step))
                   for _ in range(ctx.r))
         e = tuple(draw(st.integers(0, 3)) for _ in range(ctx.r))
         f = Poly.monomial(e, draw(st.integers(1, ctx.p - 1)) if ctx.p > 2
@@ -72,7 +74,7 @@ def test_mul_is_associative_and_commutative(data):
 def test_taylor_coefficients_on_monomials(ctx, mod_exp):
     # coeff of tau^{s} in t^h(t + tau) is q_s! C(h, s) t^(h-s)
     mod = ctx.p ** mod_exp
-    for h in range(ctx.tau_trunc + 1):
+    for h in range(ctx.pm1 * ctx.theta_trunc + 1):
         w = taylor(ctx, Poly.monomial((h,), 1, ctx.r, mod), mod)
         for s in range(h + 1):
             c = factorial(s // ctx.pm) * comb(h, s) % mod
@@ -98,7 +100,7 @@ def test_taylor_is_multiplicative(data):
 def test_pairing_duality(data):
     # <P, taylor(f)> = P(f) for basis operators and small polynomials
     ctx = data.draw(st.sampled_from(CTXS))
-    k = data.draw(st.integers(0, ctx.tau_trunc))
+    k = data.draw(st.integers(0, ctx.pm1 * ctx.theta_trunc))
     f = Poly({(data.draw(st.integers(0, 6)),): data.draw(st.integers(1, 6)),
               (data.draw(st.integers(0, 6)),): 1}, ctx.r, ctx.p)
     op = DiffOp.dpartial(ctx, (k,))
@@ -112,7 +114,7 @@ def test_gamma_on_the_curvature_monomial():
     for ctx in [Context(2, 0, theta_trunc=4), Context(3, 0),
                 Context(2, 1), Context(3, 1)]:
         q = ctx.pm1
-        for k in range(ctx.tau_trunc // q + 1):
+        for k in range(ctx.theta_trunc + 1):
             got = gamma_dp(DPElem.basis(ctx, (q,), ctx.p), k)
             want = DPElem.basis(ctx, (k * q,), ctx.p).scale(
                 dp_power_factor(k, ctx.p) % ctx.p)
@@ -190,24 +192,22 @@ def test_gamma_exact_values_at_p3():
 
 
 def test_terms_above_trunc_are_dropped():
-    # the same product and Taylor expansion with a deeper window, cut at
-    # tau_trunc = 9, is what the default window gives
-    ctx = Context(3, 0)
-    deep = Context(3, 0, tau_trunc=20)
-
-    def elem(c):
-        # tau^{9} + (t + 1) tau^{1}
-        return DPElem(c, {(9,): Poly.one(1, 3),
-                          (1,): Poly({(1,): 1, (0,): 1}, 1, 3)}, 3)
-
-    def cut(x):
-        return {s: f for s, f in x.coeffs.items() if mi_sum(s) <= 9}
-
-    full = elem(deep) * elem(deep)
-    assert max(mi_sum(s) for s in full.coeffs) > 9
-    assert (elem(ctx) * elem(ctx)).coeffs == cut(full)
-    # over Z, where d^<s>(t^11) survives for every s <= 11
-    f = Poly({(11,): 1, (4,): 2}, 1)
-    full = taylor(deep, f, None)
-    assert max(mi_sum(s) for s in full.coeffs) == 11
-    assert taylor(ctx, f, None).coeffs == cut(full)
+    # gamma_dp(w, k, top=T) is the exact power with its tau-degrees above
+    # T removed (tau-degrees only ever add); products and Taylor images
+    # keep every term
+    ctx = Context(3, 0, r=2)
+    # tau_1^{3} + t_2 tau_1^{1} tau_2^{2} + 2 t_1^2 tau_2^{1}
+    w = DPElem(ctx, {(3, 0): Poly.one(2, 3),
+                     (1, 2): Poly.monomial((0, 1), 1, 2, 3),
+                     (0, 1): Poly.monomial((2, 0), 2, 2, 3)}, 3)
+    for k in range(1, 5):
+        for mod in (0, None):
+            full = gamma_dp(w, k, mod=mod)
+            assert max(mi_sum(s) for s in full.coeffs) > k
+            for top in range(k, 3 * k + 1):
+                assert gamma_dp(w, k, mod=mod, top=top).coeffs == \
+                    {s: f for s, f in full.coeffs.items() if mi_sum(s) <= top}
+    top = ctx.pm1 * ctx.theta_trunc
+    assert (DPElem.basis(ctx, (top, 0), 3) * DPElem.basis(ctx, (0, top), 3)
+            ).coeffs == {(top, top): Poly.one(2, 3)}
+    assert (11, 0) in taylor(ctx, Poly({(11, 0): 1}, 2), None).coeffs

@@ -53,9 +53,8 @@ def std_w_oracle(p, m):
                                  (2, 2)])
 def test_standard_divided_frobenius(p, m):
     ctx = Context(p, m)
-    want = {s: f for s, f in std_w_oracle(p, m).items()
-            if sum(s) <= ctx.tau_trunc}
-    assert divided_frob_tau(ctx, standard_lifting(ctx))[0].coeffs == want
+    assert divided_frob_tau(ctx, standard_lifting(ctx))[0].coeffs == \
+        std_w_oracle(p, m)
 
 
 def test_standard_divided_frobenius_frozen():
@@ -158,7 +157,7 @@ TOWER_PMR = [(7, 1, 1), (5, 0, 1), (3, 0, 3), (2, 3, 1), (3, 1, 2)]
 def tower_fd(pmr, lifting):
     """The standard lifting in the default window; a random strong one in
     the window theta_trunc = 1, since the rational oracle multiplies out
-    w^k for every k <= tau_trunc / p^m and a random w has hundreds of
+    w^k for every k <= q theta_trunc / p^m and a random w has hundreds of
     terms (the default window at (3, 0, 3) takes minutes)."""
     if lifting == "std":
         return FrobData.standard(Context(*pmr))
@@ -166,11 +165,12 @@ def tower_fd(pmr, lifting):
     return FrobData(ctx, random_strong_lifting(ctx, random.Random(str(pmr))))
 
 
-def fraction_gammas(w, big_k, mod):
+def fraction_gammas(w, big_k, mod, top):
     """gamma_0(w), .., gamma_K(w) as w^k/k!, with none of dpalg's rational
     model: Fraction values on (t-exponent, tau-exponent) keys, tau^s
-    plain, each value taken back to the brace basis through
-    prod q_{s_i}! and reduced mod `mod` (None keeps the Fractions)."""
+    plain, cut at tau-degree `top`, each value taken back to the brace
+    basis through prod q_{s_i}! and reduced mod `mod` (None keeps the
+    Fractions)."""
     ctx = w.ctx
     zero = (0,) * ctx.r
 
@@ -190,7 +190,7 @@ def fraction_gammas(w, big_k, mod):
             for (e1, s1), v1 in power.items():
                 for (e2, s2), v2 in plain.items():
                     s = tuple(a + b for a, b in zip(s1, s2))
-                    if sum(s) <= ctx.tau_trunc:
+                    if sum(s) <= top:
                         key = (tuple(a + b for a, b in zip(e1, e2)), s)
                         nxt[key] = nxt.get(key, 0) + v1 * v2
             power = nxt
@@ -213,13 +213,14 @@ def theta_coeffs(fd, n) -> dict:
 
 def assert_phi_is_the_rational_model(fd):
     """The theta^c coefficient of phi(d^<n>), by the closed form or the
-    peel, is [tau^{n}] prod_j gamma_dp(w_j, c_j) at every |n| <=
-    tau_trunc: from the Taylor-expanded w and DPElem products over every
-    |c| <= tau_trunc / p^m, cut at tau_trunc (a term only ever moves
+    peel, is [tau^{n}] prod_j gamma_dp(w_j, c_j) at every |n| <= top =
+    q theta_trunc: from the Taylor-expanded w and DPElem products over
+    every |c| <= top / p^m, each gamma cut at top (a term only ever moves
     up)."""
     ctx = fd.ctx
-    big_k = ctx.tau_trunc // ctx.pm
-    gammas = [[gamma_dp(w, k) for k in range(big_k + 1)]
+    top = ctx.pm1 * ctx.theta_trunc
+    big_k = top // ctx.pm
+    gammas = [[gamma_dp(w, k, top=top) for k in range(big_k + 1)]
               for w in divided_frob_tau(ctx, fd.lifting)]
     want: dict = {}
     for c in degree_box(big_k, ctx.r):
@@ -228,7 +229,7 @@ def assert_phi_is_the_rational_model(fd):
             prod = prod * gammas[j][c[j]]
         for n, f in prod.coeffs.items():
             want.setdefault(n, {})[c] = f
-    for n in degree_box(ctx.tau_trunc, ctx.r):
+    for n in degree_box(top, ctx.r):
         assert theta_coeffs(fd, n) == want.get(n, {}), n
         if fd.is_standard:
             assert fd.gamma_coeffs(n) == want.get(n, {}), n
@@ -307,22 +308,25 @@ def test_the_module_law_holds_under_a_deviation(pmr):
 def test_gamma_is_the_fraction_oracle(pmr, lifting):
     fd = tower_fd(pmr, lifting)
     ctx = fd.ctx
-    big_k = ctx.tau_trunc // ctx.pm
+    top = ctx.pm1 * ctx.theta_trunc
+    big_k = top // ctx.pm
     for w in divided_frob_tau(ctx, fd.lifting):
-        exact = fraction_gammas(w, big_k, None)
-        reduced = fraction_gammas(w, big_k, ctx.p)
+        exact = fraction_gammas(w, big_k, None, top)
+        reduced = fraction_gammas(w, big_k, ctx.p, top)
         for k in range(big_k + 1):
-            assert gamma_dp(w, k, mod=None) == exact[k]
-            assert gamma_dp(w, k) == reduced[k]
+            assert gamma_dp(w, k, mod=None, top=top) == exact[k]
+            assert gamma_dp(w, k, top=top) == reduced[k]
 
 
 @pytest.mark.parametrize("lifting", ["std", "random"])
 @pytest.mark.parametrize("pmr", TOWER_PMR, ids=str)
 def test_gamma_requests_in_any_order(pmr, lifting):
     # the images phi caches on the way to one n are the ones asked for
-    # directly: every phi(d^<n>), |n| <= tau_trunc, top down and bottom up
+    # directly: every phi(d^<n>), |n| <= q theta_trunc, top down and
+    # bottom up
     down, up = tower_fd(pmr, lifting), tower_fd(pmr, lifting)
-    ns = list(degree_box(down.ctx.tau_trunc, down.ctx.r))
+    ctx = down.ctx
+    ns = list(degree_box(ctx.pm1 * ctx.theta_trunc, ctx.r))
     got = {n: phi_basis(down, n) for n in reversed(ns)}
     assert got == {n: phi_basis(up, n) for n in ns}
 
@@ -366,10 +370,11 @@ ALL_PM = [(p, m) for p in (2, 3, 5, 7) for m in range(4)]
 
 def rational_gammas(ctx):
     """[j][k] = gamma_k(w_j) mod p of the standard lifting, for
-    k <= tau_trunc / p^m: the rational model, `gamma_dp` of the
-    Taylor-expanded w_j per coordinate, none of FrobData."""
-    big_k = ctx.tau_trunc // ctx.pm
-    return [[gamma_dp(w, k) for k in range(big_k + 1)]
+    k <= top / p^m, each cut at top = q theta_trunc: the rational model,
+    `gamma_dp` of the Taylor-expanded w_j per coordinate, none of
+    FrobData."""
+    top = ctx.pm1 * ctx.theta_trunc
+    return [[gamma_dp(w, k, top=top) for k in range(top // ctx.pm + 1)]
             for w in divided_frob_tau(ctx, standard_lifting(ctx))]
 
 
@@ -380,7 +385,7 @@ def at_one(f) -> int:
 
 @pytest.mark.parametrize("p,m", ALL_PM, ids=str)
 def test_standard_closed_form_is_the_rational_model_at_r1(p, m):
-    # every n <= tau_trunc, on and off the multiples of p^m
+    # every n <= q theta_trunc, on and off the multiples of p^m
     ctx = Context(p, m)
     want = {}
     for c, g in enumerate(rational_gammas(ctx)[0]):
@@ -388,20 +393,21 @@ def test_standard_closed_form_is_the_rational_model_at_r1(p, m):
             want.setdefault(n, {})[(c,)] = f
     fd = FrobData.standard(ctx)
     assert fd.is_standard
-    for n in range(ctx.tau_trunc + 1):
+    for n in range(ctx.pm1 * ctx.theta_trunc + 1):
         assert fd.gamma_coeffs((n,)) == want.get((n,), {})
 
 
 def draw_n(rng, ctx, on_grid):
-    """A multi-index n with |n| <= tau_trunc, every entry a multiple of
-    p^m (on_grid) or at least one not."""
+    """A multi-index n with |n| <= top = q theta_trunc, every entry a
+    multiple of p^m (on_grid) or at least one not."""
+    top = ctx.pm1 * ctx.theta_trunc
     while True:
-        n = [rng.randrange(ctx.tau_trunc // ctx.r + 1) for _ in range(ctx.r)]
+        n = [rng.randrange(top // ctx.r + 1) for _ in range(ctx.r)]
         if on_grid:
             n = [x - x % ctx.pm for x in n]
         elif all(x % ctx.pm == 0 for x in n):
             n[rng.randrange(ctx.r)] += rng.randrange(1, ctx.pm)
-        if sum(n) <= ctx.tau_trunc:
+        if sum(n) <= top:
             return tuple(n)
 
 
@@ -536,6 +542,24 @@ def test_the_low_window_is_the_divided_frobenius(pmr):
             want = {mi_scale(mi_unit(ctx.r, j), ctx.pm1): w.coeffs[n]
                     for j, w in enumerate(ws) if n in w.coeffs}
             assert phi_basis(fd, n).terms == want, n
+
+
+@pytest.mark.parametrize("pmr, top", [((2, 0, 2), 4), ((2, 1, 2), 8),
+                                      ((3, 0, 3), 4)], ids=str)
+def test_the_theta_degree_of_phi_is_bounded_below(pmr, top):
+    # phi(d^<n>) has theta-degree |c| >= |n|/q under the standard lifting,
+    # so an image that phi_basis refuses lies wholly above the window;
+    # under a deviated one only |c| >= max_i n_i / q holds: at (3, 0, 3),
+    # phi(d^<(0, 2, 2)>) has a term of theta-degree 1 though |n| > q
+    ctx = Context(*pmr, theta_trunc=2)
+    q = ctx.pm1
+    dev = FrobData(ctx, random_strong_lifting(ctx, random.Random(0)))
+    assert not dev.is_standard
+    for fd, bound in ((FrobData.standard(ctx), sum), (dev, max)):
+        for n in degree_box(top, ctx.r):
+            assert all(sum(k) >= bound(n) for k in phi_basis(fd, n).terms)
+    if pmr == (3, 0, 3):
+        assert min(map(sum, phi_basis(dev, (0, 2, 2)).terms)) == q
 
 
 def test_phi_linear_part_is_the_c_matrix():

@@ -953,9 +953,9 @@ def solve_invariants_literal(fd, dm, deg_bound, k_bound):
     it cross-checks the reduced condition set on small configurations."""
     ctx = fd.ctx
     nnil = dm.nilpotency_index()
-    # phi must be exact on every probed |k| <= k_bound * r
-    wide = dataclasses.replace(ctx, tau_trunc=max(ctx.tau_trunc,
-                                                  k_bound * ctx.r))
+    # phi must take every probed |k| <= k_bound * r inside the window
+    wide = dataclasses.replace(ctx, theta_trunc=max(
+        ctx.theta_trunc, -(-k_bound * ctx.r // ctx.pm1)))
     fd = FrobData(wide, LiftingZ(wide, fd.lifting.polys))
     monomials = [(j, a) for a in degree_box(deg_bound, ctx.r)
                  for j in range(dm.rank)]
@@ -2017,13 +2017,11 @@ LIFTED_IDS = [name for case, name in zip(SOLVER_CASES, SOLVER_IDS)
                          ids=LIFTED_IDS)
 def test_the_truncations_change_no_solve_and_no_frame(ctx, lift_seed, field,
                                                       gauge):
-    # the correspondence reads phi at orders <= p^m < q <= tau_trunc and
-    # psi at nnil - 1 alone: FrobDatas at theta_trunc 1, 3 and 5 and at a
-    # custom tau_trunc solve alike, and their round trips recover the same
-    # frame
+    # the correspondence reads phi at orders <= p^m < q theta_trunc and
+    # psi at nnil - 1 alone: FrobDatas at theta_trunc 1, 3 and 5 solve
+    # alike, and their round trips recover the same frame
     got = []
-    for kw in ({"theta_trunc": 1}, {}, {"theta_trunc": 5},
-               {"tau_trunc": 200}):
+    for kw in ({"theta_trunc": 1}, {}, {"theta_trunc": 5}):
         c = Context(ctx.p, ctx.m, ctx.r, **kw)
         fd, dm = _solver_case(c, lift_seed, field, gauge)
         assert not fd.is_standard
