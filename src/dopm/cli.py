@@ -50,24 +50,26 @@ def _read_json(path):
 
 def _ctx(args, pmr=None) -> Context:
     """Context from flags; `pmr` (from a file) wins over flag defaults
-    but must agree with explicitly given flags."""
+    but must agree with explicitly given flags.  A --deg-bound, which
+    the solves read and the context does not, is checked here too."""
+    flags = (args.p, args.m, getattr(args, "r", None))   # verify has no --r
     if pmr is None:
-        pmr = (args.p if args.p is not None else 2,
-               args.m if args.m is not None else 0,
-               args.r if args.r is not None else 1)
+        pmr = [default if flag is None else flag
+               for flag, default in zip(flags, (2, 0, 1))]
     else:
-        for flag, val, name in ((args.p, pmr[0], "p"),
-                                (args.m, pmr[1], "m"),
-                                (args.r, pmr[2], "r")):
+        for flag, val, name in zip(flags, pmr, "pmr"):
             if flag is not None and flag != val:
                 raise CliError(
                     f"--{name} {flag} disagrees with the file ({name}={val})")
-    kw = {name: getattr(args, name) for name in ("theta_trunc", "deg_bound")
-          if getattr(args, name, None) is not None}  # where a command has it
+    theta = getattr(args, "theta_trunc", None)   # where a command has it
+    kw = {} if theta is None else {"theta_trunc": theta}
     try:
-        return Context(*pmr, **kw)
+        ctx = Context(*pmr, **kw)
     except ValueError as e:
         raise CliError(str(e))
+    if (getattr(args, "deg_bound", None) or 0) < 0:
+        raise CliError("deg_bound must be >= 0")
+    return ctx
 
 
 def _setup(args, pmr=None, need_fd=True):
@@ -214,7 +216,7 @@ def cmd_pullback(args) -> int:
 def cmd_invariants(args) -> int:
     ctx, fd, data = _module_setup(args)
     dm = _load_module(args, data, fd)
-    inv = solve_invariants(fd, dm)
+    inv = solve_invariants(fd, dm, args.deg_bound)
     rank = invariant_rank(inv, inv.restrict(inv.deg_bound - ctx.pm1))
     secs = [_render_section(sec) for sec in inv.sections()]
     obj = {"deg_bound": inv.deg_bound, "dim": inv.dim, "rank": rank,
@@ -231,7 +233,7 @@ def cmd_roundtrip(args) -> int:
         raise CliError(f"{args.file}: round trip starts from a Higgs file")
     higgs = HiggsModule.from_json(data, ctx)
     higgs.validate()
-    rep = round_trip(fd, higgs)
+    rep = round_trip(fd, higgs, args.deg_bound)
     ok = (rep["rank"] == rep["rank_expected"] and rep["members"]
           and rep["stable"] and rep["recovered_valid"])
     obj = {
@@ -325,8 +327,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_context(sp) -> None:
     sp.add_argument("--p", type=int, default=None, help="prime (default 2)")
     sp.add_argument("--m", type=int, default=None, help="level (default 0)")
-    sp.add_argument("--r", type=int, default=None,
-                    help="number of coordinates (default 1)")
     sp.add_argument("--json", action="store_true",
                     help="machine-readable output")
 
@@ -391,6 +391,8 @@ def main(argv=None) -> int:
     # each command takes only the flags it reads
     for cmd, sp in sub.choices.items():
         _add_context(sp)
+        sp.add_argument("--r", type=int, default=None,
+                        help="number of coordinates (default 1)")
         sp.add_argument("--lift", default="std", metavar="FILE|std",
                         help="Frobenius lifting: 'std' or a JSON file")
         if cmd in ("phi", "phitilde", "bullet"):
@@ -399,9 +401,11 @@ def main(argv=None) -> int:
                             "T, phitilde keeps theta-degrees <= T")
         if cmd in ("invariants", "roundtrip"):
             sp.add_argument("--deg-bound", type=int,
-                            help="max t-degree in linear solves")
+                            help="max t-degree in linear solves "
+                            "(default 3 p^(m+1))")
 
-    # verify reads only the context flags, its suite and its seed
+    # verify reads only --p/--m, which narrow the suites, its suite and
+    # its seed
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--suite", default="all", choices=[*SUITE_NAMES, "all"])
     sp.add_argument("--seed", type=int, default=0,

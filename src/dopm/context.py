@@ -1,8 +1,9 @@
 """Global parameters shared by every module.
 
 A :class:`Context` fixes the prime p, the level m, the number of
-coordinates r, theta_trunc, the one Frobenius window (see
-`frobenius.phi_basis`), and deg_bound, the t-degree of the linear solves.
+coordinates r, and theta_trunc, the one Frobenius window (see
+`frobenius.phi_basis`).  The t-degree of an invariants solve is an
+argument of the solve (`simpson.solve_invariants`), not of the ring.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ class Context:
     m: int
     r: int = 1
     theta_trunc: int = 3
-    deg_bound: int = 0  # 0 = "pick per call"; max total t-degree in linear solves
 
     def __post_init__(self):
-        for name in ("p", "m", "r", "theta_trunc", "deg_bound"):
+        for name in ("p", "m", "r", "theta_trunc"):
             value = getattr(self, name)
             if not is_int(value):
                 raise ValueError(f"{name}={value!r} is not an integer")
@@ -37,8 +37,6 @@ class Context:
             raise ValueError(f"r={self.r} out of range 1..{MAX_COORDS}")
         if self.theta_trunc < 1:
             raise ValueError("theta_trunc must be positive")
-        if self.deg_bound < 0:
-            raise ValueError("deg_bound must be >= 0")
 
     @property
     def pm(self) -> int:
@@ -56,8 +54,4 @@ class Context:
 
     def at_level(self, m: int) -> "Context":
         """Same parameters at a different level (level/descent maps)."""
-        return Context(self.p, m, self.r, theta_trunc=self.theta_trunc,
-                       deg_bound=self.deg_bound)
-
-    def solve_bound(self) -> int:
-        return self.deg_bound if self.deg_bound else 3 * self.pm1
+        return Context(self.p, m, self.r, theta_trunc=self.theta_trunc)

@@ -125,10 +125,7 @@ class DiffOp:
 
     @classmethod
     def dpartial(cls, ctx, k, coeff=None):
-        """f * d^<k>; `k` may be an int when r = 1."""
-        if isinstance(k, int):
-            assert ctx.r == 1
-            k = (k,)
+        """f * d^<k> for a multi-index k."""
         f = coeff if coeff is not None else Poly.one(ctx.r, ctx.p)
         return cls(ctx, {tuple(k): f})
 
@@ -376,33 +373,26 @@ def quotient_matrix(op: DiffOp):
 # ---------------------------------------------------------------------------
 # changing the level
 
-def frob_descend(op: DiffOp, s: int = 1, divide_coeffs: bool = False) -> DiffOp:
-    """Frobenius descent D^(m) -> D^(m-s): keep the terms whose index is
-    divisible by p^s coordinate-wise, at index k/p^s; drop the rest.
+def frob_descend(op: DiffOp, divide_coeffs: bool = False) -> DiffOp:
+    """Frobenius descent D^(m) -> D^(m-1), one level down: keep the terms
+    whose index is divisible by p coordinate-wise, at index k/p; drop the
+    rest.
 
-    Coefficients ride along unchanged (the O_X (x) D^(m-s) reading); with
+    Coefficients ride along unchanged (the O_X (x) D^(m-1) reading); with
     `divide_coeffs` the t-exponents are divided too, which realizes the
     exact inverse of frob_raise.
     """
-    ctx = op.ctx
-    assert ctx.m >= s
-    down = ctx.at_level(ctx.m - s)
-    ps = ctx.p**s
-    out = {}
-    for k, f in op.terms.items():
-        if any(x % ps for x in k):
-            continue
-        out[tuple(x // ps for x in k)] = \
-            f.divide_exponents(ps) if divide_coeffs else f
-    return DiffOp(down, out)
+    ctx, p = op.ctx, op.ctx.p
+    assert ctx.m >= 1
+    return DiffOp(ctx.at_level(ctx.m - 1), {
+        tuple(x // p for x in k): f.divide_exponents(p) if divide_coeffs
+        else f for k, f in op.terms.items() if not any(x % p for x in k)})
 
 
-def frob_raise(op: DiffOp, s: int = 1) -> DiffOp:
-    """Frobenius pullback D^(m) -> D^(m+s): indices and coefficient
-    exponents both dilate by p^s.  A ring map; frob_descend with
-    divide_coeffs inverts it exactly."""
-    ctx = op.ctx
-    up = ctx.at_level(ctx.m + s)
-    ps = ctx.p**s
-    return DiffOp(up, {mi_scale(k, ps): f.scale_exponents(ps)
-                       for k, f in op.terms.items()})
+def frob_raise(op: DiffOp) -> DiffOp:
+    """Frobenius pullback D^(m) -> D^(m+1), one level up: indices and
+    coefficient exponents both dilate by p.  A ring map; frob_descend
+    with divide_coeffs inverts it exactly."""
+    ctx, p = op.ctx, op.ctx.p
+    return DiffOp(ctx.at_level(ctx.m + 1), {
+        mi_scale(k, p): f.scale_exponents(p) for k, f in op.terms.items()})

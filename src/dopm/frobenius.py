@@ -30,7 +30,6 @@ only w's tau^{p^m}-block c(i, j), in closed form from the lifting
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -81,13 +80,9 @@ class LiftingZ:
         ctx = self.ctx
         lead = Poly.monomial(mi_scale(mi_unit(ctx.r, j), ctx.pm1), 1,
                              ctx.r, ctx.mod2)
-        diff = self.polys[j] - lead
-        out = {}
-        for e, c in diff.coeffs.items():
-            if c % ctx.p:
-                raise NotALifting(f"h_{j} not integral at {e}")
-            out[e] = c // ctx.p
-        return Poly(out, ctx.r, ctx.p)
+        diff = self.polys[j] - lead     # divisible by p: `__init__` checks
+        return Poly({e: c // ctx.p for e, c in diff.coeffs.items()},
+                    ctx.r, ctx.p)
 
     def to_json(self) -> dict:
         return {
@@ -108,8 +103,6 @@ def lifting_from_json(data, ctx: Context | None = None) -> LiftingZ:
     """The lifting written by `LiftingZ.to_json`.  Data of the wrong shape
     raises MalformedInput; well-formed polynomials that do not lift
     Frobenius raise NotALifting."""
-    if isinstance(data, str):
-        data = json.loads(data)
     if not isinstance(data, dict) or \
             not all(is_int(data.get(k)) for k in ("p", "m", "r")):
         raise MalformedInput("a lifting is a JSON object with integer "
@@ -184,9 +177,10 @@ class FrobData:
     `standard_gamma_coeff` (`gamma_coeffs`), and any other lifting peels
     d^<n> into the generators d_i^<p^m> and the theta_i, which act on the
     split module through c(i, j) (`c_matrix`, `_peel`).  Neither builds
-    w.  It caches the phi, phi_inv_basis and phi_tilde images of basis
-    operators (with the images the peel passes on the way), and the
-    powers psi^b of psi = phi^{-1}(theta) per theta-degree cut (`_psi`).
+    w.  It caches two things: the phi images of basis operators, with
+    the images the peel passes on the way (`_phi`), and the powers psi^b
+    of psi = phi^{-1}(theta) per theta-degree cut (`_psi`), from which
+    `phi_inv_basis` reads phi^{-1}(theta^c).
     """
 
     def __init__(self, ctx: Context, lifting: LiftingZ):
@@ -195,14 +189,11 @@ class FrobData:
                              f"over {lifting.ctx}")
         self.ctx = ctx
         self.lifting = lifting
-        self.hs = [lifting.deviation(j) for j in range(ctx.r)]
+        hs = [lifting.deviation(j) for j in range(ctx.r)]
         self.gs = [h.divide_exponents(ctx.pm) if _pm_divisible(h, ctx.pm)
-                   else _reject_strong(j, h)
-                   for j, h in enumerate(self.hs)]
-        self.is_standard = not any(self.hs)
+                   else _reject_strong(j, h) for j, h in enumerate(hs)]
+        self.is_standard = not any(hs)
         self._phi: dict = {}
-        self._phi_inv: dict = {}
-        self._phi_tw: dict = {}
         self._psi: dict = {}
 
     @classmethod
@@ -516,31 +507,28 @@ def phi_inv_basis(fd: FrobData, c, n_trunc: int) -> DiffOp:
     """phi^{-1}(theta^c) mod theta-degree > n_trunc: the product psi^c =
     prod_i psi_i^(c_i) of `_psi`, as phi is multiplicative on the center
     (fact (b) there), read as the operator sum f d^<c'q> of its terms
-    f theta^c'.  Cached on fd, and so are the powers psi^b on the way,
-    b = e_1, 2 e_1, .., c, so a new c costs one product per step past
-    the longest cached b; none is formed past theta-degree n_trunc."""
-    key = (tuple(c), n_trunc)
-    if key not in fd._phi_inv:
-        ctx = fd.ctx
-        p, r, q = ctx.p, ctx.r, ctx.pm1
-        z = Poly.one(2 * r, p, "t|th")
-        if sum(c) > n_trunc:
-            z = Poly.zero(2 * r, p, "t|th")
-        else:
-            psi, b = _psi(fd, n_trunc), [0] * r
-            for i, ci in enumerate(c):
-                for _ in range(ci):
-                    b[i] += 1
-                    power = (tuple(b), n_trunc)
-                    if power not in fd._psi:
-                        fd._psi[power] = _dt_truncate(z * psi[i], r, n_trunc)
-                    z = fd._psi[power]
-        terms: dict = {}
-        for ec, v in z.coeffs.items():
-            terms.setdefault(mi_scale(ec[r:], q), {})[ec[:r]] = v
-        fd._phi_inv[key] = DiffOp._trusted(
-            ctx, {k: Poly._trusted(f, r, p) for k, f in terms.items()})
-    return fd._phi_inv[key]
+    f theta^c'.  The powers psi^b on the way, b = e_1, 2 e_1, .., c, are
+    cached on fd with the psi_i, so a new c costs one product per step
+    past the longest cached b; none is formed past theta-degree n_trunc.
+    The regrouping into an operator is redone on each call."""
+    ctx = fd.ctx
+    p, r, q = ctx.p, ctx.r, ctx.pm1
+    if sum(c) > n_trunc:
+        return DiffOp.zero(ctx)
+    z = Poly.one(2 * r, p, "t|th")
+    psi, b = _psi(fd, n_trunc), [0] * r
+    for i, ci in enumerate(c):
+        for _ in range(ci):
+            b[i] += 1
+            power = (tuple(b), n_trunc)
+            if power not in fd._psi:
+                fd._psi[power] = _dt_truncate(z * psi[i], r, n_trunc)
+            z = fd._psi[power]
+    terms: dict = {}
+    for ec, v in z.coeffs.items():
+        terms.setdefault(mi_scale(ec[r:], q), {})[ec[:r]] = v
+    return DiffOp._trusted(
+        ctx, {k: Poly._trusted(f, r, p) for k, f in terms.items()})
 
 
 def phi_center_inv(fd: FrobData, z: DiffOp, n_trunc: int) -> DiffOp:
@@ -570,11 +558,8 @@ def phi_tilde(fd: FrobData, op: DiffOp, n_trunc: int | None = None) -> DiffOp:
 
 
 def phi_tilde_basis(fd: FrobData, n, n_trunc: int) -> DiffOp:
-    key = (tuple(n), n_trunc)
-    if key not in fd._phi_tw:
-        op = DiffOp.dpartial(fd.ctx, n)
-        fd._phi_tw[key] = phi_tilde(fd, op, n_trunc)
-    return fd._phi_tw[key]
+    """phi_tilde(d^<n>) mod theta-degree > n_trunc."""
+    return phi_tilde(fd, DiffOp.dpartial(fd.ctx, n), n_trunc)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ image:
 (phi alone is off by the center automorphism whenever some Theta^c with
 |c| >= 2 survives on the module).  Theta^c acts as zero once |c| reaches
 the nilpotency index nnil, so both directions read phi, phi_tilde and
-phi^{-1} only to theta-degree n = nnil - 1, cached on the caller's fd.
+phi^{-1} only to theta-degree n = nnil - 1, from phi and psi cached on
+the caller's fd.
 There phi_tilde(d_i^<p^l>), l <= m, and phi^{-1}(theta_i) are closed
 forms in c(i, j) (the lemma at `frobenius._peel`, `frobenius._psi`);
 phi is read at orders <= p^m < q theta_trunc and psi at n, so the
@@ -710,7 +711,8 @@ def _box_entries(fd: FrobData, dm: DModule, nnil, key, sections) -> dict:
 
 def solve_invariants(fd: FrobData, dm: DModule,
                      deg_bound: int | None = None) -> InvariantSpace:
-    """Compute the invariant sections of total degree <= deg_bound.
+    """Compute the invariant sections of total degree <= deg_bound, by
+    default 3 p^(m+1).
 
     The box sections t^a e_j, a < q = p^(m+1) componentwise, that the
     window reaches start live.  The conditions (i, s) of the generators
@@ -738,7 +740,7 @@ def solve_invariants(fd: FrobData, dm: DModule,
     conditions rely on it."""
     ctx = fd.ctx
     q = ctx.pm1
-    d = ctx.solve_bound() if deg_bound is None else deg_bound
+    d = 3 * q if deg_bound is None else deg_bound
     nnil = dm.nilpotency_index()
     live = {(j, a): [] for a in product(range(min(q, d + 1)), repeat=ctx.r)
             if sum(a) <= d for j in range(dm.rank)}   # section -> entries
@@ -832,7 +834,8 @@ def recovered_higgs(fd: FrobData, dm: DModule):
     phi^{-1}(theta_i) acting on constant sections, pushed down to O_X'.
 
     Exact because theta-degrees >= the nilpotency index act as zero.  On
-    a round trip `solve_invariants` has cached phi^{-1}(theta_i) on fd."""
+    a round trip `solve_invariants` has cached psi_i = phi^{-1}(theta_i)
+    on fd."""
     ctx = fd.ctx
     n = dm.nilpotency_index() - 1
     out = []
@@ -845,18 +848,20 @@ def recovered_higgs(fd: FrobData, dm: DModule):
     return out
 
 
-def round_trip(fd: FrobData, higgs: HiggsModule):
+def round_trip(fd: FrobData, higgs: HiggsModule,
+               deg_bound: int | None = None):
     """pullback -> invariants -> Higgs frame; reports every verdict.
 
     higgs must already be valid (`HiggsModule.validate`), so a recovered
     frame equal to it is valid with no second check; any other frame is
-    validated.  The invariants are solved once, at d + q with
-    d = ctx.solve_bound(), where the rank stability check looks; the
-    windows of degree <= d and <= d - q are restricted from that solve,
-    and each window serves as the t'-shifted part of the one above it."""
+    validated.  The invariants are solved once, at d + q with d =
+    deg_bound, by default 3 q as in `solve_invariants`, where the rank
+    stability check looks; the windows of degree <= d and <= d - q are
+    restricted from that solve, and each window serves as the t'-shifted
+    part of the one above it."""
     ctx = fd.ctx
     dm = pullback(fd, higgs)
-    d = ctx.solve_bound()
+    d = 3 * ctx.pm1 if deg_bound is None else deg_bound
     wide = solve_invariants(fd, dm, d + ctx.pm1)
     inv = wide.restrict(d)
     rank = invariant_rank(inv, inv.restrict(d - ctx.pm1))

@@ -30,9 +30,11 @@ from dopm.expr import (MAX_BOX, MAX_DEGREE, MAX_ORDER, MAX_PAIRS,
                        render_op)
 from dopm.frobenius import (FrobData, divided_frob_tau, random_strong_lifting,
                             standard_lifting)
+from dopm.poly import Poly
 from dopm.scalars import degree_box
-from dopm.simpson import pullback, random_higgs, worked_example
+from dopm.simpson import pmat_eye, pullback, random_higgs, worked_example
 from dopm.suites import SUITES, SuiteCase, SuiteReport
+from test_simpson import gauged
 
 REPO = pathlib.Path(__file__).parents[1]
 SCHEMA = json.loads((REPO / "docs" / "report_schema.json").read_text())
@@ -315,6 +317,43 @@ def test_roundtrip_file(capsys, tmp_path):
     assert code == 0 and "round trip ok" in out
 
 
+@pytest.mark.parametrize("cmd, head", [
+    ("invariants", "degree bound 0: dim 2, rank 2\n1*e1\n1*e2\n"),
+    ("roundtrip", "degree bound 0: dim 2, rank 2 (expected 2)\n")],
+    ids=["invariants", "roundtrip"])
+def test_deg_bound_zero_solves_at_degree_zero(capsys, tmp_path, cmd, head):
+    # 0 is a bound like any other, not a stand-in for the default
+    code, out, err = run(capsys, cmd, "--deg-bound", "0",
+                         write_higgs(tmp_path))
+    assert (code, err) == (0, "") and out.startswith(head)
+
+
+def test_a_composite_coefficient_is_parenthesized(capsys, tmp_path):
+    # the gauge S = I + (t1^2 + 2 t1) E_12 puts a two-term coefficient in
+    # an invariant section
+    ctx = Context(3, 0)
+    dm = pullback(FrobData.standard(ctx),
+                  random_higgs(ctx, random.Random(0), 2))
+    f = Poly({(2,): 1, (1,): 2}, 1, 3)
+    s, s_inv = pmat_eye(2, 1, 3), pmat_eye(2, 1, 3)
+    s[0][1], s_inv[0][1] = f, -f
+    path = tmp_path / "gauged.json"
+    path.write_text(json.dumps(gauged(dm, s, s_inv).to_json()))
+    sections = ["1*e1", "(t1^2 - t1)*e1 + 1*e2", "t1^3*e1",
+                "(t1^5 - t1^4)*e1 + t1^3*e2", "t1^6*e1",
+                "(t1^8 - t1^7)*e1 + t1^6*e2", "t1^9*e1"]
+    code, out, err = run(capsys, "invariants", str(path))
+    assert (code, err) == (0, "")
+    assert out == "degree bound 9: dim 7, rank 2\n" + \
+        "\n".join(sections) + "\n"
+    code, out, err = run(capsys, "invariants", "--json", str(path))
+    assert (code, err) == (0, "")
+    assert hashlib.md5(out.encode()).hexdigest() == \
+        "329082c06c3eca80bed2abf6c9ca102e"
+    assert json.loads(out) == {"deg_bound": 9, "dim": 7, "rank": 2,
+                               "sections": sections}
+
+
 # -- verify -------------------------------------------------------------------
 
 def test_verify_json_is_deterministic_and_valid(capsys):
@@ -384,20 +423,21 @@ def test_verify_refuses_unsupported_parameters(capsys, flags):
 
 
 # the positional arguments of each command, and the flags beyond
-# --p/--m/--r/--json each one reads: --theta-trunc only where phi is, and
-# --deg-bound only where the invariants are solved
+# --p/--m/--json each one reads: --r everywhere but in verify, which
+# narrows its suites by p and m alone, --theta-trunc only where phi is,
+# and --deg-bound only where the invariants are solved
 COMMAND_ARGS = {"mul": ("d1",), "apply": ("d1", "t1"), "phi": ("d1",),
                 "phitilde": ("d1",), "bullet": ("d1", "t1"),
                 "kaneda-matrix": ("d1",), "curvature": ("m.json",),
                 "pullback": ("m.json",), "invariants": ("m.json",),
                 "roundtrip": ("m.json",), "verify": ()}
 COMMAND_FLAGS = {
-    **{cmd: {"--lift"} for cmd in ("mul", "apply", "kaneda-matrix",
-                                   "curvature", "pullback")},
-    **{cmd: {"--lift", "--theta-trunc"} for cmd in ("phi", "phitilde",
-                                                    "bullet")},
-    **{cmd: {"--lift", "--deg-bound"} for cmd in ("invariants",
-                                                  "roundtrip")},
+    **{cmd: {"--r", "--lift"} for cmd in ("mul", "apply", "kaneda-matrix",
+                                          "curvature", "pullback")},
+    **{cmd: {"--r", "--lift", "--theta-trunc"}
+       for cmd in ("phi", "phitilde", "bullet")},
+    **{cmd: {"--r", "--lift", "--deg-bound"}
+       for cmd in ("invariants", "roundtrip")},
     "verify": {"--suite", "--seed"}}
 UNREAD_FLAGS = [(cmd, flag) for cmd in COMMAND_ARGS if cmd != "verify"
                 for flag in ("--tau-trunc", "--theta-trunc", "--deg-bound")
@@ -414,9 +454,10 @@ UNREAD_FLAGS = [(cmd, flag) for cmd in COMMAND_ARGS if cmd != "verify"
     ("verify", "--suite", "nosuch"),
     ("mul", "--p", "x", "d1"),
     *[(cmd, flag, "9", *COMMAND_ARGS[cmd]) for cmd, flag in UNREAD_FLAGS],
+    ("verify", "--suite", "lucas", "--r", "2"),
 ], ids=["verify-lift-deg-bound", "verify-lift", "verify-tau-trunc",
         "verify-theta-trunc", "mul-seed", "unknown-suite", "non-integer-p",
-        *[cmd + flag[1:] for cmd, flag in UNREAD_FLAGS]])
+        *[cmd + flag[1:] for cmd, flag in UNREAD_FLAGS], "verify-r"])
 def test_flags_a_command_does_not_read_exit_2(capsys, argv):
     # each command takes only the flags it reads; a flag error is one line
     # that names the flag
@@ -436,8 +477,7 @@ def test_each_command_registers_the_flags_it_reads(capsys, cmd):
     assert exc.value.code == 0
     flags = {word.strip("[],") for word in out.split()
              if word.strip("[],").startswith("--")}
-    assert flags == {"--help", "--p", "--m", "--r", "--json"} | \
-        COMMAND_FLAGS[cmd]
+    assert flags == {"--help", "--p", "--m", "--json"} | COMMAND_FLAGS[cmd]
 
 
 def test_verify_accepts_supported_parameters_off_the_grid(capsys):
@@ -449,18 +489,27 @@ def test_verify_accepts_supported_parameters_off_the_grid(capsys):
 
 # -- exit codes for bad input -------------------------------------------------
 
-@pytest.mark.parametrize("argv", [
-    ("mul", "x1"),
-    ("mul", "d1<"),
-    ("apply", "d1", "d1"),           # function slot holds an operator
-    ("mul", "--p", "11", "d1"),      # unsupported prime
-    ("mul", "--p", "2", "--m", "9", "d1"),
-    ("curvature", "/no/such/file.json"),
-])
-def test_malformed_input_exits_2(capsys, argv):
-    code, _, err = run(capsys, *argv)
+@pytest.mark.parametrize("argv, message", [
+    (("mul", "x1"), ""),
+    (("mul", "d1<"), ""),
+    (("apply", "d1", "d1"), ""),           # function slot holds an operator
+    (("mul", "--p", "11", "d1"), ""),      # unsupported prime
+    (("mul", "--p", "2", "--m", "9", "d1"), ""),
+    (("curvature", "/no/such/file.json"), ""),
+    (("phi", "--theta-trunc", "0", "d1"), "theta_trunc must be positive"),
+    (("invariants", "--deg-bound", "-1", "HIGGS"), "deg_bound must be >= 0"),
+    (("pullback", "DMODULE"), "pullback needs a Higgs file"),
+    (("mul", "--r", "4", "d1"), "r=4 out of range 1..3"),
+], ids=[*[f"argv{i}" for i in range(6)], "theta-trunc-0",
+        "negative-deg-bound", "pullback-of-a-d-module", "r-out-of-range"])
+def test_malformed_input_exits_2(capsys, tmp_path, argv, message):
+    # HIGGS and DMODULE stand for valid files of each kind
+    files = {"HIGGS": write_higgs(tmp_path), "DMODULE": tmp_path / "dm.json"}
+    files["DMODULE"].write_text(json.dumps(_fuzz_dmodule()))
+    code, _, err = run(capsys, *[str(files.get(a, a)) for a in argv])
     assert code == 2
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
 
 
 JORDAN_ROW = [[], [[[0], 1]]]
@@ -470,9 +519,10 @@ JORDAN_ROW = [[], [[[0], 1]]]
     # exponent [0, 0] with r = 1
     ("roundtrip", {"p": 2, "m": 0, "r": 1, "rank": 2,
                    "matrices": [[[[], [[[0, 0], 1]]], [[], []]]]}),
-    # r = 2 with one matrix
+    # r = 2 with one matrix (its exponents of length 2, so that the
+    # count is what is refused)
     ("roundtrip", {"p": 2, "m": 0, "r": 2, "rank": 2,
-                   "matrices": [[JORDAN_ROW, [[], []]]]}),
+                   "matrices": [[[[], [[[0, 0], 1]]], [[], []]]]}),
     # ragged: the second row is short
     ("roundtrip", {"p": 2, "m": 0, "r": 1, "rank": 2,
                    "matrices": [[JORDAN_ROW, [[]]]]}),
@@ -496,9 +546,25 @@ JORDAN_ROW = [[], [[[0], 1]]]
                    "matrices": [[JORDAN_ROW, [[], []]]]}),
     ("curvature", {"p": 2, "m": 1.0, "r": 1, "rank": 1,
                    "generators": [[0, 0, [[[]]]], [0, 1, [[[]]]]]}),
+    # a D-module of rank 0, with no generators, or with one given twice
+    ("invariants", {"p": 2, "m": 0, "r": 1, "rank": 0,
+                    "generators": [[0, 0, [[[]]]]]}),
+    ("invariants", {"p": 2, "m": 0, "r": 1, "rank": 2, "generators": {}}),
+    ("invariants", {"p": 2, "m": 0, "r": 1, "rank": 2,
+                    "generators": [[0, 0, [[[], [[[1], 1]]], [[], []]]]] * 2}),
+    # a matrix that is not a list of rows, a generator not [i, l, matrix]
+    ("invariants", {"p": 2, "m": 0, "r": 1, "rank": 2, "matrices": [5]}),
+    ("invariants", {"p": 2, "m": 0, "r": 1, "rank": 2, "generators": [[0]]}),
+    # a generator of a level above m
+    ("invariants", {"p": 2, "m": 0, "r": 1, "rank": 2,
+                    "generators": [[0, 1, [[[], [[[1], 1]]], [[], []]]]]}),
+    # a Higgs file whose matrices are an object
+    ("invariants", {"p": 2, "m": 0, "r": 1, "rank": 2, "matrices": {}}),
 ], ids=["exponent-arity", "matrix-count", "ragged", "rank-key",
         "bool-rank", "float-rank", "missing-generator", "float-p", "float-r",
-        "bool-m", "float-m-dmodule"])
+        "bool-m", "float-m-dmodule", "rank-zero", "generators-object",
+        "generator-twice", "matrix-not-rows", "generator-shape",
+        "generator-level", "matrices-object"])
 def test_malformed_module_file_exits_2(capsys, tmp_path, command, module):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(module))
@@ -650,7 +716,8 @@ def test_malformed_lifting_file_exits_2(capsys, tmp_path, lift):
     [3, 0, 1],
     {"p": "3", "m": 0, "r": 1, "lift": [[[[3], 1]]]},
     {"p": 3, "r": 1, "lift": [[[[3], 1]]]},
-], ids=["not-an-object", "string-p", "no-m"])
+    {"p": 3, "m": 0, "r": 1},
+], ids=["not-an-object", "string-p", "no-m", "no-lift"])
 def test_lifting_file_of_the_wrong_kind_exits_2(capsys, tmp_path, data):
     path = tmp_path / "lift.json"
     path.write_text(json.dumps(data))

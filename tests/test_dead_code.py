@@ -2,7 +2,9 @@
 `src/dopm` is read somewhere in `src/dopm` outside its own definition,
 and every method other than a dunder is read as an attribute (`.name`)
 somewhere in `src/dopm`.  Exporting a name through `dopm.__init__` is
-not a use.  Read off the syntax trees alone."""
+not a use.  Every module-level import of a module other than
+`__init__.py`, whose imports are its exports, is read in that module.
+Read off the syntax trees alone."""
 
 import ast
 import pathlib
@@ -90,3 +92,39 @@ def test_the_guard_names_an_orphan_and_an_unused_method(tmp_path):
                  "__all__ += [\"_exported\"]\n")
     assert [s.split()[1] for s in _uncalled(tmp_path)] == [
         "_orphan", "_exported", "_Host.idle", "_Host.spare"]
+
+
+def _unused_imports(src=SRC):
+    """The names that a module-level import binds and its module never
+    reads; `from __future__` imports bind nothing."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names, _ = _references(tree)
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and \
+                    node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if not names[bound]:
+                        out.append(f"{path.name}:{node.lineno} {bound}")
+    return out
+
+
+def test_every_import_is_read():
+    assert _unused_imports() == []
+
+
+def test_the_guard_names_an_unused_import(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "poly.py", "a") as fh:
+        fh.write("\nimport json\nimport os.path\n"
+                 "from math import comb as _comb, gcd\n"
+                 "\n_read = (os.sep, gcd)\n")
+    assert [s.split()[1] for s in _unused_imports(tmp_path)] == [
+        "json", "_comb"]

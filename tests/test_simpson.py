@@ -1087,7 +1087,7 @@ def test_box_entries_are_the_per_section_oracle(ctx, lift_seed, field,
                                                 gauge, deg_bound):
     fd, dm = _solver_case(ctx, lift_seed, field, gauge)
     nnil = dm.nilpotency_index()
-    d = ctx.solve_bound() if deg_bound is None else deg_bound
+    d = 3 * ctx.pm1 if deg_bound is None else deg_bound
     sections = _reached(ctx, dm.rank, d)
     if deg_bound is not None:
         assert len(sections) < dm.rank * ctx.pm1 ** ctx.r
@@ -1115,7 +1115,7 @@ def dense_solve(fd, dm, deg_bound=None):
     nullspace_mod on the whole of it."""
     ctx = fd.ctx
     q = ctx.pm1
-    d = ctx.solve_bound() if deg_bound is None else deg_bound
+    d = 3 * ctx.pm1 if deg_bound is None else deg_bound
     nnil = dm.nilpotency_index()
     monomials = [(j, a) for a in degree_box(d, ctx.r)
                  for j in range(dm.rank)]
@@ -1404,8 +1404,17 @@ def test_round_trip_restricts_twice(monkeypatch):
 
     monkeypatch.setattr(InvariantSpace, "restrict", spy)
     rep = round_trip(FrobData.standard(ctx), jordan_higgs(ctx, 2))
-    d, q = ctx.solve_bound(), ctx.pm1
+    d, q = 3 * ctx.pm1, ctx.pm1
     assert bounds == [(d + q, d), (d, d - q)]
+    assert rep["rank"] == 2 and rep["stable"] and rep["members"]
+
+
+def test_round_trip_takes_the_solve_bound():
+    # the bound belongs to the solve, not to the ring: the module and the
+    # Frobenius data share one context whatever the bound
+    fd = FrobData.standard(Context(2, 0, 1))
+    rep = round_trip(fd, worked_example(Context(2, 0, 1)), 12)
+    assert rep["inv"].deg_bound == 12
     assert rep["rank"] == 2 and rep["stable"] and rep["members"]
 
 
@@ -1421,7 +1430,7 @@ def test_invariants_move_with_the_gauge(ctx, n):
                                    linear=True))
     s = shear(ctx, n)
     moved = gauged(dm, s, shear(ctx, n, -1))
-    d = ctx.solve_bound()
+    d = 3 * ctx.pm1
     low = solve_invariants(fd, dm, d).restrict(d - 1)
     high = solve_invariants(fd, moved, d)
     assert low.dim and high.dim >= low.dim
@@ -1458,7 +1467,7 @@ def test_round_trip_window_is_a_direct_solve():
              random_higgs(Context(2, 0, r=2), random.Random(9), 2))]:
         rep = round_trip(fd, h)
         inv = rep["inv"]
-        direct = solve_invariants(fd, rep["dm"], ctx.solve_bound())
+        direct = solve_invariants(fd, rep["dm"], 3 * ctx.pm1)
         assert inv.deg_bound == direct.deg_bound
         assert inv.dim == direct.dim
         stacked = np.vstack([inv.basis, direct.basis])
