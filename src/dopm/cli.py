@@ -50,8 +50,8 @@ def _read_json(path):
 
 def _ctx(args, pmr=None) -> Context:
     """Context from flags; `pmr` (from a file) wins over flag defaults
-    but must agree with explicitly given flags.  A --deg-bound, which
-    the solves read and the context does not, is checked here too."""
+    but must agree with explicitly given flags.  A --theta-trunc or
+    --deg-bound, read by calls and not by the context, is checked too."""
     flags = (args.p, args.m, getattr(args, "r", None))   # verify has no --r
     if pmr is None:
         pmr = [default if flag is None else flag
@@ -61,12 +61,12 @@ def _ctx(args, pmr=None) -> Context:
             if flag is not None and flag != val:
                 raise CliError(
                     f"--{name} {flag} disagrees with the file ({name}={val})")
-    theta = getattr(args, "theta_trunc", None)   # where a command has it
-    kw = {} if theta is None else {"theta_trunc": theta}
     try:
-        ctx = Context(*pmr, **kw)
+        ctx = Context(*pmr)
     except ValueError as e:
         raise CliError(str(e))
+    if getattr(args, "theta_trunc", 1) < 1:   # where a command has it
+        raise CliError("theta_trunc must be positive")
     if (getattr(args, "deg_bound", None) or 0) < 0:
         raise CliError("deg_bound must be >= 0")
     return ctx
@@ -139,11 +139,24 @@ def cmd_apply(args) -> int:
     return _emit(args, {"poly": render_poly(out)}, render_poly(out))
 
 
+def _in_window(args, ctx: Context, op: DiffOp) -> DiffOp:
+    """op, refused (exit 3) if a d^<n> has |n| > q T, q = p^(m+1), T =
+    --theta-trunc: a cost guard, as phi(d1<1000>) at p = 2 takes 9 s."""
+    top = ctx.pm1 * args.theta_trunc
+    for n in op.terms:
+        if sum(n) > top:
+            raise ValueError(
+                f"phi(d^<{n}>) is past the window |n| <= {top}: it needs "
+                f"theta_trunc >= {-(-sum(n) // ctx.pm1)}")
+    return op
+
+
 def cmd_phi(args) -> int:
-    """phi, or phi_tilde for the `phitilde` command."""
+    """phi, or phi_tilde cut at --theta-trunc for the `phitilde` command."""
     ctx, fd = _setup(args)
-    fn = phi_tilde if args.cmd == "phitilde" else phi
-    out = fn(fd, parse(ctx, args.expr))
+    op = _in_window(args, ctx, parse(ctx, args.expr))
+    out = phi_tilde(fd, op, args.theta_trunc) if args.cmd == "phitilde" \
+        else phi(fd, op)
     return _emit(args, {"op": render_op(out)}, render_op(out))
 
 
@@ -151,7 +164,7 @@ def cmd_bullet(args) -> int:
     ctx, fd = _setup(args)
     op = parse(ctx, args.expr)
     z = as_split_module(ctx, _as_poly(ctx, parse(ctx, args.fn)))
-    out = bullet(fd, op, z)
+    out = bullet(fd, _in_window(args, ctx, op), z)
     return _emit(args, {"poly": render_poly(out)}, render_poly(out))
 
 
@@ -396,9 +409,10 @@ def main(argv=None) -> int:
         sp.add_argument("--lift", default="std", metavar="FILE|std",
                         help="Frobenius lifting: 'std' or a JSON file")
         if cmd in ("phi", "phitilde", "bullet"):
-            sp.add_argument("--theta-trunc", type=int, help="Frobenius "
-                            "window T (default 3): phi takes |n| <= p^(m+1) "
-                            "T, phitilde keeps theta-degrees <= T")
+            sp.add_argument("--theta-trunc", type=int,
+                            default=Context.theta_trunc, help="window T "
+                            "(default %(default)s): refuse d^<n> with |n| > "
+                            "p^(m+1) T; phitilde keeps theta-degrees <= T")
         if cmd in ("invariants", "roundtrip"):
             sp.add_argument("--deg-bound", type=int,
                             help="max t-degree in linear solves "

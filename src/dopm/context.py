@@ -1,14 +1,15 @@
 """Global parameters shared by every module.
 
-A :class:`Context` fixes the prime p, the level m, the number of
-coordinates r, and theta_trunc, the one Frobenius window (see
-`frobenius.phi_basis`).  The t-degree of an invariants solve is an
-argument of the solve (`simpson.solve_invariants`), not of the ring.
+A :class:`Context` is the ring D^(m) on affine r-space over F_p: the
+prime p, the level m and the number of coordinates r.  Each other
+setting is an argument of the call that reads it: the t-degree of a
+solve and the theta-degree cut of `frobenius.phi_tilde` (default 3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .poly import is_int
 
@@ -22,10 +23,10 @@ class Context:
     p: int
     m: int
     r: int = 1
-    theta_trunc: int = 3
+    theta_trunc: ClassVar[int] = 3
 
     def __post_init__(self):
-        for name in ("p", "m", "r", "theta_trunc"):
+        for name in ("p", "m", "r"):
             value = getattr(self, name)
             if not is_int(value):
                 raise ValueError(f"{name}={value!r} is not an integer")
@@ -35,8 +36,6 @@ class Context:
             raise ValueError(f"level m={self.m} out of range 0..{MAX_LEVEL}")
         if not 1 <= self.r <= MAX_COORDS:
             raise ValueError(f"r={self.r} out of range 1..{MAX_COORDS}")
-        if self.theta_trunc < 1:
-            raise ValueError("theta_trunc must be positive")
 
     @property
     def pm(self) -> int:
@@ -51,7 +50,3 @@ class Context:
     @property
     def mod2(self) -> int:
         return self.p * self.p
-
-    def at_level(self, m: int) -> "Context":
-        """Same parameters at a different level (level/descent maps)."""
-        return Context(self.p, m, self.r, theta_trunc=self.theta_trunc)

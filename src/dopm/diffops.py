@@ -384,7 +384,7 @@ def frob_descend(op: DiffOp, divide_coeffs: bool = False) -> DiffOp:
     """
     ctx, p = op.ctx, op.ctx.p
     assert ctx.m >= 1
-    return DiffOp(ctx.at_level(ctx.m - 1), {
+    return DiffOp(Context(p, ctx.m - 1, ctx.r), {
         tuple(x // p for x in k): f.divide_exponents(p) if divide_coeffs
         else f for k, f in op.terms.items() if not any(x % p for x in k)})
 
@@ -394,5 +394,5 @@ def frob_raise(op: DiffOp) -> DiffOp:
     coefficient exponents both dilate by p.  A ring map; frob_descend
     with divide_coeffs inverts it exactly."""
     ctx, p = op.ctx, op.ctx.p
-    return DiffOp(ctx.at_level(ctx.m + 1), {
+    return DiffOp(Context(p, ctx.m + 1, ctx.r), {
         mi_scale(k, p): f.scale_exponents(p) for k, f in op.terms.items()})

@@ -21,7 +21,8 @@ only w's tau^{p^m}-block c(i, j), in closed form from the lifting
                   generator d_i^<p^m> or theta_i at a time (`_peel`);
   * phi_center_inv / phi_tilde -- the theta-adic inverse of phi on
                   O_X[theta], in closed form from c(i, j) (`_psi`), and
-                  the induced splitting map phi_tilde = phi^{-1} o phi;
+                  the induced splitting map phi_tilde = phi^{-1} o phi,
+                  both cut at a theta-degree their caller passes;
   * bullet     -- the module structure P.(f theta^c) = phi(P f) theta^c
                   on O_X[theta], plus its matrix model;
   * glue       -- the change-of-lifting derivation and the induced
@@ -302,22 +303,13 @@ def phi_basis(fd: FrobData, n) -> DiffOp:
     `FrobData.gamma_coeffs` for the standard lifting, `_peel` for any
     other.
 
-    Finite: gamma_{c_j}(w_j) starts in tau-degree c_j p^m, so only
-    |c| <= |n|/p^m contributes.  Past |n| = q theta_trunc, q = p^(m+1),
-    phi refuses (ValueError) to guard cost, not exactness: unrefused,
-    d1<1000> at p = 2 took 10 s and d1<2000> 160 s (one Xeon core).  The
-    standard w_j lies in tau_j-degrees <= q, so there a refused image lies
-    wholly above theta-degree theta_trunc; a deviated w_j only has every
-    s_i <= q (q_(s_i)! = 0 mod p past it), so |c| >= max_i n_i / q.
+    Finite at every order: gamma_{c_j}(w_j) starts in tau-degree
+    c_j p^m, so only |c| <= |n|/p^m contributes.
     """
     n = tuple(n)
     if n in fd._phi:
         return fd._phi[n]
     ctx = fd.ctx
-    top = ctx.pm1 * ctx.theta_trunc
-    if mi_sum(n) > top:
-        raise ValueError(f"phi(d^<{n}>) is past the window |n| <= {top}: "
-                         f"it needs theta_trunc >= {-(-mi_sum(n) // ctx.pm1)}")
     if not fd.is_standard:
         return _peel(fd, n)
     terms = {mi_scale(c, ctx.pm1): g
@@ -548,13 +540,13 @@ def phi_center_inv(fd: FrobData, z: DiffOp, n_trunc: int) -> DiffOp:
     return premul_sum(fd.ctx, pairs)
 
 
-def phi_tilde(fd: FrobData, op: DiffOp, n_trunc: int | None = None) -> DiffOp:
+def phi_tilde(fd: FrobData, op: DiffOp,
+              n_trunc: int = Context.theta_trunc) -> DiffOp:
     """The splitting map phi_tilde = phi^{-1} o phi: phi, whose values
     lie in O_X[theta], followed by its inverse there, so that phi_tilde
-    restricted to the center is the identity (mod theta-degree >
-    n_trunc)."""
-    n = fd.ctx.theta_trunc if n_trunc is None else n_trunc
-    return phi_center_inv(fd, phi(fd, op), n)
+    restricted to the center is the identity, cut above theta-degree
+    n_trunc (phi itself is exact at every order)."""
+    return phi_center_inv(fd, phi(fd, op), n_trunc)
 
 
 def phi_tilde_basis(fd: FrobData, n, n_trunc: int) -> DiffOp:
@@ -616,16 +608,16 @@ def glue_derivation(l1: LiftingZ, l2: LiftingZ):
     return out
 
 
-def glue_endo(ctx: Context, u, g: Poly, n_trunc: int | None = None) -> Poly:
+def glue_endo(ctx: Context, u, g: Poly,
+              n_trunc: int = Context.theta_trunc) -> Poly:
     """The divided-power algebra automorphism dt'_j -> dt'_j - u_j(t),
-    applied to g in 2r variables "t|dt'", truncated in dt'-degree."""
-    n = ctx.theta_trunc if n_trunc is None else n_trunc
+    applied to g in 2r variables "t|dt'", cut above dt'-degree n_trunc."""
     r = ctx.r
     assert g.nvars == 2 * r
     out = Poly.zero(2 * r, ctx.p, g.var)
     for ec, coeff in g.coeffs.items():
         e, c = ec[:r], ec[r:]
-        if sum(c) > n:
+        if sum(c) > n_trunc:
             continue
         term = Poly.monomial(e + mi_zero(r), coeff, 2 * r, ctx.p, g.var)
         for j, cj in enumerate(c):
@@ -637,7 +629,7 @@ def glue_endo(ctx: Context, u, g: Poly, n_trunc: int | None = None) -> Poly:
             for _ in range(cj):
                 term = term * factor
         out = out + term
-    return _dt_truncate(out, r, n)
+    return _dt_truncate(out, r, n_trunc)
 
 
 def _dt_truncate(g: Poly, r: int, n: int) -> Poly:

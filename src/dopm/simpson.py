@@ -24,9 +24,8 @@ the nilpotency index nnil, so both directions read phi, phi_tilde and
 phi^{-1} only to theta-degree n = nnil - 1, from phi and psi cached on
 the caller's fd.
 There phi_tilde(d_i^<p^l>), l <= m, and phi^{-1}(theta_i) are closed
-forms in c(i, j) (the lemma at `frobenius._peel`, `frobenius._psi`);
-phi is read at orders <= p^m < q theta_trunc and psi at n, so the
-window theta_trunc changes neither output nor cost.  On a valid
+forms in c(i, j) (the lemma at `frobenius._peel`, `frobenius._psi`),
+so phi is read at orders <= p^m and psi at n alone.  On a valid
 module it suffices to impose this for the generators P = d_i^<p^l>,
 l <= m: Theta^c commutes with both sides, as theta_i is central, the
 conditions of d_i^<p^m> t_i^b are triangular in those of the d_i^<s>,

@@ -400,7 +400,7 @@ def suite_bullet(seed: int, only):
 
 def suite_vanderput(seed: int, only):
     for p, _ in _kept(only, [(2, 0), (3, 0)]):
-        ctx = Context(p, 0, r=1, theta_trunc=p * p)
+        ctx = Context(p, 0, r=1)
         fd = FrobData.standard(ctx)
         d = DiffOp.dpartial(ctx, (1,))
         h = phi_tilde(fd, d, p * p)

@@ -237,8 +237,9 @@ def test_a_power_of_a_sum_past_the_pair_cap_exits_2_quickly():
 
 
 def test_phi_past_the_window_exits_3_at_once():
-    # the window guards cost: phi(d1<1000>) alone takes seconds, and
-    # d1<4000> is far past the default window |n| <= 3 p at p = 2
+    # the commands' window guards cost: phi(d1<1000>) alone takes
+    # seconds, and d1<4000> is far past the default window |n| <= 3 p at
+    # p = 2
     res = subprocess.run([sys.executable, "-m", "dopm.cli", "phi", "--p", "2",
                           "d1<4000>"], capture_output=True, text=True,
                          env=child_env(), timeout=10)
@@ -497,14 +498,28 @@ def test_verify_accepts_supported_parameters_off_the_grid(capsys):
     (("mul", "--p", "2", "--m", "9", "d1"), ""),
     (("curvature", "/no/such/file.json"), ""),
     (("phi", "--theta-trunc", "0", "d1"), "theta_trunc must be positive"),
+    (("phitilde", "--theta-trunc", "0", "d1"), "theta_trunc must be positive"),
+    (("bullet", "--theta-trunc", "0", "d1", "t1"),
+     "theta_trunc must be positive"),
+    (("phi", "--lift", "LIFT", "--theta-trunc", "0", "d1"),
+     "theta_trunc must be positive"),
+    (("phitilde", "--lift", "LIFT", "--theta-trunc", "0", "d1"),
+     "theta_trunc must be positive"),
+    (("bullet", "--lift", "LIFT", "--theta-trunc", "0", "d1", "t1"),
+     "theta_trunc must be positive"),
     (("invariants", "--deg-bound", "-1", "HIGGS"), "deg_bound must be >= 0"),
     (("pullback", "DMODULE"), "pullback needs a Higgs file"),
     (("mul", "--r", "4", "d1"), "r=4 out of range 1..3"),
 ], ids=[*[f"argv{i}" for i in range(6)], "theta-trunc-0",
+        "phitilde-theta-trunc-0", "bullet-theta-trunc-0",
+        "lifted-theta-trunc-0", "lifted-phitilde-theta-trunc-0",
+        "lifted-bullet-theta-trunc-0",
         "negative-deg-bound", "pullback-of-a-d-module", "r-out-of-range"])
 def test_malformed_input_exits_2(capsys, tmp_path, argv, message):
-    # HIGGS and DMODULE stand for valid files of each kind
-    files = {"HIGGS": write_higgs(tmp_path), "DMODULE": tmp_path / "dm.json"}
+    # HIGGS, DMODULE and LIFT stand for valid files of each kind
+    files = {"HIGGS": write_higgs(tmp_path), "DMODULE": tmp_path / "dm.json",
+             "LIFT": write_lifting(tmp_path, deviated_lifting(
+                 Context(2, 0), "malformed input"))}
     files["DMODULE"].write_text(json.dumps(_fuzz_dmodule()))
     code, _, err = run(capsys, *[str(files.get(a, a)) for a in argv])
     assert code == 2
@@ -1210,3 +1225,26 @@ def test_phitilde_inside_the_window_fixes_the_center(capsys, tmp_path):
                "it needs theta_trunc >= 9\n")
     assert run(capsys, *argv, "--theta-trunc", "9", "d1<27>") == \
         (0, "d1<27>\n", "")
+
+
+def test_the_window_refuses_below_it_under_a_deviated_lifting(capsys,
+                                                              tmp_path):
+    # phi(d^<(0, 2, 2)>) has a term at theta-degree 1 under this lifting
+    # (`test_a_deviated_image_past_the_window_reaches_theta_degree_1`), but
+    # the window reads |n| alone, so T = 1 refuses it
+    ctx = Context(3, 0, 3)
+    lift = write_lifting(tmp_path, random_strong_lifting(ctx,
+                                                         random.Random(0)))
+    assert run(capsys, "phi", "--p", "3", "--r", "3", "--lift", lift,
+               "--theta-trunc", "1", "d2<2>*d3<2>") == (
+        3, "", "error: phi(d^<(0, 2, 2)>) is past the window |n| <= 3: "
+               "it needs theta_trunc >= 2\n")
+
+
+def test_bullet_refuses_an_operator_past_the_window_on_zero(capsys):
+    # the window reads the operator, not the function it acts on
+    code, out, err = run(capsys, "bullet", "d1<7>", "0")
+    assert (code, out) == (3, "")
+    assert err == "error: phi(d^<(7,)>) is past the window |n| <= 6: " \
+                  "it needs theta_trunc >= 4\n"
+

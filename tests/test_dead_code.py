@@ -4,7 +4,8 @@ and every method other than a dunder is read as an attribute (`.name`)
 somewhere in `src/dopm`.  Exporting a name through `dopm.__init__` is
 not a use.  Every module-level import of a module other than
 `__init__.py`, whose imports are its exports, is read in that module.
-Read off the syntax trees alone."""
+Every field of a `@dataclass` is read as an attribute somewhere in
+`src/dopm`.  Read off the syntax trees alone."""
 
 import ast
 import pathlib
@@ -128,3 +129,64 @@ def test_the_guard_names_an_unused_import(tmp_path):
                  "\n_read = (os.sep, gcd)\n")
     assert [s.split()[1] for s in _unused_imports(tmp_path)] == [
         "json", "_comb"]
+
+
+def _is_dataclass(node) -> bool:
+    """Whether a class is decorated `@dataclass` or `@dataclass(...)`."""
+    for dec in node.decorator_list:
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        name = dec.attr if isinstance(dec, ast.Attribute) else \
+            getattr(dec, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _unread_fields(src=SRC):
+    """The fields of each module-level `@dataclass` that nothing in `src`
+    reads as an attribute; a `ClassVar` is not a field."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(src.glob("*.py"))}
+    attrs = Counter()
+    for tree in trees.values():
+        attrs += _references(tree)[1]
+    out = []
+    for fname, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+                continue
+            for item in node.body:
+                if not (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)):
+                    continue
+                ann = item.annotation
+                if isinstance(ann, ast.Subscript):
+                    ann = ann.value
+                if "ClassVar" in (getattr(ann, "id", None),
+                                  getattr(ann, "attr", None)):
+                    continue
+                if not attrs[item.target.id]:
+                    out.append(f"{fname}:{item.lineno} "
+                               f"{node.name}.{item.target.id}")
+    return out
+
+
+def test_every_dataclass_field_is_read():
+    assert _unread_fields() == []
+
+
+def test_the_guard_names_an_unread_field(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "poly.py", "a") as fh:
+        fh.write("\nimport dataclasses\nfrom dataclasses import dataclass"
+                 "\nfrom typing import ClassVar\n"
+                 "\n\n@dataclass(frozen=True)\nclass _Kept:\n"
+                 "    read_here: int\n    never_read: int = 0\n"
+                 "    constant: ClassVar[int] = 1\n"
+                 "\n\n@dataclasses.dataclass\nclass _Plain:\n"
+                 "    also_unread: str = ''\n"
+                 "\n\nclass _NotData:\n    annotated: int = 0\n"
+                 "\n\n_read = _Kept(0).read_here\n")
+    assert [s.split()[1] for s in _unread_fields(tmp_path)] == [
+        "_Kept.never_read", "_Plain.also_unread"]

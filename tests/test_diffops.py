@@ -430,6 +430,6 @@ def test_frob_descend_keeps_divisible_indices_only():
     op = DiffOp.dpartial(ctx, (2,), coeff=Poly.variable(0, 1, 2)) + \
         DiffOp.dpartial(ctx, (3,))
     down = frob_descend(op)
-    want = DiffOp.dpartial(ctx.at_level(0), (1,),
+    want = DiffOp.dpartial(Context(2, 0), (1,),
                            coeff=Poly.variable(0, 1, 2))
     assert down == want

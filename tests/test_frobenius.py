@@ -155,14 +155,15 @@ TOWER_PMR = [(7, 1, 1), (5, 0, 1), (3, 0, 3), (2, 3, 1), (3, 1, 2)]
 
 
 def tower_fd(pmr, lifting):
-    """The standard lifting in the default window; a random strong one in
-    the window theta_trunc = 1, since the rational oracle multiplies out
-    w^k for every k <= q theta_trunc / p^m and a random w has hundreds of
-    terms (the default window at (3, 0, 3) takes minutes)."""
+    """(FrobData, window T): the standard lifting at T = 3; a random
+    strong one at T = 1, since the rational oracle multiplies out w^k for
+    every k <= q T / p^m and a random w has hundreds of terms (T = 3 at
+    (3, 0, 3) takes minutes)."""
+    ctx = Context(*pmr)
     if lifting == "std":
-        return FrobData.standard(Context(*pmr))
-    ctx = Context(*pmr, theta_trunc=1)
-    return FrobData(ctx, random_strong_lifting(ctx, random.Random(str(pmr))))
+        return FrobData.standard(ctx), 3
+    return FrobData(ctx, random_strong_lifting(
+        ctx, random.Random(str(pmr)))), 1
 
 
 def fraction_gammas(w, big_k, mod, top):
@@ -211,14 +212,14 @@ def theta_coeffs(fd, n) -> dict:
             for k, f in phi_basis(fd, n).terms.items()}
 
 
-def assert_phi_is_the_rational_model(fd):
+def assert_phi_is_the_rational_model(fd, window):
     """The theta^c coefficient of phi(d^<n>), by the closed form or the
     peel, is [tau^{n}] prod_j gamma_dp(w_j, c_j) at every |n| <= top =
-    q theta_trunc: from the Taylor-expanded w and DPElem products over
-    every |c| <= top / p^m, each gamma cut at top (a term only ever moves
+    q window: from the Taylor-expanded w and DPElem products over every
+    |c| <= top / p^m, each gamma cut at top (a term only ever moves
     up)."""
     ctx = fd.ctx
-    top = ctx.pm1 * ctx.theta_trunc
+    top = ctx.pm1 * window
     big_k = top // ctx.pm
     gammas = [[gamma_dp(w, k, top=top) for k in range(big_k + 1)]
               for w in divided_frob_tau(ctx, fd.lifting)]
@@ -238,7 +239,7 @@ def assert_phi_is_the_rational_model(fd):
 @pytest.mark.parametrize("lifting", ["std", "random"])
 @pytest.mark.parametrize("pmr", TOWER_PMR, ids=str)
 def test_gamma_tower_is_the_from_scratch_oracle(pmr, lifting):
-    assert_phi_is_the_rational_model(tower_fd(pmr, lifting))
+    assert_phi_is_the_rational_model(*tower_fd(pmr, lifting))
 
 
 def deviated(ctx, rng) -> FrobData:
@@ -249,22 +250,22 @@ def deviated(ctx, rng) -> FrobData:
             return fd
 
 
-# theta_trunc = 1 where the oracle is slow in the default window
+# window 1 where the oracle is slow in the window 3
 PEEL_CASES = [(7, 0, 1, 3), (7, 1, 1, 1), (7, 0, 2, 1), (5, 2, 1, 1),
               (5, 0, 2, 2), (3, 3, 1, 3), (2, 3, 1, 3), (2, 2, 2, 2),
               (3, 1, 2, 1), (2, 0, 3, 3), (3, 0, 3, 1), (2, 1, 3, 1)]
 
 
-@pytest.mark.parametrize("p, m, r, top", PEEL_CASES, ids=str)
-def test_the_peel_is_the_rational_model(p, m, r, top):
+@pytest.mark.parametrize("p, m, r, window", PEEL_CASES, ids=str)
+def test_the_peel_is_the_rational_model(p, m, r, window):
     # phi(d^<n>) = d^<n> . 1 by generator steps on the split module, and
     # the closed form, against the rational model over p <= 7, m <= 3,
     # r <= 3, under the standard lifting and two deviated ones
-    ctx = Context(p, m, r, theta_trunc=top)
+    ctx = Context(p, m, r)
     rng = random.Random(f"peel {p} {m} {r}")
     for fd in (FrobData.standard(ctx), deviated(ctx, rng),
                deviated(ctx, rng)):
-        assert_phi_is_the_rational_model(fd)
+        assert_phi_is_the_rational_model(fd, window)
 
 
 MODULE_LAW_CASES = [(2, 0, 1), (3, 0, 1), (7, 0, 1), (2, 1, 1), (3, 1, 1),
@@ -306,9 +307,9 @@ def test_the_module_law_holds_under_a_deviation(pmr):
 @pytest.mark.parametrize("lifting", ["std", "random"])
 @pytest.mark.parametrize("pmr", TOWER_PMR, ids=str)
 def test_gamma_is_the_fraction_oracle(pmr, lifting):
-    fd = tower_fd(pmr, lifting)
+    fd, window = tower_fd(pmr, lifting)
     ctx = fd.ctx
-    top = ctx.pm1 * ctx.theta_trunc
+    top = ctx.pm1 * window
     big_k = top // ctx.pm
     for w in divided_frob_tau(ctx, fd.lifting):
         exact = fraction_gammas(w, big_k, None, top)
@@ -322,11 +323,10 @@ def test_gamma_is_the_fraction_oracle(pmr, lifting):
 @pytest.mark.parametrize("pmr", TOWER_PMR, ids=str)
 def test_gamma_requests_in_any_order(pmr, lifting):
     # the images phi caches on the way to one n are the ones asked for
-    # directly: every phi(d^<n>), |n| <= q theta_trunc, top down and
-    # bottom up
-    down, up = tower_fd(pmr, lifting), tower_fd(pmr, lifting)
+    # directly: every phi(d^<n>), |n| <= q window, top down and bottom up
+    (down, window), (up, _) = tower_fd(pmr, lifting), tower_fd(pmr, lifting)
     ctx = down.ctx
-    ns = list(degree_box(ctx.pm1 * ctx.theta_trunc, ctx.r))
+    ns = list(degree_box(ctx.pm1 * window, ctx.r))
     got = {n: phi_basis(down, n) for n in reversed(ns)}
     assert got == {n: phi_basis(up, n) for n in ns}
 
@@ -531,7 +531,7 @@ def test_the_low_window_is_the_divided_frobenius(pmr):
     # at 0 < |n| <= p^m phi reads c(i, j); the oracle is w itself:
     # phi(d^<n>) = sum_j [tau^{n}] w_j theta_j, as gamma_c(w_j) with
     # |c| >= 2 starts at tau-degree 2 p^m
-    ctx = Context(*pmr, theta_trunc=1)
+    ctx = Context(*pmr)
     rng = random.Random(str(pmr))
     for lift in (standard_lifting(ctx), random_strong_lifting(ctx, rng)):
         fd = FrobData(ctx, lift)
@@ -548,18 +548,27 @@ def test_the_low_window_is_the_divided_frobenius(pmr):
                                       ((3, 0, 3), 4)], ids=str)
 def test_the_theta_degree_of_phi_is_bounded_below(pmr, top):
     # phi(d^<n>) has theta-degree |c| >= |n|/q under the standard lifting,
-    # so an image that phi_basis refuses lies wholly above the window;
-    # under a deviated one only |c| >= max_i n_i / q holds: at (3, 0, 3),
-    # phi(d^<(0, 2, 2)>) has a term of theta-degree 1 though |n| > q
-    ctx = Context(*pmr, theta_trunc=2)
-    q = ctx.pm1
+    # so an image past the commands' window |n| <= q T lies wholly above
+    # theta-degree T; under a deviated one only |c| >= max_i n_i / q holds
+    ctx = Context(*pmr)
     dev = FrobData(ctx, random_strong_lifting(ctx, random.Random(0)))
     assert not dev.is_standard
     for fd, bound in ((FrobData.standard(ctx), sum), (dev, max)):
         for n in degree_box(top, ctx.r):
             assert all(sum(k) >= bound(n) for k in phi_basis(fd, n).terms)
-    if pmr == (3, 0, 3):
-        assert min(map(sum, phi_basis(dev, (0, 2, 2)).terms)) == q
+
+
+def test_a_deviated_image_past_the_window_reaches_theta_degree_1():
+    # at (3, 0, 3) under this deviated lifting, phi(d^<(0, 2, 2)>) has
+    # |n| = 4 > q = 3, past the window at T = 1, yet terms at theta-degrees
+    # 1 to 4; phi computes them all and refuses nothing, and its term of
+    # theta-degree 1 is theta_3
+    ctx = Context(3, 0, 3)
+    fd = FrobData(ctx, random_strong_lifting(ctx, random.Random(0)))
+    img = phi_basis(fd, (0, 2, 2))
+    assert {sum(k) // ctx.pm1 for k in img.terms} == {1, 2, 3, 4}
+    assert {k: f for k, f in img.terms.items() if sum(k) == ctx.pm1} == \
+        {(0, 0, 3): Poly.one(3, 3)}
 
 
 def test_phi_linear_part_is_the_c_matrix():
@@ -626,7 +635,7 @@ def test_the_closed_form_inverse_is_the_fixed_point(p, m, r, top):
     # the twisted images of d_i^<s>, s <= q, at every window n <= top,
     # under the standard lifting and a random strong one
     rng = random.Random(f"inverse {p} {m} {r}")
-    ctx = Context(p, m, r, theta_trunc=top)
+    ctx = Context(p, m, r)
     q = ctx.pm1
     for lift in (standard_lifting(ctx), random_strong_lifting(ctx, rng,
                                                               deg=2)):
@@ -664,7 +673,7 @@ def test_van_der_put_series():
     # H = phitilde(d) = -(t^(p-1) d^<p> + t^(p^2-1) d^<p^2> + ...) for the
     # standard lifting at m = 0, exact within the theta window
     for p in (2, 3):
-        ctx = Context(p, 0, theta_trunc=p * p)
+        ctx = Context(p, 0)
         fd = FrobData.standard(ctx)
         h = phi_tilde_basis(fd, (1,), p * p)
         want = DiffOp.zero(ctx)
@@ -678,18 +687,15 @@ def test_van_der_put_series():
 
 def test_a_lifting_of_another_context_is_refused():
     ctx = Context(3, 0, r=2)
-    wide = Context(3, 0, r=2, theta_trunc=5)
+    other = Context(3, 1, r=2)
     lifting = random_strong_lifting(ctx, random.Random(1), deg=2)
     with pytest.raises(ValueError) as err:
-        FrobData(wide, lifting)
-    assert str(ctx) in str(err.value) and str(wide) in str(err.value)
-    # a wider truncation takes the lifting's polynomials over its context
-    fd = FrobData(wide, LiftingZ(wide, lifting.polys))
-    assert fd.gs == FrobData(ctx, lifting).gs
+        FrobData(other, lifting)
+    assert str(ctx) in str(err.value) and str(other) in str(err.value)
     # an explicit check, not an assert: python -O keeps it
     code = ("from dopm import Context, FrobData\n"
             "try:\n"
-            "    FrobData(Context(2, 0, theta_trunc=5),\n"
+            "    FrobData(Context(2, 1),\n"
             "             FrobData.standard(Context(2, 0)).lifting)\n"
             "except ValueError:\n"
             "    print('refused')\n")

@@ -7,7 +7,6 @@ curvature works out to N + t' N^2 + ... in downstairs coordinates, so
 every quantity has a short independent formula.
 """
 
-import dataclasses
 import hashlib
 import os
 import random
@@ -26,8 +25,8 @@ from dopm.context import Context
 from dopm.diffops import DiffOp
 from dopm import frobenius
 from dopm.expr import render_matrix
-from dopm.frobenius import (FrobData, LiftingZ, phi_tilde_basis,
-                            random_strong_lifting)
+from dopm.frobenius import (FrobData, LiftingZ, phi_tilde,
+                            phi_tilde_basis, random_strong_lifting)
 from dopm.linalg import (nullspace_mod, pmat_add_inplace, pmat_eq, pmat_eye,
                          pmat_is_zero, pmat_map, pmat_mul, pmat_scale,
                          pmat_zero, rank_mod, rref_mod)
@@ -953,10 +952,6 @@ def solve_invariants_literal(fd, dm, deg_bound, k_bound):
     it cross-checks the reduced condition set on small configurations."""
     ctx = fd.ctx
     nnil = dm.nilpotency_index()
-    # phi must take every probed |k| <= k_bound * r inside the window
-    wide = dataclasses.replace(ctx, theta_trunc=max(
-        ctx.theta_trunc, -(-k_bound * ctx.r // ctx.pm1)))
-    fd = FrobData(wide, LiftingZ(wide, fd.lifting.polys))
     monomials = [(j, a) for a in degree_box(deg_bound, ctx.r)
                  for j in range(dm.rank)]
     rows = {}     # (operator, component, exponent) -> {unknown: coeff}
@@ -1976,8 +1971,7 @@ def _one_frob_data(fd, rep, built, checked, read, n):
 @pytest.mark.parametrize("p, m, r", [(2, 0, 1), (3, 0, 1), (2, 1, 1),
                                      (3, 1, 1)])
 def test_a_deep_round_trip_builds_one_frob_data(monkeypatch, p, m, r):
-    # nnil - 1 = 4 > theta_trunc = 3: psi is read past the context's
-    # theta truncation
+    # nnil - 1 = 4: psi is read past phitilde's default cut of 3
     ctx = Context(p, m, r)
     fd = FrobData.standard(ctx)
     _one_frob_data(fd, *_counted_round_trip(monkeypatch, fd,
@@ -1988,7 +1982,7 @@ def test_a_deep_round_trip_builds_one_frob_data(monkeypatch, p, m, r):
                                      (2, 0, 2)])
 def test_a_shallow_lifted_round_trip_builds_one_frob_data(monkeypatch, p, m,
                                                           r):
-    # nnil - 1 = 1 < theta_trunc = 3, under a lifting with a deviation
+    # nnil - 1 = 1, under a lifting with a deviation
     ctx = Context(p, m, r)
     fd = _strong(ctx, 8)
     assert not fd.is_standard
@@ -2026,15 +2020,20 @@ LIFTED_IDS = [name for case, name in zip(SOLVER_CASES, SOLVER_IDS)
                          ids=LIFTED_IDS)
 def test_the_truncations_change_no_solve_and_no_frame(ctx, lift_seed, field,
                                                       gauge):
-    # the correspondence reads phi at orders <= p^m < q theta_trunc and
-    # psi at nnil - 1 alone: FrobDatas at theta_trunc 1, 3 and 5 solve
-    # alike, and their round trips recover the same frame
-    got = []
-    for kw in ({"theta_trunc": 1}, {}, {"theta_trunc": 5}):
-        c = Context(ctx.p, ctx.m, ctx.r, **kw)
-        fd, dm = _solver_case(c, lift_seed, field, gauge)
-        assert not fd.is_standard
+    # the correspondence reads phi at orders <= p^m and psi at nnil - 1
+    # alone: a FrobData that phitilde first cut at theta-degree 1, 3 or 5
+    # (caching phi past q and psi at that cut) solves as a fresh one
+    # does, and its round trip recovers the same frame
+    def solve(fd, dm):
         inv = solve_invariants(fd, dm)
-        got.append((inv.unknowns, inv.rows,
-                    round_trip(fd, field(c))["recovered"]))
-    assert all(x == got[0] for x in got[1:])
+        return (inv.unknowns, inv.rows,
+                round_trip(fd, field(ctx))["recovered"])
+
+    fd, dm = _solver_case(ctx, lift_seed, field, gauge)
+    assert not fd.is_standard
+    want = solve(fd, dm)
+    for cut in (1, 3, 5):
+        fd, dm = _solver_case(ctx, lift_seed, field, gauge)
+        phi_tilde(fd, DiffOp.dpartial(
+            ctx, mi_scale(mi_unit(ctx.r, 0), cut * ctx.pm1)), cut)
+        assert solve(fd, dm) == want
