@@ -1,21 +1,22 @@
 """Exact p-adic combinatorics underlying level-m divided powers.
 
-Everything here is computed in arbitrary-precision integer/rational
-arithmetic.  Two families of structure constants rule the whole kernel:
+Two families of structure constants rule the whole kernel:
 
     brace(k, l)  =  {k+l \\ k}  =  q_{k+l}! / (q_k! q_l!)     (an integer)
     angle(k, l)  =  <k+l \\ k>  =  C(k+l, k) / {k+l \\ k}     (p-integral)
 
 with q_n = floor(n / p^m).  brace is the multiplication law of the
 divided-power algebra, angle the one of the operator ring.  Multi-index
-variants are coordinate-wise products.
+variants are coordinate-wise products.  Both are read mod p or p^2 off
+the base-p digits of their factorials, in time logarithmic in the order
+(`_fact_ratio`); the `verify` suites also read the exact `brace`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from math import comb, factorial
 from operator import add, sub
 
@@ -23,21 +24,47 @@ from operator import add, sub
 # ---------------------------------------------------------------------------
 # valuations and factorial parts
 
-def vp_factorial(n: int, p: int) -> int:
-    """v_p(n!) by Legendre's sum of floor(n/p^i)."""
-    v, q = 0, n
-    while q:
-        q //= p
-        v += q
-    return v
-
-
 def q_part(k: int, p: int, m: int) -> int:
     return k // p**m
 
 
 def q_fact(k: int, p: int, m: int) -> int:
     return factorial(k // p**m)
+
+
+@lru_cache(maxsize=None)
+def _unit_rows(p: int, mod: int) -> dict:
+    """{1: row, -1: its inverses}, row[x] for x < mod the product of the
+    j <= x prime to p, mod `mod`."""
+    row = list(accumulate(range(1, mod), initial=1,
+                          func=lambda u, j: u * j % mod if j % p else u))
+    return {1: row, -1: [pow(u, -1, mod) for u in row]}
+
+
+def _fact_ratio(num, den, p: int, mod: int) -> int:
+    """prod_(n in num) n! / prod_(n in den) n! mod `mod` = p or p^2, for a
+    p-integral ratio, in one pass over the base-p digits of each n.
+
+    Legendre: n! = p^v U(n) with v = sum_(i >= 1) n // p^i, and
+    n! = F(n) p^(n // p) (n // p)!, F(x) the product of the j <= x prime
+    to p, gives U(n) = prod_(i >= 0) F(n // p^i).  The units below p^e
+    multiply to -1 mod p^e for e <= 2 (Gauss's form of Wilson's theorem),
+    so F(x) = (-1)^(x // mod) F(x % mod), read off `_unit_rows` (inverted
+    for a factor of `den`).  At mod = p this is Anton's congruence
+    n! / p^v = (-1)^v prod_i d_i! over the digits d_i of n (A. Granville,
+    "Arithmetic properties of binomial coefficients I", CMS Conf. Proc.
+    20, 1997)."""
+    rows = _unit_rows(p, mod)
+    u, v, flips = 1, 0, 0
+    for sign, ns in ((1, num), (-1, den)):
+        row = rows[sign]
+        for n in ns:
+            while n:
+                u = u * row[n % mod] % mod
+                flips += n // mod
+                n //= p
+                v += sign * n
+    return (-1) ** flips * u * pow(p, v, mod) % mod
 
 
 # ---------------------------------------------------------------------------
@@ -53,31 +80,30 @@ def brace(k: int, l: int, p: int, m: int) -> int:
     return q
 
 
-@lru_cache(maxsize=None)
-def angle(k: int, l: int, p: int, m: int) -> Fraction:
-    """<k+l \\ k> = C(k+l, k)/{k+l \\ k}; p-integral (checked)."""
-    a = Fraction(comb(k + l, k), brace(k, l, p, m))
-    if a.denominator % p == 0:
-        raise ArithmeticError(f"angle({k},{l}) not p-integral at p={p}, m={m}")
-    return a
-
-
 def frac_mod(x: Fraction, mod: int) -> int:
     """Reduce a fraction with denominator prime to mod."""
     return x.numerator * pow(x.denominator, -1, mod) % mod
 
 
+@lru_cache(maxsize=None)
+def brace_mod(k: int, l: int, p: int, m: int, mod: int) -> int:
+    """brace(k, l) mod `mod` = p or p^2."""
+    g = p**m
+    return _fact_ratio(((k + l) // g,), (k // g, l // g), p, mod)
+
+
 def brace_mi_mod(k, l, p: int, m: int, mod: int) -> int:
     out = 1
     for a, b in zip(k, l):
-        out = out * brace(a, b, p, m) % mod
+        out = out * brace_mod(a, b, p, m, mod) % mod
     return out
 
 
 @lru_cache(maxsize=None)
 def angle_mod(k: int, l: int, p: int, m: int, mod: int) -> int:
-    """angle(k, l) reduced mod `mod`."""
-    return frac_mod(angle(k, l, p, m), mod)
+    """angle(k, l) = (k+l)! q_k! q_l! / (k! l! q_(k+l)!) mod `mod`."""
+    g = p**m
+    return _fact_ratio((k + l, k // g, l // g), (k, l, (k + l) // g), p, mod)
 
 
 def angle_mi_mod(k, l, p: int, m: int, mod: int) -> int:
@@ -111,7 +137,7 @@ def leibniz_weights(k: int, a_max: int, l: int, p: int, m: int) -> tuple:
     The weight of a multi-index is the product of its coordinates'."""
     out = []
     for a in range(a_max + 1):
-        c = brace(a, k - a, p, m) % p
+        c = brace_mod(a, k - a, p, m, p)
         if c:
             c = c * angle_mod(k - a, l, p, m, p) % p
             if c:
@@ -126,8 +152,7 @@ def dp_residues(s: int, p: int, m: int) -> tuple:
     base-p digits, which depends on h only mod P: entry h % P is the
     coordinate factor of dp_monomial_action(s, h) mod p for every h >= 0
     (and 0 for h < s).  Built digit by digit, with no large binomial."""
-    unit = factorial(s // p**m) % p
-    row = [unit]
+    row = [_fact_ratio((s // p**m,), (), p, p)]
     while s:
         s, d = divmod(s, p)
         row = [comb(hd, d) * c % p for hd in range(p) for c in row]
@@ -137,37 +162,9 @@ def dp_residues(s: int, p: int, m: int) -> tuple:
 # ---------------------------------------------------------------------------
 # the mod-p^2 congruences
 
-def _fact_unit(n: int, p: int, mod: int) -> int:
-    """Unit part of n! mod `mod`: n! = p^{v_p(n!)} * U(n) with
-    U(n) = U(n//p) * prod of all j <= n coprime to p, exactly over Z."""
-    if n == 0:
-        return 1
-    block = 1
-    for j in range(1, mod):
-        if j % p:
-            block = block * j % mod
-    u = pow(block, n // mod, mod)
-    for j in range(mod * (n // mod) + 1, n + 1):
-        if j % p:
-            u = u * j % mod
-    return u * _fact_unit(n // p, p, mod) % mod
-
-
 def binom_mod_p2(n: int, i: int, p: int) -> int:
-    """C(n, i) mod p^2 without constructing the full factorials.
-
-    Uses Legendre valuations plus the factorial unit parts; values with
-    valuation >= 2 collapse to 0.
-    """
-    if not 0 <= i <= n:
-        return 0
-    mod = p * p
-    v = vp_factorial(n, p) - vp_factorial(i, p) - vp_factorial(n - i, p)
-    if v >= 2:
-        return 0
-    u = _fact_unit(n, p, mod)
-    u = u * pow(_fact_unit(i, p, mod) * _fact_unit(n - i, p, mod) % mod, -1, mod) % mod
-    return u * p**v % mod
+    """C(n, i) mod p^2, without the full factorials."""
+    return _fact_ratio((n,), (i, n - i), p, p * p) if 0 <= i <= n else 0
 
 
 def lucas_closed_form(p: int, m: int, i: int) -> int:

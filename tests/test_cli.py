@@ -176,7 +176,8 @@ HUGE_ORDER = "d1<99999999999999999999>"
     ["kaneda-matrix", HUGE_ORDER],
 ], ids=["mul", "apply", "kaneda-matrix"])
 def test_an_order_above_the_cap_exits_2(argv):
-    # factorial(k) of such an order overflows: refused before any arithmetic
+    # refused while parsing, before any arithmetic: applying d^<k> builds
+    # a residue table of up to p k entries
     cmd, *exprs = argv
     res = subprocess.run([sys.executable, "-m", "dopm.cli", cmd, "--p", "3",
                           "--m", "0", *exprs],
@@ -224,9 +225,10 @@ def test_a_power_of_a_sum_past_the_box_cap_exits_2_quickly():
 
 
 def test_a_power_of_a_sum_past_the_pair_cap_exits_2_quickly():
-    # within the order, degree and box caps, at one coordinate: its last
-    # squaring would multiply 194481 term pairs of order about 4000, and
-    # it ran past 60 s before the pairs were capped
+    # within the order, degree and box caps, at one coordinate: its
+    # squarings would multiply 208373 term pairs, about 2 s of Leibniz rule
+    # with the constants from base-p digits; with exact factorials it ran
+    # past 60 s before the pairs were capped
     res = subprocess.run([sys.executable, "-m", "dopm.cli", "mul", "--p",
                           "7", "--m", "0", "(d1+d1<2>)^2000", "1"],
                          capture_output=True, text=True, env=child_env(),
@@ -234,6 +236,25 @@ def test_a_power_of_a_sum_past_the_pair_cap_exits_2_quickly():
     assert (res.returncode, res.stdout) == (2, "")
     assert res.stderr == f"error: power '^2000' multiplies at least 208373 " \
                          f"term pairs; the cap is {MAX_PAIRS}\n"
+
+
+@pytest.mark.parametrize("n, md5", [
+    (2000, "b4848d11142bc653214eed3c1e1099fb"),
+    (8000, "066cdaa58119042dc801191d5a43e873"),
+])
+def test_a_power_of_high_order_within_the_caps_ends_quickly(n, md5):
+    # few term pairs of order up to 2n: each pair's structure constants
+    # come from base-p digits, where exact factorials took 6 s at n = 2000
+    # (printing the same bytes) and ran past 60 s at n = 8000.  At m = 0
+    # the angles are 1, so (d + d^<2>)^n is the sum of C(n, j) mod 2
+    # d^<2n - j>, and C(n, j) is odd when j's bits are among n's (Lucas)
+    res = subprocess.run([sys.executable, "-m", "dopm.cli", "mul", "--p",
+                          "2", f"(d1+d1<2>)^{n}"], capture_output=True,
+                         text=True, env=child_env(), timeout=15)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout == " + ".join(f"d1<{2 * n - j}>" for j in range(n + 1)
+                                    if j & n == j) + "\n"
+    assert hashlib.md5(res.stdout.encode()).hexdigest() == md5
 
 
 def test_phi_past_the_window_exits_3_at_once():

@@ -2,7 +2,8 @@
 
 Every expected value here is either a frozen literal or recomputed on
 the spot from math.comb / math.factorial / Fraction — never from the
-functions under test.
+functions under test.  The exact `angle` and `vp_factorial` live here,
+as the oracles of the digit-level residues of `dopm.scalars`.
 """
 
 from fractions import Fraction
@@ -12,12 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dopm.scalars import (angle, angle_mi_mod, binom_mod_p2, box, box_le,
-                          brace, brace_mi_mod, degree_box, div_p_fact,
-                          dp_monomial_action, dp_power_factor, dp_residues,
-                          frac_mod, leibniz_weights, lucas_closed_form,
-                          mi_add, mi_scale, mi_sub, mi_sum, mi_unit, mi_zero,
-                          q_fact, q_part, vp_factorial)
+from dopm.scalars import (angle_mi_mod, angle_mod, binom_mod_p2, box,
+                          box_le, brace, brace_mi_mod, brace_mod, degree_box,
+                          div_p_fact, dp_monomial_action, dp_power_factor,
+                          dp_residues, frac_mod, leibniz_weights,
+                          lucas_closed_form, mi_add, mi_scale, mi_sub, mi_sum,
+                          mi_unit, mi_zero, q_fact, q_part)
 
 PRIMES = (2, 3, 5, 7)
 
@@ -30,7 +31,23 @@ def ref_brace(k, l, p, m):
     return factorial((k + l) // g) // (factorial(k // g) * factorial(l // g))
 
 
+def angle(k, l, p, m):
+    """<k+l \\ k> = C(k+l, k)/{k+l \\ k}, exactly; p-integral (checked)."""
+    a = Fraction(comb(k + l, k), ref_brace(k, l, p, m))
+    assert a.denominator % p, (k, l, p, m)
+    return a
+
+
 # -- valuations ---------------------------------------------------------------
+
+def vp_factorial(n, p):
+    """v_p(n!) by Legendre's sum of floor(n/p^i)."""
+    v = 0
+    while n:
+        n //= p
+        v += n
+    return v
+
 
 def vp(n, p):
     """p-adic valuation of a positive integer."""
@@ -119,6 +136,18 @@ def angle_mi(k, l, p, m):
     for a, b in zip(k, l):
         out *= angle(a, b, p, m)
     return out
+
+
+@given(primes, st.integers(0, 3), st.integers(0, 10**4),
+       st.integers(0, 10**4), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_digit_residues_are_the_exact_constants(p, m, k, l, squared):
+    # brace, angle and the binomial from the base-p digits of their
+    # factorials, against the exact integers and fractions
+    mod = p * p if squared else p
+    assert brace_mod(k, l, p, m, mod) == ref_brace(k, l, p, m) % mod
+    assert angle_mod(k, l, p, m, mod) == frac_mod(angle(k, l, p, m), mod)
+    assert binom_mod_p2(k + l, k, p) == comb(k + l, k) % (p * p)
 
 
 def test_multi_index_constants_are_products():
