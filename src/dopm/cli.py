@@ -141,7 +141,8 @@ def cmd_apply(args) -> int:
 
 def _in_window(args, ctx: Context, op: DiffOp) -> DiffOp:
     """op, refused (exit 3) if a d^<n> has |n| > q T, q = p^(m+1), T =
-    --theta-trunc: a cost guard, as phi(d1<1000>) at p = 2 takes 9 s."""
+    --theta-trunc: a cost guard, as phi's image grows with |n|
+    (phi(d1<10000>) at p = 2 takes about 3.5 s of CPU on a Xeon core)."""
     top = ctx.pm1 * args.theta_trunc
     for n in op.terms:
         if sum(n) > top:

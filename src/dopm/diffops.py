@@ -13,7 +13,7 @@ elements theta_i = d^<p^(m+1) e_i>, which kill O_X because q(p^(m+1)) = p.
 from __future__ import annotations
 
 from itertools import product
-from operator import mul, sub
+from operator import le, mul, sub
 
 from .context import Context
 from .poly import Poly, mac, reduced
@@ -174,11 +174,15 @@ class DiffOp:
         return DiffOp(self.ctx, {k: f.scale(c) for k, f in self.terms.items()})
 
     def apply(self, f: Poly) -> Poly:
-        """P(f) for f mod p."""
+        """P(f) for f mod p.  A term d^<k> with some k_i above every
+        exponent of f in t_i kills f, and is skipped before `dp_coeffs`
+        builds its residue table of up to p k_i entries."""
         p, m = self.ctx.p, self.ctx.m
+        top = f.max_exps()
         acc: dict = {}
         for k, g in self.terms.items():
-            mac(acc, g.coeffs, dp_coeffs(k, f.coeffs, p, m))
+            if all(map(le, k, top)):
+                mac(acc, g.coeffs, dp_coeffs(k, f.coeffs, p, m))
         return Poly._trusted(reduced(acc, p), self.ctx.r, p, f.var)
 
     def __mul__(self, other):

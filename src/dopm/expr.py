@@ -44,9 +44,10 @@ _TOKEN = re.compile(r"(\d+)|([td])(\d+)|([-+*()^<>])|(\S)")
 
 # The largest divided-power order dI<k> the parser accepts.  A product's
 # structure constants cost O(log k) (`scalars._fact_ratio`), but d^<k> on
-# a function reads q_k! C(h, k) mod p over a period of up to p k exponents
-# h (`scalars.dp_residues`), built in time linear in k: at p = 7, 9 ms at
-# 10^5, 0.4 s at 10^6 and 3 s at 10^7 on a Xeon core.
+# a function that reaches degree k reads q_k! C(h, k) mod p over a period
+# of up to p k exponents h (`scalars.dp_residues`), built in time linear
+# in k: at p = 7, 9 ms at 10^5, 0.4 s at 10^6 and 3 s at 10^7 on a Xeon
+# core.
 MAX_ORDER = 10**5
 
 # The largest total degree in t a power may reach: C(D + r, r) terms per

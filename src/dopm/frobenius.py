@@ -7,18 +7,15 @@ mod p, read mod p^2.  Its divided Frobenius
 
 lands in the level-m divided-power algebra mod p (every Taylor
 coefficient above order zero is divisible by p, which is checked, not
-assumed).  w defines the maps below, and none of them builds it: the
-standard lifting's phi has a closed form, and everything else reads
-only w's tau^{p^m}-block c(i, j), in closed form from the lifting
+assumed).  w defines the maps below, and none of them builds it: they
+read only w's tau^{p^m}-block c(i, j), in closed form from the lifting
 (`FrobData.c_matrix`):
 
   * phi        -- the O_X-linear map d^<n> -> sum_c [tau^{n}] prod_j
                   gamma_{c_j}(w_j) * d^<c p^(m+1)>, with values in
-                  O_X[theta].  For the standard lifting F_j =
-                  t_j^(p^(m+1)) every coefficient has a closed form
-                  (`standard_gamma_coeff`); any other lifting computes
+                  O_X[theta], computed under every lifting alike as
                   phi(d^<n>) = d^<n> . 1 in the split module, one
-                  generator d_i^<p^m> or theta_i at a time (`_peel`);
+                  generator d_i^<p^m> or theta_i at a time (`phi_basis`);
   * phi_center_inv / phi_tilde -- the theta-adic inverse of phi on
                   O_X[theta], in closed form from c(i, j) (`_psi`), and
                   the induced splitting map phi_tilde = phi^{-1} o phi,
@@ -31,19 +28,14 @@ only w's tau^{p^m}-block c(i, j), in closed form from the lifting
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
-from itertools import product
-from math import comb, factorial
-
 from .context import Context
 from .diffops import (DiffOp, box_matrix, dp_coeffs, premul_sum, theta_power,
                       zo_decompose)
 from .dpalg import DPElem, taylor
 from .poly import (MalformedInput, Poly, is_int, mac, poly_from_json,
                    poly_to_json, reduced)
-from .scalars import (degree_box, div_p_fact, frac_mod, mi_add,
-                      mi_scale, mi_sub, mi_sum, mi_unit, mi_zero)
+from .scalars import (degree_box, div_p_fact, mi_add, mi_scale, mi_sub,
+                      mi_sum, mi_unit, mi_zero)
 
 
 class NotALifting(ValueError):
@@ -173,15 +165,15 @@ class FrobData:
     """A validated strong lifting together with everything phi needs.
 
     State is per instance; each instance owns one lifting, so nothing
-    mixes moduli or levels.  phi reads the lifting through g alone: the
-    standard lifting (every deviation h_j zero) evaluates
-    `standard_gamma_coeff` (`gamma_coeffs`), and any other lifting peels
-    d^<n> into the generators d_i^<p^m> and the theta_i, which act on the
-    split module through c(i, j) (`c_matrix`, `_peel`).  Neither builds
-    w.  It caches two things: the phi images of basis operators, with
-    the images the peel passes on the way (`_phi`), and the powers psi^b
-    of psi = phi^{-1}(theta) per theta-degree cut (`_psi`), from which
-    `phi_inv_basis` reads phi^{-1}(theta^c).
+    mixes moduli or levels.  phi reads the lifting through g alone: it
+    peels d^<n> into the generators d_i^<p^m> and the theta_i, which act
+    on the split module through c(i, j) (`c_matrix`, `phi_basis`), and
+    never builds w.  It caches three things: the generators' images
+    phi(d_i^<p^m>) and phi(theta_i) (`_gen`, `_generators`), the phi
+    images of basis operators, with the images the peel passes on the
+    way (`_phi`), and the powers psi^b of psi = phi^{-1}(theta) per
+    theta-degree cut (`_psi`), from which `phi_inv_basis` reads
+    phi^{-1}(theta^c).
     """
 
     def __init__(self, ctx: Context, lifting: LiftingZ):
@@ -194,6 +186,7 @@ class FrobData:
         self.gs = [h.divide_exponents(ctx.pm) if _pm_divisible(h, ctx.pm)
                    else _reject_strong(j, h) for j, h in enumerate(hs)]
         self.is_standard = not any(hs)
+        self._gen: dict = {}
         self._phi: dict = {}
         self._psi: dict = {}
 
@@ -216,75 +209,15 @@ class FrobData:
         -a C(p^m e_i, p^m) = -a e_i mod p (Lucas) at t^(p^m (e - e_i)),
         and these sum to -(dg_j/dt_i)(t^(p^m))."""
         ctx = self.ctx
-        out = -self.gs[j].derivative(i).scale_exponents(ctx.pm)
-        if i == j:
-            out = out - Poly.monomial(
-                mi_scale(mi_unit(ctx.r, i), (ctx.p - 1) * ctx.pm), 1,
-                ctx.r, ctx.p)
-        return out
-
-    def gamma_coeffs(self, n) -> dict:
-        """{c: [tau^{n}] prod_j gamma_{c_j}(w_j)} for the standard lifting
-        F_j = t_j^q, over the c with a nonzero coefficient: the theta^c
-        coefficients of phi(d^<n>), by `standard_gamma_coeff`."""
-        ctx = self.ctx
-        p, pm, q, r = ctx.p, ctx.pm, ctx.pm1, ctx.r
-        if any(x % pm for x in n):
-            return {}
-        ks = [x // pm for x in n]
+        p, pm = ctx.p, ctx.pm
         out = {}
-        for c in product(*[range(-(-k // p), k + 1) for k in ks]):
-            v = 1
-            for k, cj in zip(ks, c):
-                v = v * standard_gamma_coeff(k, cj, p) % p
-            if v:
-                e = tuple(q * cj - x for cj, x in zip(c, n))
-                out[c] = Poly._trusted({e: v}, r, p)
-        return out
-
-
-@lru_cache(maxsize=None)
-def standard_gamma_coeff(k: int, c: int, p: int) -> int:
-    """A(k, c) = k!/(c! (p!)^c) sum_i (-1)^(c-i) C(c, i) C(p i, k) mod p:
-    for the standard lifting F_j = t_j^q, q = p^(m+1), at every level m,
-
-        [tau^{n}] prod_j gamma_{c_j}(w_j)
-            = prod_j A(n_j/p^m, c_j) t_j^(q c_j - n_j)   if p^m | n,
-
-    and 0 otherwise.  Raises ArithmeticError unless A is p-integral, as
-    `dpalg.gamma_dp` does (by the proof it always is).
-
-    Proof.  Write tau^{s} = tau^s / q_s! (q_s = floor(s/p^m)).
-    1. Homogeneity.  F_j(t+tau) - F_j(t) is homogeneous of degree q in
-       (t_j, tau_j), so [tau_j^{n_j}] gamma_c(w_j) is A t_j^(q c - n_j),
-       with A its value at t_j = 1: the coefficient of gamma_c(W_m),
-       W_m(x) = ((1+x)^q - 1)/p!.
-    2. Level reduction.  (1+x)^(p^m) = 1 + x^(p^m) + pR with R integral,
-       so (1+x)^q = (1 + x^(p^m) + pR)^p = (1 + x^(p^m))^p mod p^2, and
-       W_m(x) = W_0(x^(p^m)) + pE with E p-integral in the plain basis,
-       hence in the level-m lattice.  For b >= 1, gamma_b(pE) =
-       (p^b/b!) E^b = 0 mod p, since v_p(b!) < b.  The span of the
-       tau^{k p^m} is the level-0 divided-power algebra in y = tau^{p^m}
-       (its braces are C(a+b, a)), and W_0(y) = sum_s y^s/(s!(p-s)!) lies
-       in its divided-power ideal, so each gamma_a(W_0(y)) is integral.
-       Hence gamma_c(W_m) = sum_(a+b=c) gamma_a(W_0(y)) gamma_b(pE)
-       = gamma_c(W_0(y)) mod p, which has no term off the multiples of
-       p^m.  At n = k p^m, tau^{n} = y^k/k!, and
-       gamma_c(W_0(y)) = ((1+y)^p - 1)^c / (c! (p!)^c), whose y^k
-       coefficient is sum_i (-1)^(c-i) C(c, i) C(p i, k) / (c! (p!)^c):
-       times k! this is A(k, c).
-    3. Coordinates.  w_j involves only t_j and tau_j, and the brace
-       between multi-indices of disjoint supports is 1, so the
-       coefficient of the product is the product of the coefficients.
-       gamma_c(w_j) lives in tau_j-degrees c p^m .. c q, so only
-       n_j/q <= c_j <= n_j/p^m contribute.
-    """
-    a = Fraction(factorial(k) * sum((-1) ** (c - i) * comb(c, i)
-                                    * comb(p * i, k) for i in range(c + 1)),
-                 factorial(c) * factorial(p) ** c)
-    if a.denominator % p == 0:
-        raise ArithmeticError(f"A({k}, {c}) not p-integral at p={p}")
-    return frac_mod(a, p)
+        if i == j:
+            out[mi_scale(mi_unit(ctx.r, i), (p - 1) * pm)] = -1
+        for e, a in self.gs[j].coeffs.items():
+            if e[i]:
+                key = tuple(pm * (x - (k == i)) for k, x in enumerate(e))
+                out[key] = out.get(key, 0) - a * e[i]
+        return Poly._trusted(reduced(out, p), ctx.r, p)
 
 
 def _pm_divisible(h: Poly, pm: int) -> bool:
@@ -299,29 +232,12 @@ def _reject_strong(j, h):
 # phi and its restriction to the center
 
 def phi_basis(fd: FrobData, n) -> DiffOp:
-    """phi(d^<n>) = sum_c [tau^{n}](prod_j gamma_{c_j}(w_j)) d^<c p^(m+1)>:
-    `FrobData.gamma_coeffs` for the standard lifting, `_peel` for any
-    other.
-
-    Finite at every order: gamma_{c_j}(w_j) starts in tau-degree
-    c_j p^m, so only |c| <= |n|/p^m contributes.
-    """
-    n = tuple(n)
-    if n in fd._phi:
-        return fd._phi[n]
-    ctx = fd.ctx
-    if not fd.is_standard:
-        return _peel(fd, n)
-    terms = {mi_scale(c, ctx.pm1): g
-             for c, g in fd.gamma_coeffs(n).items()}
-    out = fd._phi[n] = DiffOp._trusted(ctx, terms)
-    return out
-
-
-def _peel(fd: FrobData, n) -> DiffOp:
-    """phi(d^<n>) = d^<n> . 1 in the split module O_X[theta] (`bullet`:
+    """phi(d^<n>) = sum_c [tau^{n}](prod_j gamma_{c_j}(w_j)) d^<c p^(m+1)>,
+    computed as d^<n> . 1 in the split module O_X[theta] (`bullet`:
     P . (f theta^c) = phi(P f) theta^c), for any strong lifting, by the
-    peel of `DModule.b_matrix`; every image on the way is cached on fd.
+    peel of `DModule.b_matrix`; every image on the grid p^m | n that the
+    peel passes is cached on fd.  Finite at every order: gamma_{c_j}(w_j)
+    starts in tau-degree c_j p^m, so only |c| <= |n|/p^m contributes.
 
     O_X[theta] is a D^(m)-module under this action (the paper; cf.
     Berthelot, "D-modules arithmetiques II", Mem. SMF 81, 2000), and the
@@ -364,11 +280,13 @@ def _peel(fd: FrobData, n) -> DiffOp:
     by Lucas, over the brace b!/b! = 1.  So phi(d^<n>) =
     d^<n - a e_k> . phi(d^<a e_k>) = 0 by the lemma.  Otherwise take i
     the first coordinate with n_i > 0.
-    - n_i > q: d^<n> = theta_i d^<n - q e_i>, as the units at
+    - n_i >= q: d^<n> = theta_i d^<n - q e_i>, as the units at
       `diffops.theta_power` are 1, and theta_i . (f theta^c) =
       phi(f theta_i) theta^c = f phi(theta_i) theta^c (theta_i is
-      central, phi is O_X-linear): the product with phi(theta_i).
-    - n_i <= q: d^<n> = d_i^<p^m> d^<n - p^m e_i>.  p^m is the largest
+      central, phi is O_X-linear): the product with phi(theta_i) =
+      theta_i + sum_j c(i, j)^p theta_j^p, fact (a) at `_psi`, whose
+      proof reads the generator step alone.
+    - n_i < q: d^<n> = d_i^<p^m> d^<n - p^m e_i>.  p^m is the largest
       p^l, l <= m, with p^l <= n_i, the one `b_matrix` peels, and its
       angle <n_i \\ p^m> is 1 (`diffops.theta_power`), as are the other
       coordinates'.
@@ -377,36 +295,58 @@ def _peel(fd: FrobData, n) -> DiffOp:
     runs on coefficient dicts, multiply-accumulated and reduced once."""
     ctx = fd.ctx
     p, m, pm, q, r = ctx.p, ctx.m, ctx.pm, ctx.pm1, ctx.r
+    n = tuple(n)
     if any(x % pm for x in n):
-        fd._phi[n] = DiffOp.zero(ctx)
-        return fd._phi[n]
+        return DiffOp.zero(ctx)
     units = [mi_unit(r, j) for j in range(r)]
     chain = []
     while n not in fd._phi and any(n):
         i = next(j for j, x in enumerate(n) if x)
         chain.append((n, i))
-        n = mi_sub(n, mi_scale(units[i], q if n[i] > q else pm))
-    z = fd._phi[n] if n in fd._phi else DiffOp.one(ctx)
+        n = mi_sub(n, mi_scale(units[i], q if n[i] >= q else pm))
+    z = fd._phi.get(n)
     one = {mi_zero(r): 1}
     for n, i in reversed(chain):
+        d_i, theta_i = _generators(fd, i)
+        if z is None:
+            # the first step acts on 1, and d^<p^m e_i>(1) = 0
+            z = fd._phi[n] = theta_i if n[i] >= q else d_i
+            continue
         accs: dict = {}
-        if n[i] > q:
-            for c1, f1 in phi_basis(fd, mi_scale(units[i], q)).terms.items():
+        if n[i] >= q:
+            for c1, f1 in theta_i.terms.items():
                 for c, f in z.terms.items():
                     mac(accs.setdefault(mi_add(c1, c), {}), f1.coeffs,
                         f.coeffs)
         else:
             di = mi_scale(units[i], pm)
-            cs = [(mi_scale(units[j], q), g.coeffs) for j in range(r)
-                  if (g := fd.c_matrix(i, j))]
             for c, f in z.terms.items():
                 mac(accs.setdefault(c, {}), dp_coeffs(di, f.coeffs, p, m), one)
-                for cj, g in cs:
-                    mac(accs.setdefault(mi_add(c, cj), {}), f.coeffs, g)
+                for cj, g in d_i.terms.items():
+                    mac(accs.setdefault(mi_add(c, cj), {}), f.coeffs,
+                        g.coeffs)
         z = fd._phi[n] = DiffOp._trusted(ctx, {
             c: Poly._trusted(g, r, p) for c, acc in accs.items()
             if (g := reduced(acc, p))})
-    return z
+    return DiffOp.one(ctx) if z is None else z
+
+
+def _generators(fd: FrobData, i: int):
+    """(phi(d_i^<p^m>), phi(theta_i)), cached on fd: how the generators at
+    coordinate i act on the split module.  phi(d_i^<p^m>) = sum_j c(i, j)
+    theta_j (the lemma at `phi_basis`), and phi(theta_i) = theta_i +
+    sum_j c(i, j)^p theta_j^p (fact (a) at `_psi`), c(i, j)^p the
+    exponent dilation by p, as the coefficients lie in F_p."""
+    if i not in fd._gen:
+        ctx = fd.ctx
+        p, q, r = ctx.p, ctx.pm1, ctx.r
+        d_i = {mi_scale(mi_unit(r, j), q): c for j in range(r)
+               if (c := fd.c_matrix(i, j))}
+        theta_i = {mi_scale(mi_unit(r, i), q): Poly.one(r, p)}
+        theta_i.update((mi_scale(k, p), c.scale_exponents(p))
+                       for k, c in d_i.items())
+        fd._gen[i] = DiffOp._trusted(ctx, d_i), DiffOp._trusted(ctx, theta_i)
+    return fd._gen[i]
 
 
 def phi(fd: FrobData, op: DiffOp) -> DiffOp:
@@ -434,12 +374,12 @@ def _psi(fd: FrobData, n: int) -> list:
 
     Proof that phi(psi_i) = theta_i mod theta-degree > n.  It rests on
     two facts about phi on the center, both consequences of the module
-    law of the split module O_X[theta] (`_peel`):
+    law of the split module O_X[theta] (`phi_basis`):
       (a) phi(theta_i) = theta_i + sum_j c(i, j)^p theta_j^p, which is
           theta_i + phi(d_i^<p^m>)^p (checked by the `phibar` verify
           suite).  As theta_i = (d_i^<p^m>)^p (`diffops.theta_power`),
           phi(theta_i) = R^p(1) for R = d_i^<p^m> . (-).  By the
-          generator step at `_peel`, R acts on F_p[s][theta], s =
+          generator step at `phi_basis`, R acts on F_p[s][theta], s =
           t^(p^m), as D + G: D = d/ds_i (Lucas, as in
           `simpson.pullback`) and G the product with sum_j c(i, j)
           theta_j, each c(i, j) in F_p[s].  By Jacobson, as in

@@ -14,7 +14,6 @@ the base-p digits of their factorials, in time logarithmic in the order
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
 from math import comb, factorial
@@ -78,11 +77,6 @@ def brace(k: int, l: int, p: int, m: int) -> int:
     q, rem = divmod(num, den)
     assert rem == 0, (k, l, p, m)
     return q
-
-
-def frac_mod(x: Fraction, mod: int) -> int:
-    """Reduce a fraction with denominator prime to mod."""
-    return x.numerator * pow(x.denominator, -1, mod) % mod
 
 
 @lru_cache(maxsize=None)

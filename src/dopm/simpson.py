@@ -24,7 +24,7 @@ the nilpotency index nnil, so both directions read phi, phi_tilde and
 phi^{-1} only to theta-degree n = nnil - 1, from phi and psi cached on
 the caller's fd.
 There phi_tilde(d_i^<p^l>), l <= m, and phi^{-1}(theta_i) are closed
-forms in c(i, j) (the lemma at `frobenius._peel`, `frobenius._psi`),
+forms in c(i, j) (the lemma at `frobenius.phi_basis`, `frobenius._psi`),
 so phi is read at orders <= p^m and psi at n alone.  On a valid
 module it suffices to impose this for the generators P = d_i^<p^l>,
 l <= m: Theta^c commutes with both sides, as theta_i is central, the
@@ -666,7 +666,7 @@ def _box_entries(fd: FrobData, dm: DModule, nnil, key, sections) -> dict:
        on the kernel of the family.
     3. The D_s at s = p^l, l <= m, have the kernel of all the D_s,
        0 < s <= p^m.  For s < p^m, phi_tilde(d_i^<s>) = 0 (the lemma at
-       `frobenius._peel`), so D_s(v) = -rho(d_i^<s>) v.  If s is not a
+       `frobenius.phi_basis`), so D_s(v) = -rho(d_i^<s>) v.  If s is not a
        power of p, peel p^L, the largest L <= m with p^L <= s, as
        `DModule.b_matrix` does: rho(d_i^<s>) = <s \\ p^L>^-1
        rho(d_i^<p^L>) rho(d_i^<s - p^L>), the angle a unit, on a valid

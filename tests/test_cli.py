@@ -257,10 +257,21 @@ def test_a_power_of_high_order_within_the_caps_ends_quickly(n, md5):
     assert hashlib.md5(res.stdout.encode()).hexdigest() == md5
 
 
+def test_phi_of_high_order_inside_a_wide_window_ends_quickly():
+    # the peel takes phi(d1<1000>) at p = 2 one generator at a time, in
+    # under a second of CPU
+    res = subprocess.run([sys.executable, "-m", "dopm.cli", "phi", "--p", "2",
+                          "--theta-trunc", "500", "d1<1000>"],
+                         capture_output=True, text=True, env=child_env(),
+                         timeout=5)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert hashlib.md5(res.stdout.encode()).hexdigest() == \
+        "1f89b2a9a25172e3b1c8e582535f6d68"
+
+
 def test_phi_past_the_window_exits_3_at_once():
-    # the commands' window guards cost: phi(d1<1000>) alone takes
-    # seconds, and d1<4000> is far past the default window |n| <= 3 p at
-    # p = 2
+    # the commands' window is a cost guard: d1<4000> is far past the
+    # default window |n| <= 3 p at p = 2
     res = subprocess.run([sys.executable, "-m", "dopm.cli", "phi", "--p", "2",
                           "d1<4000>"], capture_output=True, text=True,
                          env=child_env(), timeout=10)

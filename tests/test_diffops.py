@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dopm import diffops
 from dopm.context import Context
 from dopm.diffops import (DiffOp, frob_descend, frob_raise, kaneda_matrix,
                           quotient_matrix, theta, theta_power, zo_decompose)
@@ -65,6 +66,20 @@ def test_apply_dp_closed_form(ctx):
             want = Poly.monomial((h - s,), c, 1, ctx.p) if c else \
                 Poly.zero(1, ctx.p)
             assert got == want
+
+
+def test_apply_skips_an_order_above_the_function(monkeypatch):
+    # d^<k> with k_i past every exponent of f in t_i kills f: apply gives 0
+    # without building the residue table of up to p k_i entries
+    ctx = Context(7, 0, r=2)
+
+    def refuse(*args):
+        raise AssertionError("a residue table for an image that is 0")
+
+    monkeypatch.setattr(diffops, "dp_residues", refuse)
+    op = DiffOp(ctx, {(10**6, 0): Poly.one(2, 7), (0, 5): Poly.one(2, 7)})
+    assert op.apply(Poly.variable(0, 2, 7)) == Poly.zero(2, 7)
+    assert DiffOp.one(ctx).apply(Poly.zero(2, 7)) == Poly.zero(2, 7)
 
 
 # Wide corners for the oracles of the dict-level kernel: p = 7 at m = 2,

@@ -21,7 +21,7 @@ from dopm.context import Context
 from dopm.dpalg import DPElem, gamma_dp, pair_op, taylor
 from dopm.diffops import DiffOp
 from dopm.poly import Poly
-from dopm.scalars import brace_mi_mod, dp_power_factor, frac_mod, mi_sum
+from dopm.scalars import brace_mi_mod, dp_power_factor, mi_sum
 
 CTXS = [Context(2, 0), Context(3, 0), Context(2, 1), Context(3, 1)]
 

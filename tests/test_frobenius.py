@@ -27,13 +27,14 @@ from dopm.frobenius import (FrobData, LiftingZ, NotALifting, NotStrong,
                             glue_derivation, glue_endo, lifting_from_json,
                             phi, phi_basis, phi_center_inv, phi_inv_basis,
                             phi_tilde, phi_tilde_basis, random_strong_lifting,
-                            standard_gamma_coeff, standard_lifting)
+                            standard_lifting)
 from dopm.poly import MalformedInput, Poly
 from dopm.scalars import (degree_box, div_p_fact, dp_monomial_action,
-                          frac_mod, mi_scale, mi_unit)
+                          mi_scale, mi_unit)
 from dopm.simpson import random_higgs, round_trip
 
-from closed_forms import central_unit, mod_p
+from closed_forms import (central_unit, gamma_coeffs, mod_p,
+                          standard_gamma_coeff)
 
 
 def std_w_oracle(p, m):
@@ -43,7 +44,7 @@ def std_w_oracle(p, m):
     for s in range(1, Q + 1):
         c = Fraction(comb(Q, s) * factorial(s // p**m), factorial(p))
         assert c.denominator % p != 0
-        cm = frac_mod(c, p)
+        cm = mod_p(c, p)
         if cm:
             out[(s,)] = Poly.monomial((Q - s,), cm, 1, p)
     return out
@@ -199,7 +200,7 @@ def fraction_gammas(w, big_k, mod, top):
         for (e, s), v in power.items():
             b = v * q_fact(s) / factorial(k)
             assert b.denominator % ctx.p
-            slots.setdefault(s, {})[e] = b if mod is None else frac_mod(b, mod)
+            slots.setdefault(s, {})[e] = b if mod is None else mod_p(b, mod)
         out.append(DPElem(ctx, {s: Poly(d, ctx.r, mod)
                                 for s, d in slots.items()}, mod))
     return out
@@ -213,11 +214,11 @@ def theta_coeffs(fd, n) -> dict:
 
 
 def assert_phi_is_the_rational_model(fd, window):
-    """The theta^c coefficient of phi(d^<n>), by the closed form or the
-    peel, is [tau^{n}] prod_j gamma_dp(w_j, c_j) at every |n| <= top =
-    q window: from the Taylor-expanded w and DPElem products over every
-    |c| <= top / p^m, each gamma cut at top (a term only ever moves
-    up)."""
+    """The theta^c coefficient of phi(d^<n>), by the peel, and under the
+    standard lifting by the closed form `gamma_coeffs` too, is
+    [tau^{n}] prod_j gamma_dp(w_j, c_j) at every |n| <= top = q window:
+    from the Taylor-expanded w and DPElem products over every |c| <= top
+    / p^m, each gamma cut at top (a term only ever moves up)."""
     ctx = fd.ctx
     top = ctx.pm1 * window
     big_k = top // ctx.pm
@@ -233,7 +234,7 @@ def assert_phi_is_the_rational_model(fd, window):
     for n in degree_box(top, ctx.r):
         assert theta_coeffs(fd, n) == want.get(n, {}), n
         if fd.is_standard:
-            assert fd.gamma_coeffs(n) == want.get(n, {}), n
+            assert gamma_coeffs(ctx, n) == want.get(n, {}), n
 
 
 @pytest.mark.parametrize("lifting", ["std", "random"])
@@ -259,8 +260,9 @@ PEEL_CASES = [(7, 0, 1, 3), (7, 1, 1, 1), (7, 0, 2, 1), (5, 2, 1, 1),
 @pytest.mark.parametrize("p, m, r, window", PEEL_CASES, ids=str)
 def test_the_peel_is_the_rational_model(p, m, r, window):
     # phi(d^<n>) = d^<n> . 1 by generator steps on the split module, and
-    # the closed form, against the rational model over p <= 7, m <= 3,
-    # r <= 3, under the standard lifting and two deviated ones
+    # the standard lifting's closed form, against the rational model over
+    # p <= 7, m <= 3, r <= 3, under the standard lifting and two deviated
+    # ones
     ctx = Context(p, m, r)
     rng = random.Random(f"peel {p} {m} {r}")
     for fd in (FrobData.standard(ctx), deviated(ctx, rng),
@@ -323,8 +325,10 @@ def test_gamma_is_the_fraction_oracle(pmr, lifting):
 @pytest.mark.parametrize("pmr", TOWER_PMR, ids=str)
 def test_gamma_requests_in_any_order(pmr, lifting):
     # the images phi caches on the way to one n are the ones asked for
-    # directly: every phi(d^<n>), |n| <= q window, top down and bottom up
+    # directly: every phi(d^<n>), |n| <= q window, top down and bottom up,
+    # on two instances, so that neither pass reads the other's images
     (down, window), (up, _) = tower_fd(pmr, lifting), tower_fd(pmr, lifting)
+    assert down is not up
     ctx = down.ctx
     ns = list(degree_box(ctx.pm1 * window, ctx.r))
     got = {n: phi_basis(down, n) for n in reversed(ns)}
@@ -340,9 +344,8 @@ def test_gamma_requests_in_any_order(pmr, lifting):
         "p3m0-lifted", "p2m1r2-lifted", "p3m1-lifted"])
 def test_phi_builds_no_divided_power(monkeypatch, ctx, lift_seed):
     # phi, phitilde and bullet of an operator of order 3q read c(i, j)
-    # alone under a deviated lifting, and the closed form under the
-    # standard one: no Taylor expansion, no divided power and no
-    # divided-power product
+    # alone under every lifting: no Taylor expansion, no divided power
+    # and no divided-power product
     def refuse(*args, **kwargs):
         raise AssertionError("a divided power on phi's path")
 
@@ -363,7 +366,7 @@ def test_phi_builds_no_divided_power(monkeypatch, ctx, lift_seed):
     assert bullet(fd, op, z)
 
 
-# -- the closed form of the standard lifting ----------------------------------
+# -- the closed form of the standard lifting, the peel's oracle ---------------
 
 ALL_PM = [(p, m) for p in (2, 3, 5, 7) for m in range(4)]
 
@@ -385,7 +388,8 @@ def at_one(f) -> int:
 
 @pytest.mark.parametrize("p,m", ALL_PM, ids=str)
 def test_standard_closed_form_is_the_rational_model_at_r1(p, m):
-    # every n <= q theta_trunc, on and off the multiples of p^m
+    # every n <= q theta_trunc, on and off the multiples of p^m: the
+    # closed form and the peel
     ctx = Context(p, m)
     want = {}
     for c, g in enumerate(rational_gammas(ctx)[0]):
@@ -394,7 +398,8 @@ def test_standard_closed_form_is_the_rational_model_at_r1(p, m):
     fd = FrobData.standard(ctx)
     assert fd.is_standard
     for n in range(ctx.pm1 * ctx.theta_trunc + 1):
-        assert fd.gamma_coeffs((n,)) == want.get((n,), {})
+        assert gamma_coeffs(ctx, (n,)) == want.get((n,), {})
+        assert theta_coeffs(fd, (n,)) == want.get((n,), {})
 
 
 def draw_n(rng, ctx, on_grid):
@@ -416,7 +421,8 @@ def draw_n(rng, ctx, on_grid):
 def test_standard_closed_form_is_the_rational_model_at_r23(p, m, r):
     # [tau^{n}] prod_j gamma_{c_j}(w_j) as a DPElem product of the
     # factors cut to tau-degrees <= n (no other term reaches tau^{n}),
-    # over every c whose cut factors are nonzero
+    # over every c whose cut factors are nonzero: the closed form and the
+    # peel
     ctx = Context(p, m, r)
     gammas = rational_gammas(ctx)
     fd = FrobData.standard(ctx)
@@ -436,7 +442,22 @@ def test_standard_closed_form_is_the_rational_model_at_r23(p, m, r):
             if f:
                 want[tuple(c for c, _ in pick)] = f
         assert bool(want) == on_grid
-        assert fd.gamma_coeffs(n) == want
+        assert gamma_coeffs(ctx, n) == want
+        assert theta_coeffs(fd, n) == want
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("p,m", ALL_PM, ids=str)
+def test_the_peel_is_the_closed_form(p, m, r):
+    # phi_basis under the standard lifting against the closed form at
+    # every |n| <= 3q: on the grid p^m | n in every ring, and off it too
+    # where the box of n is small (q^r <= 729), where both are 0
+    ctx = Context(p, m, r)
+    fd = FrobData.standard(ctx)
+    ns = degree_box(3 * ctx.pm1, r) if ctx.pm1 ** r <= 729 else \
+        (mi_scale(k, ctx.pm) for k in degree_box(3 * p, r))
+    for n in ns:
+        assert theta_coeffs(fd, n) == gamma_coeffs(ctx, n), n
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

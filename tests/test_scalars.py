@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 from dopm.scalars import (angle_mi_mod, angle_mod, binom_mod_p2, box,
                           box_le, brace, brace_mi_mod, brace_mod, degree_box,
                           div_p_fact, dp_monomial_action, dp_power_factor,
-                          dp_residues, frac_mod, leibniz_weights,
+                          dp_residues, leibniz_weights,
                           lucas_closed_form, mi_add, mi_scale, mi_sub, mi_sum,
                           mi_unit, mi_zero, q_fact, q_part)
+
+from closed_forms import mod_p
 
 PRIMES = (2, 3, 5, 7)
 
@@ -146,7 +148,7 @@ def test_digit_residues_are_the_exact_constants(p, m, k, l, squared):
     # factorials, against the exact integers and fractions
     mod = p * p if squared else p
     assert brace_mod(k, l, p, m, mod) == ref_brace(k, l, p, m) % mod
-    assert angle_mod(k, l, p, m, mod) == frac_mod(angle(k, l, p, m), mod)
+    assert angle_mod(k, l, p, m, mod) == mod_p(angle(k, l, p, m), mod)
     assert binom_mod_p2(k + l, k, p) == comb(k + l, k) % (p * p)
 
 
@@ -171,7 +173,7 @@ def test_angle_residues_are_the_rational_product(p, m):
         for k in pairs:
             for l in pairs:
                 assert angle_mi_mod(k, l, p, m, mod) == \
-                    frac_mod(angle_mi(k, l, p, m), mod), (k, l, mod)
+                    mod_p(angle_mi(k, l, p, m), mod), (k, l, mod)
 
 
 # -- the basis action ---------------------------------------------------------
@@ -204,7 +206,7 @@ def test_leibniz_weights_are_brace_times_angle(p, m):
                 want = []
                 for a in range(a_max + 1):
                     # <j+l \\ j> = C(j+l, l) / {j+l \\ l} with j = k - a
-                    c = frac_mod(Fraction(
+                    c = mod_p(Fraction(
                         ref_brace(a, k - a, p, m) * comb(k - a + l, l),
                         ref_brace(k - a, l, p, m)), p)
                     if c:
@@ -303,10 +305,10 @@ def test_div_p_fact_rejects_units():
         div_p_fact(1, 3)
 
 
-def test_frac_mod():
-    assert frac_mod(Fraction(1, 3), 5) == 2
-    assert frac_mod(Fraction(-1, 2), 7) == 3
-    assert frac_mod(Fraction(10), 5) == 0
+def test_mod_p():
+    assert mod_p(Fraction(1, 3), 5) == 2
+    assert mod_p(Fraction(-1, 2), 7) == 3
+    assert mod_p(Fraction(10), 5) == 0
 
 
 # -- multi-index plumbing -----------------------------------------------------
